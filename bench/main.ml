@@ -35,9 +35,9 @@ let null_formatter =
 
    The four domain-parallel stages of the pipeline, each timed wall
    clock from cold in-memory caches, first at -j 1 and then at the
-   requested width.  [prepare] resets exactly the state the stage
-   recomputes, so each stage is measured in isolation against warm
-   inputs.  The persistent store is bypassed while timing stages —
+   requested width.  [prepare] empties every memo table and recomputes
+   the stage's inputs, so each stage is measured in isolation against
+   warm inputs.  The persistent store is bypassed while timing stages —
    otherwise the second run would measure a disk read. *)
 
 let wall f =
@@ -45,24 +45,24 @@ let wall f =
   f ();
   Unix.gettimeofday () -. t0
 
+let cold_except input () =
+  Experiments.Bench_run.reset ();
+  ignore (input ())
+
 let stages : (string * (unit -> unit) * (unit -> unit)) list =
   [
     ( "load_all",
-      (fun () -> Experiments.Bench_run.reset ()),
+      Experiments.Bench_run.reset,
       fun () -> ignore (Experiments.Bench_run.load_all ()) );
     ( "miss_matrix",
-      (fun () ->
-        ignore (Experiments.Bench_run.load_all ());
-        Experiments.Orderings.reset ()),
+      cold_except Experiments.Bench_run.load_all,
       fun () -> ignore (Experiments.Orderings.miss_matrix_cached ()) );
     ( "subset",
-      (fun () -> ignore (Experiments.Orderings.miss_matrix_cached ())),
+      cold_except Experiments.Orderings.miss_matrix_cached,
       fun () -> ignore (Experiments.Orderings.subset_result ()) );
     ( "traces",
-      (fun () ->
-        ignore (Experiments.Bench_run.load_all ());
-        Experiments.Traces.reset ()),
-      fun () -> Experiments.Traces.warm () );
+      cold_except Experiments.Bench_run.load_all,
+      Experiments.Traces.warm );
   ]
 
 (* (name, seconds at -j 1, seconds at -j n) for every stage. *)
@@ -111,8 +111,6 @@ let print_stage_timings jn =
 
 let full_bench () =
   Experiments.Bench_run.reset ();
-  Experiments.Orderings.reset ();
-  Experiments.Traces.reset ();
   ignore (Experiments.Bench_run.load_all ());
   ignore (Experiments.Orderings.miss_matrix_cached ());
   ignore (Experiments.Orderings.subset_result ());
@@ -143,10 +141,10 @@ let json_escape s =
 let stage_span_names =
   [ "stage.load_all"; "stage.miss_matrix"; "stage.subset"; "stage.traces" ]
 
+let metric name = Obs.Metrics.value (Obs.Metrics.counter name)
+
 let emit_json jn =
   Obs.Metrics.reset ();
-  Robust.Counters.reset ();
-  Cache.Store.reset_recovery ();
   (* record spans during the measured runs so the JSON can report
      per-stage duration percentiles; the events stay in memory unless
      --trace also armed an export file *)
@@ -155,8 +153,6 @@ let emit_json jn =
   let results = measure_stages jn in
   let cold, warm = measure_cold_warm jn in
   if not was_recording then Obs.disable ();
-  let rc = Robust.Counters.snapshot () in
-  let sr = Cache.Store.recovery () in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"schema\": \"ballarus-bench/4\",\n";
@@ -210,7 +206,6 @@ let emit_json jn =
   (* schema 4: cache traffic and pool job/task counts over the same
      measured passes *)
   Buffer.add_string buf "  \"metrics\": {\n";
-  let m name = Obs.Metrics.value (Obs.Metrics.counter name) in
   let metric_names =
     [ "cache.hit"; "cache.miss"; "cache.corrupt"; "cache.write";
       "pool.jobs"; "pool.tasks" ]
@@ -218,28 +213,28 @@ let emit_json jn =
   List.iteri
     (fun i name ->
       Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": %d%s\n" name (m name)
+        (Printf.sprintf "    \"%s\": %d%s\n" name (metric name)
            (if i < List.length metric_names - 1 then "," else "")))
     metric_names;
   Buffer.add_string buf "  },\n";
   (* schema 3: how much fault recovery the measured run needed — on a
      healthy host every count is 0 *)
   Buffer.add_string buf "  \"robustness\": {\n";
-  Buffer.add_string buf (Printf.sprintf "    \"retries\": %d,\n" rc.retries);
-  Buffer.add_string buf (Printf.sprintf "    \"timeouts\": %d,\n" rc.timeouts);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"fuel_exhausted\": %d,\n" rc.fuel_exhausted);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"task_failures\": %d,\n" rc.task_failures);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"cache_corrupt_quarantined\": %d,\n"
-       sr.corrupt_quarantined);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"cache_write_retries\": %d,\n" sr.write_retries);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"cache_write_failures\": %d,\n" sr.write_failures);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"cache_tmp_cleaned\": %d\n" sr.tmp_cleaned);
+  let robustness =
+    [ ("retries", "robust.retries"); ("timeouts", "robust.timeouts");
+      ("fuel_exhausted", "robust.fuel_exhausted");
+      ("task_failures", "robust.task_failures");
+      ("cache_corrupt_quarantined", "cache.corrupt_quarantined");
+      ("cache_write_retries", "cache.write_retries");
+      ("cache_write_failures", "cache.write_failures");
+      ("cache_tmp_cleaned", "cache.tmp_cleaned") ]
+  in
+  List.iteri
+    (fun i (key, name) ->
+      Buffer.add_string buf
+        (Printf.sprintf "    \"%s\": %d%s\n" key (metric name)
+           (if i < List.length robustness - 1 then "," else "")))
+    robustness;
   Buffer.add_string buf "  }\n";
   Buffer.add_string buf "}\n";
   let out = Buffer.contents buf in
@@ -571,6 +566,12 @@ let compare_benches old_path new_path =
 
 let perf_smoke jn =
   Cache.Store.set_enabled false;
+  (* the miss matrix feeding the subset stage is built once, outside
+     the timed region; the stage times the walk itself, which a memo
+     table would otherwise serve from memory the second time *)
+  Par.Pool.set_jobs jn;
+  let m, _ = Experiments.Orderings.miss_matrix_cached () in
+  let k = (Array.length m + 1) / 2 in
   let smoke_wl = "matrix300" in
   let stages =
     [
@@ -578,15 +579,10 @@ let perf_smoke jn =
         (fun () -> Experiments.Bench_run.reset ()),
         fun () -> ignore (Experiments.Bench_run.load_named [ smoke_wl ]) );
       ( "subset:20k",
-        (fun () -> ignore (Experiments.Orderings.miss_matrix_cached ())),
-        fun () -> ignore (Experiments.Orderings.subset_result ~max_trials:20_000 ())
-      );
+        ignore,
+        fun () -> ignore (Predict.Subset.run ~k ~max_trials:20_000 m) );
     ]
   in
-  (* the miss matrix feeding the subset stage is warmed once, outside
-     the timed region *)
-  Par.Pool.set_jobs jn;
-  ignore (Experiments.Orderings.miss_matrix_cached ());
   let failures = ref [] in
   List.iter
     (fun (name, prepare, run) ->
@@ -628,11 +624,6 @@ let chaos_smoke seed =
   Cache.Store.set_dir cache_dir;
   Cache.Store.set_enabled true;
   Cache.Store.clear ();
-  let reset_memory () =
-    Experiments.Bench_run.reset ();
-    Experiments.Orderings.reset ();
-    Experiments.Traces.reset ()
-  in
   let render () =
     let buf = Buffer.create (1 lsl 16) in
     let bppf = Format.formatter_of_buffer buf in
@@ -640,11 +631,10 @@ let chaos_smoke seed =
     Format.pp_print_flush bppf ();
     (Buffer.contents buf, s)
   in
-  reset_memory ();
+  Experiments.Bench_run.reset ();
   let clean_out, clean_sum = render () in
-  reset_memory ();
-  Cache.Store.reset_recovery ();
-  Robust.Counters.reset ();
+  Experiments.Bench_run.reset ();
+  Obs.Metrics.reset ();
   Robust.Inject.reset ();
   Robust.Inject.set_seed (Some seed);
   Robust.Inject.force Robust.Inject.Cache_read 1;
@@ -653,16 +643,18 @@ let chaos_smoke seed =
   Robust.Inject.set_seed None;
   let injected = Robust.Inject.summary () in
   let total_injected = List.fold_left (fun a (_, n) -> a + n) 0 injected in
-  let recovery = Cache.Store.recovery () in
-  let counters = Robust.Counters.snapshot () in
+  let quarantined = metric "cache.corrupt_quarantined" in
   Printf.printf "injected faults:%s\n"
     (String.concat ""
        (List.map (fun (s, n) -> Printf.sprintf " %s=%d" s n) injected));
   Printf.printf "cache recovery: %d quarantined, %d write retries, %d write \
                  failures, %d tmp cleaned\n"
-    recovery.corrupt_quarantined recovery.write_retries
-    recovery.write_failures recovery.tmp_cleaned;
-  Format.printf "supervisor: %a@." Robust.Counters.pp counters;
+    quarantined (metric "cache.write_retries") (metric "cache.write_failures")
+    (metric "cache.tmp_cleaned");
+  Printf.printf
+    "supervisor: retries %d, timeouts %d, fuel exhausted %d, task failures %d\n"
+    (metric "robust.retries") (metric "robust.timeouts")
+    (metric "robust.fuel_exhausted") (metric "robust.task_failures");
   Format.printf "clean run:  %a" Experiments.Driver.pp_summary clean_sum;
   Format.printf "chaos run:  %a" Experiments.Driver.pp_summary chaos_sum;
   (* tear down the isolated store *)
@@ -677,7 +669,7 @@ let chaos_smoke seed =
   check (clean_sum.failed = 0) "clean run had permanent failures";
   check (chaos_sum.failed = 0) "chaos run had permanent failures";
   check
-    (recovery.corrupt_quarantined = Robust.Inject.fired Robust.Inject.Cache_read)
+    (quarantined = Robust.Inject.fired Robust.Inject.Cache_read)
     "not every injected cache corruption was quarantined";
   match List.rev !failures with
   | [] ->
@@ -708,11 +700,6 @@ let obs_smoke () =
   Cache.Store.set_dir cache_dir;
   Cache.Store.set_enabled true;
   Cache.Store.clear ();
-  let reset_memory () =
-    Experiments.Bench_run.reset ();
-    Experiments.Orderings.reset ();
-    Experiments.Traces.reset ()
-  in
   let render () =
     let buf = Buffer.create (1 lsl 16) in
     let bppf = Format.formatter_of_buffer buf in
@@ -720,10 +707,10 @@ let obs_smoke () =
     Format.pp_print_flush bppf ();
     (Buffer.contents buf, s)
   in
-  reset_memory ();
+  Experiments.Bench_run.reset ();
   Obs.disable ();
   let plain_out, plain_sum = render () in
-  reset_memory ();
+  Experiments.Bench_run.reset ();
   Obs.reset_events ();
   Obs.enable ();
   let traced_out, traced_sum = render () in
@@ -840,12 +827,10 @@ let bechamel_tests () =
         ignore
           (Predict.Database.make r.prog r.analyses ~taken:r.profile.taken
              ~fall:r.profile.fall));
-    t "simulate(xlisp ref)" (fun () ->
-        let wl = Workloads.Registry.find "xlisp" in
-        ignore
-          (Sim.Machine.run
-             (Workloads.Workload.compile wl)
-             (Workloads.Workload.primary_dataset wl)));
+    (let wl = Workloads.Registry.find "xlisp" in
+     let prog = Workloads.Workload.compile wl in
+     let ds = Workloads.Workload.primary_dataset wl in
+     t "simulate(xlisp ref)" (fun () -> ignore (Sim.Machine.run prog ds)));
   ]
 
 let run_timings () =

@@ -18,13 +18,9 @@ let dir_ref =
 let dir () = !dir_ref
 let set_dir d = dir_ref := d
 
-(* ---- counters ----
-
-   All store accounting lives in the process-wide metrics registry
-   (Obs.Metrics) under [cache.*]: traffic (hit / miss / corrupt /
-   write) and the recovery counters that bench JSON and the chaos
-   smoke gate read.  [recovery]/[reset_recovery] keep their historical
-   narrow interface on top. *)
+(* All store accounting lives in the process-wide metrics registry
+   (Obs.Metrics) under [cache.*]: disk traffic (hit / miss / corrupt /
+   write) and the recovery counters that the chaos smoke gate reads. *)
 
 let hits = Obs.Metrics.counter "cache.hit"
 let misses = Obs.Metrics.counter "cache.miss"
@@ -35,35 +31,19 @@ let write_retries = Obs.Metrics.counter "cache.write_retries"
 let write_failures = Obs.Metrics.counter "cache.write_failures"
 let tmp_cleaned = Obs.Metrics.counter "cache.tmp_cleaned"
 
-type recovery = {
-  corrupt_quarantined : int;
-  write_retries : int;
-  write_failures : int;
-  tmp_cleaned : int;
-}
-
-let recovery () =
-  {
-    corrupt_quarantined = Obs.Metrics.value corrupt_quarantined;
-    write_retries = Obs.Metrics.value write_retries;
-    write_failures = Obs.Metrics.value write_failures;
-    tmp_cleaned = Obs.Metrics.value tmp_cleaned;
-  }
-
-let reset_recovery () =
-  List.iter
-    (fun c -> Obs.Metrics.set c 0)
-    [ corrupt_quarantined; write_retries; write_failures; tmp_cleaned ]
-
 let bump = Obs.Metrics.incr ?by:None
 
 let ensure_dir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755
 
-(* Entry name: digest of the store format, the caller's version tag and
-   the marshalled key.  The version is part of the name, so bumping it
-   simply stops hitting the old entries. *)
-let entry_path ~version key =
-  let k = Digest.string (format_tag ^ "\000" ^ version ^ "\000" ^ key) in
+(* Entry name: digest of the store format, the build fingerprint (a
+   digest of every library source), the table name and the key.  Any
+   source edit changes the fingerprint, so a build never reads entries
+   written by a different build. *)
+let entry_path ~table key =
+  let k =
+    Digest.string
+      (String.concat "\000" [ format_tag; Fingerprint.digest; table; key ])
+  in
   Filename.concat (dir ()) (Digest.to_hex k ^ ".bin")
 
 (* An entry is [format_tag] NL [digest-of-payload-hex] NL [payload].
@@ -143,10 +123,10 @@ let write_entry path payload =
       bump tmp_cleaned
     end
 
-let memo ~version ~key compute =
+let memo ~table ~key compute =
   if not !enabled_flag then compute ()
   else begin
-    let path = entry_path ~version (Marshal.to_string key []) in
+    let path = entry_path ~table key in
     ignore (Robust.Inject.corrupt_entry path : bool);
     let cached =
       match read_entry path with

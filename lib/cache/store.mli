@@ -1,10 +1,13 @@
-(** Persistent memoisation of expensive pipeline products.
+(** The on-disk layer under {!Memo}.
 
     The simulator is deterministic: a profile, a trace distribution or
     a subset enumeration is a pure function of the program, its input
-    and the analysis code.  This store keeps such products on disk —
-    keyed by a digest of the inputs and a caller-chosen version tag —
-    so warm runs skip simulation entirely.
+    and the analysis code.  This store keeps such products on disk so
+    warm runs skip simulation entirely.  An entry is named by a digest
+    of the store format, the build fingerprint (a digest of every [.ml]
+    under [lib/], generated at build time), the table name and the key,
+    so it is only ever read back by the build and the table that wrote
+    it.
 
     Entries live under one directory (default [_cache/] in the current
     working directory, overridable with [BALLARUS_CACHE_DIR]).  The
@@ -18,8 +21,10 @@
     quarantined (deleted and counted) so it cannot re-trip on every
     subsequent run, then recomputed and rewritten; failed writes are
     retried with backoff and, if still failing, abandoned — a cache
-    write only costs warmth, never correctness.  {!recovery} exposes
-    the counters. *)
+    write only costs warmth, never correctness.  Disk traffic and
+    recovery are counted in {!Obs.Metrics} under [cache.*]: [hit],
+    [miss], [corrupt], [write], [corrupt_quarantined],
+    [write_retries], [write_failures] and [tmp_cleaned]. *)
 
 val enabled : unit -> bool
 (** Whether lookups and writes happen at all.  Starts as
@@ -35,35 +40,14 @@ val set_dir : string -> unit
 (** Redirect the store (used by tests; overrides
     [BALLARUS_CACHE_DIR]). *)
 
-val memo : version:string -> key:'k -> (unit -> 'v) -> 'v
-(** [memo ~version ~key compute] returns the cached value for
-    [(version, key)] or runs [compute], stores its result, and returns
-    it.  [key] may be any marshallable value; its digest (together
-    with [version]) names the entry on disk.
+val memo : table:string -> key:string -> (unit -> 'v) -> 'v
+(** [memo ~table ~key compute] returns the value stored for [(table,
+    key)] or runs [compute], stores its result, and returns it.  [key]
+    is the caller's serialised key (e.g. a marshalled value).
 
-    [version] must uniquely identify both the call site's value type
-    and the schema of the computation — bumping it invalidates every
-    old entry of that call site, and two call sites must never share a
-    version string (the store cannot distinguish their types). *)
+    The value is read back by [Marshal], so one table name must always
+    hold one type.  {!Memo.create} guarantees that for the pipeline's
+    tables by rejecting duplicate names. *)
 
 val clear : unit -> unit
 (** Delete every entry in {!dir}.  Missing directory is fine. *)
-
-(** {1 Recovery counters} *)
-
-type recovery = {
-  corrupt_quarantined : int;
-      (** damaged entries detected, deleted and recomputed *)
-  write_retries : int;  (** failed write attempts that were retried *)
-  write_failures : int;  (** writes abandoned after exhausting retries *)
-  tmp_cleaned : int;
-      (** orphaned [.tmp] files deleted after a permanent write failure *)
-}
-
-val recovery : unit -> recovery
-(** The store's recovery counters since the last {!reset_recovery}.
-    Stored in {!Obs.Metrics} under [cache.*], together with the
-    traffic counters [cache.hit] / [cache.miss] / [cache.corrupt] /
-    [cache.write]. *)
-
-val reset_recovery : unit -> unit

@@ -45,18 +45,35 @@ let trace_order (g : Cfg.Graph.t) ~predict =
 
 let block_label b = Printf.sprintf "B%d" b
 
+(* How the conditional branch ending a block is emitted, given the
+   block placed right after it: kept when its fall-through is next,
+   inverted when its target is next (the old target becomes the
+   fall-through), otherwise kept and followed by a jump to the
+   fall-through. *)
+type lowering = Keep | Invert | Keep_and_jump
+
+let lower_branch ~next (te : Cfg.Graph.edge) (fe : Cfg.Graph.edge) =
+  if next = Some fe.dst then Keep
+  else if next = Some te.dst then Invert
+  else Keep_and_jump
+
+(* [f b next] for every block of the trace order, with the block placed
+   after it. *)
+let iter_placed order f =
+  let n = Array.length order in
+  Array.iteri
+    (fun pos b -> f b (if pos + 1 < n then Some order.(pos + 1) else None))
+    order
+
 let reorder_proc ~predict (proc : Mips.Program.proc) =
   let g = Cfg.Graph.build proc in
   let order = trace_order g ~predict in
-  let n = g.nblocks in
   let items = ref [] in
   let emit it = items := it :: !items in
   (* branch labels are instruction indices; they always land on block
      leaders, so translate through the enclosing block *)
   let lab l = block_label g.block_of_instr.(l) in
-  Array.iteri
-    (fun pos b ->
-      let next = if pos + 1 < n then Some order.(pos + 1) else None in
+  iter_placed order (fun b next ->
       emit (Mips.Asm.Lab (block_label b));
       (* body instructions except the terminator *)
       for idx = g.first.(b) to g.last.(b) - 1 do
@@ -64,20 +81,17 @@ let reorder_proc ~predict (proc : Mips.Program.proc) =
       done;
       let term = proc.body.(g.last.(b)) in
       match Cfg.Graph.branch_edges g b with
-      | Some (te, fe) ->
-        let t = te.dst and f = fe.dst in
-        if next = Some f then
-          (* keep: predicted-or-not, the fall-through is physically next *)
-          emit (Mips.Asm.Ins (I.map_label lab term))
-        else if next = Some t then
-          (* invert so the old target becomes the fall-through *)
+      | Some (te, fe) -> begin
+        match lower_branch ~next te fe with
+        | Keep -> emit (Mips.Asm.Ins (I.map_label lab term))
+        | Invert ->
           emit
             (Mips.Asm.Ins
-               (I.map_label (fun _ -> block_label f) (invert term)))
-        else begin
+               (I.map_label (fun _ -> block_label fe.dst) (invert term)))
+        | Keep_and_jump ->
           emit (Mips.Asm.Ins (I.map_label lab term));
-          emit (Mips.Asm.Ins (I.J (block_label f)))
-        end
+          emit (Mips.Asm.Ins (I.J (block_label fe.dst)))
+      end
       | None -> begin
         match term with
         | I.J l ->
@@ -92,8 +106,7 @@ let reorder_proc ~predict (proc : Mips.Program.proc) =
           | [ { dst; _ } ] when next <> Some dst ->
             emit (Mips.Asm.Ins (I.J (block_label dst)))
           | _ -> ())
-      end)
-    order;
+      end);
   { proc with body = Mips.Asm.assemble (List.rev !items) }
 
 let apply (prog : Mips.Program.t) ~predict =
@@ -105,6 +118,27 @@ let apply (prog : Mips.Program.t) ~predict =
           reorder_proc ~predict:(fun ~block -> predict ~proc:p.index ~block) p)
         prog.procs;
   }
+
+let taken_after (prog : Mips.Program.t) ~predict (profile : Sim.Profile.t) =
+  let taken = ref 0 in
+  Array.iter
+    (fun (p : Mips.Program.proc) ->
+      let g = Cfg.Graph.build p in
+      let order = trace_order g ~predict:(predict ~proc:p.index) in
+      iter_placed order (fun b next ->
+          match Cfg.Graph.branch_edges g b with
+          | Some (te, fe) ->
+            (* an inverted branch is taken exactly when the original
+               fell through *)
+            let counts =
+              match lower_branch ~next te fe with
+              | Invert -> profile.fall
+              | Keep | Keep_and_jump -> profile.taken
+            in
+            taken := !taken + counts.(p.index).(g.last.(b))
+          | None -> ()))
+    prog.procs;
+  !taken
 
 let taken_transfers ?max_instrs prog dataset =
   let taken_count = ref 0 in

@@ -11,7 +11,8 @@
 
     The transformation preserves semantics exactly (checksums are
     bit-identical); only the number of taken control transfers
-    changes.  {!taken_transfers} measures the effect. *)
+    changes.  {!taken_after} derives the effect from an edge profile;
+    {!taken_transfers} measures it by simulation. *)
 
 val invert : int Mips.Insn.t -> int Mips.Insn.t
 (** Invert the condition of a conditional branch (target unchanged):
@@ -30,6 +31,19 @@ val apply :
   predict:(proc:int -> block:int -> bool) ->
   Mips.Program.t
 (** Lay out every procedure of a program. *)
+
+val taken_after :
+  Mips.Program.t ->
+  predict:(proc:int -> block:int -> bool) ->
+  Sim.Profile.t ->
+  int
+(** [taken_after prog ~predict profile] is the number of taken
+    conditional branches that [apply prog ~predict] would execute on
+    the run [profile] was collected from, without running it.  Layout
+    keeps or inverts each conditional branch, so a kept branch is taken
+    as often as before and an inverted one as often as the original
+    fell through.  Branch executions are unchanged by layout
+    ({!Sim.Profile.branch_execs}). *)
 
 val taken_transfers :
   ?max_instrs:int -> Mips.Program.t -> Sim.Dataset.t ->

@@ -212,18 +212,19 @@ let layout ppf =
             Hashtbl.replace predictions (br.proc, br.block)
               (Predict.Combined.predict order br))
           r.db.branches;
-        let laid =
-          Predict.Layout.apply r.prog ~predict:(fun ~proc ~block ->
-              match Hashtbl.find_opt predictions (proc, block) with
-              | Some dir -> dir
-              | None -> false)
+        let predict ~proc ~block =
+          Option.value ~default:false
+            (Hashtbl.find_opt predictions (proc, block))
         in
-        let ds = Workloads.Workload.primary_dataset r.wl in
-        let t0, e0, s0 = Predict.Layout.taken_transfers r.prog ds in
-        let t1, e1, s1 = Predict.Layout.taken_transfers laid ds in
-        assert (s0.checksum = s1.checksum);
-        let rate t e = float_of_int t /. float_of_int (max 1 e) in
-        (r.wl.name, rate t0 e0, rate t1 e1))
+        (* both counts follow from the edge profile: layout only keeps
+           or inverts each conditional branch *)
+        let before =
+          Array.fold_left (Array.fold_left ( + )) 0 r.profile.taken
+        in
+        let after = Predict.Layout.taken_after r.prog ~predict r.profile in
+        let execs = Sim.Profile.branch_execs r.profile in
+        let rate t = float_of_int t /. float_of_int (max 1 execs) in
+        (r.wl.name, rate before, rate after))
       (Bench_run.load_all ())
   in
   let mean f = Stats.mean (List.map f rows) in

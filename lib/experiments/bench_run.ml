@@ -7,50 +7,38 @@ type t = {
   db : Predict.Database.t;
 }
 
-(* Version tag of persistently cached edge profiles.  The key is the
-   (program, dataset) pair by content, so recompiling an unchanged
-   workload still hits; bump the tag when the simulator's observable
-   behaviour or [Sim.Profile.t] changes. *)
-let profile_version = "profile/1"
+(* Edge profiles are keyed by (program, dataset) content, so
+   recompiling an unchanged workload still hits on disk. *)
+let profiles = Cache.Memo.create ~persist:true "profile"
 
 let profile_for ~decoded prog ds =
-  Cache.Store.memo ~version:profile_version ~key:(prog, ds) (fun () ->
+  Cache.Memo.find profiles (prog, ds) (fun () ->
       Sim.Profile.run ~decoded prog ds)
 
-(* Both memo tables are shared across domains.  The mutexes guard the
-   tables only; the pipeline itself (compile, analyse, profile) runs
-   unlocked.  Two domains racing on the same key at worst duplicate a
-   deterministic computation, and last-write-wins keeps the table
-   consistent. *)
-let cache : (string, t) Hashtbl.t = Hashtbl.create 32
-let cache_mutex = Mutex.create ()
+let loads = Cache.Memo.create "bench_run.load"
 
-let load wl =
-  let name = wl.Workloads.Workload.name in
-  match Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt cache name) with
-  | Some t -> t
-  | None ->
-    (* chaos hooks: an armed injector may delay this pipeline or raise
-       inside it, exercising pool survival and supervisor retries *)
-    Robust.Inject.delay ~label:("load:" ^ name);
-    Robust.Inject.raise_in_task ~label:("load:" ^ name);
-    let prog =
-      Obs.span ~name:"compile" ~attrs:[ ("workload", name) ] (fun () ->
-          Workloads.Workload.compile wl)
-    in
-    let decoded = Sim.Decode.of_program prog in
-    let analyses = Cfg.Analysis.of_program prog in
-    let profile =
-      Obs.span ~name:"profile" ~attrs:[ ("workload", name) ] (fun () ->
-          profile_for ~decoded prog (Workloads.Workload.primary_dataset wl))
-    in
-    let db =
-      Predict.Database.make prog analyses ~taken:profile.taken
-        ~fall:profile.fall
-    in
-    let t = { wl; prog; decoded; analyses; profile; db } in
-    Mutex.protect cache_mutex (fun () -> Hashtbl.replace cache name t);
-    t
+let load (wl : Workloads.Workload.t) =
+  let name = wl.name in
+  Cache.Memo.find loads name (fun () ->
+      (* chaos hooks: an armed injector may delay this pipeline or raise
+         inside it, exercising pool survival and supervisor retries *)
+      Robust.Inject.delay ~label:("load:" ^ name);
+      Robust.Inject.raise_in_task ~label:("load:" ^ name);
+      let prog =
+        Obs.span ~name:"compile" ~attrs:[ ("workload", name) ] (fun () ->
+            Workloads.Workload.compile wl)
+      in
+      let decoded = Sim.Decode.of_program prog in
+      let analyses = Cfg.Analysis.of_program prog in
+      let profile =
+        Obs.span ~name:"profile" ~attrs:[ ("workload", name) ] (fun () ->
+            profile_for ~decoded prog (Workloads.Workload.primary_dataset wl))
+      in
+      let db =
+        Predict.Database.make prog analyses ~taken:profile.taken
+          ~fall:profile.fall
+      in
+      { wl; prog; decoded; analyses; profile; db })
 
 let load_all () =
   Obs.span ~name:"stage.load_all" (fun () ->
@@ -61,30 +49,15 @@ let load_named names =
     (fun n -> load (Workloads.Registry.find n))
     names
 
-let db_cache : (string * string, Predict.Database.t) Hashtbl.t =
-  Hashtbl.create 64
-
-let db_cache_mutex = Mutex.create ()
+let dbs = Cache.Memo.create "bench_run.db"
 
 let db_for t ds =
-  let key = (t.wl.name, ds.Sim.Dataset.name) in
-  match
-    Mutex.protect db_cache_mutex (fun () -> Hashtbl.find_opt db_cache key)
-  with
-  | Some db -> db
-  | None ->
-    let profile = profile_for ~decoded:t.decoded t.prog ds in
-    let db =
+  Cache.Memo.find dbs (t.wl.name, ds.Sim.Dataset.name) (fun () ->
+      let profile = profile_for ~decoded:t.decoded t.prog ds in
       Predict.Database.make t.prog t.analyses ~taken:profile.taken
-        ~fall:profile.fall
-    in
-    Mutex.protect db_cache_mutex (fun () -> Hashtbl.replace db_cache key db);
-    db
+        ~fall:profile.fall)
 
-let reset () =
-  Mutex.protect cache_mutex (fun () -> Hashtbl.reset cache);
-  Mutex.protect db_cache_mutex (fun () -> Hashtbl.reset db_cache);
-  Workloads.Workload.reset_cache ()
+let reset = Cache.Memo.reset
 
 let prediction_bits t predictor =
   let bits =

@@ -5,7 +5,7 @@
     per-procedure CFG analyses, the edge profile of the primary
     dataset, and the resulting branch database.
 
-    Profiles are additionally memoised on disk through {!Cache.Store}
+    Edge profiles are memoised in a persisted {!Cache.Memo} table
     (keyed by program and dataset content), so a warm process skips
     simulation entirely. *)
 
@@ -31,12 +31,14 @@ val load_named : string list -> t list
 (** Like {!load_all} for a named subset, in the given order. *)
 
 val reset : unit -> unit
-(** Drop every memo table (including the workload compile cache) so
-    the benchmark harness can time cold pipelines. *)
+(** {!Cache.Memo.reset}: empty every memo table in memory (the disk
+    store is untouched), so the benchmark harness can time cold
+    pipelines. *)
 
 val db_for : t -> Sim.Dataset.t -> Predict.Database.t
-(** Branch database for a non-primary dataset (profiles it afresh;
-    memoised per (workload, dataset) pair). *)
+(** Branch database for any of the workload's datasets (memoised per
+    (workload, dataset) pair; the profile behind it is shared with
+    {!load}'s through the persisted profile table). *)
 
 val prediction_bits :
   t -> (Predict.Database.branch -> bool) -> Sim.Trace_run.prediction_bits

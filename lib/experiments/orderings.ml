@@ -1,14 +1,7 @@
-let matrix_cache :
-    (float array array * Bench_run.t list) option ref =
-  ref None
-
-let matrix_cache_mutex = Mutex.create ()
+let matrices = Cache.Memo.create "orderings.miss_matrix"
 
 let miss_matrix_cached () =
-  match Mutex.protect matrix_cache_mutex (fun () -> !matrix_cache) with
-  | Some v -> v
-  | None ->
-    let v =
+  Cache.Memo.find matrices () (fun () ->
       Obs.span ~name:"stage.miss_matrix" (fun () ->
           let rs =
             Par.Pool.parallel_map_list (Par.Pool.get ()) Bench_run.load
@@ -17,14 +10,7 @@ let miss_matrix_cached () =
           let dbs =
             Array.of_list (List.map (fun (r : Bench_run.t) -> r.db) rs)
           in
-          let m = Predict.Ordering.miss_matrix dbs in
-          (m, rs))
-    in
-    Mutex.protect matrix_cache_mutex (fun () -> matrix_cache := Some v);
-    v
-
-let reset () =
-  Mutex.protect matrix_cache_mutex (fun () -> matrix_cache := None)
+          (Predict.Ordering.miss_matrix dbs, rs)))
 
 let order_string idx =
   String.concat " "
@@ -55,15 +41,14 @@ let graph1 ppf =
   Format.fprintf ppf "best order: %s (%s%%)@." (order_string best_idx)
     (Texttab.pct1 best_v)
 
-(* Bump when [Predict.Subset.run] or its result type changes. *)
-let subset_version = "subset/1"
+let subsets = Cache.Memo.create ~persist:true "subset"
 
 let subset_result ?max_trials () =
   let m, rs = miss_matrix_cached () in
   let k = (List.length rs + 1) / 2 in
   Obs.span ~name:"stage.subset" (fun () ->
-      Cache.Store.memo ~version:subset_version ~key:(m, k, max_trials)
-        (fun () -> Predict.Subset.run ~k ?max_trials m))
+      Cache.Memo.find subsets (m, k, max_trials) (fun () ->
+          Predict.Subset.run ~k ?max_trials m))
 
 let graph2_3_table4 ?max_trials ppf =
   let _, rs = miss_matrix_cached () in

@@ -22,9 +22,5 @@ val warm : unit -> unit
 (** Generate (and cache) the trace distributions of every traced
     workload, one workload per task on the {!Par.Pool} default pool. *)
 
-val reset : unit -> unit
-(** Drop the trace memo table (used by the benchmark harness to time
-    cold runs). *)
-
 val graph12 : Format.formatter -> unit
 (** The model y = 1 - (1-m)^s for m in 0.025 .. 0.30. *)

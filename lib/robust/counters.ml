@@ -1,37 +1,13 @@
 (* The supervision counters are plain named entries in the process-wide
    metrics registry (Obs.Metrics), so `bpredict stats` and the bench
-   JSON read them through the same interface as every other metric.
-   This module keeps the original narrow API on top. *)
-
-type snapshot = {
-  retries : int;
-  timeouts : int;
-  fuel_exhausted : int;
-  task_failures : int;
-}
+   read them through the same interface as every other metric. *)
 
 let retries = Obs.Metrics.counter "robust.retries"
 let timeouts = Obs.Metrics.counter "robust.timeouts"
 let fuel_exhausted = Obs.Metrics.counter "robust.fuel_exhausted"
 let task_failures = Obs.Metrics.counter "robust.task_failures"
-let all = [ retries; timeouts; fuel_exhausted; task_failures ]
 
 let incr_retries () = Obs.Metrics.incr retries
 let incr_timeouts () = Obs.Metrics.incr timeouts
 let incr_fuel_exhausted () = Obs.Metrics.incr fuel_exhausted
 let incr_task_failures () = Obs.Metrics.incr task_failures
-
-let snapshot () =
-  {
-    retries = Obs.Metrics.value retries;
-    timeouts = Obs.Metrics.value timeouts;
-    fuel_exhausted = Obs.Metrics.value fuel_exhausted;
-    task_failures = Obs.Metrics.value task_failures;
-  }
-
-let reset () = List.iter (fun c -> Obs.Metrics.set c 0) all
-
-let pp ppf s =
-  Format.fprintf ppf
-    "retries %d, timeouts %d, fuel exhausted %d, task failures %d" s.retries
-    s.timeouts s.fuel_exhausted s.task_failures

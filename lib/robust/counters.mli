@@ -1,26 +1,15 @@
 (** Process-wide robustness counters.
 
     The supervision layer counts every recovery action it takes —
-    retries performed, timeouts hit, fuel exhaustions, tasks that
-    failed permanently — so a run can report how degraded it was and
-    the bench JSON can track the numbers over time.  The counters are
-    registered in {!Obs.Metrics} under [robust.*] (atomic, safe to
-    bump from any domain); this module is the stable narrow API on
-    top.  (Cache-recovery counters live with the store itself:
-    {!Cache.Store.recovery}.) *)
-
-type snapshot = {
-  retries : int;         (** backoff retries performed *)
-  timeouts : int;        (** tasks abandoned at their deadline *)
-  fuel_exhausted : int;  (** tasks stopped by the interpreter fuel limit *)
-  task_failures : int;   (** supervised tasks that failed permanently *)
-}
+    retries performed ([robust.retries]), timeouts hit
+    ([robust.timeouts]), fuel exhaustions ([robust.fuel_exhausted]),
+    tasks that failed permanently ([robust.task_failures]) — so a run
+    can report how degraded it was.  The counters live in
+    {!Obs.Metrics} (atomic, safe to bump from any domain); read them
+    there.  Cache-recovery counters live with the store, under
+    [cache.*]. *)
 
 val incr_retries : unit -> unit
 val incr_timeouts : unit -> unit
 val incr_fuel_exhausted : unit -> unit
 val incr_task_failures : unit -> unit
-
-val snapshot : unit -> snapshot
-val reset : unit -> unit
-val pp : Format.formatter -> snapshot -> unit

@@ -15,28 +15,10 @@ let make ?(spec = false) ?(traced = false) ~name ~description ~lang ~datasets
   if datasets = [] then invalid_arg "Workload.make: no datasets";
   { name; description; lang; spec; source; datasets; traced }
 
-(* The compile cache is shared across domains; the mutex guards the
-   table only — compilation itself runs unlocked (a racing duplicate
-   compile is deterministic, so last-write-wins is harmless). *)
-let cache : (string, Mips.Program.t) Hashtbl.t = Hashtbl.create 32
-let cache_mutex = Mutex.create ()
-
 let compile wl =
-  match
-    Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt cache wl.name)
-  with
-  | Some p -> p
-  | None ->
-    let p =
-      try Minic.Frontend.compile wl.source with
-      | Minic.Frontend.Error msg ->
-        failwith (Printf.sprintf "workload %s: %s" wl.name msg)
-    in
-    Mutex.protect cache_mutex (fun () -> Hashtbl.replace cache wl.name p);
-    p
-
-let reset_cache () =
-  Mutex.protect cache_mutex (fun () -> Hashtbl.reset cache)
+  try Minic.Frontend.compile wl.source with
+  | Minic.Frontend.Error msg ->
+    failwith (Printf.sprintf "workload %s: %s" wl.name msg)
 
 let primary_dataset wl = List.hd wl.datasets
 

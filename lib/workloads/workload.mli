@@ -31,12 +31,8 @@ val make :
   lang:lang -> datasets:Sim.Dataset.t list -> string -> t
 
 val compile : t -> Mips.Program.t
-(** Compile the workload (memoised per workload name; safe to call
-    from multiple domains). *)
-
-val reset_cache : unit -> unit
-(** Drop the compile memo table (used by the benchmark harness to time
-    cold runs). *)
+(** Compile the workload.  Not memoised: the suite compiles each
+    workload once, inside the memoised [Experiments.Bench_run.load]. *)
 
 val primary_dataset : t -> Sim.Dataset.t
 

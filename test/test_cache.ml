@@ -1,10 +1,12 @@
-(* Tests for the persistent result cache: memo hit/miss behaviour,
-   the enabled switch, key/version separation, corruption tolerance
-   and clearing.  Every test redirects the store to its own temporary
-   directory so nothing touches the repo's [_cache/]. *)
+(* Tests for the memo layer and the persistent store under it: memo
+   hit/miss behaviour, the enabled switch, key/table separation,
+   corruption tolerance and clearing.  Every test redirects the store
+   to its own temporary directory so nothing touches the repo's
+   [_cache/]. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
+let metric name = Obs.Metrics.value (Obs.Metrics.counter name)
 
 let with_temp_store f =
   let dir =
@@ -39,14 +41,14 @@ let test_memo_roundtrip () =
         incr calls;
         [| 1; 2; 3 |]
       in
-      let a = Cache.Store.memo ~version:"t/1" ~key:("k", 7) compute in
-      let b = Cache.Store.memo ~version:"t/1" ~key:("k", 7) compute in
+      let a = Cache.Store.memo ~table:"t" ~key:"k7" compute in
+      let b = Cache.Store.memo ~table:"t" ~key:"k7" compute in
       checki "computed once" 1 !calls;
       checkb "identical values" true (a = b);
       checki "one entry on disk" 1 (List.length (entry_files dir));
-      (* distinct keys and distinct versions are distinct entries *)
-      let _ = Cache.Store.memo ~version:"t/1" ~key:("k", 8) compute in
-      let _ = Cache.Store.memo ~version:"t/2" ~key:("k", 7) compute in
+      (* distinct keys and distinct tables are distinct entries *)
+      let _ = Cache.Store.memo ~table:"t" ~key:"k8" compute in
+      let _ = Cache.Store.memo ~table:"u" ~key:"k7" compute in
       checki "three computes total" 3 !calls;
       checki "three entries on disk" 3 (List.length (entry_files dir)))
 
@@ -58,8 +60,8 @@ let test_disabled_bypasses () =
         incr calls;
         42
       in
-      let a = Cache.Store.memo ~version:"t/1" ~key:"x" compute in
-      let b = Cache.Store.memo ~version:"t/1" ~key:"x" compute in
+      let a = Cache.Store.memo ~table:"t" ~key:"x" compute in
+      let b = Cache.Store.memo ~table:"t" ~key:"x" compute in
       checki "both values correct" 42 a;
       checki "both values correct" 42 b;
       checki "computed every time" 2 !calls;
@@ -72,13 +74,13 @@ let corrupt path garbage =
 
 let test_corrupt_entry_recomputed () =
   with_temp_store (fun dir ->
-      Cache.Store.reset_recovery ();
+      Obs.Metrics.reset ();
       let calls = ref 0 in
       let compute () =
         incr calls;
         "payload"
       in
-      let _ = Cache.Store.memo ~version:"t/1" ~key:0 compute in
+      let _ = Cache.Store.memo ~table:"t" ~key:"0" compute in
       let path =
         match entry_files dir with
         | [ p ] -> p
@@ -86,38 +88,38 @@ let test_corrupt_entry_recomputed () =
       in
       (* flipped payload bytes: digest check must reject the entry *)
       corrupt path "ballarus-cache/1\nnot-a-digest\ngarbage";
-      let v = Cache.Store.memo ~version:"t/1" ~key:0 compute in
+      let v = Cache.Store.memo ~table:"t" ~key:"0" compute in
       Alcotest.(check string) "recomputed value" "payload" v;
       checki "recompute happened" 2 !calls;
       checki "quarantine counted" 1
-        (Cache.Store.recovery ()).corrupt_quarantined;
+        (metric "cache.corrupt_quarantined");
       (* truncated entry *)
       corrupt path "ballarus-c";
-      let v = Cache.Store.memo ~version:"t/1" ~key:0 compute in
+      let v = Cache.Store.memo ~table:"t" ~key:"0" compute in
       Alcotest.(check string) "recomputed after truncation" "payload" v;
       checki "recompute happened again" 3 !calls;
       checki "second quarantine counted" 2
-        (Cache.Store.recovery ()).corrupt_quarantined;
+        (metric "cache.corrupt_quarantined");
       (* the rewrite must have produced a readable entry again *)
-      let v = Cache.Store.memo ~version:"t/1" ~key:0 compute in
+      let v = Cache.Store.memo ~table:"t" ~key:"0" compute in
       Alcotest.(check string) "hit after rewrite" "payload" v;
       checki "no further compute" 3 !calls;
       checki "no further quarantine" 2
-        (Cache.Store.recovery ()).corrupt_quarantined)
+        (metric "cache.corrupt_quarantined"))
 
 let test_quarantine_deletes_bad_entry () =
   (* a corrupt entry must be removed from disk at detection time, so
      it cannot re-trip a later run that never recomputes this key *)
   with_temp_store (fun dir ->
-      Cache.Store.reset_recovery ();
-      let _ = Cache.Store.memo ~version:"t/1" ~key:1 (fun () -> "x") in
+      Obs.Metrics.reset ();
+      let _ = Cache.Store.memo ~table:"t" ~key:"1" (fun () -> "x") in
       let path =
         match entry_files dir with [ p ] -> p | _ -> Alcotest.fail "one entry"
       in
       corrupt path "garbage";
       let gone_during_recompute = ref false in
       let v =
-        Cache.Store.memo ~version:"t/1" ~key:1 (fun () ->
+        Cache.Store.memo ~table:"t" ~key:"1" (fun () ->
             (* observe the disk mid-recompute: the bad entry must
                already have been deleted *)
             gone_during_recompute := not (Sys.file_exists path);
@@ -125,45 +127,45 @@ let test_quarantine_deletes_bad_entry () =
       in
       Alcotest.(check string) "recomputed" "y" v;
       checkb "bad entry deleted before recompute" true !gone_during_recompute;
-      checki "one quarantine" 1 (Cache.Store.recovery ()).corrupt_quarantined)
+      checki "one quarantine" 1 (metric "cache.corrupt_quarantined"))
 
 let test_injected_corruption_recovered () =
   (* the chaos hook corrupts a real on-disk entry; the store must
      detect, quarantine and recompute, and the counters must agree
      with the injector's *)
   with_temp_store (fun _dir ->
-      Cache.Store.reset_recovery ();
+      Obs.Metrics.reset ();
       Robust.Inject.reset ();
       let calls = ref 0 in
       let compute () =
         incr calls;
         "v"
       in
-      let _ = Cache.Store.memo ~version:"t/1" ~key:2 compute in
+      let _ = Cache.Store.memo ~table:"t" ~key:"2" compute in
       Robust.Inject.force Robust.Inject.Cache_read 1;
-      let v = Cache.Store.memo ~version:"t/1" ~key:2 compute in
+      let v = Cache.Store.memo ~table:"t" ~key:"2" compute in
       Alcotest.(check string) "recovered value" "v" v;
       checki "recomputed" 2 !calls;
       checki "injector fired" 1 (Robust.Inject.fired Robust.Inject.Cache_read);
       checki "quarantined exactly the injected fault" 1
-        (Cache.Store.recovery ()).corrupt_quarantined;
+        (metric "cache.corrupt_quarantined");
       Robust.Inject.reset ())
 
 let test_injected_write_failure_retried () =
   (* a failed write is retried with backoff; one injected failure costs
      a retry, not the entry *)
   with_temp_store (fun dir ->
-      Cache.Store.reset_recovery ();
+      Obs.Metrics.reset ();
       Robust.Inject.reset ();
       Robust.Inject.force Robust.Inject.Cache_write 1;
-      let _ = Cache.Store.memo ~version:"t/1" ~key:3 (fun () -> "w") in
-      checki "write retried once" 1 (Cache.Store.recovery ()).write_retries;
-      checki "no write abandoned" 0 (Cache.Store.recovery ()).write_failures;
+      let _ = Cache.Store.memo ~table:"t" ~key:"3" (fun () -> "w") in
+      checki "write retried once" 1 (metric "cache.write_retries");
+      checki "no write abandoned" 0 (metric "cache.write_failures");
       checki "entry still landed" 1 (List.length (entry_files dir));
       (* and it reads back *)
       let calls = ref 0 in
       let v =
-        Cache.Store.memo ~version:"t/1" ~key:3 (fun () ->
+        Cache.Store.memo ~table:"t" ~key:"3" (fun () ->
             incr calls;
             "w")
       in
@@ -178,16 +180,15 @@ let test_injected_write_failure_retried () =
    cleanup. *)
 let test_permanent_write_failure_cleans_tmp () =
   with_temp_store (fun dir ->
-      Cache.Store.reset_recovery ();
+      Obs.Metrics.reset ();
       Robust.Inject.reset ();
       (* fail all three attempts of the write backoff loop *)
       Robust.Inject.force Robust.Inject.Cache_write 3;
-      let v = Cache.Store.memo ~version:"t/1" ~key:4 (fun () -> "lost") in
+      let v = Cache.Store.memo ~table:"t" ~key:"4" (fun () -> "lost") in
       Alcotest.(check string) "value still returned" "lost" v;
-      let rec_ = Cache.Store.recovery () in
-      checki "two retries then surrender" 2 rec_.write_retries;
-      checki "one abandoned write" 1 rec_.write_failures;
-      checki "orphaned tmp cleaned" 1 rec_.tmp_cleaned;
+      checki "two retries then surrender" 2 (metric "cache.write_retries");
+      checki "one abandoned write" 1 (metric "cache.write_failures");
+      checki "orphaned tmp cleaned" 1 (metric "cache.tmp_cleaned");
       checki "no entry landed" 0 (List.length (entry_files dir));
       let tmp_files =
         Sys.readdir dir |> Array.to_list
@@ -195,7 +196,7 @@ let test_permanent_write_failure_cleans_tmp () =
       in
       checki "no tmp file left behind" 0 (List.length tmp_files);
       (* the key is still computable and cacheable afterwards *)
-      let v = Cache.Store.memo ~version:"t/1" ~key:4 (fun () -> "found") in
+      let v = Cache.Store.memo ~table:"t" ~key:"4" (fun () -> "found") in
       Alcotest.(check string) "recomputed" "found" v;
       checki "entry landed once writes heal" 1 (List.length (entry_files dir));
       Robust.Inject.reset ())
@@ -207,12 +208,12 @@ let test_clear_empties_store () =
         incr calls;
         ()
       in
-      Cache.Store.memo ~version:"t/1" ~key:1 compute;
-      Cache.Store.memo ~version:"t/1" ~key:2 compute;
+      Cache.Store.memo ~table:"t" ~key:"1" compute;
+      Cache.Store.memo ~table:"t" ~key:"2" compute;
       checki "two entries" 2 (List.length (entry_files dir));
       Cache.Store.clear ();
       checki "cleared" 0 (List.length (entry_files dir));
-      Cache.Store.memo ~version:"t/1" ~key:1 compute;
+      Cache.Store.memo ~table:"t" ~key:"1" compute;
       checki "recomputed after clear" 3 !calls)
 
 (* a cached profile must be indistinguishable from a fresh one: run a
@@ -224,14 +225,76 @@ let test_profile_through_store () =
       let ds = Workloads.Workload.primary_dataset wl in
       let fresh = Sim.Profile.run prog ds in
       let compute () = Sim.Profile.run prog ds in
-      let cold = Cache.Store.memo ~version:"t-prof/1" ~key:(prog, ds) compute in
-      let warm = Cache.Store.memo ~version:"t-prof/1" ~key:(prog, ds) compute in
+      let key = Marshal.to_string (prog, ds) [] in
+      let cold = Cache.Store.memo ~table:"t-prof" ~key compute in
+      let warm = Cache.Store.memo ~table:"t-prof" ~key compute in
       checkb "cold = fresh" true
         (cold.stats = fresh.stats && cold.taken = fresh.taken
        && cold.fall = fresh.fall);
       checkb "warm (unmarshalled) = fresh" true
         (warm.stats = fresh.stats && warm.taken = fresh.taken
        && warm.fall = fresh.fall))
+
+(* ---- Cache.Memo ---- *)
+
+(* memory first, then disk, then compute; a memory-only table never
+   touches the disk, and the table name separates equal keys *)
+let test_memo_layers () =
+  with_temp_store (fun dir ->
+      let calls = ref 0 in
+      let compute () =
+        incr calls;
+        "v"
+      in
+      let t = Cache.Memo.create ~persist:true "test.layers" in
+      let u = Cache.Memo.create ~persist:true "test.layers.other" in
+      let mem = Cache.Memo.create "test.layers.memory" in
+      Obs.Metrics.reset ();
+      let a = Cache.Memo.find t ("k", 1) compute in
+      let b = Cache.Memo.find t ("k", 1) compute in
+      checki "computed once" 1 !calls;
+      checkb "memory hit is the same value" true (a == b);
+      checki "memory hits leave the disk alone" 0 (metric "cache.hit");
+      Cache.Memo.reset ();
+      let c = Cache.Memo.find t ("k", 1) compute in
+      checki "served from disk after reset" 1 (metric "cache.hit");
+      checki "still computed once" 1 !calls;
+      checkb "disk value equal" true (a = c);
+      let _ = Cache.Memo.find u ("k", 1) compute in
+      checki "same key, other table: computed" 2 !calls;
+      checki "same key, other table: two entries" 2
+        (List.length (entry_files dir));
+      let _ = Cache.Memo.find mem ("k", 1) compute in
+      let _ = Cache.Memo.find mem ("k", 1) compute in
+      checki "memory-only table computes once" 3 !calls;
+      checki "memory-only table writes nothing" 2
+        (List.length (entry_files dir)))
+
+let test_memo_duplicate_name () =
+  let _ : (int, int) Cache.Memo.t = Cache.Memo.create "test.duplicate" in
+  Alcotest.check_raises "duplicate rejected"
+    (Invalid_argument "Cache.Memo.create: duplicate table test.duplicate")
+    (fun () ->
+      ignore (Cache.Memo.create ~persist:true "test.duplicate" : (int, string) Cache.Memo.t))
+
+(* [Bench_run.reset] empties the memory tables only: a reload rebuilds
+   the run (a new value), but its profile comes back from disk *)
+let test_reset_reloads_from_disk () =
+  with_temp_store (fun _dir ->
+      let wl = Workloads.Registry.find "matrix300" in
+      Experiments.Bench_run.reset ();
+      let r1 = Experiments.Bench_run.load wl in
+      checkb "memoised in memory" true (Experiments.Bench_run.load wl == r1);
+      Experiments.Bench_run.reset ();
+      Obs.Metrics.reset ();
+      let r2 = Experiments.Bench_run.load wl in
+      checkb "reload is a new value" true (r2 != r1);
+      checki "profile is a disk hit" 1 (metric "cache.hit");
+      checki "no disk miss" 0 (metric "cache.miss");
+      checkb "same profile" true
+        (r2.profile.taken = r1.profile.taken
+        && r2.profile.fall = r1.profile.fall
+        && r2.profile.stats = r1.profile.stats))
 
 let () =
   Random.self_init ();
@@ -257,5 +320,14 @@ let () =
             test_clear_empties_store;
           Alcotest.test_case "profile survives the store" `Quick
             test_profile_through_store;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "memory, then disk, then compute" `Quick
+            test_memo_layers;
+          Alcotest.test_case "duplicate table name rejected" `Quick
+            test_memo_duplicate_name;
+          Alcotest.test_case "reset reloads from disk" `Quick
+            test_reset_reloads_from_disk;
         ] );
     ]

@@ -126,16 +126,20 @@ int main() {
          = base
       && laid_checksum (fun _ -> true) = base)
 
-let layout_with predictor (r : Experiments.Bench_run.t) =
+let predict_with predictor (r : Experiments.Bench_run.t) =
   let predictions = Hashtbl.create 512 in
   Array.iter
     (fun (br : Predict.Database.branch) ->
       Hashtbl.replace predictions (br.proc, br.block) (predictor br))
     r.db.branches;
-  Predict.Layout.apply r.prog ~predict:(fun ~proc ~block ->
-      match Hashtbl.find_opt predictions (proc, block) with
-      | Some dir -> dir
-      | None -> false)
+  fun ~proc ~block ->
+    match Hashtbl.find_opt predictions (proc, block) with
+    | Some dir -> dir
+    | None -> false
+
+let layout_with predictor r =
+  Predict.Layout.apply r.Experiments.Bench_run.prog
+    ~predict:(predict_with predictor r)
 
 let workloads_under_test = [ "xlisp"; "grep"; "tomcatv"; "gcc"; "compress" ]
 
@@ -189,6 +193,32 @@ let test_layout_perfect_at_most_miss_rate () =
       checkb (name ^ " post-layout taken under 60%") true
         (float_of_int taken /. float_of_int (max 1 execs) < 0.6))
     workloads_under_test
+
+(* ablation-layout derives its taken counts from the edge profile
+   instead of simulating.  Over the whole registry, one run of each
+   laid-out program must reproduce that derivation exactly, execute as
+   many conditional branches as the original, and keep its checksum. *)
+let test_taken_after_matches_simulation () =
+  let heuristic = Predict.Combined.predict Predict.Combined.paper_order in
+  let measure (r : Experiments.Bench_run.t) =
+    let predict = predict_with heuristic r in
+    let laid = Predict.Layout.apply r.prog ~predict in
+    let taken, execs, stats =
+      Predict.Layout.taken_transfers laid
+        (Workloads.Workload.primary_dataset r.wl)
+    in
+    (r, taken, execs, stats.checksum,
+     Predict.Layout.taken_after r.prog ~predict r.profile)
+  in
+  List.iter
+    (fun ((r : Experiments.Bench_run.t), taken, execs, checksum, derived) ->
+      let name = r.wl.name in
+      checki (name ^ " taken = taken_after") derived taken;
+      checki (name ^ " branch executions") (Sim.Profile.branch_execs r.profile)
+        execs;
+      checki (name ^ " checksum preserved") r.profile.stats.checksum checksum)
+    (Par.Pool.parallel_map_list (Par.Pool.get ()) measure
+       (Experiments.Bench_run.load_all ()))
 
 let test_layout_idempotent_code_size () =
   (* laying out twice must not blow up the code *)
@@ -325,6 +355,8 @@ let () =
           Alcotest.test_case "perfect bound" `Slow
             test_layout_perfect_at_most_miss_rate;
           Alcotest.test_case "code size" `Quick test_layout_idempotent_code_size;
+          Alcotest.test_case "registry taken_after = simulation" `Slow
+            test_taken_after_matches_simulation;
         ] );
       ( "corner cases",
         [
