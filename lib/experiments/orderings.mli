@@ -13,12 +13,6 @@ val graph2_3_table4 : ?max_trials:int -> Format.formatter -> unit
     winning orders).  [max_trials] caps the enumeration for quick
     runs; the default runs all 705,432 trials. *)
 
-val subset_result : ?max_trials:int -> unit -> Predict.Subset.result
-(** The subset enumeration behind Graphs 2-3 / Table 4, memoised in a
-    persisted {!Cache.Memo} table (keyed by the miss matrix, the
-    subset size and the trial cap), so a warm process skips the
-    walk. *)
-
 val miss_matrix_cached : unit -> float array array * Bench_run.t list
 (** The (benchmark x 5040 orders) miss matrix over all benchmarks
     except matrix300, memoised for reuse across drivers. *)

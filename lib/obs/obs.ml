@@ -240,21 +240,7 @@ let reset_events () =
 
 (* ---- Chrome trace_event export ---- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Json
 
 let trace_json () =
   let evs = events () in
@@ -268,12 +254,12 @@ let trace_json () =
         (Printf.sprintf
            "\n{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\
             \"pid\":%d,\"tid\":%d,\"args\":{"
-           (json_escape ev.name) ev.ts_us ev.dur_us pid ev.tid);
+           (Json.escape ev.name) ev.ts_us ev.dur_us pid ev.tid);
       List.iteri
         (fun j (k, v) ->
           if j > 0 then Buffer.add_string buf ",";
           Buffer.add_string buf
-            (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+            (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
         ev.attrs;
       Buffer.add_string buf "}}")
     evs;

@@ -20,8 +20,8 @@
     and log-scale histograms ({!Metrics}).  Metrics are always on
     (atomic increments; they replace the ad-hoc robustness counters),
     independent of the span flag — except that every recorded span
-    also feeds the histogram [span.<name>], which is how the bench
-    JSON gets per-stage duration percentiles.
+    also feeds the histogram [span.<name>], which is how
+    [bpredict stats] reports per-stage duration percentiles.
 
     Timestamps come from [Unix.gettimeofday] — monotonic-ish: good
     enough to order and measure spans, not hardened against clock
@@ -62,7 +62,8 @@ val reset_events : unit -> unit
     see {!Metrics.reset}). *)
 
 val trace_json : unit -> string
-(** The recorded events as a Chrome [trace_event] JSON document. *)
+(** The recorded events as a Chrome [trace_event] JSON document, its
+    strings written with {!Json.escape}. *)
 
 val write_trace : string -> unit
 (** Write {!trace_json} to a file. *)
@@ -76,6 +77,11 @@ val set_trace_file : string option -> unit
 
 val trace_file : unit -> string option
 (** The exit-time trace destination currently armed, if any. *)
+
+(** {1 JSON} *)
+
+module Json = Json
+(** The reader and escaper behind the trace export. *)
 
 (** {1 Metrics} *)
 

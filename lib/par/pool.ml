@@ -274,8 +274,6 @@ let default_jobs () =
   | Some n -> n
   | None -> Domain.recommended_domain_count ()
 
-let effective_jobs = default_jobs
-
 let set_jobs n =
   let n = max 1 n in
   Mutex.lock default_mutex;

@@ -112,17 +112,9 @@ val reduce : t -> ?batch:int -> n:int -> chunk:int ->
     [Domain.recommended_domain_count ()], because oversubscribing
     domains makes every stage slower. *)
 
-val requested_jobs : unit -> int option
-(** The explicit width override currently in force ([set_jobs] or
-    [BALLARUS_JOBS]), or [None] when the width defaults to the
-    hardware clamp. *)
-
-val effective_jobs : unit -> int
+val default_jobs : unit -> int
 (** The width the default pool would have right now: the explicit
     request if any, else [Domain.recommended_domain_count ()]. *)
-
-val default_jobs : unit -> int
-(** Alias of {!effective_jobs}, kept for existing callers. *)
 
 val set_jobs : int -> unit
 (** Override the default pool width ([-j N]).  If the default pool

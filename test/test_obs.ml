@@ -153,145 +153,16 @@ let test_dump_renders () =
 
 (* ---- trace JSON export ----
 
-   A minimal JSON parser (objects/arrays/strings/numbers), just enough
-   to prove the exported document is well-formed and carries the
-   expected fields. *)
+   The export is read back with [Obs.Json.parse]; the reader's own
+   cases follow the export tests. *)
 
-type json =
-  | Null
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then advance ()
-    else fail (Printf.sprintf "expected %c" c)
-  in
-  let string_lit () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        if !pos >= n then fail "unterminated escape";
-        (match s.[!pos] with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 't' -> Buffer.add_char buf '\t'
-        | c -> Buffer.add_char buf c);
-        advance ();
-        go ()
-      | c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let rec fields acc =
-          skip_ws ();
-          let k = string_lit () in
-          skip_ws ();
-          expect ':';
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            fields ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected , or }"
-        in
-        fields []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let rec items acc =
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            items (v :: acc)
-          | Some ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ]"
-        in
-        items []
-      end
-    | Some '"' -> Str (string_lit ())
-    | Some 'n' ->
-      pos := !pos + 4;
-      Null
-    | Some _ -> number ()
-    | None -> fail "unexpected end of input"
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
+open Obs.Json
 
 let test_trace_json_valid () =
   with_recording (fun () ->
       Obs.span ~name:"alpha" ~attrs:[ ("id", "a\"b") ] (fun () -> ());
       Obs.span ~name:"beta" (fun () -> ());
-      let doc = parse_json (Obs.trace_json ()) in
+      let doc = parse (Obs.trace_json ()) in
       match member "traceEvents" doc with
       | Some (Arr evs) ->
         checki "two events" 2 (List.length evs);
@@ -338,9 +209,60 @@ let test_write_trace_roundtrip () =
           let ic = open_in_bin path in
           let s = really_input_string ic (in_channel_length ic) in
           close_in ic;
-          match member "traceEvents" (parse_json s) with
+          match member "traceEvents" (parse s) with
           | Some (Arr (_ :: _)) -> ()
           | _ -> Alcotest.fail "written trace unreadable"))
+
+(* Every byte the escaper spells specially — 0x00-0x1f, '"' and '\\' —
+   in a span name, an attribute key and an attribute value comes back
+   exactly through [Obs.trace_json] and [parse]. *)
+let test_trace_json_control_bytes () =
+  let nasty = String.init 0x20 Char.chr ^ "\"\\" in
+  with_recording (fun () ->
+      Obs.span ~name:nasty ~attrs:[ (nasty, nasty) ] (fun () -> ());
+      match member "traceEvents" (parse (Obs.trace_json ())) with
+      | Some (Arr [ e ]) ->
+        checkb "name round-trips" true (member "name" e = Some (Str nasty));
+        checkb "attribute round-trips" true
+          (match member "args" e with
+          | Some args -> member nasty args = Some (Str nasty)
+          | None -> false)
+      | _ -> Alcotest.fail "expected exactly one event")
+
+let test_parse_values () =
+  checkb "escapes decode" true
+    (parse {|"\"\\\/\b\f\n\r\t\u0041\u00e9"|}
+    = Str "\"\\/\b\012\n\r\tA\xc3\xa9");
+  checkb "literals" true
+    (parse " [null, true, false] " = Arr [ Null; Bool true; Bool false ]);
+  checkb "nested" true
+    (parse {|{"a": [1, -2.5e1], "b": {}}|}
+    = Obj [ ("a", Arr [ Num 1.; Num (-25.) ]); ("b", Obj []) ])
+
+let test_parse_rejects () =
+  List.iter
+    (fun (what, bad) ->
+      match parse bad with
+      | _ -> Alcotest.failf "%s accepted: %S" what bad
+      | exception Bad _ -> ())
+    [
+      ("string without closing quote", {|"abc|});
+      ("string without closing quote in array", {|["abc]|});
+      ("bad literal", "nul");
+      ("bad literal", "nxyz");
+      ("bad literal in array", "[nul]");
+      ("bad literal", "tru");
+      ("missing ,", "[1 2]");
+      ("missing ,", {|{"a":1 "b":2}|});
+      ("missing :", {|{"a" 1}|});
+      ("trailing garbage", "{} x");
+      ("trailing garbage", "[1]]");
+      ("trailing garbage", "nullx");
+      ("raw control byte", "\"a\nb\"");
+      ("unknown escape", {|"\q"|});
+      ("bad \\u escape", {|"\u00g1"|});
+      ("empty input", "");
+    ]
 
 let () =
   Alcotest.run "obs"
@@ -369,5 +291,10 @@ let () =
           Alcotest.test_case "trace JSON valid" `Quick test_trace_json_valid;
           Alcotest.test_case "write_trace roundtrip" `Quick
             test_write_trace_roundtrip;
+          Alcotest.test_case "control bytes round-trip" `Quick
+            test_trace_json_control_bytes;
+          Alcotest.test_case "parse values" `Quick test_parse_values;
+          Alcotest.test_case "parse rejects malformed" `Quick
+            test_parse_rejects;
         ] );
     ]
