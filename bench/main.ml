@@ -132,10 +132,9 @@ let chaos_smoke seed =
   Printf.printf "injected faults:%s\n"
     (String.concat ""
        (List.map (fun (s, n) -> Printf.sprintf " %s=%d" s n) injected));
-  Printf.printf "cache recovery: %d quarantined, %d write retries, %d write \
-                 failures, %d tmp cleaned\n"
-    quarantined (metric "cache.write_retries") (metric "cache.write_failures")
-    (metric "cache.tmp_cleaned");
+  Printf.printf "cache recovery: %d quarantined, %d write failures, %d tmp \
+                 cleaned\n"
+    quarantined (metric "cache.write_failures") (metric "cache.tmp_cleaned");
   Printf.printf
     "supervisor: retries %d, timeouts %d, fuel exhausted %d, task failures %d\n"
     (metric "robust.retries") (metric "robust.timeouts")

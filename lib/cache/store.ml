@@ -27,13 +27,16 @@ let misses = Obs.Metrics.counter "cache.miss"
 let corrupts = Obs.Metrics.counter "cache.corrupt"
 let writes = Obs.Metrics.counter "cache.write"
 let corrupt_quarantined = Obs.Metrics.counter "cache.corrupt_quarantined"
-let write_retries = Obs.Metrics.counter "cache.write_retries"
 let write_failures = Obs.Metrics.counter "cache.write_failures"
 let tmp_cleaned = Obs.Metrics.counter "cache.tmp_cleaned"
 
 let bump = Obs.Metrics.incr ?by:None
 
-let ensure_dir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755
+(* Another domain may create the directory between the test and the
+   mkdir; that is not a failed write. *)
+let ensure_dir d =
+  if not (Sys.file_exists d) then
+    try Sys.mkdir d 0o755 with Sys_error _ when Sys.file_exists d -> ()
 
 (* Entry name: digest of the store format, the build fingerprint (a
    digest of every library source), the table name and the key.  Any
@@ -81,16 +84,14 @@ let quarantine path =
   bump corrupt_quarantined;
   try Sys.remove path with Sys_error _ -> ()
 
-let transient_write = function
-  | Sys_error _ | Unix.Unix_error _ -> true
-  | _ -> false
-
+(* A failed write only costs warmth, never correctness, so it is
+   skipped rather than retried. *)
 let write_entry path payload =
   let tmp =
     Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ())
       (Domain.self () :> int)
   in
-  let attempt () =
+  try
     ensure_dir (dir ());
     let oc = open_out_bin tmp in
     Fun.protect
@@ -106,15 +107,7 @@ let write_entry path payload =
        last rename wins and every version is valid *)
     Sys.rename tmp path;
     bump writes
-  in
-  (* A failed write only costs warmth, never correctness — so retry it
-     a few times with backoff and give up quietly.  The retry seed is
-     fixed: write paths must behave identically run to run. *)
-  try
-    Robust.Backoff.retry ~retry_on:transient_write
-      ~on_retry:(fun ~attempt:_ ~delay_s:_ _ -> bump write_retries)
-      ~seed:0 ~label:("cache-write:" ^ path) attempt
-  with e when transient_write e ->
+  with Sys_error _ ->
     bump write_failures;
     (* the rename never ran, so the orphaned tmp must not accumulate in
        the cache directory for the life of the store *)

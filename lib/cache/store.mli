@@ -19,12 +19,12 @@
     into place, so readers never observe a half-written entry; every
     entry carries a payload digest.  A corrupt or truncated entry is
     quarantined (deleted and counted) so it cannot re-trip on every
-    subsequent run, then recomputed and rewritten; failed writes are
-    retried with backoff and, if still failing, abandoned — a cache
-    write only costs warmth, never correctness.  Disk traffic and
+    subsequent run, then recomputed and rewritten.  A failed write is
+    skipped, not retried, and its orphaned temporary file deleted — a
+    cache write only costs warmth, never correctness.  Disk traffic and
     recovery are counted in {!Obs.Metrics} under [cache.*]: [hit],
     [miss], [corrupt], [write], [corrupt_quarantined],
-    [write_retries], [write_failures] and [tmp_cleaned]. *)
+    [write_failures] and [tmp_cleaned]. *)
 
 val enabled : unit -> bool
 (** Whether lookups and writes happen at all.  Starts as

@@ -25,10 +25,8 @@ type failure = { index : int; exn : exn; backtrace : Printexc.raw_backtrace }
 type job = {
   body : int -> unit;
   total : int;
-  fail_fast : bool;
   next : int Atomic.t;
   finished : int Atomic.t;
-  cancelled : bool Atomic.t;
   mutable failure : failure option; (* guarded by the pool mutex *)
 }
 
@@ -51,23 +49,19 @@ let has_pending_job t =
 
 (* Claim and run indices until the job is drained.  Exceptions are
    recorded (first wins, with its backtrace) but never abort the join:
-   [finished] is incremented regardless — also for indices skipped
-   after a fail-fast cancellation — so the caller cannot deadlock and
-   the worker domains survive to serve the next job. *)
+   [finished] is incremented regardless, so the caller cannot deadlock
+   and the worker domains survive to serve the next job. *)
 let execute t (j : job) =
   let rec grab () =
     let i = Atomic.fetch_and_add j.next 1 in
     if i < j.total then begin
-      if not (Atomic.get j.cancelled) then begin
-        try j.body i
-        with e ->
-          let bt = Printexc.get_raw_backtrace () in
-          if j.fail_fast then Atomic.set j.cancelled true;
-          Mutex.lock t.mutex;
-          if j.failure = None then
-            j.failure <- Some { index = i; exn = e; backtrace = bt };
-          Mutex.unlock t.mutex
-      end;
+      (try j.body i
+       with e ->
+         let bt = Printexc.get_raw_backtrace () in
+         Mutex.lock t.mutex;
+         if j.failure = None then
+           j.failure <- Some { index = i; exn = e; backtrace = bt };
+         Mutex.unlock t.mutex);
       let f = 1 + Atomic.fetch_and_add j.finished 1 in
       if f = j.total then begin
         Mutex.lock t.mutex;
@@ -131,8 +125,7 @@ let jobs_counter = Obs.Metrics.counter "pool.jobs"
 let tasks_counter = Obs.Metrics.counter "pool.tasks"
 
 (* Sequential execution with the same failure contract as the pool:
-   the first exception stops the loop (inherently fail-fast) and is
-   re-raised as [Task_failed] carrying the task index. *)
+   the first exception stops the loop and is re-raised as [Task_failed] carrying the task index. *)
 let run_seq n body =
   Obs.Metrics.incr jobs_counter;
   Obs.Metrics.incr ~by:n tasks_counter;
@@ -146,7 +139,7 @@ let run_seq n body =
     let bt = Printexc.get_raw_backtrace () in
     raise_failure { index = !i; exn = e; backtrace = bt }
 
-let run t ?(fail_fast = false) n body =
+let run t n body =
   if n > 0 then begin
     if t.size = 1 || n = 1 then
       (* sequential fast path: no handoff, ascending order *)
@@ -160,10 +153,8 @@ let run t ?(fail_fast = false) n body =
             {
               body;
               total = n;
-              fail_fast;
               next = Atomic.make 0;
               finished = Atomic.make 0;
-              cancelled = Atomic.make false;
               failure = None;
             }
           in
@@ -195,7 +186,7 @@ let run t ?(fail_fast = false) n body =
 let below_threshold min_per_domain n =
   match min_per_domain with Some m -> n < 2 * max 1 m | None -> false
 
-let parallel_for t ?fail_fast ?chunk ?min_per_domain n body =
+let parallel_for t ?chunk ?min_per_domain n body =
   if n > 0 then begin
     if below_threshold min_per_domain n then run_seq n body
     else begin
@@ -205,7 +196,7 @@ let parallel_for t ?fail_fast ?chunk ?min_per_domain n body =
         | None -> max 1 (n / (t.size * 4)) (* ~4 tasks per domain *)
       in
       let nchunks = (n + chunk - 1) / chunk in
-      run t ?fail_fast nchunks (fun c ->
+      run t nchunks (fun c ->
           let lo = c * chunk and hi = min n ((c + 1) * chunk) in
           for i = lo to hi - 1 do
             body i

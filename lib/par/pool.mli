@@ -44,22 +44,17 @@ val shutdown : t -> unit
 (** Terminate and join the worker domains.  The pool must be idle.
     Idempotent. *)
 
-val run : t -> ?fail_fast:bool -> int -> (int -> unit) -> unit
+val run : t -> int -> (int -> unit) -> unit
 (** [run t n body] executes [body i] exactly once for every
     [0 <= i < n], distributing indices over the pool's domains.  The
     caller participates and returns once all [n] tasks have finished.
     If any task raises, the join re-raises {!Task_failed} in the
     caller, carrying the failing index, original exception, and its
-    backtrace.
+    backtrace.  On the pool every task still runs after a failure; the
+    sequential fast path ([jobs = 1] or [n = 1]) stops at the first
+    exception. *)
 
-    With [~fail_fast:true] (default [false]), the first failure
-    cancels the job: task indices not yet started are claimed but
-    skipped, so the join returns quickly instead of paying for the
-    full range.  The pool stays fully usable afterwards.  The
-    sequential fast path ([jobs = 1] or [n = 1]) is inherently
-    fail-fast: the first exception stops the loop. *)
-
-val parallel_for : t -> ?fail_fast:bool -> ?chunk:int ->
+val parallel_for : t -> ?chunk:int ->
   ?min_per_domain:int -> int -> (int -> unit) -> unit
 (** [parallel_for t ?chunk n body] runs [body i] for [0 <= i < n],
     grouping [chunk] consecutive indices into one task (default: a
@@ -72,8 +67,7 @@ val parallel_for : t -> ?fail_fast:bool -> ?chunk:int ->
     with no pool handoff.  Results are identical either way.
 
     Failures re-raise as {!Task_failed}; on the chunked parallel path
-    the reported index is the chunk's task index.  [fail_fast] as in
-    {!run}. *)
+    the reported index is the chunk's task index. *)
 
 val parallel_map : t -> ?min_per_domain:int -> ('a -> 'b) -> 'a array ->
   'b array

@@ -33,6 +33,27 @@ let period = function
   | Task -> 53
   | Delay -> 6
 
+(* Splitmix64 mixing: whether a consultation fires is a pure function
+   of the (seed, stream, index) cell, so a run with a fixed seed makes
+   exactly the same choices every time. *)
+let mix64 (z : int64) : int64 =
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33))
+      0xFF51AFD7ED558CCDL in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33))
+      0xC4CEB9FE1A85EC53L in
+  Int64.logxor z (Int64.shift_right_logical z 33)
+
+(* A non-negative int drawn from the (seed, stream, index) cell. *)
+let bits ~seed ~stream ~index =
+  let z =
+    Int64.add
+      (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L)
+      (Int64.add
+         (Int64.mul (Int64.of_int stream) 0xBF58476D1CE4E5B9L)
+         (Int64.of_int index))
+  in
+  Int64.to_int (Int64.shift_right_logical (mix64 z) 2)
+
 let mutex = Mutex.create ()
 let seed = ref None
 let consulted = Array.make 4 0
@@ -45,7 +66,6 @@ let () =
   | None -> ()
 
 let set_seed s = Mutex.protect mutex (fun () -> seed := s)
-let enabled () = Mutex.protect mutex (fun () -> !seed <> None || Array.exists (fun n -> n > 0) forced)
 
 let force site n =
   Mutex.protect mutex (fun () ->
@@ -73,7 +93,7 @@ let decide site =
         else
           match !seed with
           | None -> false
-          | Some s -> Rng.bits ~seed:s ~stream:(site_index site) ~index:n mod period site = 0
+          | Some s -> bits ~seed:s ~stream:(site_index site) ~index:n mod period site = 0
       in
       if hit then fired_counts.(i) <- fired_counts.(i) + 1;
       hit)

@@ -12,7 +12,6 @@ type site = Cache_read | Cache_write | Task | Delay
 exception Chaos of string
 (** The exception raised by {!raise_in_task}; classified Transient. *)
 
-val enabled : unit -> bool
 val set_seed : int option -> unit
 
 val force : site -> int -> unit

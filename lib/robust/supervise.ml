@@ -7,6 +7,11 @@ type 'a outcome = {
   status : status;
 }
 
+let retries = Obs.Metrics.counter "robust.retries"
+let timeouts = Obs.Metrics.counter "robust.timeouts"
+let fuel_exhausted = Obs.Metrics.counter "robust.fuel_exhausted"
+let task_failures = Obs.Metrics.counter "robust.task_failures"
+
 (* Run [f ()] with a wall-clock deadline.  The body runs in a spawned
    domain; the caller polls its result slot and raises [Timed_out]
    when the deadline passes.  The timed-out domain is orphaned, not
@@ -34,7 +39,7 @@ let with_deadline ~label ~seconds f =
     | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
     | None ->
       if Unix.gettimeofday () > deadline then begin
-        Counters.incr_timeouts ();
+        Obs.Metrics.incr timeouts;
         raise (Fault.Timed_out { task = label; seconds })
       end;
       Unix.sleepf 0.001;
@@ -42,7 +47,10 @@ let with_deadline ~label ~seconds f =
   in
   poll ()
 
-let run ?timeout ?policy ?sleep ?(seed = 0) ~label f =
+(* Total attempts, including the first. *)
+let max_attempts = 3
+
+let run ?timeout ~label f =
   Obs.span ~name:"supervise" ~attrs:[ ("label", label) ] @@ fun () ->
   let attempts = ref 0 in
   let body () =
@@ -51,18 +59,24 @@ let run ?timeout ?policy ?sleep ?(seed = 0) ~label f =
     | Some seconds -> with_deadline ~label ~seconds f
     | None -> f ()
   in
-  (* Timeouts are not retried: a task that missed its deadline once
-     will almost surely miss it again, and the orphaned domain may
-     still be running. *)
-  let retry_on e = Fault.is_transient e && not (Fault.kind_of_exn e = Timeout) in
-  match Backoff.retry ?policy ?sleep ~retry_on ~seed ~label body with
+  (* Every supervised task is deterministic, so a transient failure is
+     retried at once: waiting first would not change the answer.  A
+     timeout is never transient, so a task that missed its deadline
+     (whose orphaned domain may still be running) is not retried. *)
+  let rec retry () =
+    try body ()
+    with e when !attempts < max_attempts && Fault.is_transient e ->
+      Obs.Metrics.incr retries;
+      retry ()
+  in
+  match retry () with
   | v ->
     let status = if !attempts > 1 then Recovered (!attempts - 1) else Completed in
     { label; attempts = !attempts; value = Some v; status }
   | exception e ->
-    Counters.incr_task_failures ();
+    Obs.Metrics.incr task_failures;
     (match Fault.kind_of_exn e with
-    | Fuel_exhausted -> Counters.incr_fuel_exhausted ()
+    | Fuel_exhausted -> Obs.Metrics.incr fuel_exhausted
     | _ -> ());
     let backtrace =
       (* Prefer the backtrace the pool captured where the task raised,

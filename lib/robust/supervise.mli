@@ -1,7 +1,7 @@
 (** The fault boundary around a supervised task.
 
     [run] executes a task under the full supervision contract: an
-    optional wall-clock deadline, retry-with-backoff for transient
+    optional wall-clock deadline, immediate bounded retry of transient
     failures, classification of the final failure into the
     {!Fault.kind} taxonomy — and it never raises: the caller always
     gets an {!outcome} and decides how to degrade. *)
@@ -20,9 +20,6 @@ type 'a outcome = {
 
 val run :
   ?timeout:float ->
-  ?policy:Backoff.policy ->
-  ?sleep:(float -> unit) ->
-  ?seed:int ->
   label:string ->
   (unit -> 'a) ->
   'a outcome
@@ -30,7 +27,9 @@ val run :
     on a spawned domain against a wall-clock deadline; a task that
     misses it fails with kind [Timeout] (never retried — its orphaned
     domain may still be running, and fuel-bounding guarantees the
-    orphan eventually terminates).  Transient failures retry per
-    [policy] (default {!Backoff.default_policy}) with seeded jitter.
-    Counters are bumped for retries, timeouts, fuel exhaustion, and
-    permanent failures. *)
+    orphan eventually terminates).  A {!Fault.Transient} failure is
+    retried at once, up to 3 attempts in all; the task is
+    deterministic, so waiting first would not change the answer.
+    {!Obs.Metrics} counts retries ([robust.retries]), timeouts
+    ([robust.timeouts]), fuel exhaustion ([robust.fuel_exhausted]) and
+    permanent failures ([robust.task_failures]). *)

@@ -151,42 +151,57 @@ let test_injected_corruption_recovered () =
         (metric "cache.corrupt_quarantined");
       Robust.Inject.reset ())
 
-let test_injected_write_failure_retried () =
-  (* a failed write is retried with backoff; one injected failure costs
-     a retry, not the entry *)
+let test_injected_write_failure_skipped () =
+  (* a failed write is skipped, not retried: one injected failure
+     costs the entry, and the next lookup recomputes *)
   with_temp_store (fun dir ->
       Obs.Metrics.reset ();
       Robust.Inject.reset ();
       Robust.Inject.force Robust.Inject.Cache_write 1;
-      let _ = Cache.Store.memo ~table:"t" ~key:"3" (fun () -> "w") in
-      checki "write retried once" 1 (metric "cache.write_retries");
-      checki "no write abandoned" 0 (metric "cache.write_failures");
-      checki "entry still landed" 1 (List.length (entry_files dir));
-      (* and it reads back *)
       let calls = ref 0 in
-      let v =
-        Cache.Store.memo ~table:"t" ~key:"3" (fun () ->
-            incr calls;
-            "w")
+      let compute () =
+        incr calls;
+        "w"
       in
-      Alcotest.(check string) "readable" "w" v;
-      checki "served from disk" 0 !calls;
+      let v = Cache.Store.memo ~table:"t" ~key:"3" compute in
+      Alcotest.(check string) "value still returned" "w" v;
+      checki "one skipped write" 1 (metric "cache.write_failures");
+      checki "no entry landed" 0 (List.length (entry_files dir));
+      let v = Cache.Store.memo ~table:"t" ~key:"3" compute in
+      Alcotest.(check string) "recomputed value" "w" v;
+      checki "recomputed" 2 !calls;
+      checki "entry landed once writes heal" 1 (List.length (entry_files dir));
       Robust.Inject.reset ())
 
-(* Regression for the leaked-tmp bug: when every write attempt failed,
-   the abandoned [.tmp] staging file used to stay behind in the cache
+(* A fault chaos did not inject: the store directory is a regular
+   file, so every open fails with ENOTDIR.  The lookup is a miss, the
+   write is skipped, and the computed value comes back. *)
+let test_unwritable_store_skips_write () =
+  with_temp_store (fun dir ->
+      let oc = open_out dir in
+      close_out oc;
+      Fun.protect
+        ~finally:(fun () -> Sys.remove dir)
+        (fun () ->
+          Obs.Metrics.reset ();
+          let v = Cache.Store.memo ~table:"t" ~key:"5" (fun () -> "computed") in
+          Alcotest.(check string) "computed value returned" "computed" v;
+          checki "one miss" 1 (metric "cache.miss");
+          checki "one skipped write" 1 (metric "cache.write_failures");
+          checki "nothing written" 0 (metric "cache.write")))
+
+(* Regression for the leaked-tmp bug: when a write failed, the
+   abandoned [.tmp] staging file used to stay behind in the cache
    directory forever (the rename that would have consumed it never
-   ran).  The permanent-failure handler now deletes it and counts the
+   ran).  The failure handler now deletes it and counts the
    cleanup. *)
 let test_permanent_write_failure_cleans_tmp () =
   with_temp_store (fun dir ->
       Obs.Metrics.reset ();
       Robust.Inject.reset ();
-      (* fail all three attempts of the write backoff loop *)
-      Robust.Inject.force Robust.Inject.Cache_write 3;
+      Robust.Inject.force Robust.Inject.Cache_write 1;
       let v = Cache.Store.memo ~table:"t" ~key:"4" (fun () -> "lost") in
       Alcotest.(check string) "value still returned" "lost" v;
-      checki "two retries then surrender" 2 (metric "cache.write_retries");
       checki "one abandoned write" 1 (metric "cache.write_failures");
       checki "orphaned tmp cleaned" 1 (metric "cache.tmp_cleaned");
       checki "no entry landed" 0 (List.length (entry_files dir));
@@ -312,8 +327,10 @@ let () =
             test_quarantine_deletes_bad_entry;
           Alcotest.test_case "injected corruption recovered" `Quick
             test_injected_corruption_recovered;
-          Alcotest.test_case "injected write failure retried" `Quick
-            test_injected_write_failure_retried;
+          Alcotest.test_case "injected write failure skipped" `Quick
+            test_injected_write_failure_skipped;
+          Alcotest.test_case "unwritable store skips the write" `Quick
+            test_unwritable_store_skips_write;
           Alcotest.test_case "permanent write failure cleans tmp" `Quick
             test_permanent_write_failure_cleans_tmp;
           Alcotest.test_case "clear empties the store" `Quick

@@ -125,25 +125,8 @@ let test_exception_backtrace () =
            just assert it converts without blowing up *)
         ignore (Printexc.raw_backtrace_to_string backtrace : string))
 
-let test_fail_fast_cancels () =
-  (* with fail_fast, tasks not yet started when the failure lands are
-     skipped; without it, every task runs *)
-  with_pool 4 (fun p ->
-      let ran = Atomic.make 0 in
-      (match
-         Par.Pool.run p ~fail_fast:true 10_000 (fun i ->
-             ignore (Atomic.fetch_and_add ran 1);
-             if i = 0 then raise Boom)
-       with
-      | () -> Alcotest.fail "expected Task_failed"
-      | exception Par.Pool.Task_failed { exn = Boom; _ } -> ()
-      | exception _ -> Alcotest.fail "expected Task_failed{exn=Boom}");
-      checkb "cancellation skipped most tasks" true (Atomic.get ran < 10_000);
-      (* the pool is immediately reusable after a cancelled job *)
-      let sum = Atomic.make 0 in
-      Par.Pool.run p 8 (fun i -> ignore (Atomic.fetch_and_add sum i));
-      checki "pool reusable after fail-fast" 28 (Atomic.get sum));
-  (* the sequential path is inherently fail-fast *)
+let test_sequential_stops_at_failure () =
+  (* a 1-domain job stops at the first failure and reports its index *)
   with_pool 1 (fun p ->
       let ran = ref 0 in
       (match
@@ -266,7 +249,8 @@ let () =
           Alcotest.test_case "exceptions" `Quick test_exception_propagates;
           Alcotest.test_case "exception backtrace" `Quick
             test_exception_backtrace;
-          Alcotest.test_case "fail fast" `Quick test_fail_fast_cancels;
+          Alcotest.test_case "sequential stops at first failure" `Quick
+            test_sequential_stops_at_failure;
           Alcotest.test_case "job reuse" `Quick
             test_nested_data_parallel_sections;
           Alcotest.test_case "fewer tasks than jobs" `Quick

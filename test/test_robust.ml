@@ -1,10 +1,11 @@
-(* Tests for the supervision layer: the fault taxonomy, seeded backoff
-   determinism, supervised task outcomes, wall-clock timeouts,
+(* Tests for the supervision layer: the fault taxonomy, supervised
+   task outcomes and their counters, wall-clock timeouts,
    deterministic fault injection, and graceful suite degradation when
    a runaway program exhausts its fuel. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
+let metric name = Obs.Metrics.value (Obs.Metrics.counter name)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -21,8 +22,6 @@ let test_taxonomy () =
     (kind_of_exn (Sim.Machine.Out_of_fuel "m") = Fuel_exhausted);
   checkb "timeout" true
     (kind_of_exn (Timed_out { task = "t"; seconds = 1.0 }) = Timeout);
-  checkb "cache corrupt" true
-    (kind_of_exn (Cache_corrupt_entry "p") = Cache_corrupt);
   checkb "EINTR is transient" true
     (kind_of_exn (Unix.Unix_error (Unix.EINTR, "read", "")) = Transient);
   checkb "unknown is hard" true (kind_of_exn Boom = Hard);
@@ -38,90 +37,15 @@ let test_taxonomy () =
   checkb "transient predicate" true (is_transient (Robust.Inject.Chaos "x"));
   checkb "hard not transient" false (is_transient Boom)
 
-let test_backoff_determinism () =
-  let p = Robust.Backoff.default_policy in
-  let d1 = Robust.Backoff.delays p ~seed:42 in
-  let d2 = Robust.Backoff.delays p ~seed:42 in
-  let d3 = Robust.Backoff.delays p ~seed:43 in
-  checki "schedule length" (p.max_attempts - 1) (List.length d1);
-  checkb "same seed, same schedule" true (d1 = d2);
-  checkb "different seed, different schedule" true (d1 <> d3);
-  List.iter
-    (fun d -> checkb "delay within the hard cap" true (d > 0. && d <= p.max_delay_s))
-    d1;
-  (* retry sleeps exactly the seeded schedule, reproducibly *)
-  let run_spy () =
-    let slept = ref [] in
-    let attempts = ref 0 in
-    (try
-       Robust.Backoff.retry
-         ~sleep:(fun d -> slept := d :: !slept)
-         ~retry_on:(fun _ -> true)
-         ~seed:42 ~label:"spy"
-         (fun () ->
-           incr attempts;
-           raise Boom)
-     with Boom -> ());
-    (!attempts, List.rev !slept)
-  in
-  let a1, s1 = run_spy () in
-  let a2, s2 = run_spy () in
-  checki "all attempts used" p.max_attempts a1;
-  checki "slept between attempts" (p.max_attempts - 1) (List.length s1);
-  checkb "sleep schedule reproducible" true (a1 = a2 && s1 = s2)
-
-(* Regression for the jitter-after-cap bug: the jitter factor used to
-   be applied to the already-capped delay, so a +jitter draw could
-   stretch the sleep up to 1.5x past [max_delay_s].  The cap is now
-   re-applied after jitter; no (policy, seed, attempt) combination may
-   exceed it. *)
-let prop_backoff_cap =
-  QCheck.Test.make ~name:"delay never exceeds max_delay_s" ~count:1000
-    QCheck.(
-      make
-        Gen.(
-          quad (int_bound 10_000) (int_range 1 12) (float_range 0.0 2.0)
-            (float_range 0.001 0.5)))
-    (fun (seed, attempt, jitter, max_delay_s) ->
-      let p = { Robust.Backoff.default_policy with jitter; max_delay_s } in
-      let d = Robust.Backoff.delay p ~seed ~attempt in
-      d >= 0. && d <= p.max_delay_s)
-
-let test_retry_only_transient () =
-  (* default retry_on: hard failures are never retried *)
-  let attempts = ref 0 in
-  (try
-     Robust.Backoff.retry
-       ~sleep:(fun _ -> ())
-       ~seed:1 ~label:"hard"
-       (fun () ->
-         incr attempts;
-         raise Boom)
-   with Boom -> ());
-  checki "hard fails once" 1 !attempts;
-  let attempts = ref 0 in
-  let v =
-    Robust.Backoff.retry
-      ~sleep:(fun _ -> ())
-      ~seed:1 ~label:"flaky"
-      (fun () ->
-        incr attempts;
-        if !attempts < 3 then raise (Robust.Inject.Chaos "flake") else 99)
-  in
-  checki "transient retried to success" 3 !attempts;
-  checki "value through" 99 v
-
 let test_supervise_outcomes () =
   let ok = Robust.Supervise.run ~label:"ok" (fun () -> 7) in
   checkb "completed" true (ok.status = Robust.Supervise.Completed);
   checkb "value" true (ok.value = Some 7);
   checki "one attempt" 1 ok.attempts;
   let n = ref 0 in
+  let retries = metric "robust.retries" in
   let rec_ =
-    Robust.Supervise.run
-      ~sleep:(fun _ -> ())
-      ~label:"flaky"
-      (fun () ->
+    Robust.Supervise.run ~label:"flaky" (fun () ->
         incr n;
         if !n < 3 then raise (Robust.Inject.Chaos "flake") else 42)
   in
@@ -129,10 +53,12 @@ let test_supervise_outcomes () =
     (rec_.status = Robust.Supervise.Recovered 2);
   checkb "recovered value" true (rec_.value = Some 42);
   checki "three attempts" 3 rec_.attempts;
-  let hard =
-    Robust.Supervise.run ~sleep:(fun _ -> ()) ~label:"hard" (fun () -> raise Boom)
-  in
+  checki "robust.retries counts both" (retries + 2) (metric "robust.retries");
+  let failures = metric "robust.task_failures" in
+  let hard = Robust.Supervise.run ~label:"hard" (fun () -> raise Boom) in
   checki "hard fails immediately" 1 hard.attempts;
+  checki "robust.task_failures counts it" (failures + 1)
+    (metric "robust.task_failures");
   (match hard.status with
   | Robust.Supervise.Failed f ->
     checkb "classified hard" true (f.kind = Robust.Fault.Hard);
@@ -250,6 +176,7 @@ let test_fuel_degradation () =
   in
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
+  let fuel_exhausted = metric "robust.fuel_exhausted" in
   let s = Experiments.Driver.run_list ~warm:false [ bad; good ] ppf in
   Format.pp_print_flush ppf ();
   let out = Buffer.contents buf in
@@ -260,6 +187,8 @@ let test_fuel_degradation () =
     checkb "classified fuel-exhausted" true
       (f.kind = Robust.Fault.Fuel_exhausted)
   | _ -> Alcotest.fail "expected the runaway experiment to fail");
+  checki "robust.fuel_exhausted counts it" (fuel_exhausted + 1)
+    (metric "robust.fuel_exhausted");
   checkb "failure banner printed" true (contains out "FAILED");
   checkb "suite continued past the failure" true
     (contains out "fine-table-output");
@@ -278,14 +207,6 @@ let () =
       ( "fault",
         [
           Alcotest.test_case "taxonomy" `Quick test_taxonomy;
-        ] );
-      ( "backoff",
-        [
-          Alcotest.test_case "seeded determinism" `Quick
-            test_backoff_determinism;
-          Alcotest.test_case "only transient retried" `Quick
-            test_retry_only_transient;
-          QCheck_alcotest.to_alcotest prop_backoff_cap;
         ] );
       ( "supervise",
         [
