@@ -198,13 +198,94 @@ let walk_range (m : float array array) ~nb ~no ~k lo len =
   done;
   win_counts
 
+(* The matrix's width; raises unless it is non-empty and rectangular
+   (a ragged row would otherwise fail deep inside a pool task). *)
+let width (m : float array array) =
+  if Array.length m = 0 then invalid_arg "Subset: empty matrix";
+  let no = Array.length m.(0) in
+  if no = 0 then invalid_arg "Subset: zero-width matrix";
+  if Array.exists (fun row -> Array.length row <> no) m then
+    invalid_arg "Subset: ragged matrix";
+  no
+
+(* Columns (orders) that can win some trial, ascending.  A column is
+   dropped when it is identical to a lower-index column, or when some
+   column [i] is no larger on every row and smaller by at least
+   [delta] on [nb - k + 1] rows: every k-subset then contains such a
+   row, so the walk's float sum for the column exceeds [i]'s and it is
+   never the argmin.  Each column's float history is independent of
+   the others, so walking the survivors gives the same win counts.
+
+   [delta] covers the float drift.  Within one chunk a running sum
+   takes at most [ops] additions or subtractions, each yielding a sum
+   of at most [2k] entries (a step that swaps several members may add
+   them all before it subtracts), so it errs by at most
+   [drift = 2 * ops * u * 2k * max|m|] (u = 2^-53, valid while
+   [ops * u <= 1]).  Two sums whose exact values differ by more than
+   [2 * drift] compare the right way round, and [delta = 3 * drift]
+   also absorbs the rounding of the row differences below.  Non-finite
+   entries, an underflowing [delta] or sums that could overflow keep
+   every column. *)
+let survivors (m : float array array) ~k =
+  let nb = Array.length m and no = width m in
+  if k <= 0 || k > nb then invalid_arg "Subset: bad subset size";
+  let all = Array.init no Fun.id in
+  let maxabs =
+    Array.fold_left
+      (Array.fold_left (fun a v -> Float.max a (Float.abs v)))
+      0. m
+  in
+  let ops = k + (2 * k * (chunk_trials - 1)) in
+  let drift =
+    2. *. float_of_int ops *. (epsilon_float /. 2.)
+    *. float_of_int (2 * k) *. maxabs
+  in
+  let delta = 3. *. drift in
+  (* [Float.max] propagates NaN, so a non-finite entry fails the
+     overflow test *)
+  if
+    delta < Float.min_float
+    || not (Float.is_finite (4. *. float_of_int k *. maxabs))
+  then all
+  else begin
+    let col = Array.init no (fun o -> Array.init nb (fun b -> m.(b).(o))) in
+    let total = Array.map (Array.fold_left ( +. ) 0.) col in
+    (* A column's dominators have no larger total (float addition is
+       monotone), and dominance is transitive, so checking candidates
+       in order of total against the survivors alone misses none. *)
+    let by_total = Array.copy all in
+    Array.stable_sort (fun a b -> Float.compare total.(a) total.(b)) by_total;
+    let need = nb - k + 1 in
+    let pruned_by i j =
+      let ci = col.(i) and cj = col.(j) in
+      let rec go b strict equal =
+        if b = nb then strict >= need || equal = nb
+        else
+          let x = ci.(b) and y = cj.(b) in
+          if x > y then false
+          else if y -. x >= delta then go (b + 1) (strict + 1) equal
+          else go (b + 1) strict (if x = y then equal + 1 else equal)
+      in
+      go 0 0 0
+    in
+    let kept = ref [] in
+    Array.iter
+      (fun j ->
+        if not (List.exists (fun i -> pruned_by i j) !kept) then
+          kept := j :: !kept)
+      by_total;
+    let keep = Array.of_list !kept in
+    Array.sort compare keep;
+    keep
+  end
+
 let run ?k ?(max_trials = max_int) (m : float array array) =
   let nb = Array.length m in
-  if nb = 0 then invalid_arg "Subset.run: empty matrix";
-  let no = Array.length m.(0) in
   let k = match k with Some k -> k | None -> (nb + 1) / 2 in
-  if k <= 0 || k > nb then invalid_arg "Subset.run: bad subset size";
+  let keep = survivors m ~k in
+  let no_all = Array.length m.(0) and no = Array.length keep in
   let total = min (choose nb k) max_trials in
+  let walked = Array.map (fun row -> Array.map (fun o -> row.(o)) keep) m in
   let pool = Par.Pool.get () in
   (* The chunk size is part of the reproducibility contract (each chunk
      re-sums its first combination, so resizing it moves float
@@ -214,14 +295,14 @@ let run ?k ?(max_trials = max_int) (m : float array array) =
   let batch = max 1 (nchunks / (Par.Pool.jobs pool * 4)) in
   let win_counts =
     Par.Pool.reduce pool ~batch ~n:total ~chunk:chunk_trials
-      ~map:(fun lo hi -> walk_range m ~nb ~no ~k lo (hi - lo))
+      ~map:(fun lo hi -> walk_range walked ~nb ~no ~k lo (hi - lo))
       ~merge:(fun acc part ->
-        Array.iteri (fun o c -> acc.(o) <- acc.(o) + c) part;
+        Array.iteri (fun i c -> acc.(keep.(i)) <- acc.(keep.(i)) + c) part;
         acc)
-      ~init:(Array.make no 0) ()
+      ~init:(Array.make no_all 0) ()
   in
   let overall =
-    Array.init no (fun o ->
+    Array.init no_all (fun o ->
         let s = ref 0. in
         for b = 0 to nb - 1 do
           s := !s +. m.(b).(o)

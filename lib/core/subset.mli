@@ -42,7 +42,26 @@ val run : ?k:int -> ?max_trials:int -> float array array -> result
 (** [run m] over the miss matrix from {!Ordering.miss_matrix}
     ([m.(benchmark).(order)]).  [k] defaults to half the benchmarks,
     rounded up.  [max_trials] caps the enumeration (first trials in
-    lexicographic order) for quick runs; default unlimited. *)
+    lexicographic order) for quick runs; default unlimited.  Only the
+    {!survivors} are walked; the result is the one a walk over every
+    order gives.  Raises [Invalid_argument] on an empty, zero-width or
+    ragged matrix, or unless [0 < k <= nb]. *)
+
+val survivors : float array array -> k:int -> int array
+(** The orders (columns) the walk keeps, ascending.  An order is
+    dropped when it is identical to a lower-index order, or when some
+    order [i] is no larger on every benchmark and smaller by at least
+    δ on [nb - k + 1] of them: every k-subset then contains such a
+    benchmark, so the order's floating-point sum always exceeds
+    [i]'s and it never wins.  δ is three times the worst rounding
+    drift of one running sum inside a chunk:
+    [2 (k + 2k (chunk_trials - 1)) * 2k * max|m| * 2^-53], where each
+    of the chunk's operations rounds a sum of at most [2k] entries.
+    Each order's float history is independent of the others', so
+    dropping orders that never win leaves every argmin, tie-break
+    included, as it was.  A matrix with a non-finite entry, or whose
+    δ would underflow or sums overflow, keeps every order.  Raises
+    [Invalid_argument] on a matrix {!run} rejects. *)
 
 val cumulative_share : result -> float array
 (** Graph 2's series: cumulative fraction of all trials accounted for

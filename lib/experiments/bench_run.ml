@@ -11,9 +11,12 @@ type t = {
    recompiling an unchanged workload still hits on disk. *)
 let profiles = Cache.Memo.create ~persist:true "profile"
 
-let profile_for ~decoded prog ds =
+let profile_for (wl : Workloads.Workload.t) ~decoded prog
+    (ds : Sim.Dataset.t) =
   Cache.Memo.find profiles (prog, ds) (fun () ->
-      Sim.Profile.run ~decoded prog ds)
+      Obs.span ~name:"profile"
+        ~attrs:[ ("workload", wl.name); ("dataset", ds.name) ]
+        (fun () -> Sim.Profile.run ~decoded prog ds))
 
 let loads = Cache.Memo.create "bench_run.load"
 
@@ -31,8 +34,7 @@ let load (wl : Workloads.Workload.t) =
       let decoded = Sim.Decode.of_program prog in
       let analyses = Cfg.Analysis.of_program prog in
       let profile =
-        Obs.span ~name:"profile" ~attrs:[ ("workload", name) ] (fun () ->
-            profile_for ~decoded prog (Workloads.Workload.primary_dataset wl))
+        profile_for wl ~decoded prog (Workloads.Workload.primary_dataset wl)
       in
       let db =
         Predict.Database.make prog analyses ~taken:profile.taken
@@ -53,7 +55,7 @@ let dbs = Cache.Memo.create "bench_run.db"
 
 let db_for t ds =
   Cache.Memo.find dbs (t.wl.name, ds.Sim.Dataset.name) (fun () ->
-      let profile = profile_for ~decoded:t.decoded t.prog ds in
+      let profile = profile_for t.wl ~decoded:t.decoded t.prog ds in
       Predict.Database.make t.prog t.analyses ~taken:profile.taken
         ~fall:profile.fall)
 

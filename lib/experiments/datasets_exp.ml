@@ -1,6 +1,19 @@
 module D = Predict.Database
 module M = Predict.Metrics
 
+let pairs () =
+  List.concat_map
+    (fun (wl : Workloads.Workload.t) ->
+      List.map (fun ds -> (wl, ds)) wl.datasets)
+    Workloads.Registry.all
+
+let warm () =
+  Obs.span ~name:"stage.datasets" (fun () ->
+      ignore
+        (Par.Pool.parallel_map_list (Par.Pool.get ())
+           (fun (wl, ds) -> Bench_run.db_for (Bench_run.load wl) ds)
+           (pairs ())))
+
 let graph13 ppf =
   Format.fprintf ppf
     "Graph 13: miss rates (all branches) across datasets@.";
@@ -10,21 +23,17 @@ let graph13 ppf =
     " predictions everywhere; the perfect predictor is per-dataset)@.@.";
   let order = Predict.Combined.paper_order in
   let rows =
-    List.concat_map
-      (fun wl ->
-        let r = Bench_run.load wl in
-        List.map
-          (fun ds ->
-            let db = Bench_run.db_for r ds in
-            let branches = Array.to_list db.branches in
-            [
-              r.wl.Workloads.Workload.name;
-              ds.Sim.Dataset.name;
-              Texttab.pct (M.miss_rate (Predict.Combined.predict order) branches);
-              Texttab.pct (M.perfect_rate branches);
-            ])
-          wl.Workloads.Workload.datasets)
-      Workloads.Registry.all
+    List.map
+      (fun ((wl : Workloads.Workload.t), (ds : Sim.Dataset.t)) ->
+        let db = Bench_run.db_for (Bench_run.load wl) ds in
+        let branches = Array.to_list db.branches in
+        [
+          wl.name;
+          ds.name;
+          Texttab.pct (M.miss_rate (Predict.Combined.predict order) branches);
+          Texttab.pct (M.perfect_rate branches);
+        ])
+      (pairs ())
   in
   Texttab.render ppf
     ~header:[ "Program"; "dataset"; "Heuristic miss%"; "Perfect miss%" ]

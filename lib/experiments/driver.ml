@@ -53,12 +53,13 @@ let find id = List.find_opt (fun e -> String.equal e.id id) all
 
 (* Fill every memo table the experiments read from, fanning the
    independent per-workload pipelines (and the per-workload trace
-   simulations) across the default pool.  The experiments themselves
-   then print from warm caches in sequence, so their output is
-   byte-identical to a fully sequential run. *)
+   simulations and per-dataset profiles) across the default pool.  The
+   experiments themselves then print from warm caches in sequence, so
+   their output is byte-identical to a fully sequential run. *)
 let prewarm () =
   ignore (Bench_run.load_all ());
-  Traces.warm ()
+  Traces.warm ();
+  Datasets_exp.warm ()
 
 (* ---- supervised suite execution ---- *)
 

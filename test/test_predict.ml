@@ -704,6 +704,169 @@ let prop_subset_total_wins =
       Array.fold_left (fun acc (_, c) -> acc + c) 0 r.wins = r.trials
       && r.trials = Predict.Subset.choose nb ((nb + 1) / 2))
 
+(* ---- pruned walk vs an unpruned reference ---- *)
+
+(* Every column, the walk's 8,192-trial chunks (each re-summed from
+   zero in member order), and between trials the leaving and joining
+   rows applied in ascending member order, as the walk's sorted merge
+   emits them.  Argmin breaks ties toward the lower column. *)
+let reference_wins ~k (m : float array array) =
+  let module S = Predict.Subset in
+  let nb = Array.length m and no = Array.length m.(0) in
+  let wins = Array.make no 0 and cur = Array.make no 0. in
+  let apply sub b =
+    Array.iteri
+      (fun o v -> cur.(o) <- (if sub then cur.(o) -. v else cur.(o) +. v))
+      m.(b)
+  in
+  let prev = ref [||] in
+  for r = 0 to S.choose nb k - 1 do
+    let comb = S.unrank ~n:nb ~k r in
+    if r mod 8192 = 0 then begin
+      Array.fill cur 0 no 0.;
+      Array.iter (apply false) comb
+    end
+    else
+      for b = 0 to nb - 1 do
+        match (Array.mem b !prev, Array.mem b comb) with
+        | true, false -> apply true b
+        | false, true -> apply false b
+        | _ -> ()
+      done;
+    let best = ref 0 in
+    Array.iteri (fun o v -> if v < cur.(!best) then best := o) cur;
+    wins.(!best) <- wins.(!best) + 1;
+    prev := comb
+  done;
+  wins
+
+let win_counts no (r : Predict.Subset.result) =
+  let c = Array.make no 0 in
+  Array.iter (fun (o, n) -> c.(o) <- n) r.wins;
+  c
+
+let matches_reference ~k m =
+  let want = reference_wins ~k m in
+  let no = Array.length m.(0) in
+  List.for_all
+    (fun jobs ->
+      win_counts no (with_jobs jobs (fun () -> Predict.Subset.run ~k m))
+      = want)
+    [ 1; 4 ]
+
+(* Tie-heavy columns: values on a grid of multiples of 1/q (inexact in
+   binary for q = 3, 5, 6, 7, 9, 10), duplicates of earlier columns,
+   and copies of earlier columns with up to nb - k + 1 rows moved,
+   so many columns equal another on >= k rows and some sit exactly on
+   the pruning threshold.  One case in eight carries a NaN. *)
+let tie_heavy_matrix ~nb ~no ~k ~q seed =
+  let st = Random.State.make [| seed |] in
+  let grid () = float_of_int (Random.State.int st (q + 1)) /. float_of_int q in
+  let cols = Array.make no [||] in
+  for o = 0 to no - 1 do
+    cols.(o) <-
+      (if o = 0 then Array.init nb (fun _ -> grid ())
+       else
+         match Random.State.int st 4 with
+         | 0 -> Array.init nb (fun _ -> grid ())
+         | 1 -> Array.copy cols.(Random.State.int st o)
+         | _ ->
+           let c = Array.copy cols.(Random.State.int st o) in
+           for _ = 1 to Random.State.int st (nb - k + 2) do
+             let b = Random.State.int st nb in
+             let step = float_of_int (Random.State.int st 3 - 1) in
+             c.(b) <- c.(b) +. (step /. float_of_int q)
+           done;
+           c)
+  done;
+  let m = Array.init nb (fun b -> Array.init no (fun o -> cols.(o).(b))) in
+  if Random.State.int st 8 = 0 then
+    m.(Random.State.int st nb).(Random.State.int st no) <- Float.nan;
+  m
+
+let prop_subset_run_equals_reference =
+  QCheck.Test.make ~name:"pruned Subset.run = unpruned reference (-j 1, -j 4)"
+    ~count:40
+    QCheck.(
+      make
+        ~print:(fun (nb, no, q, seed) ->
+          Printf.sprintf "nb=%d no=%d q=%d seed=%d" nb no q seed)
+        Gen.(
+          quad (int_range 2 17) (int_range 1 40)
+            (oneofl [ 3; 5; 6; 7; 9; 10 ])
+            (int_range 0 1_000_000)))
+    (fun (nb, no, q, seed) ->
+      (* nb up to 17: C(17,8) = 24,310 trials span several chunks *)
+      let k = 1 + (seed mod nb) in
+      matches_reference ~k (tie_heavy_matrix ~nb ~no ~k ~q seed))
+
+let test_subset_prune_threshold () =
+  let module S = Predict.Subset in
+  (* nb = 4, k = 2: dropping needs nb - k + 1 = 3 strict rows *)
+  let weak =
+    [| [| 0.5; 0.5 |]; [| 0.5; 0.5 |]; [| 0.6; 0.5 |]; [| 0.7; 0.5 |] |]
+  in
+  checkb "two strict rows: kept" true (S.survivors weak ~k:2 = [| 0; 1 |]);
+  checkb "kept column wins its tie" true
+    (win_counts 2 (S.run ~k:2 weak) = [| 1; 5 |]);
+  checkb "weak: matches reference" true (matches_reference ~k:2 weak);
+  let strict =
+    [| [| 0.5; 0.5 |]; [| 0.6; 0.5 |]; [| 0.6; 0.5 |]; [| 0.7; 0.5 |] |]
+  in
+  checkb "three strict rows: dropped" true (S.survivors strict ~k:2 = [| 1 |]);
+  checkb "strict: matches reference" true (matches_reference ~k:2 strict);
+  let dup = [| [| 0.3; 0.1; 0.3 |]; [| 0.2; 0.4; 0.2 |] |] in
+  checkb "duplicate dropped, original kept" true
+    (S.survivors dup ~k:1 = [| 0; 1 |]);
+  (* k = nb: one strict row suffices; k = 1: every row must be strict *)
+  let m =
+    [|
+      [| 0.2; 0.1; 0.4 |];
+      [| 0.3; 0.3; 0.1 |];
+      [| 0.5; 0.5; 0.6 |];
+    |]
+  in
+  checkb "k = nb prunes on one strict row" true
+    (S.survivors m ~k:3 = [| 1; 2 |]);
+  checkb "k = 1 keeps a column strict on only some rows" true
+    (S.survivors m ~k:1 = [| 0; 1; 2 |]);
+  List.iter
+    (fun k -> checkb "k = nb / k = 1: matches reference" true
+        (matches_reference ~k m))
+    [ 1; 3 ];
+  (* column 1 would dominate column 0 but for its NaN, which makes it
+     lose every comparison; column 0 must stay to win *)
+  let nan = [| [| 0.5; Float.nan |]; [| 0.5; 0.1 |]; [| 0.5; 0.1 |] |] in
+  checkb "NaN keeps every column" true (S.survivors nan ~k:3 = [| 0; 1 |]);
+  checkb "NaN: matches reference" true (matches_reference ~k:3 nan);
+  (* inf - inf leaves a NaN in column 0's running sum from the second
+     trial on, and a NaN first column wins every later argmin *)
+  let inf =
+    [| [| Float.infinity; 1. |]; [| Float.infinity; 1. |]; [| 1.; 0.5 |] |]
+  in
+  checkb "infinity keeps every column" true (S.survivors inf ~k:2 = [| 0; 1 |]);
+  checkb "infinity: matches reference" true (matches_reference ~k:2 inf);
+  (* 1 + 2^-53 rounds to 1: on subsets {0, 1} and {0, 2} column 0 ties
+     column 1 and wins on index, so a difference that float rounding
+     can erase is not a strict row *)
+  let u = epsilon_float /. 2. in
+  let ulp =
+    [| [| 1.0; 1.0 |]; [| u; 0. |]; [| u; 0. |]; [| 1.0; 0.5 |] |]
+  in
+  checkb "sub-delta difference: kept" true (S.survivors ulp ~k:2 = [| 0; 1 |]);
+  checkb "sub-delta: matches reference" true (matches_reference ~k:2 ulp)
+
+let test_subset_rejects_bad_matrix () =
+  let rejects name m =
+    match Predict.Subset.run m with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "empty" [||];
+  rejects "zero-width" [| [||]; [||] |];
+  rejects "ragged" [| [| 0.1; 0.2 |]; [| 0.3 |] |];
+  rejects "ragged first row" [| [| 0.1 |]; [| 0.2; 0.3 |] |]
+
 (* perfect predictor is optimal among all static predictors *)
 let prop_perfect_is_optimal =
   QCheck.Test.make ~name:"no static predictor beats perfect" ~count:50
@@ -859,6 +1022,10 @@ let () =
           Alcotest.test_case "subset small" `Quick test_subset_run_small;
           Alcotest.test_case "subset max trials" `Quick
             test_subset_respects_max_trials;
+          Alcotest.test_case "subset prune threshold" `Quick
+            test_subset_prune_threshold;
+          Alcotest.test_case "subset rejects bad matrix" `Quick
+            test_subset_rejects_bad_matrix;
           Alcotest.test_case "miss matrix -j1 = -j4" `Quick
             test_miss_matrix_j1_equals_j4;
         ] );
@@ -869,6 +1036,7 @@ let () =
             prop_unrank_rank_roundtrip;
             prop_subset_run_j1_equals_j4;
             prop_subset_total_wins;
+            prop_subset_run_equals_reference;
             prop_perfect_is_optimal;
           ] );
     ]
