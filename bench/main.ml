@@ -1,7 +1,8 @@
 (* The tier-2 gates that exercise the experiment pipeline as a whole.
 
      main.exe perf-smoke          parallel path no slower than sequential
-     main.exe chaos-smoke [SEED]  quick suite byte-identical under faults
+     main.exe fault-smoke         quick suite byte-identical over a damaged
+                                  and over an unwritable store
      main.exe obs-smoke           quick suite byte-identical when traced
 
    "-j N" anywhere on the command line sets the domain count (default:
@@ -11,7 +12,7 @@
    [bpredict experiment]; timing the suite is [suitebench/run.py]'s job. *)
 
 let usage =
-  "usage: main.exe [-j N] (perf-smoke | chaos-smoke [SEED] | obs-smoke)"
+  "usage: main.exe [-j N] (perf-smoke | fault-smoke | obs-smoke)"
 
 let usage_error msg =
   if msg <> "" then prerr_endline msg;
@@ -103,58 +104,98 @@ let perf_smoke jn =
     stages;
   report "perf-smoke" (Printf.sprintf "effective jobs %d" jn) !failures
 
-(* ---- chaos-smoke: the robustness gate ----
+(* ---- fault-smoke: the robustness gate ----
 
-   Runs the quick experiment suite twice against an isolated on-disk
-   store: once clean (filling the store), once with seeded fault
-   injection armed — cache-entry corruption, a task exception inside
-   the parallel prewarm, scheduling delays.  One cache corruption and
-   one task raise are force-armed so the gate exercises both recovery
-   paths on every seed.  Passes only if the chaos run's tables are
-   byte-identical to the clean run's, no experiment failed
-   permanently, and every injected cache corruption was quarantined
-   exactly once. *)
+   Runs the quick experiment suite three times against an isolated
+   on-disk store.  Run 1 fills the store.  Then every entry on disk is
+   damaged, round-robin: truncated, one payload byte flipped, or
+   overwritten with the next entry's original bytes — a well-formed
+   entry under the wrong name, whose payload may be another table's
+   type.  Run 2 must quarantine every damaged entry, serve none of them
+   and still print run 1's tables.  Run 3 points the store at a
+   regular file, so no entry can be read or written; it must print the
+   same tables with every write skipped.  No run may fail an
+   experiment. *)
 
-let chaos_smoke seed =
-  Printf.printf "==== chaos-smoke (seed %d) ====\n%!" seed;
-  with_isolated_store "chaos" @@ fun () ->
+let read_file path =
+  In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* Damage entry [i] of [entries] (paths, with their original bytes in
+   [bytes]): truncate it, flip one payload byte, or give it the next
+   entry's bytes, by [i mod 3]. *)
+let damage entries bytes i =
+  let b = bytes.(i) in
+  match i mod 3 with
+  | 0 -> write_file entries.(i) (String.sub b 0 (String.length b / 2))
+  | 1 ->
+    (* the payload follows the two header lines *)
+    let header = String.index_from b (String.index b '\n' + 1) '\n' + 1 in
+    let at = header + ((String.length b - header) / 2) in
+    let flipped = Bytes.of_string b in
+    Bytes.set flipped at (Char.chr (Char.code b.[at] lxor 0xff));
+    write_file entries.(i) (Bytes.to_string flipped)
+  | _ -> write_file entries.(i) bytes.((i + 1) mod Array.length entries)
+
+let fault_smoke () =
+  Printf.printf "==== fault-smoke ====\n%!";
+  with_isolated_store "fault" @@ fun () ->
+  let dir = Cache.Store.dir () in
   let clean_out, clean_sum = render_quick () in
+  let entries =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".bin")
+    |> List.sort String.compare
+    |> List.map (Filename.concat dir)
+    |> Array.of_list
+  in
+  let bytes = Array.map read_file entries in
+  Array.iteri (fun i _ -> damage entries bytes i) entries;
+  let damaged = Array.length entries in
+  Printf.printf "damaged %d entries: %d truncated, %d flipped, %d misnamed\n"
+    damaged ((damaged + 2) / 3) ((damaged + 1) / 3) (damaged / 3);
   Obs.Metrics.reset ();
-  Robust.Inject.reset ();
-  Robust.Inject.set_seed (Some seed);
-  Robust.Inject.force Robust.Inject.Cache_read 1;
-  Robust.Inject.force Robust.Inject.Task 1;
-  let chaos_out, chaos_sum = render_quick () in
-  Robust.Inject.set_seed None;
-  let injected = Robust.Inject.summary () in
-  let total_injected = List.fold_left (fun a (_, n) -> a + n) 0 injected in
+  let damaged_out, damaged_sum = render_quick () in
+  let hits = metric "cache.hit" in
   let quarantined = metric "cache.corrupt_quarantined" in
-  Printf.printf "injected faults:%s\n"
-    (String.concat ""
-       (List.map (fun (s, n) -> Printf.sprintf " %s=%d" s n) injected));
-  Printf.printf "cache recovery: %d quarantined, %d write failures, %d tmp \
-                 cleaned\n"
-    quarantined (metric "cache.write_failures") (metric "cache.tmp_cleaned");
-  Printf.printf
-    "supervisor: retries %d, timeouts %d, fuel exhausted %d, task failures %d\n"
-    (metric "robust.retries") (metric "robust.timeouts")
-    (metric "robust.fuel_exhausted") (metric "robust.task_failures");
-  Format.printf "clean run:  %a" Experiments.Driver.pp_summary clean_sum;
-  Format.printf "chaos run:  %a" Experiments.Driver.pp_summary chaos_sum;
+  Printf.printf "damaged store: %d hits, %d quarantined\n" hits quarantined;
+  (* an unwritable store: its path is a regular file *)
+  let blocked = Filename.concat dir "blocked" in
+  write_file blocked "";
+  Cache.Store.set_dir blocked;
+  Obs.Metrics.reset ();
+  let blocked_out, blocked_sum =
+    Fun.protect ~finally:(fun () -> Cache.Store.set_dir dir) render_quick
+  in
+  let writes = metric "cache.write" in
+  let write_failures = metric "cache.write_failures" in
+  Printf.printf "unwritable store: %d writes, %d write failures\n" writes
+    write_failures;
+  Format.printf "clean run:      %a" Experiments.Driver.pp_summary clean_sum;
+  Format.printf "damaged store:  %a" Experiments.Driver.pp_summary damaged_sum;
+  Format.printf "unwritable:     %a" Experiments.Driver.pp_summary blocked_sum;
   let failures = ref [] in
   let check cond msg = if not cond then failures := msg :: !failures in
-  check (total_injected > 0) "no faults were injected";
+  check (damaged > 0) "the clean run left no entries to damage";
+  check (clean_sum.failed = 0) "clean run had failed experiments";
   check
-    (String.equal chaos_out clean_out)
-    "chaos run tables differ from clean run";
-  check (clean_sum.failed = 0) "clean run had permanent failures";
-  check (chaos_sum.failed = 0) "chaos run had permanent failures";
+    (String.equal damaged_out clean_out)
+    "damaged-store tables differ from clean run";
+  check (hits = 0) "a damaged entry was served";
+  check (quarantined = damaged) "not every damaged entry was quarantined once";
+  check (damaged_sum.failed = 0) "damaged-store run had failed experiments";
   check
-    (quarantined = Robust.Inject.fired Robust.Inject.Cache_read)
-    "not every injected cache corruption was quarantined";
-  report "chaos-smoke"
-    (Printf.sprintf "byte-identical tables under %d injected faults"
-       total_injected)
+    (String.equal blocked_out clean_out)
+    "unwritable-store tables differ from clean run";
+  check (writes = 0) "an entry was written to the unwritable store";
+  check (write_failures > 0) "no write to the unwritable store failed";
+  check (blocked_sum.failed = 0) "unwritable-store run had failed experiments";
+  report "fault-smoke"
+    (Printf.sprintf
+       "byte-identical tables over %d damaged entries and an unwritable store"
+       damaged)
     !failures
 
 (* ---- obs-smoke: the observability gate ----
@@ -261,10 +302,6 @@ let rec parse_flags acc = function
 let () =
   match parse_flags [] (List.tl (Array.to_list Sys.argv)) with
   | [ "perf-smoke" ] -> exit (perf_smoke (Par.Pool.default_jobs ()))
-  | [ "chaos-smoke" ] -> exit (chaos_smoke 1933)
-  | [ "chaos-smoke"; seed ] -> (
-    match int_of_string_opt seed with
-    | Some seed -> exit (chaos_smoke seed)
-    | None -> usage_error (Printf.sprintf "bad chaos-smoke seed %S" seed))
+  | [ "fault-smoke" ] -> exit (fault_smoke ())
   | [ "obs-smoke" ] -> exit (obs_smoke ())
   | _ -> usage_error ""

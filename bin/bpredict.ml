@@ -86,17 +86,6 @@ let timeout_arg =
   in
   Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECS" ~doc)
 
-let chaos_arg =
-  let doc =
-    "Enable seeded fault injection (cache corruption, task failures, \
-     delays) with this seed.  Equivalent to setting $(b,BALLARUS_CHAOS)."
-  in
-  Arg.(value & opt (some int) None & info [ "chaos" ] ~docv:"SEED" ~doc)
-
-let apply_chaos = function
-  | Some seed -> Robust.Inject.set_seed (Some seed)
-  | None -> ()
-
 let trace_arg =
   let doc =
     "Record spans (pipeline stages, pool jobs, supervised experiments) \
@@ -306,11 +295,10 @@ let experiment_cmd =
     Arg.(value & flag & info [ "quick" ]
            ~doc:"Cap the subset experiment at 20,000 trials.")
   in
-  let run id quick jobs no_cache timeout chaos trace =
+  let run id quick jobs no_cache timeout trace =
     handle_errors (fun () ->
         apply_jobs jobs;
         apply_no_cache no_cache;
-        apply_chaos chaos;
         apply_trace trace;
         if String.equal id "all" then begin
           let summary =
@@ -343,7 +331,7 @@ let experiment_cmd =
   Cmd.v
     (Cmd.info "experiment" ~doc:"Reproduce one of the paper's tables/figures")
     Term.(const run $ id_arg $ quick_arg $ jobs_arg $ no_cache_arg
-          $ timeout_arg $ chaos_arg $ trace_arg)
+          $ timeout_arg $ trace_arg)
 
 (* ---- stats ---- *)
 

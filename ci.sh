@@ -14,8 +14,8 @@ dune build @fuzz-smoke
 echo "== tier 2: perf smoke (@perf-smoke)"
 dune build @perf-smoke
 
-echo "== tier 2: chaos smoke (@chaos-smoke)"
-dune build @chaos-smoke
+echo "== tier 2: fault smoke (@fault-smoke)"
+dune build @fault-smoke
 
 echo "== tier 2: obs smoke (@obs-smoke)"
 dune build @obs-smoke

@@ -20,7 +20,7 @@ let set_dir d = dir_ref := d
 
 (* All store accounting lives in the process-wide metrics registry
    (Obs.Metrics) under [cache.*]: disk traffic (hit / miss / corrupt /
-   write) and the recovery counters that the chaos smoke gate reads. *)
+   write) and the recovery counters that the fault smoke gate reads. *)
 
 let hits = Obs.Metrics.counter "cache.hit"
 let misses = Obs.Metrics.counter "cache.miss"
@@ -49,10 +49,17 @@ let entry_path ~table key =
   in
   Filename.concat (dir ()) (Digest.to_hex k ^ ".bin")
 
-(* An entry is [format_tag] NL [digest-of-payload-hex] NL [payload].
-   The digest makes truncation and bit corruption detectable.  A
-   missing entry is a [`Miss]; an existing but damaged one is
-   [`Corrupt], which the caller quarantines. *)
+(* The seal of an entry: a digest of its own file name and its payload.
+   It makes truncation and bit corruption detectable, and binds the
+   bytes to the name they were written under, so an entry copied or
+   renamed onto another key's name (whose payload may be another
+   table's type) is never unmarshalled. *)
+let seal path payload =
+  Digest.to_hex (Digest.string (Filename.basename path ^ Digest.string payload))
+
+(* An entry is [format_tag] NL [seal] NL [payload].  A missing entry is
+   a [`Miss]; an existing but damaged or misplaced one is [`Corrupt],
+   which the caller quarantines. *)
 let read_entry path =
   match open_in_bin path with
   | exception Sys_error _ -> `Miss
@@ -69,8 +76,7 @@ let read_entry path =
         with
         | exception _ -> `Corrupt
         | tag, hex, payload ->
-          if tag = format_tag && Digest.to_hex (Digest.string payload) = hex
-          then
+          if tag = format_tag && seal path payload = hex then
             match Marshal.from_string payload 0 with
             | v -> `Hit v
             | exception _ -> `Corrupt
@@ -99,10 +105,9 @@ let write_entry path payload =
       (fun () ->
         output_string oc format_tag;
         output_char oc '\n';
-        output_string oc (Digest.to_hex (Digest.string payload));
+        output_string oc (seal path payload);
         output_char oc '\n';
         output_string oc payload);
-    Robust.Inject.fail_write ();
     (* atomic publish: concurrent writers of the same key race benignly,
        last rename wins and every version is valid *)
     Sys.rename tmp path;
@@ -120,7 +125,6 @@ let memo ~table ~key compute =
   if not !enabled_flag then compute ()
   else begin
     let path = entry_path ~table key in
-    ignore (Robust.Inject.corrupt_entry path : bool);
     let cached =
       match read_entry path with
       | `Hit v ->

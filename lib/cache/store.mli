@@ -17,9 +17,11 @@
 
     Robustness: entries are written to a temporary file and renamed
     into place, so readers never observe a half-written entry; every
-    entry carries a payload digest.  A corrupt or truncated entry is
-    quarantined (deleted and counted) so it cannot re-trip on every
-    subsequent run, then recomputed and rewritten.  A failed write is
+    entry carries a digest of its own file name and its payload.  A
+    corrupt or truncated entry, or one found under a name other than
+    the one it was written under, is quarantined (deleted and counted)
+    so it cannot re-trip on every subsequent run, then recomputed and
+    rewritten; its bytes are never unmarshalled.  A failed write is
     skipped, not retried, and its orphaned temporary file deleted — a
     cache write only costs warmth, never correctness.  Disk traffic and
     recovery are counted in {!Obs.Metrics} under [cache.*]: [hit],

@@ -23,10 +23,6 @@ let loads = Cache.Memo.create "bench_run.load"
 let load (wl : Workloads.Workload.t) =
   let name = wl.name in
   Cache.Memo.find loads name (fun () ->
-      (* chaos hooks: an armed injector may delay this pipeline or raise
-         inside it, exercising pool survival and supervisor retries *)
-      Robust.Inject.delay ~label:("load:" ^ name);
-      Robust.Inject.raise_in_task ~label:("load:" ^ name);
       let prog =
         Obs.span ~name:"compile" ~attrs:[ ("workload", name) ] (fun () ->
             Workloads.Workload.compile wl)

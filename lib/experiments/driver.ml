@@ -63,22 +63,17 @@ let prewarm () =
 
 (* ---- supervised suite execution ---- *)
 
-type task_result =
-  | Passed
-  | Degraded of int
-  | Failed of Robust.Fault.t
+type task_result = Passed | Failed of Robust.Fault.t
 
 type summary = {
   passed : int;
-  degraded : int;
   failed : int;
   results : (string * task_result) list;
 }
 
 (* One experiment under the fault boundary.  The body renders into a
-   private buffer, not the caller's formatter: a retried attempt
-   discards its partial output, so a recovered experiment emits
-   exactly the bytes a clean run would. *)
+   private buffer, not the caller's formatter: a failed experiment
+   leaves no partial table behind its failure banner. *)
 let run_one ?timeout ~quick e =
   Obs.span ~name:"experiment" ~attrs:[ ("id", e.id) ] (fun () ->
       Robust.Supervise.run ?timeout ~label:e.id (fun () ->
@@ -91,7 +86,7 @@ let run_one ?timeout ~quick e =
           Buffer.contents buf))
 
 let run_list ?(quick = false) ?timeout ?(warm = true) exps ppf =
-  (* A permanent prewarm failure only costs parallel warmth — every
+  (* A prewarm failure only costs parallel warmth — every
      experiment recomputes what it needs on demand — so it is reported
      on stderr and the suite proceeds with the tables untouched. *)
   if warm then
@@ -104,42 +99,35 @@ let run_list ?(quick = false) ?timeout ?(warm = true) exps ppf =
       (fun e ->
         Format.fprintf ppf "==== %s ====@.@." e.title;
         let o = run_one ?timeout ~quick e in
-        (match o.Robust.Supervise.status with
-        | Failed fault -> Robust.Fault.pp_banner ppf fault
-        | Completed | Recovered _ ->
-          Format.pp_print_string ppf (Option.get o.value));
-        Format.fprintf ppf "@.";
         let r =
-          match o.status with
-          | Completed -> Passed
-          | Recovered n -> Degraded n
-          | Failed fault -> Failed fault
+          match o.Robust.Supervise.status with
+          | Completed ->
+            Format.pp_print_string ppf (Option.get o.value);
+            Passed
+          | Failed fault ->
+            Robust.Fault.pp_banner ppf fault;
+            Failed fault
         in
+        Format.fprintf ppf "@.";
         (e.id, r))
       exps
   in
-  let count p = List.length (List.filter (fun (_, r) -> p r) results) in
-  {
-    passed = count (function Passed -> true | _ -> false);
-    degraded = count (function Degraded _ -> true | _ -> false);
-    failed = count (function Failed _ -> true | _ -> false);
-    results;
-  }
+  let failed =
+    List.length (List.filter (function _, Failed _ -> true | _ -> false) results)
+  in
+  { passed = List.length results - failed; failed; results }
 
 let run_all ?quick ?timeout ppf = run_list ?quick ?timeout all ppf
 
 let exit_code s = if s.failed > 0 then 3 else 0
 
 let pp_summary ppf s =
-  Format.fprintf ppf "suite summary: %d passed, %d degraded, %d failed@."
-    s.passed s.degraded s.failed;
+  Format.fprintf ppf "suite summary: %d passed, %d failed@." s.passed
+    s.failed;
   List.iter
     (fun (id, r) ->
       match r with
       | Passed -> ()
-      | Degraded n ->
-        Format.fprintf ppf "  degraded %s: recovered after %d retr%s@." id n
-          (if n = 1 then "y" else "ies")
       | Failed (f : Robust.Fault.t) ->
         Format.fprintf ppf "  failed %s [%s]: %s@." id
           (Robust.Fault.kind_name f.kind) f.message)

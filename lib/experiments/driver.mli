@@ -1,6 +1,6 @@
 (** Experiment registry: every table and figure by name — and the
-    supervised suite runner that degrades gracefully around
-    failures. *)
+    supervised suite runner that reports a failed experiment and
+    carries on with the rest. *)
 
 type experiment = {
   id : string;       (** e.g. "table2", "graph4" *)
@@ -24,13 +24,11 @@ val prewarm : unit -> unit
 (** {1 Supervised suite execution} *)
 
 type task_result =
-  | Passed  (** first attempt succeeded *)
-  | Degraded of int  (** succeeded after this many retries *)
-  | Failed of Robust.Fault.t  (** permanently failed, classified *)
+  | Passed  (** the experiment printed its table *)
+  | Failed of Robust.Fault.t  (** failed, classified *)
 
 type summary = {
   passed : int;
-  degraded : int;
   failed : int;
   results : (string * task_result) list;  (** (experiment id, result) *)
 }
@@ -42,13 +40,12 @@ val run_list :
     {!prewarm} ([warm], default [true] — pass [false] for a single
     experiment that should only compute what it reads), each inside a
     {!Robust.Supervise} fault boundary with the given per-experiment
-    [timeout].  Each experiment renders into
-    a private buffer, so a retried attempt discards partial output and
-    a recovered run's bytes equal a clean run's.  A permanently failed
-    experiment prints a structured failure banner in place of its
-    table and the suite continues.  Only experiment banners, tables
-    and failure banners go to the formatter — the summary does not, so
-    callers can diff table output byte-for-byte. *)
+    [timeout].  Each experiment renders into a private buffer, so a
+    failed experiment prints a structured failure banner in place of
+    its table, with no partial output, and the suite continues.  Only
+    experiment banners, tables and failure banners go to the formatter
+    — the summary does not, so callers can diff table output
+    byte-for-byte. *)
 
 val run_all : ?quick:bool -> ?timeout:float -> Format.formatter -> summary
 (** {!run_list} over {!all}.  [quick] substitutes each experiment's
@@ -56,10 +53,9 @@ val run_all : ?quick:bool -> ?timeout:float -> Format.formatter -> summary
     trials). *)
 
 val exit_code : summary -> int
-(** [0] when nothing failed permanently (degraded-but-recovered is
-    fine), [3] otherwise — distinct from the CLI's usage (1) and
-    machine-fault (2) exits. *)
+(** [0] when no experiment failed, [3] otherwise — distinct from the
+    CLI's usage (1) and machine-fault (2) exits. *)
 
 val pp_summary : Format.formatter -> summary -> unit
-(** The passed/degraded/failed report, one line per non-passed
-    experiment.  Callers usually print it to stderr. *)
+(** The passed/failed report, one line per failed experiment.
+    Callers usually print it to stderr. *)

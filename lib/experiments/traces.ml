@@ -15,9 +15,6 @@ let distributions name =
   let ds = Workloads.Workload.primary_dataset r.wl in
   let predictors = predictors_for r in
   Cache.Memo.find traces (r.prog, ds, predictors) (fun () ->
-      (* chaos hooks, as in [Bench_run.load] *)
-      Robust.Inject.delay ~label:("traces:" ^ name);
-      Robust.Inject.raise_in_task ~label:("traces:" ^ name);
       List.map Tracing.Ipbc.of_result
         (Sim.Trace_run.run ~decoded:r.decoded r.prog ds predictors))
 

@@ -1,7 +1,7 @@
 (* ---- metrics registry ----
 
    Counters and gauges are atomics; histograms take a tiny per-
-   histogram mutex (observation happens once per span or retry, never
+   histogram mutex (observation happens once per span, never
    in a per-instruction loop).  The registry tables themselves are
    guarded by one mutex, touched only on first registration and when
    listing. *)

@@ -1,4 +1,4 @@
-type kind = Transient | Hard | Fuel_exhausted | Timeout
+type kind = Hard | Fuel_exhausted | Timeout
 
 exception Timed_out of { task : string; seconds : float }
 
@@ -16,7 +16,6 @@ type t = {
 }
 
 let kind_name = function
-  | Transient -> "transient"
   | Hard -> "hard"
   | Fuel_exhausted -> "fuel-exhausted"
   | Timeout -> "timeout"
@@ -25,14 +24,10 @@ let kind_name = function
    the pool are peeled so a fault keeps the classification of the
    exception the task actually raised. *)
 let rec kind_of_exn = function
-  | Inject.Chaos _ -> Transient
   | Sim.Machine.Out_of_fuel _ -> Fuel_exhausted
   | Timed_out _ -> Timeout
-  | Unix.Unix_error ((EINTR | EAGAIN | EWOULDBLOCK | EBUSY), _, _) -> Transient
   | Par.Pool.Task_failed { exn; _ } -> kind_of_exn exn
   | _ -> Hard
-
-let is_transient e = kind_of_exn e = Transient
 
 let rec unwrap = function
   | Par.Pool.Task_failed { exn; _ } -> unwrap exn

@@ -1,13 +1,12 @@
 (** The typed error taxonomy of the supervision layer.
 
     Every failure crossing a fault boundary is classified into one of
-    four kinds, which decides the recovery action: [Transient]
-    failures are retried at once, everything else fails the task
-    once (and the suite degrades gracefully around it). *)
+    three kinds.  Every supervised task is deterministic, so no kind is
+    retried: a failed task fails once, its kind names the cause in the
+    failure banner, and the suite continues around it. *)
 
 type kind =
-  | Transient  (** interrupted I/O, injected chaos — worth retrying *)
-  | Hard  (** a genuine bug or unrecoverable error — never retried *)
+  | Hard  (** a genuine bug or unrecoverable error *)
   | Fuel_exhausted  (** the interpreter's step budget ran out *)
   | Timeout  (** the task missed its wall-clock deadline *)
 
@@ -28,12 +27,11 @@ val kind_of_exn : exn -> kind
 (** Classify an exception; {!Par.Pool.Task_failed} wrappers are peeled
     first so the inner exception decides. *)
 
-val is_transient : exn -> bool
-
 val unwrap : exn -> exn
 (** Strip any {!Par.Pool.Task_failed} wrappers. *)
 
 val of_exn : ?backtrace:string -> task:string -> exn -> t
 
 val pp_banner : Format.formatter -> t -> unit
-(** The structured failure banner printed into a degraded suite run. *)
+(** The structured failure banner printed in place of a failed
+    experiment's table. *)

@@ -1,13 +1,7 @@
-type status = Completed | Recovered of int | Failed of Fault.t
+type status = Completed | Failed of Fault.t
 
-type 'a outcome = {
-  label : string;
-  attempts : int;
-  value : 'a option;
-  status : status;
-}
+type 'a outcome = { label : string; value : 'a option; status : status }
 
-let retries = Obs.Metrics.counter "robust.retries"
 let timeouts = Obs.Metrics.counter "robust.timeouts"
 let fuel_exhausted = Obs.Metrics.counter "robust.fuel_exhausted"
 let task_failures = Obs.Metrics.counter "robust.task_failures"
@@ -47,32 +41,17 @@ let with_deadline ~label ~seconds f =
   in
   poll ()
 
-(* Total attempts, including the first. *)
-let max_attempts = 3
-
+(* Every supervised task is deterministic, so a failed task would fail
+   the same way again: it is classified and reported, never retried. *)
 let run ?timeout ~label f =
   Obs.span ~name:"supervise" ~attrs:[ ("label", label) ] @@ fun () ->
-  let attempts = ref 0 in
   let body () =
-    incr attempts;
     match timeout with
     | Some seconds -> with_deadline ~label ~seconds f
     | None -> f ()
   in
-  (* Every supervised task is deterministic, so a transient failure is
-     retried at once: waiting first would not change the answer.  A
-     timeout is never transient, so a task that missed its deadline
-     (whose orphaned domain may still be running) is not retried. *)
-  let rec retry () =
-    try body ()
-    with e when !attempts < max_attempts && Fault.is_transient e ->
-      Obs.Metrics.incr retries;
-      retry ()
-  in
-  match retry () with
-  | v ->
-    let status = if !attempts > 1 then Recovered (!attempts - 1) else Completed in
-    { label; attempts = !attempts; value = Some v; status }
+  match body () with
+  | v -> { label; value = Some v; status = Completed }
   | exception e ->
     Obs.Metrics.incr task_failures;
     (match Fault.kind_of_exn e with
@@ -88,4 +67,4 @@ let run ?timeout ~label f =
         match Printexc.get_backtrace () with "" -> None | bt -> Some bt)
     in
     let fault = Fault.of_exn ?backtrace ~task:label e in
-    { label; attempts = !attempts; value = None; status = Failed fault }
+    { label; value = None; status = Failed fault }

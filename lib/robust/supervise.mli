@@ -1,19 +1,17 @@
 (** The fault boundary around a supervised task.
 
-    [run] executes a task under the full supervision contract: an
-    optional wall-clock deadline, immediate bounded retry of transient
-    failures, classification of the final failure into the
+    [run] executes a task under the supervision contract: an optional
+    wall-clock deadline and classification of a failure into the
     {!Fault.kind} taxonomy — and it never raises: the caller always
-    gets an {!outcome} and decides how to degrade. *)
+    gets an {!outcome} and decides how to carry on.  Every supervised
+    task is deterministic, so a failure is final; nothing is retried. *)
 
 type status =
-  | Completed  (** first attempt succeeded *)
-  | Recovered of int  (** succeeded after this many retries *)
-  | Failed of Fault.t  (** permanently failed, classified *)
+  | Completed  (** the task returned a value *)
+  | Failed of Fault.t  (** the task failed, classified *)
 
 type 'a outcome = {
   label : string;
-  attempts : int;  (** attempts actually made (>= 1) *)
   value : 'a option;  (** [Some] iff the task succeeded *)
   status : status;
 }
@@ -25,11 +23,8 @@ val run :
   'a outcome
 (** [run ~label f] supervises [f].  With [?timeout] the body executes
     on a spawned domain against a wall-clock deadline; a task that
-    misses it fails with kind [Timeout] (never retried — its orphaned
-    domain may still be running, and fuel-bounding guarantees the
-    orphan eventually terminates).  A {!Fault.Transient} failure is
-    retried at once, up to 3 attempts in all; the task is
-    deterministic, so waiting first would not change the answer.
-    {!Obs.Metrics} counts retries ([robust.retries]), timeouts
-    ([robust.timeouts]), fuel exhaustion ([robust.fuel_exhausted]) and
-    permanent failures ([robust.task_failures]). *)
+    misses it fails with kind [Timeout] (its orphaned domain may still
+    be running, and fuel-bounding guarantees the orphan eventually
+    terminates).  {!Obs.Metrics} counts timeouts ([robust.timeouts]),
+    fuel exhaustion ([robust.fuel_exhausted]) and failures
+    ([robust.task_failures]). *)

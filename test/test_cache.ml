@@ -1,6 +1,7 @@
 (* Tests for the memo layer and the persistent store under it: memo
    hit/miss behaviour, the enabled switch, key/table separation,
-   corruption tolerance and clearing.  Every test redirects the store
+   corruption and misnamed-entry tolerance, unwritable stores and
+   clearing.  Every test redirects the store
    to its own temporary directory so nothing touches the repo's
    [_cache/]. *)
 
@@ -129,53 +130,56 @@ let test_quarantine_deletes_bad_entry () =
       checkb "bad entry deleted before recompute" true !gone_during_recompute;
       checki "one quarantine" 1 (metric "cache.corrupt_quarantined"))
 
-let test_injected_corruption_recovered () =
-  (* the chaos hook corrupts a real on-disk entry; the store must
-     detect, quarantine and recompute, and the counters must agree
-     with the injector's *)
-  with_temp_store (fun _dir ->
-      Obs.Metrics.reset ();
-      Robust.Inject.reset ();
-      let calls = ref 0 in
-      let compute () =
-        incr calls;
-        "v"
+(* An entry is bound to the name it was written under: key "1"'s
+   bytes copied onto key "2"'s entry name are well-formed, but must be
+   quarantined and recomputed, never served as key "2"'s value. *)
+let test_misnamed_entry_recomputed () =
+  with_temp_store (fun dir ->
+      let _ = Cache.Store.memo ~table:"t" ~key:"1" (fun () -> "one") in
+      let p1 =
+        match entry_files dir with [ p ] -> p | _ -> Alcotest.fail "one entry"
       in
-      let _ = Cache.Store.memo ~table:"t" ~key:"2" compute in
-      Robust.Inject.force Robust.Inject.Cache_read 1;
-      let v = Cache.Store.memo ~table:"t" ~key:"2" compute in
-      Alcotest.(check string) "recovered value" "v" v;
-      checki "recomputed" 2 !calls;
-      checki "injector fired" 1 (Robust.Inject.fired Robust.Inject.Cache_read);
-      checki "quarantined exactly the injected fault" 1
-        (metric "cache.corrupt_quarantined");
-      Robust.Inject.reset ())
+      let _ = Cache.Store.memo ~table:"t" ~key:"2" (fun () -> "two") in
+      let p2 =
+        match List.filter (( <> ) p1) (entry_files dir) with
+        | [ p ] -> p
+        | _ -> Alcotest.fail "two entries"
+      in
+      corrupt p2 (In_channel.with_open_bin p1 In_channel.input_all);
+      Obs.Metrics.reset ();
+      let v = Cache.Store.memo ~table:"t" ~key:"2" (fun () -> "two") in
+      Alcotest.(check string) "own value, not key 1's" "two" v;
+      checki "no hit" 0 (metric "cache.hit");
+      checki "one quarantine" 1 (metric "cache.corrupt_quarantined"))
 
+(* A failed write is skipped, not retried: the fault is injected
+   between the lookup and the write, by turning the store directory
+   into a regular file while the value is computed.  One failure costs
+   the entry; once the file is gone, the next lookup recomputes and
+   its entry lands. *)
 let test_injected_write_failure_skipped () =
-  (* a failed write is skipped, not retried: one injected failure
-     costs the entry, and the next lookup recomputes *)
   with_temp_store (fun dir ->
       Obs.Metrics.reset ();
-      Robust.Inject.reset ();
-      Robust.Inject.force Robust.Inject.Cache_write 1;
       let calls = ref 0 in
       let compute () =
         incr calls;
+        if !calls = 1 then close_out (open_out dir);
         "w"
       in
       let v = Cache.Store.memo ~table:"t" ~key:"3" compute in
       Alcotest.(check string) "value still returned" "w" v;
+      checki "one miss" 1 (metric "cache.miss");
       checki "one skipped write" 1 (metric "cache.write_failures");
-      checki "no entry landed" 0 (List.length (entry_files dir));
+      checki "nothing written" 0 (metric "cache.write");
+      Sys.remove dir;
       let v = Cache.Store.memo ~table:"t" ~key:"3" compute in
       Alcotest.(check string) "recomputed value" "w" v;
       checki "recomputed" 2 !calls;
-      checki "entry landed once writes heal" 1 (List.length (entry_files dir));
-      Robust.Inject.reset ())
+      checki "entry landed once writes heal" 1 (List.length (entry_files dir)))
 
-(* A fault chaos did not inject: the store directory is a regular
-   file, so every open fails with ENOTDIR.  The lookup is a miss, the
-   write is skipped, and the computed value comes back. *)
+(* The store directory is a regular file from the start, so every
+   open fails with ENOTDIR.  The lookup is a miss, the write is
+   skipped, and the computed value comes back. *)
 let test_unwritable_store_skips_write () =
   with_temp_store (fun dir ->
       let oc = open_out dir in
@@ -193,28 +197,36 @@ let test_unwritable_store_skips_write () =
 (* Regression for the leaked-tmp bug: when a write failed, the
    abandoned [.tmp] staging file used to stay behind in the cache
    directory forever (the rename that would have consumed it never
-   ran).  The failure handler now deletes it and counts the
-   cleanup. *)
+   ran).  The failure handler now deletes it and counts the cleanup.
+   The rename fails for real here: a non-empty directory sits at the
+   entry's name. *)
 let test_permanent_write_failure_cleans_tmp () =
   with_temp_store (fun dir ->
+      let _ = Cache.Store.memo ~table:"t" ~key:"4" (fun () -> "first") in
+      let path =
+        match entry_files dir with [ p ] -> p | _ -> Alcotest.fail "one entry"
+      in
+      Sys.remove path;
+      Sys.mkdir path 0o755;
+      let inner = Filename.concat path "occupied" in
+      close_out (open_out inner);
       Obs.Metrics.reset ();
-      Robust.Inject.reset ();
-      Robust.Inject.force Robust.Inject.Cache_write 1;
       let v = Cache.Store.memo ~table:"t" ~key:"4" (fun () -> "lost") in
       Alcotest.(check string) "value still returned" "lost" v;
       checki "one abandoned write" 1 (metric "cache.write_failures");
       checki "orphaned tmp cleaned" 1 (metric "cache.tmp_cleaned");
-      checki "no entry landed" 0 (List.length (entry_files dir));
+      checkb "no entry landed" true (Sys.is_directory path);
       let tmp_files =
         Sys.readdir dir |> Array.to_list
         |> List.filter (fun f -> Filename.check_suffix f ".tmp")
       in
       checki "no tmp file left behind" 0 (List.length tmp_files);
       (* the key is still computable and cacheable afterwards *)
+      Sys.remove inner;
+      Sys.rmdir path;
       let v = Cache.Store.memo ~table:"t" ~key:"4" (fun () -> "found") in
       Alcotest.(check string) "recomputed" "found" v;
-      checki "entry landed once writes heal" 1 (List.length (entry_files dir));
-      Robust.Inject.reset ())
+      checki "entry landed once writes heal" 1 (List.length (entry_files dir)))
 
 let test_clear_empties_store () =
   with_temp_store (fun dir ->
@@ -325,8 +337,8 @@ let () =
             test_corrupt_entry_recomputed;
           Alcotest.test_case "quarantine deletes bad entry" `Quick
             test_quarantine_deletes_bad_entry;
-          Alcotest.test_case "injected corruption recovered" `Quick
-            test_injected_corruption_recovered;
+          Alcotest.test_case "misnamed entry recomputed" `Quick
+            test_misnamed_entry_recomputed;
           Alcotest.test_case "injected write failure skipped" `Quick
             test_injected_write_failure_skipped;
           Alcotest.test_case "unwritable store skips the write" `Quick

@@ -1,7 +1,6 @@
 (* Tests for the supervision layer: the fault taxonomy, supervised
-   task outcomes and their counters, wall-clock timeouts,
-   deterministic fault injection, and graceful suite degradation when
-   a runaway program exhausts its fuel. *)
+   task outcomes and their counters, wall-clock timeouts, and graceful
+   suite degradation when a runaway program exhausts its fuel. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -16,14 +15,10 @@ exception Boom
 
 let test_taxonomy () =
   let open Robust.Fault in
-  checkb "chaos is transient" true
-    (kind_of_exn (Robust.Inject.Chaos "x") = Transient);
   checkb "out of fuel" true
     (kind_of_exn (Sim.Machine.Out_of_fuel "m") = Fuel_exhausted);
   checkb "timeout" true
     (kind_of_exn (Timed_out { task = "t"; seconds = 1.0 }) = Timeout);
-  checkb "EINTR is transient" true
-    (kind_of_exn (Unix.Unix_error (Unix.EINTR, "read", "")) = Transient);
   checkb "unknown is hard" true (kind_of_exn Boom = Hard);
   (* pool wrappers are peeled: the inner exception decides *)
   let bt = Printexc.get_raw_backtrace () in
@@ -33,30 +28,22 @@ let test_taxonomy () =
   in
   checkb "wrapper peeled" true (kind_of_exn wrapped = Fuel_exhausted);
   checkb "unwrap returns inner" true
-    (unwrap wrapped = Sim.Machine.Out_of_fuel "m");
-  checkb "transient predicate" true (is_transient (Robust.Inject.Chaos "x"));
-  checkb "hard not transient" false (is_transient Boom)
+    (unwrap wrapped = Sim.Machine.Out_of_fuel "m")
 
 let test_supervise_outcomes () =
   let ok = Robust.Supervise.run ~label:"ok" (fun () -> 7) in
   checkb "completed" true (ok.status = Robust.Supervise.Completed);
   checkb "value" true (ok.value = Some 7);
-  checki "one attempt" 1 ok.attempts;
-  let n = ref 0 in
-  let retries = metric "robust.retries" in
-  let rec_ =
-    Robust.Supervise.run ~label:"flaky" (fun () ->
-        incr n;
-        if !n < 3 then raise (Robust.Inject.Chaos "flake") else 42)
-  in
-  checkb "recovered after 2 retries" true
-    (rec_.status = Robust.Supervise.Recovered 2);
-  checkb "recovered value" true (rec_.value = Some 42);
-  checki "three attempts" 3 rec_.attempts;
-  checki "robust.retries counts both" (retries + 2) (metric "robust.retries");
+  (* a failing body runs exactly once: nothing is retried *)
+  let calls = ref 0 in
   let failures = metric "robust.task_failures" in
-  let hard = Robust.Supervise.run ~label:"hard" (fun () -> raise Boom) in
-  checki "hard fails immediately" 1 hard.attempts;
+  let hard =
+    Robust.Supervise.run ~label:"hard" (fun () ->
+        incr calls;
+        raise Boom)
+  in
+  checki "body ran once" 1 !calls;
+  checkb "no value" true (hard.value = None);
   checki "robust.task_failures counts it" (failures + 1)
     (metric "robust.task_failures");
   (match hard.status with
@@ -70,8 +57,10 @@ let test_timeout () =
      up at the deadline, not wait for the body (which, orphaned,
      finishes on its own) *)
   let t0 = Unix.gettimeofday () in
+  let calls = Atomic.make 0 in
   let o =
     Robust.Supervise.run ~timeout:0.05 ~label:"slow" (fun () ->
+        Atomic.incr calls;
         Unix.sleepf 1.5)
   in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -79,7 +68,7 @@ let test_timeout () =
   | Robust.Supervise.Failed f ->
     checkb "classified timeout" true (f.kind = Robust.Fault.Timeout)
   | _ -> Alcotest.fail "expected a timeout failure");
-  checki "not retried" 1 o.attempts;
+  checki "not retried" 1 (Atomic.get calls);
   checkb "returned near the deadline" true (elapsed < 1.0);
   (* a fast body under the same deadline completes normally *)
   let o = Robust.Supervise.run ~timeout:5.0 ~label:"fast" (fun () -> 11) in
@@ -112,42 +101,6 @@ let test_worker_backtrace_preserved () =
       checkb "backtrace names the failing file" true (contains bt "test_robust")
     | None -> Alcotest.fail "expected a backtrace on the fault")
   | _ -> Alcotest.fail "expected Failed"
-
-let test_inject_determinism () =
-  Robust.Inject.reset ();
-  Robust.Inject.set_seed (Some 7);
-  let pattern () =
-    List.init 400 (fun _ ->
-        try
-          Robust.Inject.raise_in_task ~label:"x";
-          false
-        with Robust.Inject.Chaos _ -> true)
-  in
-  let a = pattern () in
-  Robust.Inject.reset ();
-  let b = pattern () in
-  checkb "same seed, same fault schedule" true (a = b);
-  checkb "seeded injection fires" true (List.exists Fun.id a);
-  checki "fired count matches pattern" (List.length (List.filter Fun.id a))
-    (Robust.Inject.fired Robust.Inject.Task);
-  (* force guarantees the next n consultations fire, regardless of
-     seed *)
-  Robust.Inject.set_seed None;
-  Robust.Inject.reset ();
-  checkb "disarmed by default" true
-    (List.for_all not (List.init 50 (fun _ ->
-         try Robust.Inject.raise_in_task ~label:"y"; false
-         with Robust.Inject.Chaos _ -> true)));
-  Robust.Inject.force Robust.Inject.Task 2;
-  let fired =
-    List.init 5 (fun _ ->
-        try Robust.Inject.raise_in_task ~label:"z"; false
-        with Robust.Inject.Chaos _ -> true)
-  in
-  checkb "exactly the forced two fire" true
-    (fired = [ true; true; false; false; false ]);
-  checki "fired counter" 2 (Robust.Inject.fired Robust.Inject.Task);
-  Robust.Inject.reset ()
 
 let test_fuel_degradation () =
   (* the acceptance scenario: a deliberately non-terminating MiniC
@@ -214,11 +167,6 @@ let () =
           Alcotest.test_case "timeout" `Quick test_timeout;
           Alcotest.test_case "worker backtrace preserved" `Quick
             test_worker_backtrace_preserved;
-        ] );
-      ( "inject",
-        [
-          Alcotest.test_case "determinism and force" `Quick
-            test_inject_determinism;
         ] );
       ( "degradation",
         [
