@@ -114,26 +114,6 @@ let check_predict prog analyses (profile : Sim.Profile.t) =
     db.branches;
   (List.rev !errs, db)
 
-(* the pre-decoded interpreter must be observationally identical to
-   the legacy variant-dispatch loop: same stats and same edge profile *)
-let check_decoded prog (profile : Sim.Profile.t) =
-  match Sim.Profile.run_legacy prog dataset with
-  | exception (Sim.Machine.Fault msg | Sim.Machine.Out_of_fuel msg) ->
-    [ div "decoded-vs-legacy" "legacy faulted where decoded completed: %s" msg ]
-  | legacy ->
-    let errs = ref [] in
-    if legacy.stats <> profile.stats then
-      errs :=
-        div "decoded-vs-legacy"
-          "stats: decoded {instrs=%d checksum=%d} vs legacy {instrs=%d \
-           checksum=%d}"
-          profile.stats.instr_count profile.stats.checksum
-          legacy.stats.instr_count legacy.stats.checksum
-        :: !errs;
-    if legacy.taken <> profile.taken || legacy.fall <> profile.fall then
-      errs := div "decoded-vs-legacy" "edge profiles differ" :: !errs;
-    List.rev !errs
-
 (* the 5040-order miss matrix must not depend on the pool width *)
 let check_determinism db =
   let with_jobs j f =
@@ -162,23 +142,7 @@ let check_source ?(det_check = false) src =
     | istats -> (
       match Sim.Profile.run prog dataset with
       | exception (Sim.Machine.Fault msg | Sim.Machine.Out_of_fuel msg) ->
-        (* decoded faulted: legacy must fault with the very same message *)
-        let cross =
-          match Sim.Profile.run_legacy prog dataset with
-          | exception (Sim.Machine.Fault lmsg | Sim.Machine.Out_of_fuel lmsg) ->
-            if String.equal msg lmsg then []
-            else
-              [
-                div "decoded-vs-legacy"
-                  "fault messages differ: decoded %S vs legacy %S" msg lmsg;
-              ]
-          | _ ->
-            [
-              div "decoded-vs-legacy"
-                "decoded faulted (%s) but legacy completed" msg;
-            ]
-        in
-        div "machine" "simulator fault: %s" msg :: cross
+        [ div "machine" "simulator fault: %s" msg ]
       | profile ->
         let d1 = stats_mismatch "interp-vs-machine" "opt" istats profile.stats in
         let d2 =
@@ -194,5 +158,4 @@ let check_source ?(det_check = false) src =
         let analyses = Cfg.Analysis.of_program prog in
         let d4, db = check_predict prog analyses profile in
         let d5 = if det_check then check_determinism db else [] in
-        let d6 = check_decoded prog profile in
-        d1 @ d2 @ d3 @ d4 @ d5 @ d6))
+        d1 @ d2 @ d3 @ d4 @ d5))

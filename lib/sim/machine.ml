@@ -38,9 +38,8 @@ let fault m fmt =
 (* Fuel exhaustion is its own exception, not a [Fault]: a program that
    runs past its step budget is a resource-limit event the supervision
    layer must classify ([Fuel_exhausted]) and report distinctly from a
-   genuine runtime error.  Both interpreters raise it with identical
-   message text — the differential oracle compares fault messages
-   byte-for-byte. *)
+   genuine runtime error.  The text carries the same location context
+   as a [Fault]. *)
 let out_of_fuel m =
   raise
     (Out_of_fuel
@@ -102,12 +101,9 @@ let release_mem m =
   let slot = Domain.DLS.get scratch_slot in
   slot := Some (w, m.mem_i, m.mem_f)
 
-let create ?(scratch = false) prog input =
+let create prog input =
   let mem_words = prog.Mips.Program.mem_words in
-  let mem_i, mem_f =
-    if scratch then acquire_mem mem_words
-    else (Array.make mem_words 0, Array.make mem_words 0.)
-  in
+  let mem_i, mem_f = acquire_mem mem_words in
   let m =
     {
       prog;
@@ -148,29 +144,17 @@ let create ?(scratch = false) prog input =
   m.iregs.(Mips.Reg.to_int Mips.Reg.sp) <- prog.stack_base;
   m
 
-(* Pre-resolve Jal targets so calls do not hash procedure names. *)
-let resolve_callees prog =
-  Array.map
-    (fun (p : Mips.Program.proc) ->
-      Array.map
-        (function
-          | Mips.Insn.Jal name -> Mips.Program.proc_index prog name
-          | _ -> -1)
-        p.body)
-    prog.Mips.Program.procs
-
 let nobranch _ ~taken:_ = ()
 let noindirect _ = ()
 
-(* ---- the pre-decoded interpreter ----
+(* ---- the interpreter ----
 
    The hot loop is a tail-recursive [step pc instrs] so the program
    counter and instruction count live in registers; [m.pc]/[m.instrs]
    are synchronised only where an observer can look (branch/indirect
-   callbacks and faults), with the same values the legacy interpreter
-   exposes at those points.  Dispatch is a single match over
-   [Decode.op] — no nested operand or condition matches survive to run
-   time. *)
+   callbacks and faults), with the values [run_decoded]'s interface
+   documents.  Dispatch is a single match over [Decode.op] — no nested
+   operand or condition matches survive to run time. *)
 
 let run_decoded ?max_instrs ?(on_branch = nobranch)
     ?(on_indirect = noindirect) (d : Decode.t) input =
@@ -178,7 +162,7 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
     match max_instrs with Some n -> n | None -> !default_fuel_limit
   in
   let prog = d.Decode.prog in
-  let m = create ~scratch:true prog input in
+  let m = create prog input in
   let regs = m.iregs and fregs = m.fregs in
   let mem_i = m.mem_i and mem_f = m.mem_f in
   let mem_words = prog.Mips.Program.mem_words in
@@ -191,7 +175,7 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
   let dprocs = d.Decode.procs in
   let nprocs = Array.length dprocs in
   let cur = ref (Array.unsafe_get dprocs m.proc) in
-  (* expose the observable position, exactly as the legacy loop does *)
+  (* publish the loop's position to observers and fault messages *)
   let sync pc instrs =
     m.pc <- pc;
     m.instrs <- instrs
@@ -559,188 +543,3 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
 let run ?max_instrs ?on_branch ?on_indirect prog input =
   run_decoded ?max_instrs ?on_branch ?on_indirect (Decode.of_program prog)
     input
-
-(* ---- the legacy variant-dispatch interpreter ----
-
-   Kept as the differential-testing reference for the decoded path: it
-   pattern-matches the original [Mips.Insn] representation on every
-   step.  [run] above must be observationally identical (stats, hook
-   sequences, fault messages). *)
-
-let run_legacy ?max_instrs ?(on_branch = nobranch)
-    ?(on_indirect = noindirect) prog input =
-  let max_instrs =
-    match max_instrs with Some n -> n | None -> !default_fuel_limit
-  in
-  let m = create prog input in
-  let callees = resolve_callees prog in
-  let regs = m.iregs and fregs = m.fregs in
-  let mem_i = m.mem_i and mem_f = m.mem_f in
-  let mem_words = prog.Mips.Program.mem_words in
-  let nints = Array.length input.Dataset.ints in
-  let nfloats = Array.length input.Dataset.floats in
-  let ret_proc = Array.make max_call_depth 0 in
-  let ret_pc = Array.make max_call_depth 0 in
-  let depth = ref 0 in
-  let body = ref prog.procs.(m.proc).body in
-  let running = ref true in
-  let rd r = Array.unsafe_get regs (Mips.Reg.to_int r) in
-  let wr r v = if Mips.Reg.to_int r <> 0 then Array.unsafe_set regs (Mips.Reg.to_int r) v in
-  let frd r = Array.unsafe_get fregs (Mips.Freg.to_int r) in
-  let fwr r v = Array.unsafe_set fregs (Mips.Freg.to_int r) v in
-  let load addr =
-    if addr < 0 || addr >= mem_words then fault m "load from bad address %d" addr
-    else Array.unsafe_get mem_i addr
-  in
-  let store addr v =
-    if addr < 0 || addr >= mem_words then fault m "store to bad address %d" addr
-    else Array.unsafe_set mem_i addr v
-  in
-  let fload addr =
-    if addr < 0 || addr >= mem_words then fault m "f-load from bad address %d" addr
-    else Array.unsafe_get mem_f addr
-  in
-  let fstore addr v =
-    if addr < 0 || addr >= mem_words then fault m "f-store to bad address %d" addr
-    else Array.unsafe_set mem_f addr v
-  in
-  let do_call target =
-    if !depth >= max_call_depth then fault m "call stack overflow";
-    ret_proc.(!depth) <- m.proc;
-    ret_pc.(!depth) <- m.pc + 1;
-    incr depth;
-    if target < 0 || target >= Array.length prog.procs then
-      fault m "call to bad procedure index %d" target;
-    m.proc <- target;
-    body := prog.procs.(target).body;
-    m.pc <- 0
-  in
-  while !running do
-    if m.pc >= Array.length !body then fault m "fell off the end of procedure";
-    if m.instrs >= max_instrs then out_of_fuel m;
-    m.instrs <- m.instrs + 1;
-    let ins = Array.unsafe_get !body m.pc in
-    match ins with
-    | Mips.Insn.Alu (op, rdst, rs, operand) ->
-      let a = rd rs in
-      let b = match operand with Mips.Insn.Reg r -> rd r | Mips.Insn.Imm n -> n in
-      let v =
-        match op with
-        | Add -> a + b
-        | Sub -> a - b
-        | Mul -> a * b
-        | Div -> if b = 0 then fault m "division by zero" else a / b
-        | Rem -> if b = 0 then fault m "remainder by zero" else a mod b
-        | And -> a land b
-        | Or -> a lor b
-        | Xor -> a lxor b
-        | Sll -> a lsl (b land 63)
-        | Sra -> a asr (b land 63)
-        | Slt -> if a < b then 1 else 0
-        | Sle -> if a <= b then 1 else 0
-        | Seq -> if a = b then 1 else 0
-        | Sne -> if a <> b then 1 else 0
-      in
-      wr rdst v;
-      m.pc <- m.pc + 1
-    | Li (r, n) -> wr r n; m.pc <- m.pc + 1
-    | La (r, n) -> wr r n; m.pc <- m.pc + 1
-    | Move (rdst, rs) -> wr rdst (rd rs); m.pc <- m.pc + 1
-    | Lw (rt, off, base) -> wr rt (load (off + rd base)); m.pc <- m.pc + 1
-    | Sw (rt, off, base) -> store (off + rd base) (rd rt); m.pc <- m.pc + 1
-    | Falu (op, fd, fs, ft) ->
-      let a = frd fs and b = frd ft in
-      let v =
-        match op with
-        | Fadd -> a +. b
-        | Fsub -> a -. b
-        | Fmul -> a *. b
-        | Fdiv -> a /. b
-      in
-      fwr fd v;
-      m.pc <- m.pc + 1
-    | Fneg (fd, fs) -> fwr fd (-.frd fs); m.pc <- m.pc + 1
-    | Fabs (fd, fs) -> fwr fd (Float.abs (frd fs)); m.pc <- m.pc + 1
-    | Fli (fd, x) -> fwr fd x; m.pc <- m.pc + 1
-    | Fmove (fd, fs) -> fwr fd (frd fs); m.pc <- m.pc + 1
-    | Ld (ft, off, base) -> fwr ft (fload (off + rd base)); m.pc <- m.pc + 1
-    | Sd (ft, off, base) -> fstore (off + rd base) (frd ft); m.pc <- m.pc + 1
-    | Itof (fd, rs) -> fwr fd (float_of_int (rd rs)); m.pc <- m.pc + 1
-    | Ftoi (rdst, fs) ->
-      let x = frd fs in
-      if Float.is_nan x || Float.abs x >= 1e18 then
-        fault m "float-to-int out of range";
-      wr rdst (int_of_float x);
-      m.pc <- m.pc + 1
-    | Fcmp (c, fs, ft) ->
-      let a = frd fs and b = frd ft in
-      m.fcc <-
-        (match c with Feq -> a = b | Flt -> a < b | Fle -> a <= b);
-      m.pc <- m.pc + 1
-    | Beq (rs, rt, l) ->
-      let taken = rd rs = rd rt in
-      on_branch m ~taken;
-      m.pc <- (if taken then l else m.pc + 1)
-    | Bne (rs, rt, l) ->
-      let taken = rd rs <> rd rt in
-      on_branch m ~taken;
-      m.pc <- (if taken then l else m.pc + 1)
-    | Bz (c, rs, l) ->
-      let v = rd rs in
-      let taken =
-        match c with Ltz -> v < 0 | Lez -> v <= 0 | Gtz -> v > 0 | Gez -> v >= 0
-      in
-      on_branch m ~taken;
-      m.pc <- (if taken then l else m.pc + 1)
-    | Bfp (sense, l) ->
-      let taken = m.fcc = sense in
-      on_branch m ~taken;
-      m.pc <- (if taken then l else m.pc + 1)
-    | J l -> m.pc <- l
-    | Jtab (rs, ls) ->
-      let i = rd rs in
-      if i < 0 || i >= Array.length ls then fault m "jump table index %d out of range" i;
-      on_indirect m;
-      m.pc <- ls.(i)
-    | Jal _ -> do_call callees.(m.proc).(m.pc)
-    | Jalr rs ->
-      on_indirect m;
-      do_call (rd rs)
-    | Ret ->
-      if !depth = 0 then running := false
-      else begin
-        decr depth;
-        m.proc <- ret_proc.(!depth);
-        body := prog.procs.(m.proc).body;
-        m.pc <- ret_pc.(!depth)
-      end
-    | ReadI r ->
-      let v = if m.icursor < nints then input.ints.(m.icursor) else -1 in
-      m.icursor <- m.icursor + 1;
-      wr r v;
-      m.pc <- m.pc + 1
-    | ReadF fr ->
-      let v = if m.fcursor < nfloats then input.floats.(m.fcursor) else 0. in
-      m.fcursor <- m.fcursor + 1;
-      fwr fr v;
-      m.pc <- m.pc + 1
-    | PrintI r ->
-      m.checksum <- ((m.checksum * 31) + rd r) land 0x3FFFFFFFFFFF;
-      m.pc <- m.pc + 1
-    | PrintF fr ->
-      let x = frd fr *. 4096. in
-      let v =
-        if Float.is_nan x || Float.abs x >= 1e18 then 0x5EED
-        else int_of_float x
-      in
-      m.checksum <- ((m.checksum * 31) + v) land 0x3FFFFFFFFFFF;
-      m.pc <- m.pc + 1
-    | Halt -> running := false
-    | Nop -> m.pc <- m.pc + 1
-  done;
-  {
-    instr_count = m.instrs;
-    checksum = m.checksum;
-    ints_read = min m.icursor nints;
-    floats_read = min m.fcursor nfloats;
-  }

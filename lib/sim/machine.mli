@@ -37,7 +37,7 @@ exception Out_of_fuel of string
 (** The run exceeded its instruction (fuel) budget.  Distinct from
     {!Fault} so the supervision layer can classify runaway programs as
     [Fuel_exhausted] rather than hard errors; carries the same
-    location context, with identical text from both interpreters. *)
+    location context as {!Fault}. *)
 
 val set_default_fuel : int -> unit
 (** Set the process-wide fuel budget used when a run does not pass
@@ -82,16 +82,10 @@ val run_decoded :
   Decode.t -> Dataset.t -> stats
 (** Like {!run} on a program decoded up front.  The hot loop keeps the
     program counter and instruction count in locals and dispatches on
-    the dense {!Decode.op} code; [t.proc]/[t.pc]/[t.instrs] are
-    synchronised before every [on_branch]/[on_indirect] call and every
-    fault, so observers see exactly what {!run_legacy} exposes. *)
-
-val run_legacy :
-  ?max_instrs:int ->
-  ?on_branch:(t -> taken:bool -> unit) ->
-  ?on_indirect:(t -> unit) ->
-  Mips.Program.t -> Dataset.t -> stats
-(** The original variant-dispatch interpreter, kept as the reference
-    implementation for differential tests against the decoded path.
-    Observationally identical to {!run}: same stats, same hook
-    sequence, same fault messages. *)
+    the dense {!Decode.op} code.  Before every [on_branch]/[on_indirect]
+    call and every fault, [t.proc]/[t.pc] are set to the current
+    instruction and [t.instrs] to the instructions executed, the
+    current one included.  The two faults raised before an instruction
+    executes — {!Out_of_fuel}, and falling off the end of a
+    procedure — exclude it.  Every fault message ends
+    [(at <proc>+<pc>, <instrs> instructions executed)]. *)

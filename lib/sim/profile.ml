@@ -4,8 +4,14 @@ type t = {
   stats : Machine.stats;
 }
 
-let run_decoded ?max_instrs (d : Decode.t) input =
-  let prog = d.Decode.prog in
+let run ?max_instrs ?decoded prog input =
+  let d =
+    match decoded with
+    | Some (d : Decode.t) ->
+      assert (d.prog == prog);
+      d
+    | None -> Decode.of_program prog
+  in
   let alloc () =
     Array.map
       (fun (p : Mips.Program.proc) -> Array.make (Array.length p.body) 0)
@@ -18,31 +24,6 @@ let run_decoded ?max_instrs (d : Decode.t) input =
     Array.unsafe_set row m.pc (Array.unsafe_get row m.pc + 1)
   in
   let stats = Machine.run_decoded ?max_instrs ~on_branch d input in
-  { taken; fall; stats }
-
-let run ?max_instrs ?decoded prog input =
-  let d =
-    match decoded with
-    | Some (d : Decode.t) ->
-      assert (d.prog == prog);
-      d
-    | None -> Decode.of_program prog
-  in
-  run_decoded ?max_instrs d input
-
-let run_legacy ?max_instrs prog input =
-  let alloc () =
-    Array.map
-      (fun (p : Mips.Program.proc) -> Array.make (Array.length p.body) 0)
-      prog.Mips.Program.procs
-  in
-  let taken = alloc () and fall = alloc () in
-  let on_branch (m : Machine.t) ~taken:tk =
-    let counts = if tk then taken else fall in
-    let row = Array.unsafe_get counts m.proc in
-    Array.unsafe_set row m.pc (Array.unsafe_get row m.pc + 1)
-  in
-  let stats = Machine.run_legacy ?max_instrs ~on_branch prog input in
   { taken; fall; stats }
 
 let branch_execs t =

@@ -15,11 +15,5 @@ val run :
     be the decoding of this very program (checked by physical
     equality) and skips the per-call decode pass. *)
 
-val run_decoded : ?max_instrs:int -> Decode.t -> Dataset.t -> t
-(** {!run} on a program decoded up front. *)
-
-val run_legacy : ?max_instrs:int -> Mips.Program.t -> Dataset.t -> t
-(** Edge profile via {!Machine.run_legacy}, for differential tests. *)
-
 val branch_execs : t -> int
 (** Total dynamic conditional-branch executions. *)

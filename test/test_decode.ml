@@ -1,8 +1,7 @@
-(* Differential tests for the pre-decoded simulator: on every
-   workload/dataset pair and across a large batch of fuzz-generated
-   programs, the decoded fast path must produce byte-identical
-   statistics and edge profiles to the legacy variant-dispatch
-   interpreter. *)
+(* Tests for the pre-decoded simulator: decoding up front agrees with
+   decoding on demand, scratch-memory reuse leaves no residue, and a
+   fixed batch of fuzz-generated programs keeps its pinned statistics
+   and edge profiles. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -15,26 +14,8 @@ let same_profile where (d : Sim.Profile.t) (l : Sim.Profile.t) =
   checkb (where ^ ": taken edge counts") true (l.taken = d.taken);
   checkb (where ^ ": fall edge counts") true (l.fall = d.fall)
 
-(* every workload, every dataset: decode once, profile on the decoded
-   path and on the legacy path, and demand identical observables *)
-let test_workload_registry_differential () =
-  List.iter
-    (fun (wl : Workloads.Workload.t) ->
-      let prog = Workloads.Workload.compile wl in
-      let decoded = Sim.Decode.of_program prog in
-      List.iter
-        (fun ds ->
-          let where =
-            Printf.sprintf "%s/%s" wl.name (ds.Sim.Dataset.name)
-          in
-          let d = Sim.Profile.run ~decoded prog ds in
-          let l = Sim.Profile.run_legacy prog ds in
-          same_profile where d l)
-        wl.datasets)
-    Workloads.Registry.all
-
-(* decoding is cached per Program.t; the explicit [decoded] argument
-   must agree with the implicit decode-on-demand path *)
+(* decoding is not memoised; the explicit [decoded] argument must
+   agree with the implicit decode-on-demand path *)
 let test_decode_on_demand_agrees () =
   let wl = Workloads.Registry.find "gcc" in
   let prog = Workloads.Workload.compile wl in
@@ -44,37 +25,33 @@ let test_decode_on_demand_agrees () =
   let b = Sim.Profile.run prog ds in
   same_profile "gcc explicit-vs-implicit decode" a b
 
-(* 100+ seeded generator programs, mixed sizes: checksums, instruction
-   counts and edge profiles must match pairwise.  Faults (none are
-   expected from the generator) must agree byte-for-byte. *)
-let test_fuzzed_programs_differential () =
+(* 120 seeded generator programs, mixed sizes, profiled in order: the
+   total instruction count and one digest over every program's stats
+   and edge profile are pinned.  The generator is fault-free, so any
+   fault fails the test. *)
+let fuzz_cases = 120
+let fuzz_instrs = 428722
+let fuzz_digest = "d90652d0c56e85de18e38b8426bd2c47"
+
+let test_fuzzed_programs_pinned () =
   let dataset = Sim.Dataset.make ~name:"fuzz" [||] in
-  let cases = 120 in
-  for i = 0 to cases - 1 do
+  let b = Buffer.create (1 lsl 16) in
+  let instrs = ref 0 in
+  for i = 0 to fuzz_cases - 1 do
     let cs = Fuzz.Gen.case_seed ~seed:1993 ~index:i in
     let size = 8 + (i mod 13) in
     let src = Fuzz.Gen.to_source (Fuzz.Gen.generate ~seed:cs ~size) in
-    match Minic.Frontend.compile src with
-    | exception Minic.Frontend.Error msg ->
-      Alcotest.failf "case %d: frontend rejected generated program: %s" i msg
-    | prog -> (
-      match Sim.Profile.run prog dataset with
-      | exception Sim.Machine.Fault msg -> (
-        match Sim.Profile.run_legacy prog dataset with
-        | exception Sim.Machine.Fault lmsg ->
-          Alcotest.(check string)
-            (Printf.sprintf "case %d: fault messages" i)
-            lmsg msg
-        | _ ->
-          Alcotest.failf "case %d: decoded faulted (%s), legacy completed" i
-            msg)
-      | d -> (
-        match Sim.Profile.run_legacy prog dataset with
-        | exception Sim.Machine.Fault msg ->
-          Alcotest.failf "case %d: legacy faulted (%s), decoded completed" i
-            msg
-        | l -> same_profile (Printf.sprintf "case %d" i) d l))
-  done
+    match Sim.Profile.run (Minic.Frontend.compile src) dataset with
+    | exception e -> Alcotest.failf "case %d: %s" i (Printexc.to_string e)
+    | p ->
+      instrs := !instrs + p.stats.instr_count;
+      Printf.bprintf b "case %d\n" i;
+      Edge_digest.render_stats b p.stats;
+      Edge_digest.render_edges b p
+  done;
+  checki "total instructions" fuzz_instrs !instrs;
+  Alcotest.(check string) "digest of (stats, edges)" fuzz_digest
+    (Edge_digest.hex b)
 
 (* scratch-memory reuse must leave no residue between runs: the same
    decoded program profiled twice back-to-back (second run reusing the
@@ -97,12 +74,10 @@ let () =
     [
       ( "differential",
         [
-          Alcotest.test_case "workload registry decoded = legacy" `Slow
-            test_workload_registry_differential;
           Alcotest.test_case "explicit decode = implicit decode" `Quick
             test_decode_on_demand_agrees;
-          Alcotest.test_case "120 fuzzed programs decoded = legacy" `Slow
-            test_fuzzed_programs_differential;
+          Alcotest.test_case "fuzzed programs pinned" `Quick
+            test_fuzzed_programs_pinned;
           Alcotest.test_case "scratch reuse leaves no residue" `Quick
             test_scratch_reuse_is_clean;
         ] );

@@ -44,24 +44,18 @@ let test_instr_limit () =
 
 let test_fuel_exactness () =
   (* a program that halts in exactly N instructions must succeed with
-     fuel N and run out with fuel N - 1, on both interpreters *)
+     fuel N and run out with fuel N - 1, saying where it stopped *)
   let prog = compile loopy_src in
   let n = (Sim.Machine.run prog (ds ())).instr_count in
   let exact = Sim.Machine.run ~max_instrs:n prog (ds ()) in
   checki "limit N succeeds" n exact.instr_count;
-  (match Sim.Machine.run ~max_instrs:(n - 1) prog (ds ()) with
+  match Sim.Machine.run ~max_instrs:(n - 1) prog (ds ()) with
   | _ -> Alcotest.fail "limit N-1 must run out of fuel"
-  | exception Sim.Machine.Out_of_fuel _ -> ());
-  let legacy = Sim.Machine.run_legacy ~max_instrs:n prog (ds ()) in
-  checki "legacy limit N succeeds" n legacy.instr_count;
-  (* both interpreters report fuel exhaustion with identical text *)
-  let msg_of f = try ignore (f ()); None with Sim.Machine.Out_of_fuel m -> Some m in
-  let dm = msg_of (fun () -> Sim.Machine.run ~max_instrs:(n - 1) prog (ds ())) in
-  let lm =
-    msg_of (fun () -> Sim.Machine.run_legacy ~max_instrs:(n - 1) prog (ds ()))
-  in
-  checkb "messages present" true (dm <> None && lm <> None);
-  checkb "decoded = legacy message" true (dm = lm)
+  | exception Sim.Machine.Out_of_fuel msg ->
+    Alcotest.(check string) "out-of-fuel text"
+      "out of fuel: instruction limit exceeded (at main+34, 1220 \
+       instructions executed)"
+      msg
 
 let test_default_fuel () =
   let saved = Sim.Machine.default_fuel () in
@@ -309,6 +303,72 @@ let test_machine_bad_call_index () =
     Alcotest.fail "expected bad-procedure fault"
   with Sim.Machine.Fault _ -> ()
 
+(* every fault the interpreter raises, one hand-assembled program
+   each, with its full text: what went wrong, then the procedure, pc
+   and instruction count at the faulting instruction *)
+let fault_cases =
+  let open Mips.Asm in
+  let module I = Mips.Insn in
+  let t0 = Mips.Reg.t 0 and t1 = Mips.Reg.t 1 in
+  let f0 = Mips.Freg.temp 0 in
+  let zero = Mips.Reg.zero in
+  let mem_words = 4_194_560 (* [Mips.Program.make]'s default *) in
+  let main body = [ ("main", List.map (fun i -> Ins i) body) ] in
+  let fault msg = Sim.Machine.Fault msg in
+  [
+    ( fault "division by zero (at main+1, 2 instructions executed)",
+      main [ I.Li (t0, 7); I.Alu (I.Div, t1, t0, I.Reg zero); I.Ret ] );
+    ( fault "division by zero (at main+1, 2 instructions executed)",
+      main [ I.Li (t0, 7); I.Alu (I.Div, t1, t0, I.Imm 0); I.Ret ] );
+    ( fault "remainder by zero (at main+1, 2 instructions executed)",
+      main [ I.Li (t0, 7); I.Alu (I.Rem, t1, t0, I.Reg zero); I.Ret ] );
+    ( fault "remainder by zero (at main+1, 2 instructions executed)",
+      main [ I.Li (t0, 7); I.Alu (I.Rem, t1, t0, I.Imm 0); I.Ret ] );
+    ( fault "load from bad address -1 (at main+1, 2 instructions executed)",
+      main [ I.Li (t0, -1); I.Lw (t1, 0, t0); I.Ret ] );
+    ( fault
+        "store to bad address 4194565 (at main+1, 2 instructions executed)",
+      main [ I.Li (t0, mem_words); I.Sw (t1, 5, t0); I.Ret ] );
+    ( fault "f-load from bad address -3 (at main+1, 2 instructions executed)",
+      main [ I.Li (t0, -3); I.Ld (f0, 0, t0); I.Ret ] );
+    ( fault
+        "f-store to bad address 4194560 (at main+1, 2 instructions executed)",
+      main [ I.Li (t0, mem_words); I.Sd (f0, 0, t0); I.Ret ] );
+    ( fault "float-to-int out of range (at main+1, 2 instructions executed)",
+      main [ I.Fli (f0, 1e18); I.Ftoi (t0, f0); I.Ret ] );
+    ( fault "float-to-int out of range (at main+1, 2 instructions executed)",
+      main [ I.Fli (f0, Float.nan); I.Ftoi (t0, f0); I.Ret ] );
+    ( fault
+        "jump table index 9 out of range (at main+1, 2 instructions executed)",
+      [ ( "main",
+          [ Ins (I.Li (t0, 9)); Ins (I.Jtab (t0, [| "a"; "b" |])); Lab "a";
+            Ins I.Ret; Lab "b"; Ins I.Ret ] ) ] );
+    ( fault "call stack overflow (at main+0, 65537 instructions executed)",
+      main [ I.Jal "main"; I.Ret ] );
+    ( fault
+        "call to bad procedure index 42 (at main+1, 2 instructions executed)",
+      main [ I.Li (t0, 42); I.Jalr t0; I.Ret ] );
+    ( fault "fell off the end of procedure (at f+1, 2 instructions executed)",
+      [ ("main", [ Ins (I.Jal "f"); Ins I.Ret ]); ("f", [ Ins I.Nop ]) ] );
+    ( Sim.Machine.Out_of_fuel
+        "out of fuel: instruction limit exceeded (at main+0, 100000 \
+         instructions executed)",
+      [ ("main", [ Lab "l"; Ins (I.J "l") ]) ] );
+  ]
+
+let test_fault_messages () =
+  List.iter
+    (fun (expected, procs) ->
+      let prog = Mips.Program.make ~entry:"main" procs in
+      let got =
+        match Sim.Machine.run ~max_instrs:100_000 prog (ds ()) with
+        | _ -> "completed"
+        | exception e -> Printexc.to_string e
+      in
+      let expected = Printexc.to_string expected in
+      Alcotest.(check string) expected expected got)
+    fault_cases
+
 let test_machine_zero_register () =
   let open Mips.Asm in
   let module I = Mips.Insn in
@@ -408,6 +468,7 @@ let () =
             test_machine_jalr_is_indirect_break;
           Alcotest.test_case "jtab bounds" `Quick test_machine_jtab_bounds;
           Alcotest.test_case "bad call index" `Quick test_machine_bad_call_index;
+          Alcotest.test_case "fault messages" `Quick test_fault_messages;
           Alcotest.test_case "zero register" `Quick test_machine_zero_register;
           Alcotest.test_case "float ops" `Quick test_machine_float_roundtrip;
         ] );
