@@ -31,6 +31,17 @@ let load_program src =
       failwith
         (Printf.sprintf "%s: not a workload name and not a file" src)
 
+(* The pipeline [predict], [profile] and [layout] share: load, analyse,
+   profile on the dataset, and join the two into a branch database. *)
+let load_database src =
+  let prog, ds = load_program src in
+  let analyses = Cfg.Analysis.of_program prog in
+  let profile = Sim.Profile.run prog ds in
+  let db =
+    Predict.Database.make prog analyses ~taken:profile.taken ~fall:profile.fall
+  in
+  (prog, ds, profile, db)
+
 let src_arg =
   let doc = "A MiniC source file, or the name of a built-in workload." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SOURCE" ~doc)
@@ -96,7 +107,7 @@ let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let apply_trace = function
-  | Some file -> Obs.set_trace_file (Some file)
+  | Some file -> Obs.write_trace_at_exit file
   | None -> ()
 
 (* ---- compile ---- *)
@@ -145,13 +156,7 @@ let cfg_cmd =
 let predict_cmd =
   let run src =
     handle_errors (fun () ->
-        let prog, ds = load_program src in
-        let analyses = Cfg.Analysis.of_program prog in
-        let profile = Sim.Profile.run prog ds in
-        let db =
-          Predict.Database.make prog analyses ~taken:profile.taken
-            ~fall:profile.fall
-        in
+        let prog, _, _, db = load_database src in
         let order = Predict.Combined.paper_order in
         Format.printf
           "branch predictions (order: %s; T = predict taken)@.@."
@@ -191,13 +196,7 @@ let predict_cmd =
 let profile_cmd =
   let run src =
     handle_errors (fun () ->
-        let prog, ds = load_program src in
-        let analyses = Cfg.Analysis.of_program prog in
-        let profile = Sim.Profile.run prog ds in
-        let db =
-          Predict.Database.make prog analyses ~taken:profile.taken
-            ~fall:profile.fall
-        in
+        let _, _, profile, db = load_database src in
         let branches = Array.to_list db.branches in
         let order = Predict.Combined.paper_order in
         let open Predict in
@@ -231,10 +230,7 @@ let trace_cmd =
         match Workloads.Registry.find src with
         | exception Not_found ->
           failwith "trace analysis requires a built-in workload name"
-        | wl ->
-          let r = Experiments.Bench_run.load wl in
-          ignore r;
-          Experiments.Traces.graph_for Format.std_formatter src)
+        | _ -> Experiments.Traces.graph_for Format.std_formatter src)
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Instructions-per-break-in-control analysis")
@@ -245,13 +241,7 @@ let trace_cmd =
 let layout_cmd =
   let run src =
     handle_errors (fun () ->
-        let prog, ds = load_program src in
-        let analyses = Cfg.Analysis.of_program prog in
-        let profile = Sim.Profile.run prog ds in
-        let db =
-          Predict.Database.make prog analyses ~taken:profile.taken
-            ~fall:profile.fall
-        in
+        let prog, ds, _, db = load_database src in
         let order = Predict.Combined.paper_order in
         let predictions = Hashtbl.create 512 in
         Array.iter
@@ -369,7 +359,7 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:"Run experiments under instrumentation and dump the metrics \
-             registry (counters, gauges, span-duration histograms); tables \
+             registry (counters, span-duration histograms); tables \
              are discarded")
     Term.(const run $ id_arg $ full_arg $ jobs_arg $ no_cache_arg $ trace_arg)
 

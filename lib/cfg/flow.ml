@@ -184,12 +184,8 @@ let exit_counts st =
   done;
   (!rets, !halts)
 
-let check_program ?graphs (prog : Mips.Program.t) ~taken ~fall =
-  let graphs =
-    match graphs with
-    | Some gs -> gs
-    | None -> Array.map G.build prog.procs
-  in
+let check_program (prog : Mips.Program.t) ~taken ~fall =
+  let graphs = Array.map G.build prog.procs in
   let states =
     Array.mapi
       (fun i g ->

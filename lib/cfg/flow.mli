@@ -29,7 +29,6 @@ val solve_proc :
     inconsistencies found (empty = consistent). *)
 
 val check_program :
-  ?graphs:Graph.t array ->
   Mips.Program.t -> taken:int array array -> fall:int array array ->
   string list
 (** Check a whole program's edge profile, as produced by

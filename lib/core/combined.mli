@@ -24,7 +24,7 @@ val predict_non_loop : ?seed:int -> order -> Database.branch -> bool * source
 (** Prediction for a non-loop branch under the given ordering.  The
     Default fallback is always a deterministic function of a seed and
     the branch's address: with [?seed] absent it reads the coin baked
-    into the database (from {!Database.make}'s seed); an explicit
+    into the database (under {!Database.seed}); an explicit
     [~seed] recomputes {!Database.rand_bit} under that seed instead,
     so alternative-seed experiments are reproducible without
     rebuilding the database. *)

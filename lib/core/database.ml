@@ -17,8 +17,9 @@ type t = {
   program : Mips.Program.t;
   analyses : Cfg.Analysis.t array;
   branches : branch array;
-  seed : int;
 }
+
+let seed = 42
 
 (* splitmix64-style avalanche for a reproducible per-branch coin. *)
 let rand_bit ~seed ~proc ~pc =
@@ -28,7 +29,7 @@ let rand_bit ~seed ~proc ~pc =
   z := !z lxor (!z lsr 31);
   !z land 1 = 1
 
-let make ?(seed = 42) program analyses ~taken ~fall =
+let make program analyses ~taken ~fall =
   let branches = ref [] in
   Array.iteri
     (fun pidx (a : Cfg.Analysis.t) ->
@@ -66,7 +67,7 @@ let make ?(seed = 42) program analyses ~taken ~fall =
           branches := br :: !branches
       done)
     analyses;
-  { program; analyses; branches = Array.of_list (List.rev !branches); seed }
+  { program; analyses; branches = Array.of_list (List.rev !branches) }
 
 let exec br = br.taken_count + br.fall_count
 let misses br pred = if pred then br.fall_count else br.taken_count

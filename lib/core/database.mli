@@ -26,11 +26,12 @@ type t = {
   program : Mips.Program.t;
   analyses : Cfg.Analysis.t array;
   branches : branch array;
-  seed : int;
 }
 
+val seed : int
+(** The seed of every branch's baked Default coin ([rand_pred]). *)
+
 val make :
-  ?seed:int ->
   Mips.Program.t -> Cfg.Analysis.t array ->
   taken:int array array -> fall:int array array -> t
 (** [make program analyses ~taken ~fall] builds the database.  The

@@ -140,12 +140,12 @@ let taken_after (prog : Mips.Program.t) ~predict (profile : Sim.Profile.t) =
     prog.procs;
   !taken
 
-let taken_transfers ?max_instrs prog dataset =
+let taken_transfers prog dataset =
   let taken_count = ref 0 in
   let exec_count = ref 0 in
   let on_branch _ ~taken =
     incr exec_count;
     if taken then incr taken_count
   in
-  let stats = Sim.Machine.run ?max_instrs ~on_branch prog dataset in
+  let stats = Sim.Machine.run ~on_branch prog dataset in
   (!taken_count, !exec_count, stats)

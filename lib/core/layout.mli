@@ -46,8 +46,7 @@ val taken_after :
     ({!Sim.Profile.branch_execs}). *)
 
 val taken_transfers :
-  ?max_instrs:int -> Mips.Program.t -> Sim.Dataset.t ->
-  int * int * Sim.Machine.stats
+  Mips.Program.t -> Sim.Dataset.t -> int * int * Sim.Machine.stats
 (** Run the program and count [(taken conditional branches,
     conditional branch executions, stats)].  Combined with {!apply}
     this quantifies how much layout helps a fall-through-predicting

@@ -99,11 +99,7 @@ let miss_matrix dbs =
   let orders = Array.init nperm (fun i -> order_as_ints (order_of_index i)) in
   let m = Array.init nb (fun _ -> Array.make nperm 0.) in
   let per_row = (nperm + order_chunk - 1) / order_chunk in
-  (* Tasks here are sub-millisecond; below ~16 per domain the fork-join
-     handoff costs more than it buys, so small matrices fill
-     sequentially. *)
-  Par.Pool.parallel_for pool ~chunk:1 ~min_per_domain:16 (nb * per_row)
-    (fun task ->
+  Par.Pool.run pool (nb * per_row) (fun task ->
       let b = task / per_row and c = task mod per_row in
       let lo = c * order_chunk and hi = min nperm ((c + 1) * order_chunk) in
       let cb = compiled.(b) and row = m.(b) in

@@ -1,12 +1,5 @@
-type align = L | R
-
-let render ppf ~header ?aligns rows =
+let render ppf ~header rows =
   let ncols = List.length header in
-  let aligns =
-    match aligns with
-    | Some a when List.length a = ncols -> a
-    | _ -> List.init ncols (fun i -> if i = 0 then L else R)
-  in
   let pad row =
     let n = List.length row in
     if n >= ncols then row else row @ List.init (ncols - n) (fun _ -> "")
@@ -21,11 +14,8 @@ let render ppf ~header ?aligns rows =
     List.iteri
       (fun i c ->
         let w = widths.(i) in
-        let a = List.nth aligns i in
         let padded =
-          match a with
-          | L -> Printf.sprintf "%-*s" w c
-          | R -> Printf.sprintf "%*s" w c
+          if i = 0 then Printf.sprintf "%-*s" w c else Printf.sprintf "%*s" w c
         in
         Format.fprintf ppf "%s%s" padded (if i = ncols - 1 then "" else "  "))
       row;

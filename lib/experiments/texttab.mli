@@ -1,12 +1,9 @@
 (** Plain-text table rendering for the experiment reports. *)
 
-type align = L | R
-
-val render :
-  Format.formatter -> header:string list -> ?aligns:align list ->
-  string list list -> unit
-(** Column-aligned table with a rule under the header.  Rows shorter
-    than the header are right-padded with blanks. *)
+val render : Format.formatter -> header:string list -> string list list -> unit
+(** Column-aligned table with a rule under the header: the first column
+    left-aligned, the others right-aligned.  Rows shorter than the
+    header are right-padded with blanks. *)
 
 val pct : float -> string
 (** A percentage like the paper prints them: [0.224 -> "22"];

@@ -27,11 +27,11 @@ type outcome = { cases : int; failures : failure list }
 let case_size ~case_seed ~max_size =
   6 + (case_seed land max_int) mod (max 1 (max_size - 5))
 
-let run_case ?(det_check = false) ~seed ~max_size i =
+let run_case ~seed ~max_size i =
   let cs = Gen.case_seed ~seed ~index:i in
   let size = case_size ~case_seed:cs ~max_size in
   let src = Gen.to_source (Gen.generate ~seed:cs ~size) in
-  (src, Oracle.check_source ~det_check src)
+  (src, Oracle.check_source src)
 
 let ensure_dir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755
 

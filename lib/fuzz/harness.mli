@@ -32,10 +32,10 @@ type failure = {
 
 type outcome = { cases : int; failures : failure list }
 
-val run_case : ?det_check:bool -> seed:int -> max_size:int -> int ->
+val run_case : seed:int -> max_size:int -> int ->
   string * Oracle.divergence list
-(** Generate and check case [i]; returns the source and any
-    divergences.  Exposed for tests and the smoke alias. *)
+(** Generate and check case [i] with every oracle but par-determinism;
+    returns the source and any divergences.  Exposed for tests. *)
 
 val run : ?log:(string -> unit) -> config -> outcome
 (** The full loop.  [log] receives one line per failure and a

@@ -55,7 +55,7 @@ let check_predict prog analyses (profile : Sim.Profile.t) =
           (div "predict" "%s: stored class %s but re-derived %s" where
              (Format.asprintf "%a" Predict.Classify.pp_cls b.cls)
              (Format.asprintf "%a" Predict.Classify.pp_cls cls));
-      if b.rand_pred <> D.rand_bit ~seed:db.seed ~proc:b.proc ~pc:b.pc then
+      if b.rand_pred <> D.rand_bit ~seed:D.seed ~proc:b.proc ~pc:b.pc then
         err (div "predict" "%s: rand_pred disagrees with rand_bit" where);
       (if b.cls = Predict.Classify.Loop_branch then begin
          let lp =

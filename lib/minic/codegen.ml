@@ -152,7 +152,7 @@ let rec lval_addr ctx (e : expr) : addr =
   end
   | Var x ->
     let g = global_info ctx x in
-    { base = R.gp; off = g.gaddr - ctx.c.gp_base; owned = false }
+    { base = R.gp; off = g.gaddr - Mips.Program.gp_base; owned = false }
   | Deref p ->
     let v = gen_operand ctx p in
     { base = ireg v; off = 0; owned = is_temp_value ctx v }
@@ -399,7 +399,7 @@ and gen_expr ctx (e : expr) : value =
   end
   | Var x -> begin
     let g = global_info ctx x in
-    let off = g.gaddr - gp_off ctx in
+    let off = g.gaddr - Mips.Program.gp_base in
     match g.gty with
     | Tarray _ | Tstruct _ ->
       let r = alloc_itemp ctx in
@@ -501,8 +501,6 @@ and move_into ctx dst src =
   | Vint d, Vint s -> emit ctx (I.Move (d, s))
   | Vflt d, Vflt s -> emit ctx (I.Fmove (d, s))
   | _ -> fail "internal: mixed-class move"
-
-and gp_off ctx = ctx.c.Sema.gp_base
 
 and gen_assign ctx lv rhs =
   let tl = lvalue_ty ctx lv in

@@ -69,8 +69,8 @@ int rand_() {
 }
 |}
 
-let parse_and_check ?(gp_base = 1024) src =
-  try Sema.check ~gp_base (Parser.parse src) with
+let parse_and_check src =
+  try Sema.check (Parser.parse src) with
   | Lexer.Error (line, msg) ->
     raise (Error (Printf.sprintf "lex error, line %d: %s" line msg))
   | Parser.Error (line, msg) ->
@@ -78,11 +78,13 @@ let parse_and_check ?(gp_base = 1024) src =
   | Sema.Error (line, msg) ->
     raise (Error (Printf.sprintf "type error, line %d: %s" line msg))
 
-let compile ?(gp_base = 1024) ?(heap_base = 65536) ?(stack_base = 4_194_304)
-    ?(mem_words = 4_194_560) ?(with_prelude = true) ?(optimize = true) src =
-  let full = if with_prelude then prelude ^ "\n" ^ src else src in
-  let checked = parse_and_check ~gp_base full in
-  if gp_base + checked.globals_words > heap_base then
+let initial_idata (c : Sema.checked) =
+  let g = Hashtbl.find c.globals "__heap_ptr" in
+  c.idata @ [ (g.gaddr, Mips.Program.heap_base) ]
+
+let compile ?(optimize = true) src =
+  let checked = parse_and_check (prelude ^ "\n" ^ src) in
+  if Mips.Program.gp_base + checked.globals_words > Mips.Program.heap_base then
     raise
       (Error
          (Printf.sprintf "static data (%d words) collides with the heap"
@@ -96,19 +98,9 @@ let compile ?(gp_base = 1024) ?(heap_base = 65536) ?(stack_base = 4_194_304)
       List.map (fun (name, items) -> (name, fst (Peephole.optimize items))) procs
     else procs
   in
-  let idata = checked.idata in
-  (* Point the allocator at the heap. *)
-  let idata =
-    if with_prelude then begin
-      match Hashtbl.find_opt checked.globals "__heap_ptr" with
-      | Some g -> idata @ [ (g.gaddr, heap_base) ]
-      | None -> idata
-    end
-    else idata
-  in
   try
-    Mips.Program.make ~gp_base ~heap_base ~stack_base ~mem_words ~idata
-      ~fdata:checked.fdata ~entry:"main" procs
+    Mips.Program.make ~idata:(initial_idata checked) ~fdata:checked.fdata
+      ~entry:"main" procs
   with
   | Mips.Asm.Unknown_label l ->
     raise (Error (Printf.sprintf "assembler: unknown label %s" l))

@@ -13,12 +13,15 @@ exception Error of string
 val prelude : string
 (** Source text of the runtime prelude. *)
 
-val compile :
-  ?gp_base:int -> ?heap_base:int -> ?stack_base:int -> ?mem_words:int ->
-  ?with_prelude:bool -> ?optimize:bool -> string -> Mips.Program.t
-(** Compile a translation unit whose entry point is [int main()].
-    @param with_prelude include the runtime prelude (default true).
+val compile : ?optimize:bool -> string -> Mips.Program.t
+(** Compile a translation unit whose entry point is [int main()],
+    under the layout of {!Mips.Program}.
     @param optimize run the peephole pass (default true). *)
 
-val parse_and_check : ?gp_base:int -> string -> Sema.checked
+val parse_and_check : string -> Sema.checked
 (** Front half only — used by tests and analysis tools. *)
+
+val initial_idata : Sema.checked -> (int * int) list
+(** [initial_idata c] is the integer memory image [c] starts from: the
+    globals' initialisers, then [__heap_ptr] set to
+    {!Mips.Program.heap_base}.  [c] must include the prelude. *)

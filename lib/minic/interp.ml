@@ -17,7 +17,6 @@ type state = {
   c : Sema.checked;
   mem_i : int array;
   mem_f : float array;
-  mem_words : int;
   mutable sp : int;
   mutable checksum : int;
   mutable icursor : int;
@@ -60,11 +59,13 @@ let coerce st v ~to_ =
   | v, _ -> v
 
 let load st ty addr =
-  if addr < 0 || addr >= st.mem_words then fault "load from bad address %d" addr;
+  if addr < 0 || addr >= Mips.Program.mem_words then
+    fault "load from bad address %d" addr;
   if Sema.is_float_ty ty then VFloat st.mem_f.(addr) else VInt st.mem_i.(addr)
 
 let store st ty addr v =
-  if addr < 0 || addr >= st.mem_words then fault "store to bad address %d" addr;
+  if addr < 0 || addr >= Mips.Program.mem_words then
+    fault "store to bad address %d" addr;
   match coerce st v ~to_:ty with
   | VFloat f -> st.mem_f.(addr) <- f
   | VInt n -> st.mem_i.(addr) <- n
@@ -78,7 +79,8 @@ let local_info st frame x = Sema.lookup_local st.c frame.fname x
 let alloc_local st frame x ty =
   let size = Sema.sizeof st.c ty in
   st.sp <- st.sp - size;
-  if st.sp < st.c.gp_base + st.c.globals_words then fault "stack overflow";
+  if st.sp < Mips.Program.gp_base + st.c.globals_words then
+    fault "stack overflow";
   Hashtbl.replace frame.addrs x st.sp;
   st.sp
 
@@ -401,8 +403,8 @@ and exec_stmt st frame (s : stmt) =
     try exec_block st frame body with Break_exn -> ()
   end
 
-let run_checked ?(max_steps = 200_000_000) ~heap_base ~stack_base ~mem_words
-    (c : Sema.checked) input =
+let run ?(max_steps = 200_000_000) src input =
+  let c = Frontend.parse_and_check (Frontend.prelude ^ "\n" ^ src) in
   let bodies = Hashtbl.create 64 in
   List.iter
     (function
@@ -413,10 +415,9 @@ let run_checked ?(max_steps = 200_000_000) ~heap_base ~stack_base ~mem_words
   let st =
     {
       c;
-      mem_i = Array.make mem_words 0;
-      mem_f = Array.make mem_words 0.;
-      mem_words;
-      sp = stack_base;
+      mem_i = Array.make Mips.Program.mem_words 0;
+      mem_f = Array.make Mips.Program.mem_words 0.;
+      sp = Mips.Program.stack_base;
       checksum = 0;
       icursor = 0;
       fcursor = 0;
@@ -427,12 +428,8 @@ let run_checked ?(max_steps = 200_000_000) ~heap_base ~stack_base ~mem_words
       bodies;
     }
   in
-  List.iter (fun (a, v) -> st.mem_i.(a) <- v) c.idata;
+  List.iter (fun (a, v) -> st.mem_i.(a) <- v) (Frontend.initial_idata c);
   List.iter (fun (a, v) -> st.mem_f.(a) <- v) c.fdata;
-  (* the allocator's cursor, as Frontend.compile initialises it *)
-  (match Hashtbl.find_opt c.globals "__heap_ptr" with
-  | Some g -> st.mem_i.(g.gaddr) <- heap_base
-  | None -> ());
   let frame = { addrs = Hashtbl.create 4; fname = "__entry" } in
   (try ignore (call st frame "main" []) with Return_exn _ | Halt_exn -> ());
   {
@@ -441,9 +438,3 @@ let run_checked ?(max_steps = 200_000_000) ~heap_base ~stack_base ~mem_words
     floats_read = min st.fcursor (Array.length input.floats);
     steps = st.steps;
   }
-
-let run ?(gp_base = 1024) ?(heap_base = 65536) ?(stack_base = 4_194_304)
-    ?(mem_words = 4_194_560) ?max_steps ?(with_prelude = true) src input =
-  let full = if with_prelude then Frontend.prelude ^ "\n" ^ src else src in
-  let c = Frontend.parse_and_check ~gp_base full in
-  run_checked ?max_steps ~heap_base ~stack_base ~mem_words c input

@@ -22,12 +22,6 @@ type stats = {
   steps : int;      (** statements + expressions evaluated *)
 }
 
-val run :
-  ?gp_base:int -> ?heap_base:int -> ?stack_base:int -> ?mem_words:int ->
-  ?max_steps:int -> ?with_prelude:bool -> string -> Sim.Dataset.t -> stats
-(** Parse, check, and interpret a MiniC source on a dataset.  Layout
-    parameters default to {!Frontend.compile}'s. *)
-
-val run_checked : ?max_steps:int -> heap_base:int -> stack_base:int ->
-  mem_words:int -> Sema.checked -> Sim.Dataset.t -> stats
-(** Interpret an already-checked program. *)
+val run : ?max_steps:int -> string -> Sim.Dataset.t -> stats
+(** Parse, check, and interpret a MiniC source (with the prelude) on a
+    dataset, under the layout of {!Mips.Program}. *)

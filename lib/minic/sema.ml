@@ -30,7 +30,6 @@ type checked = {
   funcs : (string, func_info) Hashtbl.t;
   locals : (string, (string, local_info) Hashtbl.t) Hashtbl.t;
   globals_words : int;
-  gp_base : int;
   idata : (int * int) list;
   fdata : (int * float) list;
 }
@@ -597,12 +596,12 @@ let layout_structs prog =
     prog;
   structs
 
-let check ?(gp_base = 1024) prog =
+let check prog =
   let structs = layout_structs prog in
   let globals = Hashtbl.create 64 in
   let funcs = Hashtbl.create 64 in
   let locals = Hashtbl.create 64 in
-  let next = ref gp_base in
+  let next = ref Mips.Program.gp_base in
   let idata = ref [] and fdata = ref [] in
   (* Pass 1: globals and function signatures. *)
   List.iter
@@ -655,7 +654,6 @@ let check ?(gp_base = 1024) prog =
       funcs;
       locals;
       globals_words = 0;
-      gp_base;
       idata = [];
       fdata = [];
     }
@@ -696,7 +694,7 @@ let check ?(gp_base = 1024) prog =
   {
     c with
     prog = prog';
-    globals_words = !next - gp_base;
+    globals_words = !next - Mips.Program.gp_base;
     idata = List.rev !idata;
     fdata = List.rev !fdata;
   }

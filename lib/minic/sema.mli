@@ -39,7 +39,6 @@ type checked = {
   locals : (string, (string, local_info) Hashtbl.t) Hashtbl.t;
       (** per function, keyed by unique local name *)
   globals_words : int;  (** total size of static data *)
-  gp_base : int;        (** address held in [$gp] at run time *)
   idata : (int * int) list;
   fdata : (int * float) list;
 }
@@ -47,7 +46,7 @@ type checked = {
 val builtin_names : string list
 (** [read], [readf] — implemented directly by the code generator. *)
 
-val check : ?gp_base:int -> Ast.program -> checked
+val check : Ast.program -> checked
 (** Raises {!Error} with a source line on any static error: unknown
     identifiers, type mismatches, bad lvalues, argument-count errors,
     duplicate definitions, missing [int main()], non-constant global

@@ -9,11 +9,12 @@ type t = {
   entry : int;
   idata : (int * int) list;
   fdata : (int * float) list;
-  gp_base : int;
-  heap_base : int;
-  stack_base : int;
-  mem_words : int;
 }
+
+let gp_base = 1024
+let heap_base = 65536
+let stack_base = 4_194_304
+let mem_words = 4_194_560
 
 exception Unknown_procedure of string
 
@@ -27,17 +28,14 @@ let proc_index t name =
 
 let find_proc t name = t.procs.(proc_index t name)
 
-let make ?(gp_base = 1024) ?(heap_base = 65536) ?(stack_base = 4_194_304)
-    ?(mem_words = 4_194_560) ?(idata = []) ?(fdata = []) ~entry procs =
+let make ?(idata = []) ?(fdata = []) ~entry procs =
   let procs =
     Array.of_list
       (List.mapi
          (fun index (name, items) -> { name; index; body = Asm.assemble items })
          procs)
   in
-  let t =
-    { procs; entry = 0; idata; fdata; gp_base; heap_base; stack_base; mem_words }
-  in
+  let t = { procs; entry = 0; idata; fdata } in
   (* Check that every call target exists before the program runs. *)
   Array.iter
     (fun p ->

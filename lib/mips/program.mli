@@ -1,11 +1,23 @@
-(** Linked programs: procedures plus a static-data image and memory
-    layout.
+(** Linked programs: procedures plus a static-data image, and the one
+    memory layout every program runs under.
 
-    The memory layout mirrors the conventions the Pointer heuristic
-    depends on: global (static) storage sits at [gp_base] and is
-    addressed off [$gp]; the heap grows upward from [heap_base]; the
-    stack grows downward from [stack_base].  Addresses are in words —
-    the simulator is word-addressed throughout. *)
+    The layout mirrors the conventions the Pointer heuristic depends
+    on: global (static) storage sits at {!gp_base} and is addressed off
+    [$gp]; the heap grows upward from {!heap_base}; the stack grows
+    downward from {!stack_base}.  Addresses are in words — the
+    simulator is word-addressed throughout. *)
+
+val gp_base : int
+(** Start of static data; the value held in [$gp]. *)
+
+val heap_base : int
+(** The runtime allocator's initial cursor. *)
+
+val stack_base : int
+(** The initial [$sp]. *)
+
+val mem_words : int
+(** Total memory size. *)
 
 type proc = {
   name : string;
@@ -18,16 +30,11 @@ type t = {
   entry : int;                    (** index of the start procedure *)
   idata : (int * int) list;       (** initial integer memory image *)
   fdata : (int * float) list;     (** initial float memory image *)
-  gp_base : int;
-  heap_base : int;
-  stack_base : int;
-  mem_words : int;                (** total memory size in words *)
 }
 
 exception Unknown_procedure of string
 
 val make :
-  ?gp_base:int -> ?heap_base:int -> ?stack_base:int -> ?mem_words:int ->
   ?idata:(int * int) list -> ?fdata:(int * float) list ->
   entry:string -> (string * Asm.item list) list -> t
 (** [make ~entry procs] assembles each procedure and links [Jal]

@@ -1,6 +1,6 @@
 (* ---- metrics registry ----
 
-   Counters and gauges are atomics; histograms take a tiny per-
+   Counters are atomics; histograms take a tiny per-
    histogram mutex (observation happens once per span, never
    in a per-instruction loop).  The registry tables themselves are
    guarded by one mutex, touched only on first registration and when
@@ -8,7 +8,6 @@
 
 module Metrics = struct
   type counter = { c_cell : int Atomic.t }
-  type gauge = { g_cell : float Atomic.t }
 
   (* Power-of-two buckets indexed by the binary exponent of the value
      (frexp), shifted so [min_exp] lands at slot 0.  Exponents -41..24
@@ -36,7 +35,6 @@ module Metrics = struct
 
   let registry_mutex = Mutex.create ()
   let counters_tbl : (string, counter) Hashtbl.t = Hashtbl.create 32
-  let gauges_tbl : (string, gauge) Hashtbl.t = Hashtbl.create 8
   let histograms_tbl : (string, histogram) Hashtbl.t = Hashtbl.create 16
 
   let registered tbl name make =
@@ -54,12 +52,6 @@ module Metrics = struct
   let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.c_cell by)
   let value c = Atomic.get c.c_cell
   let set c n = Atomic.set c.c_cell n
-
-  let gauge name =
-    registered gauges_tbl name (fun () -> { g_cell = Atomic.make 0.0 })
-
-  let set_gauge g v = Atomic.set g.g_cell v
-  let gauge_value g = Atomic.get g.g_cell
 
   let histogram name =
     registered histograms_tbl name (fun () ->
@@ -123,7 +115,6 @@ module Metrics = struct
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
   let counters () = sorted_list counters_tbl value
-  let gauges () = sorted_list gauges_tbl gauge_value
   let histograms () = sorted_list histograms_tbl stats
   let find_histogram name =
     match
@@ -134,14 +125,12 @@ module Metrics = struct
     | None -> None
 
   let reset () =
-    let cs, gs, hs =
+    let cs, hs =
       Mutex.protect registry_mutex (fun () ->
           ( Hashtbl.fold (fun _ c acc -> c :: acc) counters_tbl [],
-            Hashtbl.fold (fun _ g acc -> g :: acc) gauges_tbl [],
             Hashtbl.fold (fun _ h acc -> h :: acc) histograms_tbl [] ))
     in
     List.iter (fun c -> set c 0) cs;
-    List.iter (fun g -> set_gauge g 0.) gs;
     List.iter
       (fun h ->
         Mutex.protect h.h_mutex (fun () ->
@@ -152,14 +141,10 @@ module Metrics = struct
       hs
 
   let dump ppf =
-    let cs = counters () and gs = gauges () and hs = histograms () in
+    let cs = counters () and hs = histograms () in
     if cs <> [] then begin
       Format.fprintf ppf "counters:@.";
       List.iter (fun (n, v) -> Format.fprintf ppf "  %-36s %10d@." n v) cs
-    end;
-    if gs <> [] then begin
-      Format.fprintf ppf "gauges:@.";
-      List.iter (fun (n, v) -> Format.fprintf ppf "  %-36s %10g@." n v) gs
     end;
     if hs <> [] then begin
       Format.fprintf ppf "histograms (seconds):@.";
@@ -171,7 +156,7 @@ module Metrics = struct
             s.p50 s.p95 s.max)
         hs
     end;
-    if cs = [] && gs = [] && hs = [] then
+    if cs = [] && hs = [] then
       Format.fprintf ppf "(no metrics recorded)@."
 end
 
@@ -272,25 +257,20 @@ let write_trace path =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (trace_json ()))
 
-let trace_file_ref : string option ref = ref None
-let exit_hook_installed = ref false
+(* The destination of the exit-time write; [None] until armed, so the
+   hook is installed once and a later call moves the destination. *)
+let exit_trace : string option ref = ref None
 
-let trace_file () = !trace_file_ref
-
-let set_trace_file = function
-  | Some path ->
-    trace_file_ref := Some path;
-    enable ();
-    if not !exit_hook_installed then begin
-      exit_hook_installed := true;
-      at_exit (fun () ->
-          match !trace_file_ref with
-          | Some p -> ( try write_trace p with Sys_error _ -> ())
-          | None -> ())
-    end
-  | None -> trace_file_ref := None
+let write_trace_at_exit path =
+  if !exit_trace = None then
+    at_exit (fun () ->
+        match !exit_trace with
+        | Some p -> ( try write_trace p with Sys_error _ -> ())
+        | None -> ());
+  exit_trace := Some path;
+  enable ()
 
 let () =
   match Sys.getenv_opt "BALLARUS_TRACE" with
-  | Some path when String.trim path <> "" -> set_trace_file (Some path)
+  | Some path when String.trim path <> "" -> write_trace_at_exit path
   | _ -> ()

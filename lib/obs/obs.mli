@@ -16,8 +16,8 @@
     [--trace FILE] on the CLIs or [BALLARUS_TRACE=FILE] in the
     environment; the file is written at process exit.
 
-    {b Metrics} — a process-wide registry of named counters, gauges
-    and log-scale histograms ({!Metrics}).  Metrics are always on
+    {b Metrics} — a process-wide registry of named counters and
+    log-scale histograms ({!Metrics}).  Metrics are always on
     (atomic increments; they replace the ad-hoc robustness counters),
     independent of the span flag — except that every recorded span
     also feeds the histogram [span.<name>], which is how
@@ -68,15 +68,11 @@ val trace_json : unit -> string
 val write_trace : string -> unit
 (** Write {!trace_json} to a file. *)
 
-val set_trace_file : string option -> unit
-(** [set_trace_file (Some path)] enables recording and arranges for
-    the trace to be written to [path] at process exit ([--trace]).
-    [None] cancels the exit-time write (recording stays as it is).
-    [BALLARUS_TRACE=path] in the environment does the same at program
-    start. *)
-
-val trace_file : unit -> string option
-(** The exit-time trace destination currently armed, if any. *)
+val write_trace_at_exit : string -> unit
+(** [write_trace_at_exit path] enables recording and arranges for the
+    trace to be written to [path] at process exit ([--trace]); a later
+    call replaces [path].  [BALLARUS_TRACE=path] in the environment
+    does the same at program start. *)
 
 (** {1 JSON} *)
 
@@ -87,7 +83,6 @@ module Json = Json
 
 module Metrics : sig
   type counter
-  type gauge
   type histogram
 
   type hstats = {
@@ -106,10 +101,6 @@ module Metrics : sig
   val value : counter -> int
   val set : counter -> int -> unit
 
-  val gauge : string -> gauge
-  val set_gauge : gauge -> float -> unit
-  val gauge_value : gauge -> float
-
   val histogram : string -> histogram
   (** Log-scale histogram: power-of-two buckets, so values spanning
       nanoseconds to minutes fit in a fixed 66-slot array.  Quantiles
@@ -122,14 +113,13 @@ module Metrics : sig
   val counters : unit -> (string * int) list
   (** All registered counters, sorted by name. *)
 
-  val gauges : unit -> (string * float) list
   val histograms : unit -> (string * hstats) list
 
   val find_histogram : string -> hstats option
   (** Stats of the named histogram, [None] if never registered. *)
 
   val reset : unit -> unit
-  (** Zero every registered counter, gauge and histogram. *)
+  (** Zero every registered counter and histogram. *)
 
   val dump : Format.formatter -> unit
   (** Human-readable dump of the whole registry (the [bpredict stats]

@@ -180,54 +180,26 @@ let run t n body =
     end
   end
 
-(* True when [n] work items are too few to bother the worker domains:
-   parallel execution needs at least two domains' worth of
-   [min_per_domain] items to amortise the fork-join handoff. *)
-let below_threshold min_per_domain n =
-  match min_per_domain with Some m -> n < 2 * max 1 m | None -> false
-
-let parallel_for t ?chunk ?min_per_domain n body =
-  if n > 0 then begin
-    if below_threshold min_per_domain n then run_seq n body
-    else begin
-      let chunk =
-        match chunk with
-        | Some c -> max 1 c
-        | None -> max 1 (n / (t.size * 4)) (* ~4 tasks per domain *)
-      in
-      let nchunks = (n + chunk - 1) / chunk in
-      run t nchunks (fun c ->
-          let lo = c * chunk and hi = min n ((c + 1) * chunk) in
-          for i = lo to hi - 1 do
-            body i
-          done)
-    end
-  end
-
-let parallel_map t ?min_per_domain f a =
+let parallel_map t f a =
   let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n None in
-    let body i = out.(i) <- Some (f a.(i)) in
-    if below_threshold min_per_domain n then run_seq n body else run t n body;
-    Array.map Option.get out
-  end
+  let out = Array.make n None in
+  run t n (fun i -> out.(i) <- Some (f a.(i)));
+  Array.map Option.get out
 
-let parallel_map_list t ?min_per_domain f l =
-  Array.to_list (parallel_map t ?min_per_domain f (Array.of_list l))
+let parallel_map_list t f l =
+  Array.to_list (parallel_map t f (Array.of_list l))
 
-let reduce t ?(batch = 1) ~n ~chunk ~map ~merge ~init () =
+let reduce t ~n ~chunk ~map ~merge ~init () =
   if n <= 0 then init
   else begin
     let chunk = max 1 chunk in
-    let batch = max 1 batch in
     let nchunks = (n + chunk - 1) / chunk in
     let parts = Array.make nchunks None in
-    (* [batch] adjacent chunks share one scheduled task.  Each chunk is
-       still mapped over its own [lo, hi) and merged in ascending chunk
-       order, so batching changes scheduling granularity only — never
-       the result. *)
+    (* [batch] adjacent chunks share one scheduled task, so each domain
+       sees ~4 tasks.  Each chunk is still mapped over its own [lo, hi)
+       and merged in ascending chunk order, so batching changes
+       scheduling granularity only — never the result. *)
+    let batch = max 1 (nchunks / (t.size * 4)) in
     let ntasks = (nchunks + batch - 1) / batch in
     run t ntasks (fun task ->
         let cfirst = task * batch in

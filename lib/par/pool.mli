@@ -54,33 +54,14 @@ val run : t -> int -> (int -> unit) -> unit
     sequential fast path ([jobs = 1] or [n = 1]) stops at the first
     exception. *)
 
-val parallel_for : t -> ?chunk:int ->
-  ?min_per_domain:int -> int -> (int -> unit) -> unit
-(** [parallel_for t ?chunk n body] runs [body i] for [0 <= i < n],
-    grouping [chunk] consecutive indices into one task (default: a
-    chunk size aiming at ~4 tasks per domain).  Within a chunk, indices
-    run in ascending order on one domain.
-
-    [min_per_domain] is a sequential-fallback threshold: when
-    [n < 2 * min_per_domain] — too little work for even two domains —
-    the whole range runs as an ordinary loop on the calling domain,
-    with no pool handoff.  Results are identical either way.
-
-    Failures re-raise as {!Task_failed}; on the chunked parallel path
-    the reported index is the chunk's task index. *)
-
-val parallel_map : t -> ?min_per_domain:int -> ('a -> 'b) -> 'a array ->
-  'b array
+val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Like [Array.map], with elements processed across the pool.  The
-    result preserves input order.  [min_per_domain] as in
-    {!parallel_for}. *)
+    result preserves input order. *)
 
-val parallel_map_list : t -> ?min_per_domain:int -> ('a -> 'b) ->
-  'a list -> 'b list
-(** Like [List.map], with elements processed across the pool.
-    [min_per_domain] as in {!parallel_for}. *)
+val parallel_map_list : t -> ('a -> 'b) -> 'a list -> 'b list
+(** Like [List.map], with elements processed across the pool. *)
 
-val reduce : t -> ?batch:int -> n:int -> chunk:int ->
+val reduce : t -> n:int -> chunk:int ->
   map:(int -> int -> 'a) -> merge:('a -> 'a -> 'a) -> init:'a -> unit -> 'a
 (** Chunked reduce: the index range [0, n) is cut into fixed chunks of
     size [chunk]; [map lo hi] folds one chunk [lo, hi) to a partial
@@ -91,11 +72,9 @@ val reduce : t -> ?batch:int -> n:int -> chunk:int ->
     of domains even when [merge] is not associative-commutative in
     floating point.
 
-    [batch] groups that many adjacent chunks into one scheduled task
-    (default 1).  Batching coarsens scheduling without touching the
-    chunk decomposition, so it never changes the result — use it when
-    [chunk] must stay small for reproducibility but per-chunk work is
-    cheap relative to the handoff. *)
+    Adjacent chunks are grouped so each domain runs ~4 scheduled
+    tasks.  The grouping depends on the pool width but never touches
+    the chunk decomposition, so it never changes the result. *)
 
 (** {1 The process-wide default pool}
 

@@ -77,16 +77,17 @@ let max_call_depth = 65536
    (stack, grows down), so a watermark per half covers everything.
    The slot is emptied while in use, so a nested run on the same
    domain simply falls back to fresh allocation. *)
-let scratch_slot : (int * int array * float array) option ref Domain.DLS.key =
+let scratch_slot : (int array * float array) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let acquire_mem mem_words =
+let acquire_mem () =
   let slot = Domain.DLS.get scratch_slot in
   match !slot with
-  | Some (w, mi, mf) when w = mem_words ->
+  | Some mem ->
     slot := None;
-    (mi, mf)
-  | _ -> (Array.make mem_words 0, Array.make mem_words 0.)
+    mem
+  | None ->
+    (Array.make Mips.Program.mem_words 0, Array.make Mips.Program.mem_words 0.)
 
 let release_mem m =
   let w = Array.length m.mem_i in
@@ -99,11 +100,10 @@ let release_mem m =
   zero 0 m.dirty_lo;
   zero m.dirty_hi (w - 1);
   let slot = Domain.DLS.get scratch_slot in
-  slot := Some (w, m.mem_i, m.mem_f)
+  slot := Some (m.mem_i, m.mem_f)
 
 let create prog input =
-  let mem_words = prog.Mips.Program.mem_words in
-  let mem_i, mem_f = acquire_mem mem_words in
+  let mem_i, mem_f = acquire_mem () in
   let m =
     {
       prog;
@@ -120,10 +120,10 @@ let create prog input =
       fcursor = 0;
       input;
       dirty_lo = -1;
-      dirty_hi = mem_words;
+      dirty_hi = Mips.Program.mem_words;
     }
   in
-  let mid = mem_words lsr 1 in
+  let mid = Mips.Program.mem_words lsr 1 in
   let touch a =
     if a < mid then begin
       if a > m.dirty_lo then m.dirty_lo <- a
@@ -140,8 +140,8 @@ let create prog input =
       m.mem_f.(a) <- v;
       touch a)
     prog.fdata;
-  m.iregs.(Mips.Reg.to_int Mips.Reg.gp) <- prog.gp_base;
-  m.iregs.(Mips.Reg.to_int Mips.Reg.sp) <- prog.stack_base;
+  m.iregs.(Mips.Reg.to_int Mips.Reg.gp) <- Mips.Program.gp_base;
+  m.iregs.(Mips.Reg.to_int Mips.Reg.sp) <- Mips.Program.stack_base;
   m
 
 let nobranch _ ~taken:_ = ()
@@ -165,7 +165,7 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
   let m = create prog input in
   let regs = m.iregs and fregs = m.fregs in
   let mem_i = m.mem_i and mem_f = m.mem_f in
-  let mem_words = prog.Mips.Program.mem_words in
+  let mem_words = Mips.Program.mem_words in
   let mem_mid = mem_words lsr 1 in
   let ints = input.Dataset.ints and floats = input.Dataset.floats in
   let nints = Array.length ints and nfloats = Array.length floats in

@@ -26,7 +26,7 @@ type t = {
     (** highest dirtied memory word below the midpoint, [-1] if none *)
   mutable dirty_hi : int;
     (** lowest dirtied memory word at or above the midpoint,
-        [mem_words] if none *)
+        {!Mips.Program.mem_words} if none *)
 }
 
 exception Fault of string

@@ -4,7 +4,7 @@ type t = {
   stats : Machine.stats;
 }
 
-let run ?max_instrs ?decoded prog input =
+let run ?decoded prog input =
   let d =
     match decoded with
     | Some (d : Decode.t) ->
@@ -23,7 +23,7 @@ let run ?max_instrs ?decoded prog input =
     let row = Array.unsafe_get counts m.proc in
     Array.unsafe_set row m.pc (Array.unsafe_get row m.pc + 1)
   in
-  let stats = Machine.run_decoded ?max_instrs ~on_branch d input in
+  let stats = Machine.run_decoded ~on_branch d input in
   { taken; fall; stats }
 
 let branch_execs t =

@@ -9,8 +9,7 @@ type t = {
   stats : Machine.stats;
 }
 
-val run :
-  ?max_instrs:int -> ?decoded:Decode.t -> Mips.Program.t -> Dataset.t -> t
+val run : ?decoded:Decode.t -> Mips.Program.t -> Dataset.t -> t
 (** Execute and collect the edge profile.  [decoded], when given, must
     be the decoding of this very program (checked by physical
     equality) and skips the per-call decode pass. *)

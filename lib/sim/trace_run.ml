@@ -33,7 +33,7 @@ let record a pos =
   a.counts.(b) <- a.counts.(b) + 1;
   a.sums.(b) <- a.sums.(b) + len
 
-let run ?max_instrs ?decoded prog input predictors =
+let run ?decoded prog input predictors =
   let d =
     match decoded with
     | Some (d : Decode.t) ->
@@ -74,7 +74,7 @@ let run ?max_instrs ?decoded prog input predictors =
       record (Array.unsafe_get arr i) m.instrs
     done
   in
-  let stats = Machine.run_decoded ?max_instrs ~on_branch ~on_indirect d input in
+  let stats = Machine.run_decoded ~on_branch ~on_indirect d input in
   (* Close the trailing sequence so the buckets partition the trace. *)
   Array.iter
     (fun a -> if stats.instr_count > a.last_break then record a stats.instr_count)

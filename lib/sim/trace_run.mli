@@ -34,7 +34,6 @@ val nbuckets : int
     everything at or above 9990. *)
 
 val run :
-  ?max_instrs:int ->
   ?decoded:Decode.t ->
   Mips.Program.t -> Dataset.t -> (string * prediction_bits) list ->
   result list

@@ -6,8 +6,6 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
 
-let null_formatter = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
-
 (* ---- stats ---- *)
 
 let test_stats () =
@@ -43,18 +41,7 @@ let test_texttab () =
   let lines = String.split_on_char '\n' out in
   checkb "four lines" true (List.length (List.filter (fun l -> l <> "") lines) = 4)
 
-(* ---- drivers run and agree with the paper's qualitative claims ---- *)
-
-let test_table_drivers_run () =
-  (* smoke: every registered experiment driver renders without
-     exception (the expensive subset experiment is capped) *)
-  List.iter
-    (fun (e : Experiments.Driver.experiment) ->
-      match e.id with
-      | "graph2" ->
-        Experiments.Orderings.graph2_3_table4 ~max_trials:500 null_formatter
-      | _ -> e.run null_formatter)
-    Experiments.Driver.all
+(* ---- drivers agree with the paper's qualitative claims ---- *)
 
 let load name = Experiments.Bench_run.load (Workloads.Registry.find name)
 
@@ -220,10 +207,6 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_stats;
           Alcotest.test_case "texttab" `Quick test_texttab;
-        ] );
-      ( "drivers",
-        [
-          Alcotest.test_case "all drivers run" `Slow test_table_drivers_run;
         ] );
       ( "paper claims",
         [

@@ -1,5 +1,5 @@
 (* Tests for the observability layer: span recording and nesting,
-   disabled-mode pass-through, the metrics registry (counters, gauges,
+   disabled-mode pass-through, the metrics registry (counters,
    log-scale histogram buckets and quantiles), and the Chrome
    trace_event JSON export. *)
 
@@ -87,13 +87,6 @@ let test_counter_registry () =
   checkb "listed" true
     (List.mem ("test.counter", 5) (Obs.Metrics.counters ()));
   Obs.Metrics.set c 0
-
-let test_gauge () =
-  let g = Obs.Metrics.gauge "test.gauge" in
-  Obs.Metrics.set_gauge g 2.5;
-  checkb "gauge value" true (Obs.Metrics.gauge_value g = 2.5);
-  checkb "listed" true (List.mem ("test.gauge", 2.5) (Obs.Metrics.gauges ()));
-  Obs.Metrics.set_gauge g 0.
 
 let test_histogram_buckets () =
   let h = Obs.Metrics.histogram "test.hist" in
@@ -280,7 +273,6 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counter registry" `Quick test_counter_registry;
-          Alcotest.test_case "gauge" `Quick test_gauge;
           Alcotest.test_case "histogram buckets and quantiles" `Quick
             test_histogram_buckets;
           Alcotest.test_case "reset" `Quick test_metrics_reset;

@@ -43,14 +43,17 @@ let test_parallel_map_matches_sequential () =
             = Array.to_list expected)))
     widths
 
-let test_parallel_for_chunked () =
+let test_run_chunked () =
+  (* a chunked loop over [run], the shape [Ordering.miss_matrix] uses *)
   List.iter
     (fun jobs ->
       with_pool jobs (fun p ->
-          let n = 1000 in
+          let n = 1000 and chunk = 17 in
           let sum = Atomic.make 0 in
-          Par.Pool.parallel_for p ~chunk:17 n (fun i ->
-              ignore (Atomic.fetch_and_add sum i));
+          Par.Pool.run p ((n + chunk - 1) / chunk) (fun c ->
+              for i = c * chunk to min n ((c + 1) * chunk) - 1 do
+                ignore (Atomic.fetch_and_add sum i)
+              done);
           checki "sum of 0..n-1" (n * (n - 1) / 2) (Atomic.get sum)))
     widths
 
@@ -77,18 +80,17 @@ let test_reduce_merges_in_chunk_order () =
               ~init:[] ()
           in
           checkb "chunk order independent of width" true (got = expected);
-          (* batching groups chunks into fewer tasks but must not
-             change the merge: same chunks, same ascending order *)
-          List.iter
-            (fun batch ->
-              let got =
-                Par.Pool.reduce p ~batch ~n:103 ~chunk:10
-                  ~map:(fun lo hi -> [ (lo, hi) ])
-                  ~merge:(fun a b -> a @ b)
-                  ~init:[] ()
-              in
-              checkb "batched reduce identical" true (got = expected))
-            [ 2; 3; 16 ]))
+          (* 143 chunks: the pool groups 35 per task at width 1 and 8 at
+             width 4, yet the merge sees the same chunks in the same
+             ascending order *)
+          let got =
+            Par.Pool.reduce p ~n:1000 ~chunk:7
+              ~map:(fun lo hi -> [ (lo, hi) ])
+              ~merge:(fun a b -> a @ b)
+              ~init:[] ()
+          in
+          checkb "grouped reduce independent of width" true
+            (got = List.init 143 (fun c -> (c * 7, min 1000 ((c + 1) * 7))))))
     widths
 
 exception Boom
@@ -148,16 +150,12 @@ let test_nested_data_parallel_sections () =
 
 let test_fewer_tasks_than_jobs () =
   (* a wide pool fed less work than it has domains: every index still
-     runs exactly once, chunking degenerates to a single chunk, and
-     reduce still merges in ascending chunk order *)
+     runs exactly once, and reduce still merges in ascending chunk
+     order *)
   with_pool 8 (fun p ->
       let hits = Array.make 3 0 in
       Par.Pool.run p 3 (fun i -> hits.(i) <- hits.(i) + 1);
       Array.iter (checki "exactly once" 1) hits;
-      let sum = Atomic.make 0 in
-      Par.Pool.parallel_for p ~chunk:100 3 (fun i ->
-          ignore (Atomic.fetch_and_add sum (i + 1)));
-      checki "one chunk covers all" 6 (Atomic.get sum);
       let chunks =
         Par.Pool.reduce p ~n:3 ~chunk:64
           ~map:(fun lo hi -> [ (lo, hi) ])
@@ -172,39 +170,6 @@ let test_fewer_tasks_than_jobs () =
       in
       checkb "ragged tail, ascending" true
         (chunks = [ (0, 3); (3, 6); (6, 9); (9, 10) ]))
-
-let test_min_per_domain_threshold () =
-  (* below the threshold the combinators must not hand work to any
-     other domain: every body runs on the calling domain *)
-  let self () = (Domain.self () :> int) in
-  with_pool 4 (fun p ->
-      let caller = self () in
-      let input = Array.init 9 (fun i -> i) in
-      let seen = Array.make 9 (-1) in
-      let out =
-        Par.Pool.parallel_map p ~min_per_domain:5
-          (fun x ->
-            seen.(x) <- self ();
-            x * 2)
-          input
-      in
-      checkb "map result unchanged" true
-        (out = Array.map (fun x -> x * 2) input);
-      Array.iter (checki "ran on the caller" caller) seen;
-      Array.fill seen 0 9 (-1);
-      Par.Pool.parallel_for p ~min_per_domain:5 9 (fun i -> seen.(i) <- self ());
-      Array.iter (checki "for ran on the caller" caller) seen;
-      let lst =
-        Par.Pool.parallel_map_list p ~min_per_domain:5 (fun x -> x + 1)
-          [ 1; 2; 3 ]
-      in
-      checkb "map_list result unchanged" true (lst = [ 2; 3; 4 ]);
-      (* at or above 2 x min_per_domain the parallel path re-engages
-         and still produces identical results *)
-      let big = Array.init 64 (fun i -> i) in
-      let out = Par.Pool.parallel_map p ~min_per_domain:5 (fun x -> x * 3) big in
-      checkb "above threshold identical" true
-        (out = Array.map (fun x -> x * 3) big))
 
 (* Regression for the lingering-job bug: after the join, the pool used
    to keep its last [job] record (and therefore the job's body closure,
@@ -243,7 +208,7 @@ let () =
             test_run_covers_every_index;
           Alcotest.test_case "map matches sequential" `Quick
             test_parallel_map_matches_sequential;
-          Alcotest.test_case "chunked for" `Quick test_parallel_for_chunked;
+          Alcotest.test_case "chunked for" `Quick test_run_chunked;
           Alcotest.test_case "reduce chunk order" `Quick
             test_reduce_merges_in_chunk_order;
           Alcotest.test_case "exceptions" `Quick test_exception_propagates;
@@ -255,8 +220,6 @@ let () =
             test_nested_data_parallel_sections;
           Alcotest.test_case "fewer tasks than jobs" `Quick
             test_fewer_tasks_than_jobs;
-          Alcotest.test_case "min_per_domain threshold" `Quick
-            test_min_per_domain_threshold;
           Alcotest.test_case "job dropped after join" `Quick
             test_job_dropped_after_join;
           Alcotest.test_case "default pool" `Quick test_default_pool_set_jobs;

@@ -924,8 +924,8 @@ let test_combined_seed_threading () =
     [ 1; 7; 1337 ]
 
 let test_combined_seed_matches_database () =
-  (* predict ~seed:s equals the baked-coin path on a database built
-     with seed s, for every branch *)
+  (* predict ~seed:42 equals the baked-coin path, for every branch: the
+     database bakes its coin under seed 42 *)
   let src =
     {| int main() { int i; int s = 0;
        for (i = 0; i < 40; i++) { if ((i * 37) % 13 < 6) { s = s + i; } }
@@ -934,16 +934,14 @@ let test_combined_seed_matches_database () =
   let prog = Minic.Frontend.compile src in
   let analyses = Cfg.Analysis.of_program prog in
   let profile = Sim.Profile.run prog (Sim.Dataset.make ~name:"t" [||]) in
-  let seed = 99 in
   let db =
-    Predict.Database.make ~seed prog analyses ~taken:profile.taken
-      ~fall:profile.fall
+    Predict.Database.make prog analyses ~taken:profile.taken ~fall:profile.fall
   in
   checkb "has branches" true (Array.length db.branches > 0);
   Array.iter
     (fun (b : D.branch) ->
       checkb "explicit seed = baked coin" true
-        (Predict.Combined.predict ~seed Predict.Combined.paper_order b
+        (Predict.Combined.predict ~seed:42 Predict.Combined.paper_order b
         = Predict.Combined.predict Predict.Combined.paper_order b))
     db.branches
 

@@ -312,7 +312,7 @@ let fault_cases =
   let t0 = Mips.Reg.t 0 and t1 = Mips.Reg.t 1 in
   let f0 = Mips.Freg.temp 0 in
   let zero = Mips.Reg.zero in
-  let mem_words = 4_194_560 (* [Mips.Program.make]'s default *) in
+  let mem_words = Mips.Program.mem_words in
   let main body = [ ("main", List.map (fun i -> Ins i) body) ] in
   let fault msg = Sim.Machine.Fault msg in
   [
