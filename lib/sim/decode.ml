@@ -5,7 +5,9 @@
    Calls are resolved to procedure indices, ALU reg/imm variants and
    float-compare / zero-test conditions are split into distinct
    opcodes, and jump tables / float immediates live in per-procedure
-   side tables indexed by an operand field. *)
+   side tables indexed by an operand field.  A [Fall_off] sentinel at
+   slot n stands in for the interpreter's bounds test, and [runs]
+   lets it check fuel once per straight-line run. *)
 
 type op =
   (* ALU, register-register: x=rd, y=rs, z=rt *)
@@ -40,12 +42,15 @@ type op =
   | PrintF        (* x=fs *)
   | Halt
   | Nop
+  | Fall_off      (* the sentinel at slot n: raises the fall-off fault *)
+  | Fuel_trap     (* planted by the machine only: raises Out_of_fuel *)
 
 type dproc = {
   ops : op array;
   xs : int array;
   ys : int array;
   zs : int array;
+  runs : int array;         (* instructions up to the next transfer *)
   jtabs : int array array;  (* jump tables, referenced by [ys] *)
   fimms : float array;      (* float immediates, referenced by [ys] *)
 }
@@ -55,12 +60,24 @@ type t = {
   procs : dproc array;
 }
 
+let is_transfer = function
+  | Beq | Bne | Bltz | Blez | Bgtz | Bgez | Bfp_t | Bfp_f
+  | Jump | Jtab | Call | Callr | Ret | Halt -> true
+  | _ -> false
+
 let decode_proc prog (p : Mips.Program.proc) =
   let n = Array.length p.body in
-  let ops = Array.make n Nop in
-  let xs = Array.make n 0 in
-  let ys = Array.make n 0 in
-  let zs = Array.make n 0 in
+  let ops = Array.make (n + 1) Fall_off in
+  let xs = Array.make (n + 1) 0 in
+  let ys = Array.make (n + 1) 0 in
+  let zs = Array.make (n + 1) 0 in
+  let slot l =
+    if l < 0 || l > n then
+      invalid_arg
+        (Printf.sprintf "Decode.of_program: %s targets slot %d of %d" p.name l
+           n);
+    l
+  in
   let jtabs = ref [] and njtabs = ref 0 in
   let fimms = ref [] and nfimms = ref 0 in
   let ireg = Mips.Reg.to_int and freg = Mips.Freg.to_int in
@@ -127,16 +144,16 @@ let decode_proc prog (p : Mips.Program.proc) =
           match c with Feq -> Fcmp_eq | Flt -> Fcmp_lt | Fle -> Fcmp_le
         in
         set i o (freg fs) (freg ft) 0
-      | Beq (rs, rt, l) -> set i Beq (ireg rs) (ireg rt) l
-      | Bne (rs, rt, l) -> set i Bne (ireg rs) (ireg rt) l
+      | Beq (rs, rt, l) -> set i Beq (ireg rs) (ireg rt) (slot l)
+      | Bne (rs, rt, l) -> set i Bne (ireg rs) (ireg rt) (slot l)
       | Bz (c, rs, l) ->
         let o =
           match c with Ltz -> Bltz | Lez -> Blez | Gtz -> Bgtz | Gez -> Bgez
         in
-        set i o (ireg rs) 0 l
-      | Bfp (sense, l) -> set i (if sense then Bfp_t else Bfp_f) 0 0 l
-      | J l -> set i Jump 0 0 l
-      | Jtab (rs, ls) -> set i Jtab (ireg rs) (add_jtab ls) 0
+        set i o (ireg rs) 0 (slot l)
+      | Bfp (sense, l) -> set i (if sense then Bfp_t else Bfp_f) 0 0 (slot l)
+      | J l -> set i Jump 0 0 (slot l)
+      | Jtab (rs, ls) -> set i Jtab (ireg rs) (add_jtab (Array.map slot ls)) 0
       | Jal name -> set i Call 0 0 (Mips.Program.proc_index prog name)
       | Jalr rs -> set i Callr (ireg rs) 0 0
       | Ret -> set i Ret 0 0 0
@@ -147,11 +164,16 @@ let decode_proc prog (p : Mips.Program.proc) =
       | Halt -> set i Halt 0 0 0
       | Nop -> set i Nop 0 0 0)
     p.body;
+  let runs = Array.make (n + 1) 0 in
+  for i = n - 1 downto 0 do
+    runs.(i) <- (if is_transfer ops.(i) then 1 else 1 + runs.(i + 1))
+  done;
   {
     ops;
     xs;
     ys;
     zs;
+    runs;
     jtabs = Array.of_list (List.rev !jtabs);
     fimms = Array.of_list (List.rev !fimms);
   }

@@ -14,7 +14,15 @@
     - [Jal] targets pre-resolved to procedure indices (no string
       lookup on calls);
     - branch/jump targets as absolute instruction slots;
-    - jump tables and float immediates in per-procedure side tables.
+    - jump tables and float immediates in per-procedure side tables;
+    - a [Fall_off] sentinel one past the last instruction, so a body of
+      [n] instructions decodes to [n + 1] slots and the interpreter
+      needs no bounds test: straight-line fall-through, a branch,
+      [J] or jump-table entry to slot [n], and a return to a trailing
+      [Jal] all land on it;
+    - [runs], the length of the straight-line run from each slot, so
+      the interpreter checks fuel once per run instead of once per
+      instruction.
 
     Decoding is cheap (linear in the static code size) but hot loops
     decode each procedure exactly once: callers that run the same
@@ -38,12 +46,26 @@ type op =
   | Jump | Jtab | Call | Callr | Ret
   | ReadI | ReadF | PrintI | PrintF
   | Halt | Nop
+  | Fall_off
+      (** the sentinel at slot [n]: raises the "fell off the end of
+          procedure" fault, at pc [n], before counting an instruction *)
+  | Fuel_trap
+      (** never decoded; {!Machine.run_decoded} plants it in a private
+          copy of [ops] where a run will exhaust its fuel *)
 
 type dproc = {
-  ops : op array;           (** dense opcode per instruction slot *)
+  ops : op array;
+      (** dense opcode per instruction slot, [n + 1] entries: slot [n]
+          is [Fall_off] *)
   xs : int array;           (** first operand field (see {!op}) *)
   ys : int array;           (** second operand field *)
   zs : int array;           (** third operand field / branch target *)
+  runs : int array;
+      (** [runs.(i)] counts the instructions from slot [i] up to and
+          including the next control transfer (a conditional branch,
+          [Jump], [Jtab], [Call], [Callr], [Ret] or [Halt]), or up to
+          the sentinel if none comes first: 1 at a transfer,
+          [1 + runs.(i + 1)] elsewhere, 0 at the sentinel *)
   jtabs : int array array;  (** jump tables, indexed by [ys] *)
   fimms : float array;      (** float immediates, indexed by [ys] *)
 }
@@ -56,4 +78,6 @@ type t = {
 val of_program : Mips.Program.t -> t
 (** Decode every procedure.  Raises {!Mips.Program.Unknown_procedure}
     if a [Jal] names a procedure the program does not define (programs
-    built through {!Mips.Program.make} are already validated). *)
+    built through {!Mips.Program.make} are already validated), and
+    [Invalid_argument] if a branch, jump or jump-table target lies
+    outside [\[0, n\]] (labels resolved by {!Mips.Asm} never do). *)

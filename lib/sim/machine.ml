@@ -149,17 +149,21 @@ let noindirect _ = ()
 
 (* ---- the interpreter ----
 
-   The hot loop is a tail-recursive [step pc instrs] so the program
-   counter and instruction count live in registers; [m.pc]/[m.instrs]
-   are synchronised only where an observer can look (branch/indirect
-   callbacks and faults), with the values [run_decoded]'s interface
-   documents.  Dispatch is a single match over [Decode.op] — no nested
-   operand or condition matches survive to run time. *)
+   The hot loop is a tail-recursive [step c pc instrs] so the current
+   procedure, program counter and instruction count live in registers;
+   [m.pc]/[m.instrs] are synchronised only where an observer can look
+   (branch/indirect callbacks and faults), with the values
+   [run_decoded]'s interface documents, and [m.proc] is written at
+   calls and returns.  Dispatch is a single match over [Decode.op] — no
+   nested operand or condition matches survive to run time.  [step]
+   tests neither the pc nor the fuel: the [Fall_off] sentinel at the
+   end of every procedure does the first, and [enter] does the second
+   once per straight-line run. *)
 
 let run_decoded ?max_instrs ?(on_branch = nobranch)
     ?(on_indirect = noindirect) (d : Decode.t) input =
   let max_instrs =
-    match max_instrs with Some n -> n | None -> !default_fuel_limit
+    max 0 (match max_instrs with Some n -> n | None -> !default_fuel_limit)
   in
   let prog = d.Decode.prog in
   let m = create prog input in
@@ -174,7 +178,6 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
   let depth = ref 0 in
   let dprocs = d.Decode.procs in
   let nprocs = Array.length dprocs in
-  let cur = ref (Array.unsafe_get dprocs m.proc) in
   (* publish the loop's position to observers and fault messages *)
   let sync pc instrs =
     m.pc <- pc;
@@ -189,16 +192,21 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
       floats_read = min m.fcursor nfloats;
     }
   in
-  let rec step pc instrs =
-    let c = !cur in
-    if pc >= Array.length c.Decode.ops then begin
-      sync pc instrs;
-      fault m "fell off the end of procedure"
-    end;
-    if instrs >= max_instrs then begin
-      sync pc instrs;
-      out_of_fuel m
-    end;
+  (* Fuel is checked only where a straight-line run begins: at the start
+     and wherever a transfer lands.  A run that fits the budget left
+     executes unchecked.  One that does not runs on a private copy of
+     the procedure's [ops] with a [Fuel_trap] at the slot where the
+     budget ends — inside the run, so nothing but an earlier fault can
+     stop it being reached. *)
+  let rec enter (c : Decode.dproc) pc instrs =
+    let left = max_instrs - instrs in
+    if Array.unsafe_get c.Decode.runs pc <= left then step c pc instrs
+    else begin
+      let ops = Array.copy c.Decode.ops in
+      ops.(pc + left) <- Decode.Fuel_trap;
+      step { c with ops } pc instrs
+    end
+  and step c pc instrs =
     let instrs = instrs + 1 in
     let x = Array.unsafe_get c.Decode.xs pc in
     let y = Array.unsafe_get c.Decode.ys pc in
@@ -208,292 +216,275 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
       if x <> 0 then
         Array.unsafe_set regs x
           (Array.unsafe_get regs y + Array.unsafe_get regs z);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Sub_rr ->
       if x <> 0 then
         Array.unsafe_set regs x
           (Array.unsafe_get regs y - Array.unsafe_get regs z);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Mul_rr ->
       if x <> 0 then
         Array.unsafe_set regs x
           (Array.unsafe_get regs y * Array.unsafe_get regs z);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Div_rr ->
       let b = Array.unsafe_get regs z in
       if b = 0 then begin
         sync pc instrs;
         fault m "division by zero"
-      end;
-      if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y / b);
-      step (pc + 1) instrs
+      end
+      else begin
+        if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y / b);
+        step c (pc + 1) instrs
+      end
     | Decode.Rem_rr ->
       let b = Array.unsafe_get regs z in
       if b = 0 then begin
         sync pc instrs;
         fault m "remainder by zero"
-      end;
-      if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y mod b);
-      step (pc + 1) instrs
+      end
+      else begin
+        if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y mod b);
+        step c (pc + 1) instrs
+      end
     | Decode.And_rr ->
       if x <> 0 then
         Array.unsafe_set regs x
           (Array.unsafe_get regs y land Array.unsafe_get regs z);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Or_rr ->
       if x <> 0 then
         Array.unsafe_set regs x
           (Array.unsafe_get regs y lor Array.unsafe_get regs z);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Xor_rr ->
       if x <> 0 then
         Array.unsafe_set regs x
           (Array.unsafe_get regs y lxor Array.unsafe_get regs z);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Sll_rr ->
       if x <> 0 then
         Array.unsafe_set regs x
           (Array.unsafe_get regs y lsl (Array.unsafe_get regs z land 63));
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Sra_rr ->
       if x <> 0 then
         Array.unsafe_set regs x
           (Array.unsafe_get regs y asr (Array.unsafe_get regs z land 63));
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Slt_rr ->
       if x <> 0 then
         Array.unsafe_set regs x
           (if Array.unsafe_get regs y < Array.unsafe_get regs z then 1 else 0);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Sle_rr ->
       if x <> 0 then
         Array.unsafe_set regs x
           (if Array.unsafe_get regs y <= Array.unsafe_get regs z then 1 else 0);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Seq_rr ->
       if x <> 0 then
         Array.unsafe_set regs x
           (if Array.unsafe_get regs y = Array.unsafe_get regs z then 1 else 0);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Sne_rr ->
       if x <> 0 then
         Array.unsafe_set regs x
           (if Array.unsafe_get regs y <> Array.unsafe_get regs z then 1 else 0);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Add_ri ->
       if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y + z);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Sub_ri ->
       if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y - z);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Mul_ri ->
       if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y * z);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Div_ri ->
       if z = 0 then begin
         sync pc instrs;
         fault m "division by zero"
-      end;
-      if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y / z);
-      step (pc + 1) instrs
+      end
+      else begin
+        if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y / z);
+        step c (pc + 1) instrs
+      end
     | Decode.Rem_ri ->
       if z = 0 then begin
         sync pc instrs;
         fault m "remainder by zero"
-      end;
-      if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y mod z);
-      step (pc + 1) instrs
+      end
+      else begin
+        if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y mod z);
+        step c (pc + 1) instrs
+      end
     | Decode.And_ri ->
       if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y land z);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Or_ri ->
       if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y lor z);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Xor_ri ->
       if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y lxor z);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Sll_ri ->
       if x <> 0 then
         Array.unsafe_set regs x (Array.unsafe_get regs y lsl (z land 63));
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Sra_ri ->
       if x <> 0 then
         Array.unsafe_set regs x (Array.unsafe_get regs y asr (z land 63));
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Slt_ri ->
       if x <> 0 then
         Array.unsafe_set regs x (if Array.unsafe_get regs y < z then 1 else 0);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Sle_ri ->
       if x <> 0 then
         Array.unsafe_set regs x (if Array.unsafe_get regs y <= z then 1 else 0);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Seq_ri ->
       if x <> 0 then
         Array.unsafe_set regs x (if Array.unsafe_get regs y = z then 1 else 0);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Sne_ri ->
       if x <> 0 then
         Array.unsafe_set regs x (if Array.unsafe_get regs y <> z then 1 else 0);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Li ->
       if x <> 0 then Array.unsafe_set regs x y;
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Move ->
       if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Lw ->
       let addr = y + Array.unsafe_get regs z in
       if addr < 0 || addr >= mem_words then begin
         sync pc instrs;
         fault m "load from bad address %d" addr
-      end;
-      if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get mem_i addr);
-      step (pc + 1) instrs
+      end
+      else begin
+        if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get mem_i addr);
+        step c (pc + 1) instrs
+      end
     | Decode.Sw ->
       let addr = y + Array.unsafe_get regs z in
       if addr < 0 || addr >= mem_words then begin
         sync pc instrs;
         fault m "store to bad address %d" addr
-      end;
-      Array.unsafe_set mem_i addr (Array.unsafe_get regs x);
-      if addr < mem_mid then begin
-        if addr > m.dirty_lo then m.dirty_lo <- addr
       end
-      else if addr < m.dirty_hi then m.dirty_hi <- addr;
-      step (pc + 1) instrs
+      else begin
+        Array.unsafe_set mem_i addr (Array.unsafe_get regs x);
+        if addr < mem_mid then begin
+          if addr > m.dirty_lo then m.dirty_lo <- addr
+        end
+        else if addr < m.dirty_hi then m.dirty_hi <- addr;
+        step c (pc + 1) instrs
+      end
     | Decode.Fadd ->
       Array.unsafe_set fregs x
         (Array.unsafe_get fregs y +. Array.unsafe_get fregs z);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Fsub ->
       Array.unsafe_set fregs x
         (Array.unsafe_get fregs y -. Array.unsafe_get fregs z);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Fmul ->
       Array.unsafe_set fregs x
         (Array.unsafe_get fregs y *. Array.unsafe_get fregs z);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Fdiv ->
       Array.unsafe_set fregs x
         (Array.unsafe_get fregs y /. Array.unsafe_get fregs z);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Fneg ->
       Array.unsafe_set fregs x (-.Array.unsafe_get fregs y);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Fabs ->
       Array.unsafe_set fregs x (Float.abs (Array.unsafe_get fregs y));
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Fli ->
       Array.unsafe_set fregs x (Array.unsafe_get c.Decode.fimms y);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Fmove ->
       Array.unsafe_set fregs x (Array.unsafe_get fregs y);
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Ld ->
       let addr = y + Array.unsafe_get regs z in
       if addr < 0 || addr >= mem_words then begin
         sync pc instrs;
         fault m "f-load from bad address %d" addr
-      end;
-      Array.unsafe_set fregs x (Array.unsafe_get mem_f addr);
-      step (pc + 1) instrs
+      end
+      else begin
+        Array.unsafe_set fregs x (Array.unsafe_get mem_f addr);
+        step c (pc + 1) instrs
+      end
     | Decode.Sd ->
       let addr = y + Array.unsafe_get regs z in
       if addr < 0 || addr >= mem_words then begin
         sync pc instrs;
         fault m "f-store to bad address %d" addr
-      end;
-      Array.unsafe_set mem_f addr (Array.unsafe_get fregs x);
-      if addr < mem_mid then begin
-        if addr > m.dirty_lo then m.dirty_lo <- addr
       end
-      else if addr < m.dirty_hi then m.dirty_hi <- addr;
-      step (pc + 1) instrs
+      else begin
+        Array.unsafe_set mem_f addr (Array.unsafe_get fregs x);
+        if addr < mem_mid then begin
+          if addr > m.dirty_lo then m.dirty_lo <- addr
+        end
+        else if addr < m.dirty_hi then m.dirty_hi <- addr;
+        step c (pc + 1) instrs
+      end
     | Decode.Itof ->
       Array.unsafe_set fregs x (float_of_int (Array.unsafe_get regs y));
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Ftoi ->
       let v = Array.unsafe_get fregs y in
       if Float.is_nan v || Float.abs v >= 1e18 then begin
         sync pc instrs;
         fault m "float-to-int out of range"
-      end;
-      if x <> 0 then Array.unsafe_set regs x (int_of_float v);
-      step (pc + 1) instrs
+      end
+      else begin
+        if x <> 0 then Array.unsafe_set regs x (int_of_float v);
+        step c (pc + 1) instrs
+      end
     | Decode.Fcmp_eq ->
       m.fcc <- Array.unsafe_get fregs x = Array.unsafe_get fregs y;
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Fcmp_lt ->
       m.fcc <- Array.unsafe_get fregs x < Array.unsafe_get fregs y;
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Fcmp_le ->
       m.fcc <- Array.unsafe_get fregs x <= Array.unsafe_get fregs y;
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Beq ->
-      let taken = Array.unsafe_get regs x = Array.unsafe_get regs y in
-      sync pc instrs;
-      on_branch m ~taken;
-      step (if taken then z else pc + 1) instrs
+      branch c pc instrs z (Array.unsafe_get regs x = Array.unsafe_get regs y)
     | Decode.Bne ->
-      let taken = Array.unsafe_get regs x <> Array.unsafe_get regs y in
-      sync pc instrs;
-      on_branch m ~taken;
-      step (if taken then z else pc + 1) instrs
-    | Decode.Bltz ->
-      let taken = Array.unsafe_get regs x < 0 in
-      sync pc instrs;
-      on_branch m ~taken;
-      step (if taken then z else pc + 1) instrs
-    | Decode.Blez ->
-      let taken = Array.unsafe_get regs x <= 0 in
-      sync pc instrs;
-      on_branch m ~taken;
-      step (if taken then z else pc + 1) instrs
-    | Decode.Bgtz ->
-      let taken = Array.unsafe_get regs x > 0 in
-      sync pc instrs;
-      on_branch m ~taken;
-      step (if taken then z else pc + 1) instrs
-    | Decode.Bgez ->
-      let taken = Array.unsafe_get regs x >= 0 in
-      sync pc instrs;
-      on_branch m ~taken;
-      step (if taken then z else pc + 1) instrs
-    | Decode.Bfp_t ->
-      let taken = m.fcc in
-      sync pc instrs;
-      on_branch m ~taken;
-      step (if taken then z else pc + 1) instrs
-    | Decode.Bfp_f ->
-      let taken = not m.fcc in
-      sync pc instrs;
-      on_branch m ~taken;
-      step (if taken then z else pc + 1) instrs
-    | Decode.Jump -> step z instrs
+      branch c pc instrs z (Array.unsafe_get regs x <> Array.unsafe_get regs y)
+    | Decode.Bltz -> branch c pc instrs z (Array.unsafe_get regs x < 0)
+    | Decode.Blez -> branch c pc instrs z (Array.unsafe_get regs x <= 0)
+    | Decode.Bgtz -> branch c pc instrs z (Array.unsafe_get regs x > 0)
+    | Decode.Bgez -> branch c pc instrs z (Array.unsafe_get regs x >= 0)
+    | Decode.Bfp_t -> branch c pc instrs z m.fcc
+    | Decode.Bfp_f -> branch c pc instrs z (not m.fcc)
+    | Decode.Jump -> enter c z instrs
     | Decode.Jtab ->
       let i = Array.unsafe_get regs x in
       let tab = Array.unsafe_get c.Decode.jtabs y in
       if i < 0 || i >= Array.length tab then begin
         sync pc instrs;
         fault m "jump table index %d out of range" i
-      end;
-      sync pc instrs;
-      on_indirect m;
-      step (Array.unsafe_get tab i) instrs
+      end
+      else indirect c pc instrs (Array.unsafe_get tab i)
     | Decode.Call -> call pc instrs z
-    | Decode.Callr ->
-      sync pc instrs;
-      on_indirect m;
-      call pc instrs (Array.unsafe_get regs x)
+    | Decode.Callr -> indirect_call pc instrs (Array.unsafe_get regs x)
     | Decode.Ret ->
       if !depth = 0 then finish instrs
       else begin
         decr depth;
         let p = Array.unsafe_get ret_proc !depth in
         m.proc <- p;
-        cur := Array.unsafe_get dprocs p;
-        step (Array.unsafe_get ret_pc !depth) instrs
+        enter (Array.unsafe_get dprocs p) (Array.unsafe_get ret_pc !depth)
+          instrs
       end
     | Decode.ReadI ->
       let v =
@@ -501,27 +492,47 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
       in
       m.icursor <- m.icursor + 1;
       if x <> 0 then Array.unsafe_set regs x v;
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.ReadF ->
       let v =
         if m.fcursor < nfloats then Array.unsafe_get floats m.fcursor else 0.
       in
       m.fcursor <- m.fcursor + 1;
       Array.unsafe_set fregs x v;
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.PrintI ->
       m.checksum <-
         ((m.checksum * 31) + Array.unsafe_get regs x) land 0x3FFFFFFFFFFF;
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.PrintF ->
       let v = Array.unsafe_get fregs x *. 4096. in
       let v =
         if Float.is_nan v || Float.abs v >= 1e18 then 0x5EED else int_of_float v
       in
       m.checksum <- ((m.checksum * 31) + v) land 0x3FFFFFFFFFFF;
-      step (pc + 1) instrs
+      step c (pc + 1) instrs
     | Decode.Halt -> finish instrs
-    | Decode.Nop -> step (pc + 1) instrs
+    | Decode.Nop -> step c (pc + 1) instrs
+    | Decode.Fall_off ->
+      sync pc (instrs - 1);
+      fault m "fell off the end of procedure"
+    | Decode.Fuel_trap ->
+      sync pc (instrs - 1);
+      out_of_fuel m
+  (* The observer calls live outside [step], so that no value of the
+     dispatch loop is live across a call and [step] need not spill. *)
+  and branch c pc instrs target taken =
+    sync pc instrs;
+    on_branch m ~taken;
+    enter c (if taken then target else pc + 1) instrs
+  and indirect c pc instrs target =
+    sync pc instrs;
+    on_indirect m;
+    enter c target instrs
+  and indirect_call pc instrs target =
+    sync pc instrs;
+    on_indirect m;
+    call pc instrs target
   and call pc instrs target =
     if !depth >= max_call_depth then begin
       sync pc instrs;
@@ -535,10 +546,11 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
       fault m "call to bad procedure index %d" target
     end;
     m.proc <- target;
-    cur := Array.unsafe_get dprocs target;
-    step 0 instrs
+    enter (Array.unsafe_get dprocs target) 0 instrs
   in
-  Fun.protect ~finally:(fun () -> release_mem m) (fun () -> step 0 0)
+  Fun.protect
+    ~finally:(fun () -> release_mem m)
+    (fun () -> enter (Array.unsafe_get dprocs m.proc) 0 0)
 
 let run ?max_instrs ?on_branch ?on_indirect prog input =
   run_decoded ?max_instrs ?on_branch ?on_indirect (Decode.of_program prog)

@@ -81,11 +81,19 @@ val run_decoded :
   ?on_indirect:(t -> unit) ->
   Decode.t -> Dataset.t -> stats
 (** Like {!run} on a program decoded up front.  The hot loop keeps the
-    program counter and instruction count in locals and dispatches on
-    the dense {!Decode.op} code.  Before every [on_branch]/[on_indirect]
-    call and every fault, [t.proc]/[t.pc] are set to the current
-    instruction and [t.instrs] to the instructions executed, the
-    current one included.  The two faults raised before an instruction
-    executes — {!Out_of_fuel}, and falling off the end of a
-    procedure — exclude it.  Every fault message ends
-    [(at <proc>+<pc>, <instrs> instructions executed)]. *)
+    current procedure, program counter and instruction count in locals
+    and dispatches on the dense {!Decode.op} code.  Before every
+    [on_branch]/[on_indirect] call and every fault, [t.proc]/[t.pc] are
+    set to the current instruction and [t.instrs] to the instructions
+    executed, the current one included.  The two faults raised before
+    an instruction executes — {!Out_of_fuel}, and falling off the end
+    of a procedure — exclude it.  Every fault message ends
+    [(at <proc>+<pc>, <instrs> instructions executed)].
+
+    Fuel is checked once per straight-line run (the [runs] of
+    {!Decode.dproc}), on entry to the program and wherever a branch
+    (taken or not), jump, jump table, call or return lands; it is never
+    tested between two instructions of one run.  The outcome is the same as checking
+    before every instruction: with [~max_instrs:N] the run stops out of
+    fuel before instruction [N + 1], at that instruction's position,
+    unless it halts or faults first. *)

@@ -1,7 +1,8 @@
 (* Tests for the pre-decoded simulator: decoding up front agrees with
-   decoding on demand, scratch-memory reuse leaves no residue, and a
-   fixed batch of fuzz-generated programs keeps its pinned statistics
-   and edge profiles. *)
+   decoding on demand, scratch-memory reuse leaves no residue, a fixed
+   batch of fuzz-generated programs keeps its pinned statistics and
+   edge profiles, and every decoded body has its sentinel and the
+   straight-line run lengths the interpreter's fuel check relies on. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -69,6 +70,51 @@ let test_scratch_reuse_is_clean () =
         a b)
     wl.datasets
 
+(* Every decoded procedure ends in the sentinel, and [runs] counts the
+   straight-line run from each slot: 1 at a control transfer, one more
+   than the next slot's elsewhere, 0 at the sentinel.  Nothing decodes
+   to [Fuel_trap]; only the interpreter plants it. *)
+let is_transfer : int Mips.Insn.t -> bool = function
+  | Beq _ | Bne _ | Bz _ | Bfp _ | J _ | Jtab _
+  | Jal _ | Jalr _ | Ret | Halt -> true
+  | _ -> false
+
+let check_decoded where (prog : Mips.Program.t) =
+  let d = Sim.Decode.of_program prog in
+  Array.iteri
+    (fun p (dp : Sim.Decode.dproc) ->
+      let body = prog.procs.(p).body in
+      let n = Array.length body in
+      let fail i what =
+        Alcotest.failf "%s: %s+%d: %s" where prog.procs.(p).name i what
+      in
+      if Array.length dp.ops <> n + 1 || Array.length dp.runs <> n + 1 then
+        fail n "expected n + 1 slots";
+      if dp.ops.(n) <> Sim.Decode.Fall_off then fail n "no sentinel";
+      if dp.runs.(n) <> 0 then fail n "runs at the sentinel is not 0";
+      for i = 0 to n - 1 do
+        let expect = if is_transfer body.(i) then 1 else 1 + dp.runs.(i + 1) in
+        if dp.runs.(i) <> expect then
+          fail i (Printf.sprintf "runs %d, expected %d" dp.runs.(i) expect);
+        match dp.ops.(i) with
+        | Sim.Decode.Fall_off | Sim.Decode.Fuel_trap ->
+          fail i "sentinel or trap inside the body"
+        | _ -> ()
+      done)
+    d.procs
+
+let test_decoded_invariants () =
+  List.iter
+    (fun (wl : Workloads.Workload.t) ->
+      check_decoded wl.name (Workloads.Workload.compile wl))
+    Workloads.Registry.all;
+  for i = 0 to fuzz_cases - 1 do
+    let cs = Fuzz.Gen.case_seed ~seed:1993 ~index:i in
+    let size = 8 + (i mod 13) in
+    let src = Fuzz.Gen.to_source (Fuzz.Gen.generate ~seed:cs ~size) in
+    check_decoded (Printf.sprintf "fuzz case %d" i) (Minic.Frontend.compile src)
+  done
+
 let () =
   Alcotest.run "decode"
     [
@@ -80,5 +126,10 @@ let () =
             test_fuzzed_programs_pinned;
           Alcotest.test_case "scratch reuse leaves no residue" `Quick
             test_scratch_reuse_is_clean;
+        ] );
+      ( "invariants",
+        [
+          Alcotest.test_case "sentinel and straight-line runs" `Quick
+            test_decoded_invariants;
         ] );
     ]

@@ -354,20 +354,164 @@ let fault_cases =
         "out of fuel: instruction limit exceeded (at main+0, 100000 \
          instructions executed)",
       [ ("main", [ Lab "l"; Ins (I.J "l") ]) ] );
+    ( fault
+        "fell off the end of procedure (at main+1, 2 instructions executed)",
+      [ ("main", [ Ins (I.Jal "f") ]); ("f", [ Ins I.Ret ]) ] );
+    (* the loop re-enters at [l], mid-way through the straight-line
+       run that starts at slot 0, and the budget ends inside that run *)
+    ( Sim.Machine.Out_of_fuel
+        "out of fuel: instruction limit exceeded (at main+4, 100000 \
+         instructions executed)",
+      [ ( "main",
+          [ Ins (I.Li (t0, 0)); Lab "l"; Ins I.Nop; Ins I.Nop; Ins I.Nop;
+            Ins (I.J "l") ] ) ] );
   ]
 
+(* A procedure body built without [Mips.Asm], which pads a label at the
+   very end with a [Halt]: here a target may be the slot just past the
+   last instruction, so a transfer there falls off the procedure. *)
+let raw_program procs =
+  {
+    Mips.Program.procs =
+      Array.of_list
+        (List.mapi
+           (fun index (name, body) ->
+             { Mips.Program.name; index; body = Array.of_list body })
+           procs);
+    entry = 0;
+    idata = [];
+    fdata = [];
+  }
+
+(* every transfer that can land one past the last slot *)
+let end_target_cases =
+  let module I = Mips.Insn in
+  let t0 = Mips.Reg.t 0 and zero = Mips.Reg.zero in
+  let fell =
+    Sim.Machine.Fault
+      "fell off the end of procedure (at main+3, 2 instructions executed)"
+  in
+  [
+    (fell, [ ("main", [ I.Li (t0, 1); I.Bne (t0, zero, 3); I.Halt ]) ]);
+    (fell, [ ("main", [ I.Nop; I.J 3; I.Halt ]) ]);
+    (fell, [ ("main", [ I.Li (t0, 1); I.Jtab (t0, [| 2; 3 |]); I.Halt ]) ]);
+  ]
+
+(* a target outside [0, n] has no slot to land on: decoding rejects it *)
+let test_target_out_of_range () =
+  let module I = Mips.Insn in
+  List.iter
+    (fun body ->
+      match Sim.Decode.of_program (raw_program [ ("main", body) ]) with
+      | _ -> Alcotest.fail "expected the decoder to reject the target"
+      | exception Invalid_argument _ -> ())
+    [ [ I.Nop; I.J 3 ]; [ I.Bfp (true, -1); I.Halt ];
+      [ I.Jtab (Mips.Reg.zero, [| 0; 3 |]); I.Halt ] ]
+
 let test_fault_messages () =
+  let check expected prog =
+    let got =
+      match Sim.Machine.run ~max_instrs:100_000 prog (ds ()) with
+      | _ -> "completed"
+      | exception e -> Printexc.to_string e
+    in
+    let expected = Printexc.to_string expected in
+    Alcotest.(check string) expected expected got
+  in
   List.iter
     (fun (expected, procs) ->
-      let prog = Mips.Program.make ~entry:"main" procs in
-      let got =
-        match Sim.Machine.run ~max_instrs:100_000 prog (ds ()) with
-        | _ -> "completed"
-        | exception e -> Printexc.to_string e
+      check expected (Mips.Program.make ~entry:"main" procs))
+    fault_cases;
+  List.iter
+    (fun (expected, procs) -> check expected (raw_program procs))
+    end_target_cases
+
+(* Every fuel limit from 1 up to two past the first limit at which a
+   program no longer runs out of fuel, on three small programs: a
+   MiniC loop that calls a function and then divides by zero in the
+   middle of a straight-line run, a loop whose branch lands in the
+   middle of a straight-line run, and a program that ends by falling
+   off a procedure.  One line per run — [ok <instrs> <checksum>] or
+   the full exception — and one digest over all of them. *)
+let sweep_runs = 565
+let sweep_digest = "5b0799c1aea110236b445de332fbf0d3"
+
+let sweep_programs () =
+  let open Mips.Asm in
+  let module I = Mips.Insn in
+  let t0 = Mips.Reg.t 0 and t1 = Mips.Reg.t 1 and v0 = Mips.Reg.v0 in
+  let divides =
+    compile
+      {|
+int f(int x) { return x * 3 + 1; }
+int main() {
+  int i;
+  int s = 0;
+  for (i = 0; i < 20; i++) {
+    s = s + f(i);
+    s = s + 1000 / (12 - i);
+    print(s);
+  }
+  return 0;
+}
+|}
+  in
+  let mid_run =
+    Mips.Program.make ~entry:"main"
+      [
+        ( "main",
+          [ Ins (I.Li (t0, 5)); Ins (I.Li (t1, 0)); Lab "l";
+            Ins (I.Alu (I.Add, t1, t1, I.Reg t0)); Ins (I.PrintI t1);
+            Ins (I.Alu (I.Sub, t0, t0, I.Imm 1)); Ins (I.Bz (I.Gtz, t0, "l"));
+            Ins (I.Jal "g"); Ins (I.PrintI v0); Ins I.Halt ] );
+        ( "g",
+          [ Ins (I.Li (v0, 7)); Ins (I.Alu (I.Add, v0, v0, I.Reg t1));
+            Ins I.Ret ] );
+      ]
+  in
+  let falls_off =
+    Mips.Program.make ~entry:"main"
+      [
+        ( "main",
+          [ Ins (I.Li (t0, 3)); Lab "l"; Ins (I.Jal "f");
+            Ins (I.Alu (I.Sub, t0, t0, I.Imm 1)); Ins (I.Bz (I.Gtz, t0, "l"));
+            Ins (I.PrintI t0); Ins (I.Jal "g"); Ins I.Ret ] );
+        ( "f",
+          [ Ins (I.Alu (I.Add, v0, v0, I.Reg t0)); Ins (I.PrintI v0);
+            Ins I.Ret ] );
+        ("g", [ Ins (I.Li (v0, 1)); Ins I.Nop ]);
+      ]
+  in
+  [ divides; mid_run; falls_off ]
+
+let test_fuel_sweep () =
+  let b = Buffer.create 4096 and runs = ref 0 in
+  List.iter
+    (fun prog ->
+      let d = Sim.Decode.of_program prog in
+      let rec sweep fuel stop =
+        if fuel <= stop then begin
+          incr runs;
+          let stop =
+            match Sim.Machine.run_decoded ~max_instrs:fuel d (ds ()) with
+            | s ->
+              Printf.bprintf b "ok %d %d\n" s.instr_count s.checksum;
+              min stop (fuel + 2)
+            | exception (Sim.Machine.Out_of_fuel _ as e) ->
+              Printf.bprintf b "%s\n" (Printexc.to_string e);
+              stop
+            | exception (Sim.Machine.Fault _ as e) ->
+              Printf.bprintf b "%s\n" (Printexc.to_string e);
+              min stop (fuel + 2)
+          in
+          sweep (fuel + 1) stop
+        end
       in
-      let expected = Printexc.to_string expected in
-      Alcotest.(check string) expected expected got)
-    fault_cases
+      sweep 1 100_000)
+    (sweep_programs ());
+  checki "runs" sweep_runs !runs;
+  Alcotest.(check string) "digest of every outcome" sweep_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let test_machine_zero_register () =
   let open Mips.Asm in
@@ -445,6 +589,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_stats_deterministic;
           Alcotest.test_case "instr limit" `Quick test_instr_limit;
           Alcotest.test_case "fuel exactness" `Quick test_fuel_exactness;
+          Alcotest.test_case "fuel sweep" `Quick test_fuel_sweep;
           Alcotest.test_case "default fuel" `Quick test_default_fuel;
           Alcotest.test_case "dataset of_seed" `Quick test_dataset_of_seed;
           Alcotest.test_case "reads" `Quick test_reads;
@@ -469,6 +614,8 @@ let () =
           Alcotest.test_case "jtab bounds" `Quick test_machine_jtab_bounds;
           Alcotest.test_case "bad call index" `Quick test_machine_bad_call_index;
           Alcotest.test_case "fault messages" `Quick test_fault_messages;
+          Alcotest.test_case "target out of range" `Quick
+            test_target_out_of_range;
           Alcotest.test_case "zero register" `Quick test_machine_zero_register;
           Alcotest.test_case "float ops" `Quick test_machine_float_roundtrip;
         ] );
