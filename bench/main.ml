@@ -60,8 +60,11 @@ let report gate ok_msg failures =
 
 (* ---- perf-smoke: a seconds-scale sanity gate for CI ----
 
-   Profiles one small workload at -j 1 and at the effective width, and
-   runs a capped subset enumeration the same way.  Fails when the
+   Profiles four small workloads at -j 1 and at the effective width
+   (four, so the pool has tasks to spread), and runs a capped subset
+   enumeration the same way.  Each stage runs twice per width and the
+   second run is timed: the first after [set_jobs] pays each new
+   worker domain's interpreter scratch allocation.  Fails when the
    parallel path is meaningfully slower than sequential — a speedup
    below 0.9x that also loses more than 50ms (so single-digit-ms
    timer noise on a 1-core host cannot flap the gate). *)
@@ -74,12 +77,12 @@ let perf_smoke jn =
   Par.Pool.set_jobs jn;
   let m, _ = Experiments.Orderings.miss_matrix_cached () in
   let k = (Array.length m + 1) / 2 in
-  let smoke_wl = "matrix300" in
+  let smoke_wls = [ "xlisp"; "gcc"; "rn"; "compress" ] in
   let stages =
     [
-      ( "profile:" ^ smoke_wl,
+      ( "profile:" ^ String.concat "+" smoke_wls,
         (fun () -> Experiments.Bench_run.reset ()),
-        fun () -> ignore (Experiments.Bench_run.load_named [ smoke_wl ]) );
+        fun () -> ignore (Experiments.Bench_run.load_named smoke_wls) );
       ( "subset:20k",
         ignore,
         fun () -> ignore (Predict.Subset.run ~k ~max_trials:20_000 m) );
@@ -88,14 +91,17 @@ let perf_smoke jn =
   let failures = ref [] in
   List.iter
     (fun (name, prepare, run) ->
-      Par.Pool.set_jobs 1;
-      prepare ();
-      let t1 = wall run in
-      Par.Pool.set_jobs jn;
-      prepare ();
-      let tn = wall run in
+      let timed jobs =
+        Par.Pool.set_jobs jobs;
+        prepare ();
+        run ();
+        prepare ();
+        wall run
+      in
+      let t1 = timed 1 in
+      let tn = timed jn in
       let speedup = if tn > 0. then t1 /. tn else Float.nan in
-      Printf.printf "%-18s j1 %7.3f s   j%d %7.3f s   speedup %5.2fx\n%!" name
+      Printf.printf "%-30s j1 %7.3f s   j%d %7.3f s   speedup %5.2fx\n%!" name
         t1 jn tn speedup;
       if speedup < 0.9 && tn -. t1 > 0.05 then
         failures :=

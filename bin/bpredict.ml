@@ -73,29 +73,13 @@ let no_cache_arg =
 let apply_no_cache no_cache = if no_cache then Cache.Store.set_enabled false
 
 let handle_errors f =
-  (* Pool task failures are unwrapped so the user sees the underlying
-     error (and the exit code matches it), not the pool's wrapper. *)
-  let rec handle = function
-    | Par.Pool.Task_failed { exn; _ } -> handle exn
-    | Minic.Frontend.Error msg | Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
-    | Sim.Machine.Fault msg ->
-      Printf.eprintf "runtime fault: %s\n" msg;
-      exit 2
-    | Sim.Machine.Out_of_fuel msg ->
-      Printf.eprintf "runtime fault: %s\n" msg;
-      exit 2
-    | e -> raise e
-  in
-  try f () with e -> handle e
-
-let timeout_arg =
-  let doc =
-    "Per-experiment wall-clock timeout in seconds; an experiment that \
-     misses it fails with a timeout banner and the suite continues."
-  in
-  Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECS" ~doc)
+  try f () with
+  | Minic.Frontend.Error msg | Failure msg ->
+    Printf.eprintf "error: %s\n" msg;
+    exit 1
+  | Sim.Machine.Fault msg | Sim.Machine.Out_of_fuel msg ->
+    Printf.eprintf "runtime fault: %s\n" msg;
+    exit 2
 
 let trace_arg =
   let doc =
@@ -285,14 +269,14 @@ let experiment_cmd =
     Arg.(value & flag & info [ "quick" ]
            ~doc:"Cap the subset experiment at 20,000 trials.")
   in
-  let run id quick jobs no_cache timeout trace =
+  let run id quick jobs no_cache trace =
     handle_errors (fun () ->
         apply_jobs jobs;
         apply_no_cache no_cache;
         apply_trace trace;
         if String.equal id "all" then begin
           let summary =
-            Experiments.Driver.run_all ~quick ?timeout Format.std_formatter
+            Experiments.Driver.run_all ~quick Format.std_formatter
           in
           Experiments.Driver.pp_summary Format.err_formatter summary;
           exit (Experiments.Driver.exit_code summary)
@@ -301,7 +285,7 @@ let experiment_cmd =
           match Experiments.Driver.find id with
           | Some e ->
             let summary =
-              Experiments.Driver.run_list ~quick ?timeout ~warm:false [ e ]
+              Experiments.Driver.run_list ~quick ~warm:false [ e ]
                 Format.std_formatter
             in
             if Experiments.Driver.exit_code summary <> 0 then begin
@@ -321,7 +305,7 @@ let experiment_cmd =
   Cmd.v
     (Cmd.info "experiment" ~doc:"Reproduce one of the paper's tables/figures")
     Term.(const run $ id_arg $ quick_arg $ jobs_arg $ no_cache_arg
-          $ timeout_arg $ trace_arg)
+          $ trace_arg)
 
 (* ---- stats ---- *)
 

@@ -141,11 +141,8 @@ let taken_after (prog : Mips.Program.t) ~predict (profile : Sim.Profile.t) =
   !taken
 
 let taken_transfers prog dataset =
-  let taken_count = ref 0 in
-  let exec_count = ref 0 in
-  let on_branch _ ~taken =
-    incr exec_count;
-    if taken then incr taken_count
+  let profile = Sim.Profile.run prog dataset in
+  let taken =
+    Array.fold_left (Array.fold_left ( + )) 0 profile.Sim.Profile.taken
   in
-  let stats = Sim.Machine.run ~on_branch prog dataset in
-  (!taken_count, !exec_count, stats)
+  (taken, Sim.Profile.branch_execs profile, profile.stats)

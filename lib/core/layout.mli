@@ -47,7 +47,7 @@ val taken_after :
 
 val taken_transfers :
   Mips.Program.t -> Sim.Dataset.t -> int * int * Sim.Machine.stats
-(** Run the program and count [(taken conditional branches,
-    conditional branch executions, stats)].  Combined with {!apply}
-    this quantifies how much layout helps a fall-through-predicting
-    front end. *)
+(** Profile the program ({!Sim.Profile.run}) and count [(taken
+    conditional branches, conditional branch executions, stats)].
+    Combined with {!apply} this quantifies how much layout helps a
+    fall-through-predicting front end. *)

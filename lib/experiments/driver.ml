@@ -74,9 +74,9 @@ type summary = {
 (* One experiment under the fault boundary.  The body renders into a
    private buffer, not the caller's formatter: a failed experiment
    leaves no partial table behind its failure banner. *)
-let run_one ?timeout ~quick e =
+let run_one ~quick e =
   Obs.span ~name:"experiment" ~attrs:[ ("id", e.id) ] (fun () ->
-      Robust.Supervise.run ?timeout ~label:e.id (fun () ->
+      Robust.Supervise.run ~label:e.id (fun () ->
           let buf = Buffer.create 4096 in
           let bppf = Format.formatter_of_buffer buf in
           (match e.quick_run with
@@ -85,7 +85,7 @@ let run_one ?timeout ~quick e =
           Format.pp_print_flush bppf ();
           Buffer.contents buf))
 
-let run_list ?(quick = false) ?timeout ?(warm = true) exps ppf =
+let run_list ?(quick = false) ?(warm = true) exps ppf =
   (* A prewarm failure only costs parallel warmth — every
      experiment recomputes what it needs on demand — so it is reported
      on stderr and the suite proceeds with the tables untouched. *)
@@ -98,7 +98,7 @@ let run_list ?(quick = false) ?timeout ?(warm = true) exps ppf =
     List.map
       (fun e ->
         Format.fprintf ppf "==== %s ====@.@." e.title;
-        let o = run_one ?timeout ~quick e in
+        let o = run_one ~quick e in
         let r =
           match o.Robust.Supervise.status with
           | Completed ->
@@ -117,7 +117,7 @@ let run_list ?(quick = false) ?timeout ?(warm = true) exps ppf =
   in
   { passed = List.length results - failed; failed; results }
 
-let run_all ?quick ?timeout ppf = run_list ?quick ?timeout all ppf
+let run_all ?quick ppf = run_list ?quick all ppf
 
 let exit_code s = if s.failed > 0 then 3 else 0
 

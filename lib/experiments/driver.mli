@@ -34,20 +34,19 @@ type summary = {
 }
 
 val run_list :
-  ?quick:bool -> ?timeout:float -> ?warm:bool -> experiment list ->
+  ?quick:bool -> ?warm:bool -> experiment list ->
   Format.formatter -> summary
 (** Run the given experiments in sequence after a supervised parallel
     {!prewarm} ([warm], default [true] — pass [false] for a single
     experiment that should only compute what it reads), each inside a
-    {!Robust.Supervise} fault boundary with the given per-experiment
-    [timeout].  Each experiment renders into a private buffer, so a
+    {!Robust.Supervise} fault boundary.  Each experiment renders into a private buffer, so a
     failed experiment prints a structured failure banner in place of
     its table, with no partial output, and the suite continues.  Only
     experiment banners, tables and failure banners go to the formatter
     — the summary does not, so callers can diff table output
     byte-for-byte. *)
 
-val run_all : ?quick:bool -> ?timeout:float -> Format.formatter -> summary
+val run_all : ?quick:bool -> Format.formatter -> summary
 (** {!run_list} over {!all}.  [quick] substitutes each experiment's
     [quick_run] when present (the subset experiment capped at 20,000
     trials). *)

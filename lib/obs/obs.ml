@@ -265,7 +265,10 @@ let write_trace_at_exit path =
   if !exit_trace = None then
     at_exit (fun () ->
         match !exit_trace with
-        | Some p -> ( try write_trace p with Sys_error _ -> ())
+        | Some p -> (
+          try write_trace p
+          with Sys_error msg ->
+            Printf.eprintf "error: cannot write trace %s: %s\n%!" p msg)
         | None -> ());
   exit_trace := Some path;
   enable ()

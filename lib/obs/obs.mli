@@ -71,8 +71,9 @@ val write_trace : string -> unit
 val write_trace_at_exit : string -> unit
 (** [write_trace_at_exit path] enables recording and arranges for the
     trace to be written to [path] at process exit ([--trace]); a later
-    call replaces [path].  [BALLARUS_TRACE=path] in the environment
-    does the same at program start. *)
+    call replaces [path].  A path that cannot be written is reported
+    on stderr with the system's reason.  [BALLARUS_TRACE=path] in the
+    environment does the same at program start. *)
 
 (** {1 JSON} *)
 

@@ -1,19 +1,3 @@
-exception Task_failed of {
-  index : int;
-  exn : exn;
-  backtrace : Printexc.raw_backtrace;
-}
-
-let () =
-  Printexc.register_printer (function
-    | Task_failed { index; exn; _ } ->
-      Some
-        (Printf.sprintf "Par.Pool.Task_failed(task %d: %s)" index
-           (Printexc.to_string exn))
-    | _ -> None)
-
-type failure = { index : int; exn : exn; backtrace : Printexc.raw_backtrace }
-
 (* One in-flight fork-join job.  Indices are claimed through [next];
    [finished] counts completed bodies so the caller can wait for the
    stragglers that other domains are still running.  Stale workers that
@@ -27,7 +11,8 @@ type job = {
   total : int;
   next : int Atomic.t;
   finished : int Atomic.t;
-  mutable failure : failure option; (* guarded by the pool mutex *)
+  mutable failure : (exn * Printexc.raw_backtrace) option;
+      (* guarded by the pool mutex *)
 }
 
 type t = {
@@ -59,8 +44,7 @@ let execute t (j : job) =
        with e ->
          let bt = Printexc.get_raw_backtrace () in
          Mutex.lock t.mutex;
-         if j.failure = None then
-           j.failure <- Some { index = i; exn = e; backtrace = bt };
+         if j.failure = None then j.failure <- Some (e, bt);
          Mutex.unlock t.mutex);
       let f = 1 + Atomic.fetch_and_add j.finished 1 in
       if f = j.total then begin
@@ -113,40 +97,23 @@ let shutdown t =
   t.workers <- [];
   List.iter Domain.join ws
 
-let raise_failure { index; exn; backtrace } =
-  Printexc.raise_with_backtrace
-    (Task_failed { index; exn; backtrace })
-    backtrace
-
 (* Every fork-join job is counted in the metrics registry (both the
    sequential fast path and the pool path), so the bench JSON can
    report how much work went through the pool. *)
 let jobs_counter = Obs.Metrics.counter "pool.jobs"
 let tasks_counter = Obs.Metrics.counter "pool.tasks"
 
-(* Sequential execution with the same failure contract as the pool:
-   the first exception stops the loop and is re-raised as [Task_failed] carrying the task index. *)
-let run_seq n body =
-  Obs.Metrics.incr jobs_counter;
-  Obs.Metrics.incr ~by:n tasks_counter;
-  let i = ref 0 in
-  try
-    while !i < n do
-      body !i;
-      incr i
-    done
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    raise_failure { index = !i; exn = e; backtrace = bt }
-
 let run t n body =
   if n > 0 then begin
+    Obs.Metrics.incr jobs_counter;
+    Obs.Metrics.incr ~by:n tasks_counter;
     if t.size = 1 || n = 1 then
-      (* sequential fast path: no handoff, ascending order *)
-      run_seq n body
+      (* sequential fast path: no handoff, ascending order; the first
+         exception stops the loop and propagates as it was raised *)
+      for i = 0 to n - 1 do
+        body i
+      done
     else begin
-      Obs.Metrics.incr jobs_counter;
-      Obs.Metrics.incr ~by:n tasks_counter;
       Obs.span ~name:"pool.job" ~attrs:[ ("tasks", string_of_int n) ]
         (fun () ->
           let j =
@@ -176,7 +143,9 @@ let run t n body =
              back to sleep. *)
           t.job <- None;
           Mutex.unlock t.mutex;
-          match fail with Some f -> raise_failure f | None -> ())
+          match fail with
+          | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+          | None -> ())
     end
   end
 

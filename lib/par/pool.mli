@@ -12,18 +12,6 @@
     The pool is built only from the stdlib ([Domain], [Atomic],
     [Mutex], [Condition]) — no external dependency. *)
 
-exception Task_failed of {
-  index : int;  (** the task index whose body raised *)
-  exn : exn;  (** the original exception *)
-  backtrace : Printexc.raw_backtrace;
-      (** captured where the task raised, on whichever domain ran it *)
-}
-(** Raised in the caller when any task of a fork-join job fails.  The
-    failing task's identity and backtrace are preserved; the first
-    failure (by completion order) wins.  Worker domains themselves
-    never die from a task exception — they record it and keep serving
-    jobs — so one bad task cannot poison the pool. *)
-
 type t
 
 val create : jobs:int -> t
@@ -48,11 +36,12 @@ val run : t -> int -> (int -> unit) -> unit
 (** [run t n body] executes [body i] exactly once for every
     [0 <= i < n], distributing indices over the pool's domains.  The
     caller participates and returns once all [n] tasks have finished.
-    If any task raises, the join re-raises {!Task_failed} in the
-    caller, carrying the failing index, original exception, and its
-    backtrace.  On the pool every task still runs after a failure; the
-    sequential fast path ([jobs = 1] or [n = 1]) stops at the first
-    exception. *)
+    If any task raises, the join re-raises that task's own exception
+    in the caller, with the backtrace captured where it was raised, on
+    whichever domain ran it; the first failure (by completion order)
+    wins.  On the pool every task still runs after a failure, and the
+    worker domains survive to serve the next job; the sequential fast
+    path ([jobs = 1] or [n = 1]) stops at the first exception. *)
 
 val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Like [Array.map], with elements processed across the pool.  The

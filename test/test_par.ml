@@ -4,6 +4,11 @@
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
 let with_pool jobs f =
   let p = Par.Pool.create ~jobs in
   Fun.protect ~finally:(fun () -> Par.Pool.shutdown p) (fun () -> f p)
@@ -95,40 +100,51 @@ let test_reduce_merges_in_chunk_order () =
 
 exception Boom
 
+(* Raises [Boom] from a named frame, so a backtrace can be checked for
+   the code that raised.  Backtrace recording is per domain: a task
+   turns it on for whichever domain runs it. *)
+let raise_boom () =
+  Printexc.record_backtrace true;
+  raise Boom
+[@@inline never]
+
 let test_exception_propagates () =
-  (* a task exception re-raises in the caller as Task_failed carrying
-     the failing task's identity and the original exception *)
+  (* a task exception re-raises in the caller as itself, at every
+     width, the sequential path included *)
   List.iter
     (fun jobs ->
       with_pool jobs (fun p ->
           match Par.Pool.run p 64 (fun i -> if i = 13 then raise Boom) with
           | () -> Alcotest.fail "expected the task exception to surface"
-          | exception Par.Pool.Task_failed { index; exn = Boom; _ } ->
-            checki "failing task identified" 13 index
-          | exception _ -> Alcotest.fail "expected Task_failed{exn=Boom}"))
-    widths;
+          | exception Boom -> ()))
+    [ 1; 2; 4; 8 ];
   (* the pool survives a failed job: the worker domains are unaffected
      and serve the next job normally *)
   with_pool 4 (fun p ->
-      (try Par.Pool.run p 8 (fun _ -> raise Boom)
-       with Par.Pool.Task_failed _ -> ());
+      (try Par.Pool.run p 8 (fun _ -> raise Boom) with Boom -> ());
       let sum = Atomic.make 0 in
       Par.Pool.run p 8 (fun i -> ignore (Atomic.fetch_and_add sum i));
       checki "pool still works" 28 (Atomic.get sum))
 
 let test_exception_backtrace () =
-  with_pool 4 (fun p ->
-      match Par.Pool.run p 16 (fun i -> if i = 5 then raise Boom) with
-      | () -> Alcotest.fail "expected Task_failed"
-      | exception Par.Pool.Task_failed { index; exn; backtrace } ->
-        checki "index" 5 index;
-        checkb "original exception" true (exn = Boom);
-        (* the backtrace is the raw capture from the raising domain;
-           just assert it converts without blowing up *)
-        ignore (Printexc.raw_backtrace_to_string backtrace : string))
+  (* the backtrace the caller sees is the one captured where the task
+     raised, on whichever domain ran it *)
+  Printexc.record_backtrace true;
+  List.iter
+    (fun jobs ->
+      with_pool jobs (fun p ->
+          match Par.Pool.run p 16 (fun i -> if i = 5 then raise_boom ()) with
+          | () -> Alcotest.fail "expected Boom"
+          | exception Boom ->
+            let bt =
+              Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ())
+            in
+            checkb "backtrace names the raising code" true
+              (contains bt "Test_par.raise_boom")))
+    [ 1; 2; 4; 8 ]
 
 let test_sequential_stops_at_failure () =
-  (* a 1-domain job stops at the first failure and reports its index *)
+  (* a 1-domain job stops at the first failure *)
   with_pool 1 (fun p ->
       let ran = ref 0 in
       (match
@@ -136,8 +152,8 @@ let test_sequential_stops_at_failure () =
              incr ran;
              if i = 3 then raise Boom)
        with
-      | () -> Alcotest.fail "expected Task_failed"
-      | exception Par.Pool.Task_failed { index; _ } -> checki "index" 3 index);
+      | () -> Alcotest.fail "expected Boom"
+      | exception Boom -> ());
       checki "stopped at the failure" 4 !ran)
 
 let test_nested_data_parallel_sections () =
@@ -181,8 +197,7 @@ let test_job_dropped_after_join () =
       Par.Pool.run p 8 (fun _ -> ());
       checkb "job slot cleared after success" false
         (Par.Pool.has_pending_job p);
-      (try Par.Pool.run p 8 (fun _ -> raise Boom)
-       with Par.Pool.Task_failed _ -> ());
+      (try Par.Pool.run p 8 (fun _ -> raise Boom) with Boom -> ());
       checkb "job slot cleared after failure" false
         (Par.Pool.has_pending_job p);
       (* and repeatedly, across many jobs *)

@@ -1,6 +1,7 @@
 (* Tests for the supervision layer: the fault taxonomy, supervised
-   task outcomes and their counters, wall-clock timeouts, and graceful
-   suite degradation when a runaway program exhausts its fuel. *)
+   task outcomes and their counters, failures raised inside pool tasks,
+   and graceful suite degradation when a runaway program exhausts its
+   fuel. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -17,18 +18,7 @@ let test_taxonomy () =
   let open Robust.Fault in
   checkb "out of fuel" true
     (kind_of_exn (Sim.Machine.Out_of_fuel "m") = Fuel_exhausted);
-  checkb "timeout" true
-    (kind_of_exn (Timed_out { task = "t"; seconds = 1.0 }) = Timeout);
-  checkb "unknown is hard" true (kind_of_exn Boom = Hard);
-  (* pool wrappers are peeled: the inner exception decides *)
-  let bt = Printexc.get_raw_backtrace () in
-  let wrapped =
-    Par.Pool.Task_failed
-      { index = 3; exn = Sim.Machine.Out_of_fuel "m"; backtrace = bt }
-  in
-  checkb "wrapper peeled" true (kind_of_exn wrapped = Fuel_exhausted);
-  checkb "unwrap returns inner" true
-    (unwrap wrapped = Sim.Machine.Out_of_fuel "m")
+  checkb "unknown is hard" true (kind_of_exn Boom = Hard)
 
 let test_supervise_outcomes () =
   let ok = Robust.Supervise.run ~label:"ok" (fun () -> 7) in
@@ -52,34 +42,10 @@ let test_supervise_outcomes () =
     checkb "label kept" true (String.equal f.task "hard")
   | _ -> Alcotest.fail "expected Failed")
 
-let test_timeout () =
-  (* the body sleeps well past the deadline; the supervisor must give
-     up at the deadline, not wait for the body (which, orphaned,
-     finishes on its own) *)
-  let t0 = Unix.gettimeofday () in
-  let calls = Atomic.make 0 in
-  let o =
-    Robust.Supervise.run ~timeout:0.05 ~label:"slow" (fun () ->
-        Atomic.incr calls;
-        Unix.sleepf 1.5)
-  in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  (match o.status with
-  | Robust.Supervise.Failed f ->
-    checkb "classified timeout" true (f.kind = Robust.Fault.Timeout)
-  | _ -> Alcotest.fail "expected a timeout failure");
-  checki "not retried" 1 (Atomic.get calls);
-  checkb "returned near the deadline" true (elapsed < 1.0);
-  (* a fast body under the same deadline completes normally *)
-  let o = Robust.Supervise.run ~timeout:5.0 ~label:"fast" (fun () -> 11) in
-  checkb "fast body fine" true (o.value = Some 11)
-
-(* Regression for the discarded-backtrace bug: the deadline poller
-   used to re-raise a worker failure with a bare [raise], which starts
-   a fresh backtrace at the poller — the frames of the code that
-   actually failed were lost.  The worker now captures its raw
-   backtrace and the poller re-raises with it intact, so the fault's
-   backtrace must name this file. *)
+(* A failure inside a pool task reaches the supervisor with the frames
+   of the code that actually failed, on whichever domain ran it: the
+   pool captures the raw backtrace where the task raised and re-raises
+   with it intact, so the fault's backtrace must name this file. *)
 let test_worker_backtrace_preserved () =
   Printexc.record_backtrace true;
   (* non-tail recursion so the frames survive into the backtrace *)
@@ -87,10 +53,15 @@ let test_worker_backtrace_preserved () =
     if n = 0 then failwith "deep-failure"
     else 1 + deep_failing_helper (n - 1)
   in
+  let pool = Par.Pool.create ~jobs:4 in
   let o =
-    Robust.Supervise.run ~timeout:5.0 ~label:"deep" (fun () ->
-        Printexc.record_backtrace true;
-        ignore (Sys.opaque_identity (deep_failing_helper 5)))
+    Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) (fun () ->
+        Robust.Supervise.run ~label:"deep" (fun () ->
+            Par.Pool.run pool 4 (fun i ->
+                (* recording is per domain *)
+                Printexc.record_backtrace true;
+                if i = 2 then
+                  ignore (Sys.opaque_identity (deep_failing_helper 5)))))
   in
   match o.status with
   | Robust.Supervise.Failed f ->
@@ -154,6 +125,36 @@ let test_fuel_degradation () =
   checkb "summary mentions the failure" true
     (contains (Buffer.contents sbuf) "runaway")
 
+(* An experiment whose body fails inside a pool task: the banner shows
+   the task's own exception text, exactly as [Printexc.to_string]
+   prints it, with no pool wrapper around it. *)
+let test_pool_task_failure_banner () =
+  let exn = Failure "task-five" in
+  let e =
+    {
+      Experiments.Driver.id = "pooled";
+      title = "Fails in a pool task";
+      run =
+        (fun _ ->
+          Par.Pool.run (Par.Pool.get ()) 8 (fun i -> if i = 5 then raise exn));
+      quick_run = None;
+    }
+  in
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  let s = Experiments.Driver.run_list ~warm:false [ e ] ppf in
+  Format.pp_print_flush ppf ();
+  let out = Buffer.contents buf in
+  checki "one failed" 1 s.failed;
+  checkb "banner carries the task's own text" true
+    (contains out
+       (Printf.sprintf "!! pooled FAILED [hard]: %s\n" (Printexc.to_string exn)));
+  (match List.assoc "pooled" s.results with
+  | Experiments.Driver.Failed f ->
+    checkb "message is the task's own text" true
+      (String.equal f.message (Printexc.to_string exn))
+  | _ -> Alcotest.fail "expected the pooled experiment to fail")
+
 let () =
   Alcotest.run "robust"
     [
@@ -164,7 +165,6 @@ let () =
       ( "supervise",
         [
           Alcotest.test_case "outcomes" `Quick test_supervise_outcomes;
-          Alcotest.test_case "timeout" `Quick test_timeout;
           Alcotest.test_case "worker backtrace preserved" `Quick
             test_worker_backtrace_preserved;
         ] );
@@ -172,5 +172,7 @@ let () =
         [
           Alcotest.test_case "fuel exhaustion degrades gracefully" `Quick
             test_fuel_degradation;
+          Alcotest.test_case "pool task failure banner" `Quick
+            test_pool_task_failure_banner;
         ] );
     ]
