@@ -64,10 +64,10 @@ let report gate ok_msg failures =
    (four, so the pool has tasks to spread), and runs a capped subset
    enumeration the same way.  Each stage runs twice per width and the
    second run is timed: the first after [set_jobs] pays each new
-   worker domain's interpreter scratch allocation.  Fails when the
-   parallel path is meaningfully slower than sequential — a speedup
-   below 0.9x that also loses more than 50ms (so single-digit-ms
-   timer noise on a 1-core host cannot flap the gate). *)
+   worker domain's start-up.  Fails when the parallel path is
+   meaningfully slower than sequential — a speedup below 0.9x that
+   also loses more than 50ms (so single-digit-ms timer noise on a
+   1-core host cannot flap the gate). *)
 
 let perf_smoke jn =
   Cache.Store.set_enabled false;

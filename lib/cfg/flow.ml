@@ -160,11 +160,6 @@ let make_state name g ~entries ~taken ~fall =
   seed st ~taken ~fall;
   st
 
-let solve_proc g ~entries ~taken ~fall =
-  let st = make_state "proc" g ~entries ~taken ~fall in
-  fixpoint st;
-  (st.cnt, List.rev st.msgs)
-
 (* Execution counts of a procedure's exit blocks, split into returns
    and halts; [None] while any involved block is undetermined. *)
 let exit_counts st =

@@ -18,26 +18,16 @@
     individually, but their sum is still checked against the source
     block. *)
 
-val solve_proc :
-  Graph.t -> entries:int option -> taken:int array -> fall:int array ->
-  int option array * string list
-(** [solve_proc g ~entries ~taken ~fall] propagates the per-pc
-    taken/fall-through counts of one procedure to a fixpoint.
-    [entries] is the number of times the procedure was invoked, when
-    known.  Returns the per-block execution counts that are determined
-    by the profile ([None] = under-determined) and the list of
-    inconsistencies found (empty = consistent). *)
-
 val check_program :
   Mips.Program.t -> taken:int array array -> fall:int array array ->
   string list
 (** Check a whole program's edge profile, as produced by
-    [Sim.Profile.run].  Runs {!solve_proc} on every procedure and
-    closes the interprocedural balance: a procedure's entry count must
-    equal the summed execution counts of its (direct) call sites, plus
-    one for the program entry; a procedure without [Halt] must exit as
-    many times as it is entered.  Procedures reached by indirect calls
-    ([Jalr]) are exempted from the call-site balance, and the program
-    entry from the exit balance (the machine stops at its final
-    return).  Returns all violations found, empty when the profile is
-    flow-consistent. *)
+    [Sim.Profile.run].  Propagates every procedure's per-pc counts to a
+    fixpoint and closes the interprocedural balance: a procedure's
+    entry count must equal the summed execution counts of its (direct)
+    call sites, plus one for the program entry; a procedure without
+    [Halt] must exit as many times as it is entered.  Procedures
+    reached by indirect calls ([Jalr]) are exempted from the call-site
+    balance, and the program entry from the exit balance (the machine
+    stops at its final return).  Returns all violations found, empty
+    when the profile is flow-consistent. *)

@@ -87,8 +87,6 @@ let build (proc : Mips.Program.proc) =
 
 let entry _ = 0
 
-let nth_insn g idx = g.proc.body.(idx)
-
 let block_insns g b =
   let rec go idx acc =
     if idx < g.first.(b) then acc else go (idx - 1) (g.proc.body.(idx) :: acc)

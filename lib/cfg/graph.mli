@@ -32,7 +32,6 @@ val build : Mips.Program.proc -> t
 val entry : t -> int
 (** The entry block (always 0). *)
 
-val nth_insn : t -> int -> int Mips.Insn.t
 val block_insns : t -> int -> int Mips.Insn.t list
 (** Instructions of a block, in order. *)
 

@@ -40,5 +40,3 @@ let loop_predict (a : Cfg.Analysis.t) ~block ~taken ~fall =
 
 let is_backward (g : Cfg.Graph.t) ~block ~taken =
   g.first.(taken) <= g.last.(block)
-
-let btfn_predict = is_backward

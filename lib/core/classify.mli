@@ -24,7 +24,3 @@ val is_backward : Cfg.Graph.t -> block:int -> taken:int -> bool
     before the branch instruction — the naive "backward branch" notion
     the paper contrasts with natural-loop analysis. *)
 
-val btfn_predict : Cfg.Graph.t -> block:int -> taken:int -> bool
-(** The backward-taken / forward-not-taken rule used by architectures
-    such as the Alpha: predict taken iff the branch is backward.
-    Provided as an ablation baseline. *)

@@ -16,13 +16,6 @@ let name = function
   | Opcode -> "Opcode" | Loop -> "Loop" | Call -> "Call" | Return -> "Return"
   | Guard -> "Guard" | Store -> "Store" | Point -> "Point"
 
-let of_name s =
-  match String.lowercase_ascii s with
-  | "opcode" -> Some Opcode | "loop" -> Some Loop | "call" -> Some Call
-  | "return" -> Some Return | "guard" -> Some Guard | "store" -> Some Store
-  | "point" | "pointer" -> Some Point
-  | _ -> None
-
 let pp ppf h = Format.pp_print_string ppf (name h)
 
 (* --- shared block predicates ------------------------------------- *)

@@ -35,7 +35,6 @@ val to_int : t -> int
 
 val of_int : int -> t
 val name : t -> string
-val of_name : string -> t option
 val pp : Format.formatter -> t -> unit
 
 val branch_operands : Cfg.Graph.t -> int -> Mips.Reg.t list * Mips.Freg.t list

@@ -85,8 +85,6 @@ let eval_compiled c (order : int array) =
 
 let order_as_ints order = Array.of_list (List.map Heuristic.to_int order)
 
-let non_loop_miss order db = eval_compiled (compile db) (order_as_ints order)
-
 (* The 5040 orders are evaluated in (benchmark x order-chunk) tasks so
    the matrix fills across domains.  Every cell is written exactly once
    by exactly one task, so the matrix is identical at any [-j]. *)

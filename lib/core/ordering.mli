@@ -19,9 +19,6 @@ val order_of_index : int -> Combined.order
 
 val index_of_order : Combined.order -> int
 
-val non_loop_miss : Combined.order -> Database.t -> float
-(** Combined+Default miss rate on the non-loop branches of one
-    benchmark database. *)
 
 val miss_matrix : Database.t array -> float array array
 (** [m.(b).(o)]: miss rate of order [o] on benchmark [b], for all

@@ -81,14 +81,6 @@ let graph_for ppf name =
          lengths)
   end
 
-let graphs4_11 ppf =
-  warm ();
-  List.iter
-    (fun (wl : Workloads.Workload.t) ->
-      graph_for ppf wl.name;
-      Format.fprintf ppf "@.")
-    (Workloads.Registry.traced ())
-
 let graph12 ppf =
   Format.fprintf ppf
     "Graph 12: model y = 1 - (1-m)^s (unit blocks, independent branches)@.@.";

@@ -14,10 +14,6 @@ val graph_for : Format.formatter -> string -> unit
     "spice2g6"] additionally prints the by-breaks distribution
     (Graph 5). *)
 
-val graphs4_11 : Format.formatter -> unit
-(** All traced workloads (gcc, lcc, qpt, xlisp, doduc, fpppp,
-    spice2g6).  Calls {!warm} first, then prints in registry order. *)
-
 val warm : unit -> unit
 (** Generate (and cache) the trace distributions of every traced
     workload, one workload per task on the {!Par.Pool} default pool. *)

@@ -20,11 +20,7 @@
 
 exception Error of string
 
-val gen_function :
-  Sema.checked -> Ast.ty * string * Ast.param list * Ast.stmt list ->
-  string * Mips.Asm.item list
-(** Generate one function.  Raises {!Error} on generator limits (e.g.
-    an expression needing more than the 10 temporaries). *)
-
 val gen_program : Sema.checked -> (string * Mips.Asm.item list) list
-(** All functions of the checked program, in source order. *)
+(** All functions of the checked program, in source order.  Raises
+    {!Error} on generator limits (e.g. an expression needing more than
+    the 10 temporaries). *)

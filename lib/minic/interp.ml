@@ -15,8 +15,8 @@ type value = VInt of int | VFloat of float
 
 type state = {
   c : Sema.checked;
-  mem_i : int array;
-  mem_f : float array;
+  mem_i : Sim.Machine.iplane;
+  mem_f : Sim.Machine.fplane;
   mutable sp : int;
   mutable checksum : int;
   mutable icursor : int;
@@ -61,14 +61,14 @@ let coerce st v ~to_ =
 let load st ty addr =
   if addr < 0 || addr >= Mips.Program.mem_words then
     fault "load from bad address %d" addr;
-  if Sema.is_float_ty ty then VFloat st.mem_f.(addr) else VInt st.mem_i.(addr)
+  if Sema.is_float_ty ty then VFloat st.mem_f.{addr} else VInt st.mem_i.{addr}
 
 let store st ty addr v =
   if addr < 0 || addr >= Mips.Program.mem_words then
     fault "store to bad address %d" addr;
   match coerce st v ~to_:ty with
-  | VFloat f -> st.mem_f.(addr) <- f
-  | VInt n -> st.mem_i.(addr) <- n
+  | VFloat f -> st.mem_f.{addr} <- f
+  | VInt n -> st.mem_i.{addr} <- n
 
 (* Per-invocation environment: every local lives at a stack address,
    mirroring an all-spilled frame. *)
@@ -412,11 +412,12 @@ let run ?(max_steps = 200_000_000) src input =
         Hashtbl.replace bodies name (ret, params, body)
       | Struct_def _ | Global _ -> ())
     c.prog;
+  let mem_i, mem_f = Sim.Machine.map_planes () in
   let st =
     {
       c;
-      mem_i = Array.make Mips.Program.mem_words 0;
-      mem_f = Array.make Mips.Program.mem_words 0.;
+      mem_i;
+      mem_f;
       sp = Mips.Program.stack_base;
       checksum = 0;
       icursor = 0;
@@ -428,8 +429,8 @@ let run ?(max_steps = 200_000_000) src input =
       bodies;
     }
   in
-  List.iter (fun (a, v) -> st.mem_i.(a) <- v) (Frontend.initial_idata c);
-  List.iter (fun (a, v) -> st.mem_f.(a) <- v) c.fdata;
+  List.iter (fun (a, v) -> st.mem_i.{a} <- v) (Frontend.initial_idata c);
+  List.iter (fun (a, v) -> st.mem_f.{a} <- v) c.fdata;
   let frame = { addrs = Hashtbl.create 4; fname = "__entry" } in
   (try ignore (call st frame "main" []) with Return_exn _ | Halt_exn -> ());
   {

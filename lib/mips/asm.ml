@@ -47,10 +47,3 @@ let assemble items =
   in
   let insns = if needs_pad then insns @ [ Insn.Halt ] else insns in
   Array.of_list insns
-
-let pp_items ppf items =
-  List.iter
-    (function
-      | Lab l -> Format.fprintf ppf "%s:@." l
-      | Ins i -> Format.fprintf ppf "        %a@." (Insn.pp Format.pp_print_string) i)
-    items

@@ -19,4 +19,3 @@ val assemble : item list -> int Insn.t array
 (** Resolve labels to instruction indices.  Raises {!Unknown_label} or
     {!Duplicate_label} on malformed input. *)
 
-val pp_items : Format.formatter -> item list -> unit

@@ -1,10 +1,14 @@
+type iplane = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type fplane =
+  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
   prog : Mips.Program.t;
   iregs : int array;
   fregs : float array;
   mutable fcc : bool;
-  mem_i : int array;
-  mem_f : float array;
+  mem_i : iplane;
+  mem_f : fplane;
   mutable proc : int;
   mutable pc : int;
   mutable instrs : int;
@@ -68,16 +72,30 @@ let default_fuel () = !default_fuel_limit
 
 let max_call_depth = 65536
 
-(* Domain-local scratch memory.  The two memory planes are millions of
-   words of zero-initialised storage, so allocating them fresh costs
-   more than a short program spends executing.  Each domain parks one
-   pair after a run; reacquisition re-zeroes only the address ranges
-   the previous run dirtied, which the interpreter tracks as two
-   intervals — stores land either low (globals/heap, grows up) or high
-   (stack, grows down), so a watermark per half covers everything.
-   The slot is emptied while in use, so a nested run on the same
-   domain simply falls back to fresh allocation. *)
-let scratch_slot : (int array * float array) option ref Domain.DLS.key =
+(* Memory planes are private mappings of /dev/zero: the kernel hands
+   out zero pages on first touch, so a plane costs resident memory only
+   for the pages a program writes, not for its [mem_words] words. *)
+let map_zero kind =
+  let fd = Unix.openfile "/dev/zero" [ Unix.O_RDWR ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Bigarray.array1_of_genarray
+        (Unix.map_file fd kind Bigarray.c_layout false
+           [| Mips.Program.mem_words |]))
+
+let map_planes () = (map_zero Bigarray.int, map_zero Bigarray.float64)
+
+(* Domain-local scratch memory.  Each domain parks one plane pair after
+   a run; reacquisition re-zeroes only the address ranges the previous
+   run dirtied, which the interpreter tracks as two intervals — stores
+   land either low (globals/heap, grows up) or high (stack, grows
+   down), so a watermark per half covers everything.  Reuse is what
+   keeps resident memory bounded: a mapping is unmapped only when the
+   GC finalises its plane, so fresh planes per run would pile up.  The
+   slot is emptied while in use, so a nested run on the same domain
+   simply maps a fresh pair. *)
+let scratch_slot : (iplane * fplane) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 let acquire_mem () =
@@ -86,15 +104,14 @@ let acquire_mem () =
   | Some mem ->
     slot := None;
     mem
-  | None ->
-    (Array.make Mips.Program.mem_words 0, Array.make Mips.Program.mem_words 0.)
+  | None -> map_planes ()
 
 let release_mem m =
-  let w = Array.length m.mem_i in
+  let w = Bigarray.Array1.dim m.mem_i in
   let zero lo hi =
     if lo <= hi then begin
-      Array.fill m.mem_i lo (hi - lo + 1) 0;
-      Array.fill m.mem_f lo (hi - lo + 1) 0.
+      Bigarray.Array1.fill (Bigarray.Array1.sub m.mem_i lo (hi - lo + 1)) 0;
+      Bigarray.Array1.fill (Bigarray.Array1.sub m.mem_f lo (hi - lo + 1)) 0.
     end
   in
   zero 0 m.dirty_lo;
@@ -132,12 +149,12 @@ let create prog input =
   in
   List.iter
     (fun (a, v) ->
-      m.mem_i.(a) <- v;
+      m.mem_i.{a} <- v;
       touch a)
     prog.idata;
   List.iter
     (fun (a, v) ->
-      m.mem_f.(a) <- v;
+      m.mem_f.{a} <- v;
       touch a)
     prog.fdata;
   m.iregs.(Mips.Reg.to_int Mips.Reg.gp) <- Mips.Program.gp_base;
@@ -365,7 +382,8 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
         fault m "load from bad address %d" addr
       end
       else begin
-        if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get mem_i addr);
+        if x <> 0 then
+          Array.unsafe_set regs x (Bigarray.Array1.unsafe_get mem_i addr);
         step c (pc + 1) instrs
       end
     | Decode.Sw ->
@@ -375,7 +393,7 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
         fault m "store to bad address %d" addr
       end
       else begin
-        Array.unsafe_set mem_i addr (Array.unsafe_get regs x);
+        Bigarray.Array1.unsafe_set mem_i addr (Array.unsafe_get regs x);
         if addr < mem_mid then begin
           if addr > m.dirty_lo then m.dirty_lo <- addr
         end
@@ -417,7 +435,7 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
         fault m "f-load from bad address %d" addr
       end
       else begin
-        Array.unsafe_set fregs x (Array.unsafe_get mem_f addr);
+        Array.unsafe_set fregs x (Bigarray.Array1.unsafe_get mem_f addr);
         step c (pc + 1) instrs
       end
     | Decode.Sd ->
@@ -427,7 +445,7 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
         fault m "f-store to bad address %d" addr
       end
       else begin
-        Array.unsafe_set mem_f addr (Array.unsafe_get fregs x);
+        Bigarray.Array1.unsafe_set mem_f addr (Array.unsafe_get fregs x);
         if addr < mem_mid then begin
           if addr > m.dirty_lo then m.dirty_lo <- addr
         end

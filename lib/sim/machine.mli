@@ -8,13 +8,28 @@
     accounting).  Output is folded into a checksum so workloads stay
     deterministic and testable without an I/O system. *)
 
+type iplane = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** An integer memory plane: one word per address. *)
+
+type fplane =
+  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** A float memory plane: one word per address. *)
+
+val map_planes : unit -> iplane * fplane
+(** A fresh pair of zero-filled planes of {!Mips.Program.mem_words}
+    words each.  Both are private mappings of [/dev/zero], so a page
+    becomes resident only when a program first writes it; reading an
+    untouched page yields 0.  Needs a mappable [/dev/zero] (Linux,
+    the BSDs).  The pages are returned to the system when the GC
+    finalises the plane. *)
+
 type t = {
   prog : Mips.Program.t;
   iregs : int array;          (** 32 integer registers; [0] stays 0 *)
   fregs : float array;        (** 32 floating registers *)
   mutable fcc : bool;         (** coprocessor-1 condition flag *)
-  mem_i : int array;          (** integer view of memory, in words *)
-  mem_f : float array;        (** float view of memory, in words *)
+  mem_i : iplane;             (** integer view of memory, in words *)
+  mem_f : fplane;             (** float view of memory, in words *)
   mutable proc : int;         (** current procedure index *)
   mutable pc : int;           (** current instruction index *)
   mutable instrs : int;       (** instructions executed so far *)

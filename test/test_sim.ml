@@ -554,6 +554,83 @@ let test_machine_float_roundtrip () =
   in
   checki "float ops" expect stats.checksum
 
+(* ---- scratch memory ----
+
+   Each domain parks its memory planes after a run and the next run
+   reuses them, so [release_mem] must re-zero everything a run wrote.
+   The writer stores non-zero words at the edges of both dirty
+   intervals and of the layout's regions, in both planes; the reader
+   loads and prints every one of them. *)
+let edge_addrs =
+  let mid = Mips.Program.mem_words / 2 in
+  [ Mips.Program.gp_base; Mips.Program.heap_base; mid - 1; mid;
+    Mips.Program.stack_base - 1; Mips.Program.mem_words - 1 ]
+
+let writer_body =
+  let module I = Mips.Insn in
+  let t0 = Mips.Reg.t 0 and t1 = Mips.Reg.t 1 in
+  let f0 = Mips.Freg.temp 0 in
+  List.concat_map
+    (fun a ->
+      [ I.Li (t0, a); I.Li (t1, a + 7); I.Sw (t1, 0, t0);
+        I.Fli (f0, float_of_int a +. 0.5); I.Sd (f0, 0, t0) ])
+    edge_addrs
+
+let reader_body =
+  let module I = Mips.Insn in
+  let t0 = Mips.Reg.t 0 and t1 = Mips.Reg.t 1 in
+  let f0 = Mips.Freg.temp 0 in
+  List.concat_map
+    (fun a ->
+      [ I.Li (t0, a); I.Lw (t1, 0, t0); I.PrintI t1; I.Ld (f0, 0, t0);
+        I.PrintF f0 ])
+    edge_addrs
+
+let asm body =
+  Mips.Program.make ~entry:"main"
+    [ ("main", List.map (fun i -> Mips.Asm.Ins i) (body @ [ Mips.Insn.Ret ])) ]
+
+let checksum prog = (Sim.Machine.run prog (ds ())).checksum
+
+let test_reuse_leaves_no_residue () =
+  let writer = asm writer_body and reader = asm reader_body in
+  checkb "the reader sees what a run wrote" true
+    (checksum (asm (writer_body @ reader_body)) <> 0);
+  checki "reader on fresh memory" 0
+    (Domain.join (Domain.spawn (fun () -> checksum reader)));
+  ignore (checksum writer);
+  checki "reader right after the writer" 0 (checksum reader)
+
+(* Memory planes become resident only where a program writes (or
+   [release_mem] re-zeroes): a fresh domain, which has no parked
+   planes, running a tiny program grows the process by far less than
+   the planes' 2 x 4,194,560 words.  Not the writer above: its stores
+   at the midpoint stretch both dirty intervals over all of memory. *)
+let vm_rss_kb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+    List.find_map
+      (fun line -> Scanf.sscanf_opt line "VmRSS: %d kB" Fun.id)
+      (String.split_on_char '\n' status)
+
+let test_residency () =
+  let prog = compile loopy_src in
+  let growth =
+    Domain.join
+      (Domain.spawn (fun () ->
+           match vm_rss_kb () with
+           | None -> None
+           | Some before ->
+             ignore (checksum prog);
+             Option.map (fun after -> after - before) (vm_rss_kb ())))
+  in
+  match growth with
+  | None -> print_endline "skipped: VmRSS unreadable from /proc/self/status"
+  | Some kb ->
+    Printf.printf "resident growth of one tiny run: %d kB\n" kb;
+    checkb "resident growth < 16 MiB" true (kb < 16 * 1024)
+
 (* qcheck: profile counts respect exec = taken + fall >= 0 and perfect
    <= min direction over random small programs built from a template *)
 let prop_profile_consistency =
@@ -618,6 +695,13 @@ let () =
             test_target_out_of_range;
           Alcotest.test_case "zero register" `Quick test_machine_zero_register;
           Alcotest.test_case "float ops" `Quick test_machine_float_roundtrip;
+        ] );
+      ( "scratch memory",
+        [
+          Alcotest.test_case "reuse leaves no residue at the edges" `Quick
+            test_reuse_leaves_no_residue;
+          Alcotest.test_case "residency follows what a run writes" `Quick
+            test_residency;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_profile_consistency ] );
