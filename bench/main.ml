@@ -211,23 +211,19 @@ let fault_smoke () =
    trace exported to a file.  Passes only if (1) the traced run's
    tables are byte-identical to the untraced run's — instrumentation
    must never leak into results; (2) the emitted file parses as JSON
-   and its traceEvents cover all four pipeline stages; and (3) a
+   and its traceEvents cover all four pipeline stages; (3) a
    disabled Obs.span really is a no-op branch (a generous absolute
    bound on a tight loop of disabled spans, so a pessimised fast path
-   fails loudly without making the gate timing-flaky). *)
+   fails loudly without making the gate timing-flaky); and (4) every
+   span name occurs in the trace file exactly as often as
+   Obs.summaries counts it, so [bpredict stats] and [--trace] agree. *)
 
 let stage_span_names =
   [ "stage.load_all"; "stage.miss_matrix"; "stage.subset"; "stage.traces" ]
 
 (* The name of every event in a Chrome trace file. *)
 let trace_event_names path =
-  let ic = open_in_bin path in
-  let s =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Obs.Json.member "traceEvents" (Obs.Json.parse s) with
+  match Obs.Json.member "traceEvents" (Obs.Json.parse (read_file path)) with
   | Some (Obs.Json.Arr evs) ->
     List.filter_map
       (fun e ->
@@ -289,6 +285,19 @@ let obs_smoke () =
     (List.mem "experiment" trace_names)
     "trace JSON has no experiment spans";
   check (t_disabled < 2.0) "disabled spans cost far more than a branch";
+  let summaries = Obs.summaries () in
+  let in_trace name =
+    List.length (List.filter (String.equal name) trace_names)
+  in
+  List.iter
+    (fun (name, (s : Obs.summary)) ->
+      check (in_trace name = s.count)
+        (Printf.sprintf "%s: %d spans in the trace, %d in the summaries" name
+           (in_trace name) s.count))
+    summaries;
+  check
+    (List.for_all (fun n -> List.mem_assoc n summaries) trace_names)
+    "a span name in the trace has no summary";
   report "obs-smoke"
     (Printf.sprintf "byte-identical tables, %d spans exported" nevents)
     !failures

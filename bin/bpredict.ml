@@ -324,7 +324,7 @@ let stats_cmd =
         apply_jobs jobs;
         apply_no_cache no_cache;
         apply_trace trace;
-        (* span histograms only fill while recording is on *)
+        (* the span table is computed from the recorded events *)
         Obs.enable ();
         let quick = not full in
         let null = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
@@ -338,13 +338,22 @@ let stats_cmd =
            | None ->
              Printf.eprintf "error: unknown experiment %s\n" id;
              exit 1);
-        Obs.Metrics.dump Format.std_formatter)
+        Obs.Metrics.dump Format.std_formatter;
+        Format.printf "spans (seconds):@.";
+        Format.printf "  %-36s %8s %10s %10s %10s@." "" "count" "p50" "p95"
+          "max";
+        List.iter
+          (fun (name, (s : Obs.summary)) ->
+            Format.printf "  %-36s %8d %10.6f %10.6f %10.6f@." name s.count
+              s.p50 s.p95 s.max)
+          (Obs.summaries ()))
   in
   Cmd.v
     (Cmd.info "stats"
-       ~doc:"Run experiments under instrumentation and dump the metrics \
-             registry (counters, span-duration histograms); tables \
-             are discarded")
+       ~doc:"Run experiments under instrumentation and print the metrics \
+             counters, then each span name's count and nearest-rank \
+             p50/p95/max duration from the recorded spans; tables are \
+             discarded")
     Term.(const run $ id_arg $ full_arg $ jobs_arg $ no_cache_arg $ trace_arg)
 
 (* ---- list ---- *)

@@ -38,9 +38,15 @@ let load (wl : Workloads.Workload.t) =
       in
       { wl; prog; decoded; analyses; profile; db })
 
+(* Every table asks for the whole list; the stage runs once per
+   [reset]. *)
+let all_loads = Cache.Memo.create "bench_run.load_all"
+
 let load_all () =
-  Obs.span ~name:"stage.load_all" (fun () ->
-      Par.Pool.parallel_map_list (Par.Pool.get ()) load Workloads.Registry.all)
+  Cache.Memo.find all_loads () (fun () ->
+      Obs.span ~name:"stage.load_all" (fun () ->
+          Par.Pool.parallel_map_list (Par.Pool.get ()) load
+            Workloads.Registry.all))
 
 let load_named names =
   Par.Pool.parallel_map_list (Par.Pool.get ())

@@ -25,7 +25,9 @@ val load : Workloads.Workload.t -> t
 val load_all : unit -> t list
 (** All benchmarks of {!Workloads.Registry.all}.  The independent
     per-workload pipelines fan out across the {!Par.Pool} default
-    pool; the returned list is in registry order regardless of [-j]. *)
+    pool; the returned list is in registry order regardless of [-j].
+    Memoised: the [stage.load_all] span and its pool job run once per
+    {!reset}. *)
 
 val load_named : string list -> t list
 (** Like {!load_all} for a named subset, in the given order. *)

@@ -1,163 +1,41 @@
 (* ---- metrics registry ----
 
-   Counters are atomics; histograms take a tiny per-
-   histogram mutex (observation happens once per span, never
-   in a per-instruction loop).  The registry tables themselves are
-   guarded by one mutex, touched only on first registration and when
-   listing. *)
+   Counters are atomics.  The registry table itself is guarded by one
+   mutex, touched only on first registration and when listing. *)
 
 module Metrics = struct
   type counter = { c_cell : int Atomic.t }
 
-  (* Power-of-two buckets indexed by the binary exponent of the value
-     (frexp), shifted so [min_exp] lands at slot 0.  Exponents -41..24
-     cover ~5e-13 .. 1.6e7 — sub-nanosecond to months when the value
-     is seconds. *)
-  let min_exp = -41
-  let max_exp = 24
-  let nbuckets = max_exp - min_exp + 1
-
-  type histogram = {
-    h_mutex : Mutex.t;
-    mutable h_count : int;
-    mutable h_sum : float;
-    mutable h_max : float;
-    h_buckets : int array;
-  }
-
-  type hstats = {
-    count : int;
-    sum : float;
-    p50 : float;
-    p95 : float;
-    max : float;
-  }
-
   let registry_mutex = Mutex.create ()
   let counters_tbl : (string, counter) Hashtbl.t = Hashtbl.create 32
-  let histograms_tbl : (string, histogram) Hashtbl.t = Hashtbl.create 16
-
-  let registered tbl name make =
-    Mutex.protect registry_mutex (fun () ->
-        match Hashtbl.find_opt tbl name with
-        | Some v -> v
-        | None ->
-          let v = make () in
-          Hashtbl.replace tbl name v;
-          v)
 
   let counter name =
-    registered counters_tbl name (fun () -> { c_cell = Atomic.make 0 })
+    Mutex.protect registry_mutex (fun () ->
+        match Hashtbl.find_opt counters_tbl name with
+        | Some c -> c
+        | None ->
+          let c = { c_cell = Atomic.make 0 } in
+          Hashtbl.replace counters_tbl name c;
+          c)
 
   let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.c_cell by)
   let value c = Atomic.get c.c_cell
-  let set c n = Atomic.set c.c_cell n
 
-  let histogram name =
-    registered histograms_tbl name (fun () ->
-        {
-          h_mutex = Mutex.create ();
-          h_count = 0;
-          h_sum = 0.;
-          h_max = neg_infinity;
-          h_buckets = Array.make nbuckets 0;
-        })
-
-  (* Bucket of a positive value: its frexp exponent e (value in
-     [2^(e-1), 2^e)), clamped to the table.  Zero and negatives fall
-     into slot 0. *)
-  let bucket_of v =
-    if not (v > 0.) then 0
-    else
-      let _, e = Float.frexp v in
-      min (max e min_exp) max_exp - min_exp
-
-  (* Upper bound of bucket [i]: 2^(i + min_exp). *)
-  let bucket_upper i = Float.ldexp 1.0 (i + min_exp)
-
-  let observe h v =
-    Mutex.protect h.h_mutex (fun () ->
-        h.h_count <- h.h_count + 1;
-        h.h_sum <- h.h_sum +. v;
-        if v > h.h_max then h.h_max <- v;
-        let i = bucket_of v in
-        h.h_buckets.(i) <- h.h_buckets.(i) + 1)
-
-  let quantile_locked h q =
-    if h.h_count = 0 then 0.
-    else begin
-      let target =
-        max 1 (int_of_float (Float.ceil (q *. float_of_int h.h_count)))
-      in
-      let rec go i seen =
-        if i >= nbuckets then h.h_max
-        else
-          let seen = seen + h.h_buckets.(i) in
-          if seen >= target then Float.min (bucket_upper i) h.h_max
-          else go (i + 1) seen
-      in
-      go 0 0
-    end
-
-  let stats h =
-    Mutex.protect h.h_mutex (fun () ->
-        {
-          count = h.h_count;
-          sum = h.h_sum;
-          p50 = quantile_locked h 0.50;
-          p95 = quantile_locked h 0.95;
-          max = (if h.h_count = 0 then 0. else h.h_max);
-        })
-
-  let sorted_list tbl read =
+  let counters () =
     Mutex.protect registry_mutex (fun () ->
-        Hashtbl.fold (fun name v acc -> (name, read v) :: acc) tbl [])
+        Hashtbl.fold (fun name c acc -> (name, value c) :: acc) counters_tbl [])
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-  let counters () = sorted_list counters_tbl value
-  let histograms () = sorted_list histograms_tbl stats
-  let find_histogram name =
-    match
-      Mutex.protect registry_mutex (fun () ->
-          Hashtbl.find_opt histograms_tbl name)
-    with
-    | Some h -> Some (stats h)
-    | None -> None
-
   let reset () =
-    let cs, hs =
-      Mutex.protect registry_mutex (fun () ->
-          ( Hashtbl.fold (fun _ c acc -> c :: acc) counters_tbl [],
-            Hashtbl.fold (fun _ h acc -> h :: acc) histograms_tbl [] ))
-    in
-    List.iter (fun c -> set c 0) cs;
-    List.iter
-      (fun h ->
-        Mutex.protect h.h_mutex (fun () ->
-            h.h_count <- 0;
-            h.h_sum <- 0.;
-            h.h_max <- neg_infinity;
-            Array.fill h.h_buckets 0 nbuckets 0))
-      hs
+    Mutex.protect registry_mutex (fun () ->
+        Hashtbl.iter (fun _ c -> Atomic.set c.c_cell 0) counters_tbl)
 
   let dump ppf =
-    let cs = counters () and hs = histograms () in
-    if cs <> [] then begin
+    match counters () with
+    | [] -> Format.fprintf ppf "(no metrics recorded)@."
+    | cs ->
       Format.fprintf ppf "counters:@.";
       List.iter (fun (n, v) -> Format.fprintf ppf "  %-36s %10d@." n v) cs
-    end;
-    if hs <> [] then begin
-      Format.fprintf ppf "histograms (seconds):@.";
-      Format.fprintf ppf "  %-36s %8s %10s %10s %10s@." "" "count" "p50"
-        "p95" "max";
-      List.iter
-        (fun (n, (s : hstats)) ->
-          Format.fprintf ppf "  %-36s %8d %10.6f %10.6f %10.6f@." n s.count
-            s.p50 s.p95 s.max)
-        hs
-    end;
-    if cs = [] && hs = [] then
-      Format.fprintf ppf "(no metrics recorded)@."
 end
 
 (* ---- spans ---- *)
@@ -201,8 +79,7 @@ let span ~name ?(attrs = []) f =
     let finish () =
       let dur = now_us () -. t0 in
       record
-        { name; attrs; ts_us = t0; dur_us = dur; tid = (Domain.self () :> int) };
-      Metrics.observe (Metrics.histogram ("span." ^ name)) (dur /. 1e6)
+        { name; attrs; ts_us = t0; dur_us = dur; tid = (Domain.self () :> int) }
     in
     match f () with
     | v ->
@@ -222,6 +99,32 @@ let events () =
 let reset_events () =
   let bufs = Mutex.protect buffers_mutex (fun () -> !buffers) in
   List.iter (fun b -> b := []) bufs
+
+(* ---- span summaries, derived from the events ---- *)
+
+type summary = { count : int; p50 : float; p95 : float; max : float }
+
+let summaries () =
+  let by_name = Hashtbl.create 16 in
+  List.iter
+    (fun ev ->
+      let durs = Option.value ~default:[] (Hashtbl.find_opt by_name ev.name) in
+      Hashtbl.replace by_name ev.name ((ev.dur_us /. 1e6) :: durs))
+    (events ());
+  Hashtbl.fold
+    (fun name durs acc ->
+      let a = Array.of_list durs in
+      Array.sort Float.compare a;
+      let n = Array.length a in
+      (* nearest rank: the smallest value with at least q of the
+         sample at or below it *)
+      let rank q =
+        a.(max 1 (int_of_float (Float.ceil (q *. float_of_int n))) - 1)
+      in
+      (name, { count = n; p50 = rank 0.50; p95 = rank 0.95; max = a.(n - 1) })
+      :: acc)
+    by_name []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* ---- Chrome trace_event export ---- *)
 

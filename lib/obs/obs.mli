@@ -16,12 +16,14 @@
     [--trace FILE] on the CLIs or [BALLARUS_TRACE=FILE] in the
     environment; the file is written at process exit.
 
-    {b Metrics} — a process-wide registry of named counters and
-    log-scale histograms ({!Metrics}).  Metrics are always on
-    (atomic increments; they replace the ad-hoc robustness counters),
-    independent of the span flag — except that every recorded span
-    also feeds the histogram [span.<name>], which is how
-    [bpredict stats] reports per-stage duration percentiles.
+    {b Metrics} — a process-wide registry of named counters
+    ({!Metrics}).  Counters are always on (atomic increments),
+    independent of the span flag.
+
+    Span durations have one store: the recorded events.  {!summaries}
+    derives per-name count and exact nearest-rank quantiles from
+    {!events}, so [bpredict stats] and the [--trace] file read the same
+    data and cannot disagree.
 
     Timestamps come from [Unix.gettimeofday] — monotonic-ish: good
     enough to order and measure spans, not hardened against clock
@@ -33,7 +35,7 @@ val enabled : unit -> bool
 (** Whether spans are being recorded. *)
 
 val enable : unit -> unit
-(** Start recording spans (and their [span.*] histograms). *)
+(** Start recording spans. *)
 
 val disable : unit -> unit
 (** Stop recording.  Already-recorded events are kept. *)
@@ -58,8 +60,19 @@ val events : unit -> event list
     order. *)
 
 val reset_events : unit -> unit
-(** Drop all recorded events (the [span.*] histograms are separate;
-    see {!Metrics.reset}). *)
+(** Drop all recorded events. *)
+
+type summary = {
+  count : int;
+  p50 : float;  (** nearest-rank median, seconds *)
+  p95 : float;  (** nearest-rank 95th percentile, seconds *)
+  max : float;  (** longest duration, seconds *)
+}
+
+val summaries : unit -> (string * summary) list
+(** One summary per span name over {!events}, sorted by name.  The
+    [q]-quantile is the [ceil (q * count)]-th smallest duration (at
+    least the first), so every figure is a recorded duration. *)
 
 val trace_json : unit -> string
 (** The recorded events as a Chrome [trace_event] JSON document, its
@@ -84,15 +97,6 @@ module Json = Json
 
 module Metrics : sig
   type counter
-  type histogram
-
-  type hstats = {
-    count : int;
-    sum : float;
-    p50 : float;  (** bucket upper-bound estimate of the median *)
-    p95 : float;  (** bucket upper-bound estimate of the 95th pct *)
-    max : float;  (** exact maximum observed *)
-  }
 
   val counter : string -> counter
   (** The counter registered under this name, created at zero on first
@@ -100,29 +104,14 @@ module Metrics : sig
 
   val incr : ?by:int -> counter -> unit
   val value : counter -> int
-  val set : counter -> int -> unit
-
-  val histogram : string -> histogram
-  (** Log-scale histogram: power-of-two buckets, so values spanning
-      nanoseconds to minutes fit in a fixed 66-slot array.  Quantiles
-      are bucket upper bounds — at most 2x off, plenty for p50/p95
-      trend lines. *)
-
-  val observe : histogram -> float -> unit
-  val stats : histogram -> hstats
 
   val counters : unit -> (string * int) list
   (** All registered counters, sorted by name. *)
 
-  val histograms : unit -> (string * hstats) list
-
-  val find_histogram : string -> hstats option
-  (** Stats of the named histogram, [None] if never registered. *)
-
   val reset : unit -> unit
-  (** Zero every registered counter and histogram. *)
+  (** Zero every registered counter. *)
 
   val dump : Format.formatter -> unit
-  (** Human-readable dump of the whole registry (the [bpredict stats]
-      output). *)
+  (** Human-readable list of the counters (the first half of the
+      [bpredict stats] output). *)
 end

@@ -200,6 +200,31 @@ let test_trace_ipbc_relationships () =
   checkb "dividing length ordered" true
     (Tracing.Ipbc.dividing_length perfect >= Tracing.Ipbc.dividing_length lr)
 
+(* ---- the load stage runs once per reset ---- *)
+
+let test_load_all_once () =
+  let was = Obs.enabled () in
+  Experiments.Bench_run.reset ();
+  Obs.reset_events ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      if not was then Obs.disable ();
+      Obs.reset_events ())
+    (fun () ->
+      let jobs = Obs.Metrics.counter "pool.jobs" in
+      let first = Experiments.Bench_run.load_all () in
+      let jobs_before = Obs.Metrics.value jobs in
+      let second = Experiments.Bench_run.load_all () in
+      checki "second call runs no pool job" jobs_before
+        (Obs.Metrics.value jobs);
+      checkb "same list" true (first == second);
+      checki "one stage.load_all span" 1
+        (List.length
+           (List.filter
+              (fun (e : Obs.event) -> e.name = "stage.load_all")
+              (Obs.events ()))))
+
 let () =
   Alcotest.run "experiments"
     [
@@ -207,6 +232,11 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_stats;
           Alcotest.test_case "texttab" `Quick test_texttab;
+        ] );
+      ( "pipeline",
+        [
+          Alcotest.test_case "load_all once per reset" `Quick
+            test_load_all_once;
         ] );
       ( "paper claims",
         [

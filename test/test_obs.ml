@@ -1,7 +1,7 @@
 (* Tests for the observability layer: span recording and nesting,
-   disabled-mode pass-through, the metrics registry (counters,
-   log-scale histogram buckets and quantiles), and the Chrome
-   trace_event JSON export. *)
+   disabled-mode pass-through, span summaries derived from the
+   recorded events, the counter registry, and the Chrome trace_event
+   JSON export. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -62,22 +62,84 @@ let test_disabled_is_noop () =
   checki "nothing recorded" 0 (List.length (Obs.events ()));
   if was then Obs.enable ()
 
-let test_span_feeds_histogram () =
+(* Nearest-rank statistics of [durs] (seconds), recomputed here from
+   the definition: the q-quantile is the ceil(q * n)-th smallest.
+   [off] shifts both ranks, to show that an off-by-one rank is caught. *)
+let nearest_rank ?(off = 0) durs =
+  let a = Array.of_list (List.sort Float.compare durs) in
+  let n = Array.length a in
+  let at q =
+    let r = int_of_float (Float.ceil (q *. float_of_int n)) + off in
+    a.(min n (max 1 r) - 1)
+  in
+  { Obs.count = n; p50 = at 0.50; p95 = at 0.95; max = a.(n - 1) }
+
+let test_summaries_exact () =
   with_recording (fun () ->
-      Obs.Metrics.reset ();
-      Obs.span ~name:"timed-stage" (fun () -> Unix.sleepf 0.002);
-      match Obs.Metrics.find_histogram "span.timed-stage" with
-      | Some s ->
-        checki "one observation" 1 s.Obs.Metrics.count;
-        checkb "max in a plausible band" true
-          (s.Obs.Metrics.max >= 0.002 && s.Obs.Metrics.max < 1.0)
-      | None -> Alcotest.fail "span histogram not registered")
+      (* 20 spans of distinct lengths under one name, 3 under another *)
+      let sleep name i =
+        Obs.span ~name (fun () -> Unix.sleepf (float_of_int i *. 2e-4))
+      in
+      List.iter (sleep "long")
+        [ 7; 2; 19; 11; 4; 16; 1; 13; 9; 20; 5; 14; 3; 18; 8; 12; 6; 17; 10; 15 ];
+      List.iter (sleep "short") [ 3; 1; 2 ];
+      let durs name =
+        List.filter_map
+          (fun (e : Obs.event) ->
+            if e.name = name then Some (e.dur_us /. 1e6) else None)
+          (Obs.events ())
+      in
+      let sums = Obs.summaries () in
+      Alcotest.(check (list string)) "one summary per name, sorted"
+        [ "long"; "short" ] (List.map fst sums);
+      List.iter
+        (fun (name, (s : Obs.summary)) ->
+          let expect = nearest_rank (durs name) in
+          checki (name ^ " count") expect.count s.count;
+          checkb (name ^ " equals nearest rank") true (s = expect);
+          checkb (name ^ " quantiles ordered") true
+            (s.p50 <= s.p95 && s.p95 <= s.max))
+        sums;
+      let long = List.assoc "long" sums in
+      checki "long count" 20 long.count;
+      (* the ranks are 10 and 19 of 20 distinct durations, so a rank one
+         off either way gives different figures *)
+      List.iter
+        (fun off ->
+          checkb
+            (Printf.sprintf "rank off by %d differs" off)
+            false
+            (long = nearest_rank ~off (durs "long")))
+        [ -1; 1 ])
+
+(* Skewed runs of 20 spans: quick no-ops plus [slow] spans of 50 ms.
+   With one slow span, rank 19 (p95) is still a quick one; with two,
+   it is the shorter slow one.  p50 stays quick, max is always slow. *)
+let test_skewed_quantiles () =
+  let slow_s = 0.05 in
+  List.iter
+    (fun slow ->
+      with_recording (fun () ->
+          for i = 1 to 20 do
+            Obs.span ~name:"skew" (fun () ->
+                if i > 20 - slow then Unix.sleepf slow_s)
+          done;
+          match Obs.summaries () with
+          | [ ("skew", s) ] ->
+            let tag = Printf.sprintf "%d slow: " slow in
+            checki (tag ^ "count") 20 s.count;
+            checkb (tag ^ "p50 is quick") true (s.p50 < slow_s);
+            checkb (tag ^ "p95 lands by rank") (slow >= 2) (s.p95 >= slow_s);
+            checkb (tag ^ "max is slow") true (s.max >= slow_s)
+          | sums ->
+            Alcotest.failf "expected one summary, got %d" (List.length sums)))
+    [ 1; 2 ]
 
 (* ---- metrics ---- *)
 
 let test_counter_registry () =
+  Obs.Metrics.reset ();
   let c = Obs.Metrics.counter "test.counter" in
-  Obs.Metrics.set c 0;
   Obs.Metrics.incr c;
   Obs.Metrics.incr ~by:4 c;
   checki "incremented" 5 (Obs.Metrics.value c);
@@ -86,52 +148,13 @@ let test_counter_registry () =
     (Obs.Metrics.value (Obs.Metrics.counter "test.counter"));
   checkb "listed" true
     (List.mem ("test.counter", 5) (Obs.Metrics.counters ()));
-  Obs.Metrics.set c 0
-
-let test_histogram_buckets () =
-  let h = Obs.Metrics.histogram "test.hist" in
-  (* 100 observations of 1.0 and 5 of 100.0: p50 must land in 1.0's
-     power-of-two bucket [1, 2), p95 too (100/105 > 0.95), max exact *)
-  for _ = 1 to 100 do
-    Obs.Metrics.observe h 1.0
-  done;
-  for _ = 1 to 5 do
-    Obs.Metrics.observe h 100.0
-  done;
-  let s = Obs.Metrics.stats h in
-  checki "count" 105 s.Obs.Metrics.count;
-  checkb "sum" true (Float.abs (s.sum -. 600.) < 1e-9);
-  checkb "max exact" true (s.max = 100.0);
-  checkb "p50 in the 1.0 bucket" true (s.p50 >= 1.0 && s.p50 <= 2.0);
-  checkb "p95 in the 1.0 bucket" true (s.p95 >= 1.0 && s.p95 <= 2.0);
-  (* skewed the other way: p95 must climb into the 100.0 bucket *)
-  let h2 = Obs.Metrics.histogram "test.hist2" in
-  for _ = 1 to 10 do
-    Obs.Metrics.observe h2 1.0
-  done;
-  for _ = 1 to 90 do
-    Obs.Metrics.observe h2 100.0
-  done;
-  let s2 = Obs.Metrics.stats h2 in
-  checkb "p50 in the 100.0 bucket" true (s2.p50 >= 64.0 && s2.p50 <= 128.0);
-  checkb "p95 in the 100.0 bucket" true (s2.p95 >= 64.0 && s2.p95 <= 128.0);
-  (* quantiles never exceed the observed maximum *)
-  checkb "p95 <= max" true (s2.p95 <= s2.max);
-  (* tiny and zero values stay inside the table *)
-  let h3 = Obs.Metrics.histogram "test.hist3" in
-  Obs.Metrics.observe h3 0.;
-  Obs.Metrics.observe h3 1e-15;
-  Obs.Metrics.observe h3 1e12;
-  checki "extremes counted" 3 (Obs.Metrics.stats h3).Obs.Metrics.count
+  Obs.Metrics.reset ()
 
 let test_metrics_reset () =
   let c = Obs.Metrics.counter "test.reset.c" in
-  let h = Obs.Metrics.histogram "test.reset.h" in
   Obs.Metrics.incr c;
-  Obs.Metrics.observe h 1.0;
   Obs.Metrics.reset ();
-  checki "counter zeroed" 0 (Obs.Metrics.value c);
-  checki "histogram zeroed" 0 (Obs.Metrics.stats h).Obs.Metrics.count
+  checki "counter zeroed" 0 (Obs.Metrics.value c)
 
 let test_dump_renders () =
   let c = Obs.Metrics.counter "test.dump.c" in
@@ -142,7 +165,7 @@ let test_dump_renders () =
   Format.pp_print_flush ppf ();
   checkb "dump mentions the counter" true
     (contains (Buffer.contents buf) "test.dump.c");
-  Obs.Metrics.set c 0
+  Obs.Metrics.reset ()
 
 (* ---- trace JSON export ----
 
@@ -267,14 +290,14 @@ let () =
             test_span_exception_passthrough;
           Alcotest.test_case "disabled is a no-op" `Quick
             test_disabled_is_noop;
-          Alcotest.test_case "feeds span histogram" `Quick
-            test_span_feeds_histogram;
+          Alcotest.test_case "summaries are exact nearest-rank" `Quick
+            test_summaries_exact;
+          Alcotest.test_case "skewed quantiles land by rank" `Quick
+            test_skewed_quantiles;
         ] );
       ( "metrics",
         [
           Alcotest.test_case "counter registry" `Quick test_counter_registry;
-          Alcotest.test_case "histogram buckets and quantiles" `Quick
-            test_histogram_buckets;
           Alcotest.test_case "reset" `Quick test_metrics_reset;
           Alcotest.test_case "dump renders" `Quick test_dump_renders;
         ] );
