@@ -211,7 +211,7 @@ let fault_smoke () =
    trace exported to a file.  Passes only if (1) the traced run's
    tables are byte-identical to the untraced run's — instrumentation
    must never leak into results; (2) the emitted file parses as JSON
-   and its traceEvents cover all four pipeline stages; (3) a
+   and its traceEvents cover all five pipeline stages; (3) a
    disabled Obs.span really is a no-op branch (a generous absolute
    bound on a tight loop of disabled spans, so a pessimised fast path
    fails loudly without making the gate timing-flaky); and (4) every
@@ -219,7 +219,10 @@ let fault_smoke () =
    Obs.summaries counts it, so [bpredict stats] and [--trace] agree. *)
 
 let stage_span_names =
-  [ "stage.load_all"; "stage.miss_matrix"; "stage.subset"; "stage.traces" ]
+  [
+    "stage.load_all"; "stage.miss_matrix"; "stage.subset"; "stage.traces";
+    "stage.datasets";
+  ]
 
 (* The name of every event in a Chrome trace file. *)
 let trace_event_names path =

@@ -208,28 +208,10 @@ let width (m : float array array) =
     invalid_arg "Subset: ragged matrix";
   no
 
-(* Columns (orders) that can win some trial, ascending.  A column is
-   dropped when it is identical to a lower-index column, or when some
-   column [i] is no larger on every row and smaller by at least
-   [delta] on [nb - k + 1] rows: every k-subset then contains such a
-   row, so the walk's float sum for the column exceeds [i]'s and it is
-   never the argmin.  Each column's float history is independent of
-   the others, so walking the survivors gives the same win counts.
-
-   [delta] covers the float drift.  Within one chunk a running sum
-   takes at most [ops] additions or subtractions, each yielding a sum
-   of at most [2k] entries (a step that swaps several members may add
-   them all before it subtracts), so it errs by at most
-   [drift = 2 * ops * u * 2k * max|m|] (u = 2^-53, valid while
-   [ops * u <= 1]).  Two sums whose exact values differ by more than
-   [2 * drift] compare the right way round, and [delta = 3 * drift]
-   also absorbs the rounding of the row differences below.  Non-finite
-   entries, an underflowing [delta] or sums that could overflow keep
-   every column. *)
-let survivors (m : float array array) ~k =
-  let nb = Array.length m and no = width m in
-  if k <= 0 || k > nb then invalid_arg "Subset: bad subset size";
-  let all = Array.init no Fun.id in
+(* The margin δ both prunes test against (derived in subset.mli), or
+   [None] when the matrix has a non-finite entry, δ would underflow or
+   sums could overflow: every column is then kept. *)
+let margin (m : float array array) ~k =
   let maxabs =
     Array.fold_left
       (Array.fold_left (fun a v -> Float.max a (Float.abs v)))
@@ -246,8 +228,23 @@ let survivors (m : float array array) ~k =
   if
     delta < Float.min_float
     || not (Float.is_finite (4. *. float_of_int k *. maxabs))
-  then all
-  else begin
+  then None
+  else Some delta
+
+(* Columns (orders) that can win some trial, ascending.  A column is
+   dropped when it is identical to a lower-index column, or when some
+   column [i] is no larger on every row and smaller by at least the
+   [margin] on [nb - k + 1] rows: every k-subset then contains such a
+   row, so the walk's float sum for the column exceeds [i]'s and it is
+   never the argmin.  Each column's float history is independent of
+   the others, so walking the survivors gives the same win counts. *)
+let survivors (m : float array array) ~k =
+  let nb = Array.length m and no = width m in
+  if k <= 0 || k > nb then invalid_arg "Subset: bad subset size";
+  let all = Array.init no Fun.id in
+  match margin m ~k with
+  | None -> all
+  | Some delta ->
     let col = Array.init no (fun o -> Array.init nb (fun b -> m.(b).(o))) in
     let total = Array.map (Array.fold_left ( +. ) 0.) col in
     (* A column's dominators have no larger total (float addition is
@@ -277,24 +274,293 @@ let survivors (m : float array array) ~k =
     let keep = Array.of_list !kept in
     Array.sort compare keep;
     keep
-  end
+
+(* Length of the common prefix of two k-combinations. *)
+let common_prefix a b =
+  let p = ref 0 in
+  while !p < Array.length a && a.(!p) = b.(!p) do
+    incr p
+  done;
+  !p
+
+(* How many kept columns each column of a block is tested against,
+   best first.  Nearly every column that falls, falls to one of the
+   first few; past this many, the tests cost more than walking the
+   column does. *)
+let candidates = 128
+
+(* Per-column working arrays of [block_columns], shared by the blocks
+   of a chunk and reused by every chunk a domain walks: fresh ones per
+   block left megabytes of garbage behind the walk and raised the
+   process's peak RSS. *)
+type scratch = {
+  best : float array;
+  worst : float array;
+  sums : float array;  (* [samples] sums per column *)
+  order : int array;
+  kept : int array;
+  can_win : bool array;  (* kept by some block of the chunk *)
+}
+
+let samples = 4
+
+let scratch_slot : scratch option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+(* This domain's scratch for [nc] columns, with [can_win] cleared. *)
+let scratch nc =
+  let slot = Domain.DLS.get scratch_slot in
+  match !slot with
+  | Some s when Array.length s.best = nc ->
+    Array.fill s.can_win 0 nc false;
+    s
+  | _ ->
+    let s =
+      {
+        best = Array.make nc 0.;
+        worst = Array.make nc 0.;
+        sums = Array.make (nc * samples) 0.;
+        order = Array.make nc 0;
+        kept = Array.make nc 0;
+        can_win = Array.make nc false;
+      }
+    in
+    slot := Some s;
+    s
+
+(* Marks in [can_win] the columns of [col] ([col.(c).(b)]; [rows.(c)]
+   lists c's rows by ascending value) that can win some trial of rank
+   [lo .. hi-1].  Every combination of the range holds the
+   common prefix P of its first and last combination; its other
+   [r = k - |P|] members lie in R = [first.(|P|) .. nb-1].  Column [j]
+   is dropped when some column [i] has
+     sum over P of (j - i) + the r smallest (j - i) over R >= delta,
+   a lower bound on [j]'s exact lead over [i] on every trial of the
+   range, so [j]'s float sum exceeds [i]'s throughout and it never
+   wins there.
+
+   Over the range a column's sum lies between [best] (P plus its r
+   smallest rows of R) and [worst] (P plus its r largest).  A
+   dominator has the smaller [best], and dominance is transitive, so
+   the columns are checked in order of [best] against the kept ones
+   alone, best first, up to [candidates] of them.  A pair is settled
+   at once when [j]'s [best] clears [i]'s [worst] by [delta], or when
+   at one of a few combinations of the range [j] leads [i] by less;
+   and while the bound is summed, visiting [j]'s best rows first, as
+   soon as the r smallest differences seen so far fall short.  A
+   rejection only keeps a column; [best_j - worst_i] is itself a lower
+   bound on [j]'s lead, a sum of 2k entries whose rounding the margin
+   covers. *)
+let block_columns { best; worst; sums; order; kept; can_win }
+    (col : float array array) (rows : int array array) ~nb ~k ~delta lo hi =
+  let first = unrank ~n:nb ~k lo and last = unrank ~n:nb ~k (hi - 1) in
+  let p = common_prefix first last in
+  let r = k - p in
+  let rlo = if p < k then first.(p) else nb in
+  Array.iteri
+    (fun c (cc : float array) ->
+      let rc = rows.(c) in
+      let s = ref 0. in
+      for q = 0 to p - 1 do
+        s := !s +. cc.(first.(q))
+      done;
+      let lo_s = ref !s and n = ref 0 and x = ref 0 in
+      while !n < r do
+        let b = rc.(!x) in
+        if b >= rlo then begin
+          lo_s := !lo_s +. cc.(b);
+          incr n
+        end;
+        incr x
+      done;
+      let hi_s = ref !s and n = ref 0 and x = ref (nb - 1) in
+      while !n < r do
+        let b = rc.(!x) in
+        if b >= rlo then begin
+          hi_s := !hi_s +. cc.(b);
+          incr n
+        end;
+        decr x
+      done;
+      best.(c) <- !lo_s;
+      worst.(c) <- !hi_s)
+    col;
+  Array.iteri (fun c _ -> order.(c) <- c) order;
+  Array.sort
+    (fun a b ->
+      let o = Float.compare best.(a) best.(b) in
+      if o <> 0 then o else compare a b)
+    order;
+  let third = (hi - 1 - lo) / 3 in
+  let combs =
+    [| last; first; unrank ~n:nb ~k (lo + third);
+       unrank ~n:nb ~k (hi - 1 - third) |]
+  in
+  Array.iteri
+    (fun c (cc : float array) ->
+      for t = 0 to samples - 1 do
+        let comb = combs.(t) and s = ref 0. in
+        for q = 0 to k - 1 do
+          s := !s +. cc.(comb.(q))
+        done;
+        sums.((c * samples) + t) <- !s
+      done)
+    col;
+  (* the r smallest differences seen so far, ascending *)
+  let small = Array.make r 0. in
+  let leads i j =
+    let ci = col.(i) and cj = col.(j) and rj = rows.(j) in
+    let sp = ref 0. in
+    for q = 0 to p - 1 do
+      let b = first.(q) in
+      sp := !sp +. (cj.(b) -. ci.(b))
+    done;
+    let need = delta -. !sp in
+    let n = ref 0 and sum = ref 0. and x = ref 0 and short = ref false in
+    while (not !short) && !x < nb do
+      let b = Array.unsafe_get rj !x in
+      incr x;
+      if b >= rlo then begin
+        let v = Array.unsafe_get cj b -. Array.unsafe_get ci b in
+        if !n < r || v < Array.unsafe_get small (r - 1) then begin
+          let t =
+            ref
+              (if !n < r then begin
+                 sum := !sum +. v;
+                 incr n;
+                 !n - 1
+               end
+               else begin
+                 sum := !sum +. (v -. Array.unsafe_get small (r - 1));
+                 r - 1
+               end)
+          in
+          while !t > 0 && Array.unsafe_get small (!t - 1) > v do
+            Array.unsafe_set small !t (Array.unsafe_get small (!t - 1));
+            decr t
+          done;
+          Array.unsafe_set small !t v;
+          short := !n = r && !sum < need
+        end
+      end
+    done;
+    (not !short)
+    && begin
+      (* summed afresh, so its rounding stays inside the margin *)
+      let s = ref !sp in
+      for t = 0 to r - 1 do
+        s := !s +. small.(t)
+      done;
+      !s >= delta
+    end
+  in
+  let beats i j =
+    best.(j) -. worst.(i) >= delta
+    || begin
+      let t = ref 0 in
+      while
+        !t < samples
+        && Array.unsafe_get sums ((j * samples) + !t)
+           -. Array.unsafe_get sums ((i * samples) + !t)
+           >= delta
+      do
+        incr t
+      done;
+      !t = samples
+    end
+    && leads i j
+  in
+  let nk = ref 0 in
+  Array.iter
+    (fun j ->
+      let t = ref 0 and dominated = ref false in
+      let tries = min !nk candidates in
+      while
+        (not !dominated) && !t < tries && best.(j) -. best.(kept.(!t)) >= delta
+      do
+        dominated := beats kept.(!t) j;
+        incr t
+      done;
+      if not !dominated then begin
+        kept.(!nk) <- j;
+        incr nk;
+        can_win.(j) <- true
+      end)
+    order
+
+(* Columns of [col] that can win some trial of rank [lo .. hi-1],
+   ascending: the union of [block_columns] over the blocks of the
+   range that also agree on the member after its common prefix.  A
+   block's prefix is longer than the range's, so its bound is
+   tighter. *)
+let chunk_columns col rows ~nb ~k ~delta lo hi =
+  let first = unrank ~n:nb ~k lo and last = unrank ~n:nb ~k (hi - 1) in
+  let p = common_prefix first last in
+  (* block [t]: the ranks whose member [p] is [first.(p) + t] *)
+  let nblocks = if p = k then 1 else last.(p) - first.(p) + 1 in
+  let start t =
+    if t = 0 then lo
+    else if t = nblocks then hi
+    else
+      rank ~n:nb ~k
+        (Array.init k (fun q ->
+             if q < p then first.(q) else first.(p) + t + q - p))
+  in
+  let s = scratch (Array.length col) in
+  for t = 0 to nblocks - 1 do
+    block_columns s col rows ~nb ~k ~delta (start t) (start (t + 1))
+  done;
+  let cols = ref [] in
+  for c = Array.length col - 1 downto 0 do
+    if s.can_win.(c) then cols := c :: !cols
+  done;
+  Array.of_list !cols
+
+let column_steps = Obs.Metrics.counter "subset.column_steps"
 
 let run ?k ?(max_trials = max_int) (m : float array array) =
   let nb = Array.length m in
   let k = match k with Some k -> k | None -> (nb + 1) / 2 in
   let keep = survivors m ~k in
-  let no_all = Array.length m.(0) and no = Array.length keep in
+  let delta = margin m ~k in
+  let no_all = Array.length m.(0) in
   let total = min (choose nb k) max_trials in
-  let walked = Array.map (fun row -> Array.map (fun o -> row.(o)) keep) m in
+  let col = Array.map (fun o -> Array.init nb (fun b -> m.(b).(o))) keep in
+  let rows =
+    Array.map
+      (fun cc ->
+        let rc = Array.init nb Fun.id in
+        Array.stable_sort (fun a b -> Float.compare cc.(a) cc.(b)) rc;
+        rc)
+      col
+  in
   let pool = Par.Pool.get () in
   (* The chunk size is part of the reproducibility contract (each chunk
      re-sums its first combination, so resizing it moves float
-     accumulation boundaries); the pool's scheduling is not. *)
+     accumulation boundaries); the pool's scheduling is not.  Each
+     chunk walks only the columns that can win inside it, in ascending
+     order, so every column it walks has the float history and every
+     argmin the tie-break of a walk over all columns. *)
   let win_counts =
     Par.Pool.reduce pool ~n:total ~chunk:chunk_trials
-      ~map:(fun lo hi -> walk_range walked ~nb ~no ~k lo (hi - lo))
+      ~map:(fun lo hi ->
+        let cols =
+          match delta with
+          | None -> Array.init (Array.length col) Fun.id
+          | Some delta -> chunk_columns col rows ~nb ~k ~delta lo hi
+        in
+        let nc = Array.length cols in
+        Obs.Metrics.incr ~by:(nc * (hi - lo)) column_steps;
+        let walked =
+          Array.init nb (fun b -> Array.map (fun c -> col.(c).(b)) cols)
+        in
+        let part = Array.make no_all 0 in
+        Array.iteri
+          (fun i w -> part.(keep.(cols.(i))) <- w)
+          (walk_range walked ~nb ~no:nc ~k lo (hi - lo));
+        part)
       ~merge:(fun acc part ->
-        Array.iteri (fun i c -> acc.(keep.(i)) <- acc.(keep.(i)) + c) part;
+        Array.iteri (fun o c -> acc.(o) <- acc.(o) + c) part;
         acc)
       ~init:(Array.make no_all 0) ()
   in

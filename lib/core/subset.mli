@@ -14,6 +14,29 @@
     function of the trial count alone, so results are bit-identical
     for any [-j].
 
+    {b Pruning.}  Only orders that can win are walked, in two passes
+    that share one margin δ.  {!survivors} drops, once, the orders
+    that can win no trial at all.  Then each range walks only the
+    survivors that can win inside it (the chunk rule under {!run}).
+    Each order's floating-point history is independent of the
+    others', so dropping orders that never win leaves every argmin,
+    tie-break included, as it was.
+
+    {b The margin.}  A range is at most 8,192 trials.  Its running sum
+    for an order starts from zero, adds the first combination's [k]
+    rows, then takes at most [2k] additions or subtractions per trial:
+    [ops = k + 2k (8192 - 1)] operations in all.  Each one rounds a sum
+    of at most [2k] entries, by at most [2k * max|m| * u] with
+    u = 2{^-53}.  While [ops * u <= 1] the accumulated error stays
+    below [drift = 2 * ops * u * 2k * max|m|].  Two sums whose exact
+    values differ by more than [2 * drift] therefore compare the right
+    way round.  [δ = 3 * drift] leaves one more [drift] for rounding
+    the prunes' own arithmetic: sums and differences of at most [2k]
+    entries, off by at most [4k{^2} * u * max|m|], which is below
+    [drift] because [ops > k].  A matrix with a non-finite entry, or
+    whose δ would underflow or sums overflow, keeps every order in both
+    passes.
+
     Ties between orders are broken toward the lower order index,
     making results deterministic. *)
 
@@ -42,10 +65,34 @@ val run : ?k:int -> ?max_trials:int -> float array array -> result
 (** [run m] over the miss matrix from {!Ordering.miss_matrix}
     ([m.(benchmark).(order)]).  [k] defaults to half the benchmarks,
     rounded up.  [max_trials] caps the enumeration (first trials in
-    lexicographic order) for quick runs; default unlimited.  Only the
-    {!survivors} are walked; the result is the one a walk over every
-    order gives.  Raises [Invalid_argument] on an empty, zero-width or
-    ragged matrix, or unless [0 < k <= nb]. *)
+    lexicographic order) for quick runs; default unlimited.  The
+    result is the one a walk over every order gives.
+
+    Each 8,192-trial range walks only the {!survivors} that can win
+    inside it (the chunk rule).  Take a run of consecutive trials and
+    let P be the common prefix of its first and last combination:
+    every combination of the run contains P, and its other
+    [r = k - |P|] members lie in R = [\{first.(|P|), ..., nb - 1\}].
+    Order [j] cannot win in the run when some order [i] has
+
+    [sum over P of (m.(b).(j) - m.(b).(i))
+     + the r smallest (m.(b).(j) - m.(b).(i)) over b in R >= δ].
+
+    The left side is a lower bound on [j]'s exact lead over [i] on
+    every trial of the run, so [j]'s float sum exceeds [i]'s
+    throughout.  A range is cut into blocks, the runs whose
+    combinations also share the member after the range's own common
+    prefix; a block's prefix is longer, so its bound is tighter.  The
+    range walks, in ascending order, every order that some block
+    keeps.  Each order is tested against at most the 128 best orders
+    its block has kept so far; fewer tests only keep more orders, so
+    this never changes a result.  What a range walks is a pure
+    function of the matrix and the range, the same at any [-j].  Each
+    range adds (orders walked) x (trials) to the
+    [subset.column_steps] counter of {!Obs.Metrics}.
+
+    Raises [Invalid_argument] on an empty, zero-width or ragged
+    matrix, or unless [0 < k <= nb]. *)
 
 val survivors : float array array -> k:int -> int array
 (** The orders (columns) the walk keeps, ascending.  An order is
@@ -53,15 +100,10 @@ val survivors : float array array -> k:int -> int array
     order [i] is no larger on every benchmark and smaller by at least
     δ on [nb - k + 1] of them: every k-subset then contains such a
     benchmark, so the order's floating-point sum always exceeds
-    [i]'s and it never wins.  δ is three times the worst rounding
-    drift of one running sum inside a chunk:
-    [2 (k + 2k (chunk_trials - 1)) * 2k * max|m| * 2^-53], where each
-    of the chunk's operations rounds a sum of at most [2k] entries.
-    Each order's float history is independent of the others', so
-    dropping orders that never win leaves every argmin, tie-break
-    included, as it was.  A matrix with a non-finite entry, or whose
-    δ would underflow or sums overflow, keeps every order.  Raises
-    [Invalid_argument] on a matrix {!run} rejects. *)
+    [i]'s and it never wins.  δ is the margin derived above.  A matrix
+    with a non-finite entry, or whose δ would underflow or sums
+    overflow, keeps every order.  Raises [Invalid_argument] on a
+    matrix {!run} rejects. *)
 
 val cumulative_share : result -> float array
 (** Graph 2's series: cumulative fraction of all trials accounted for

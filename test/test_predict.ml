@@ -709,8 +709,9 @@ let prop_subset_total_wins =
 (* Every column, the walk's 8,192-trial chunks (each re-summed from
    zero in member order), and between trials the leaving and joining
    rows applied in ascending member order, as the walk's sorted merge
-   emits them.  Argmin breaks ties toward the lower column. *)
-let reference_wins ~k (m : float array array) =
+   emits them.  Argmin breaks ties toward the lower column.  Like
+   [Subset.run], it stops after the first [max_trials] trials. *)
+let reference_wins ?(max_trials = max_int) ~k (m : float array array) =
   let module S = Predict.Subset in
   let nb = Array.length m and no = Array.length m.(0) in
   let wins = Array.make no 0 and cur = Array.make no 0. in
@@ -720,7 +721,7 @@ let reference_wins ~k (m : float array array) =
       m.(b)
   in
   let prev = ref [||] in
-  for r = 0 to S.choose nb k - 1 do
+  for r = 0 to min (S.choose nb k) max_trials - 1 do
     let comb = S.unrank ~n:nb ~k r in
     if r mod 8192 = 0 then begin
       Array.fill cur 0 no 0.;
@@ -745,12 +746,13 @@ let win_counts no (r : Predict.Subset.result) =
   Array.iter (fun (o, n) -> c.(o) <- n) r.wins;
   c
 
-let matches_reference ~k m =
-  let want = reference_wins ~k m in
+let matches_reference ?max_trials ~k m =
+  let want = reference_wins ?max_trials ~k m in
   let no = Array.length m.(0) in
   List.for_all
     (fun jobs ->
-      win_counts no (with_jobs jobs (fun () -> Predict.Subset.run ~k m))
+      win_counts no
+        (with_jobs jobs (fun () -> Predict.Subset.run ~k ?max_trials m))
       = want)
     [ 1; 4 ]
 
@@ -789,16 +791,49 @@ let prop_subset_run_equals_reference =
     ~count:40
     QCheck.(
       make
-        ~print:(fun (nb, no, q, seed) ->
-          Printf.sprintf "nb=%d no=%d q=%d seed=%d" nb no q seed)
+        ~print:(fun ((nb, no, q, seed), max_trials) ->
+          Printf.sprintf "nb=%d no=%d q=%d seed=%d max_trials=%s" nb no q seed
+            (match max_trials with Some t -> string_of_int t | None -> "-"))
         Gen.(
-          quad (int_range 2 17) (int_range 1 40)
-            (oneofl [ 3; 5; 6; 7; 9; 10 ])
-            (int_range 0 1_000_000)))
-    (fun (nb, no, q, seed) ->
-      (* nb up to 17: C(17,8) = 24,310 trials span several chunks *)
+          pair
+            (quad
+               (oneof [ int_range 2 17; int_range 16 17 ])
+               (int_range 1 40)
+               (oneofl [ 3; 5; 6; 7; 9; 10 ])
+               (int_range 0 1_000_000))
+            (opt (int_range 1 24_576))))
+    (fun ((nb, no, q, seed), max_trials) ->
+      (* nb up to 17: C(17,8) = 24,310 trials span several chunks.  A
+         cap ends the walk inside a block of combinations that share a
+         long prefix, which is where the chunk rule drops columns. *)
       let k = 1 + (seed mod nb) in
-      matches_reference ~k (tie_heavy_matrix ~nb ~no ~k ~q seed))
+      matches_reference ?max_trials ~k (tie_heavy_matrix ~nb ~no ~k ~q seed))
+
+(* The chunk rule must really drop columns, and stay exact when it
+   does: fewer column-steps than walking every survivor.  Independent
+   uniform columns all survive the global prune (no column is below
+   another on 9 of 17 rows), but not every chunk. *)
+let test_subset_chunk_prune_fires () =
+  let module S = Predict.Subset in
+  let nb = 17 and no = 40 and max_trials = 20_000 in
+  let k = (nb + 1) / 2 in
+  let st = Random.State.make [| 7 |] in
+  let m =
+    Array.init nb (fun _ -> Array.init no (fun _ -> Random.State.float st 1.))
+  in
+  let steps = Obs.Metrics.counter "subset.column_steps" in
+  let walked jobs =
+    let before = Obs.Metrics.value steps in
+    let r = with_jobs jobs (fun () -> S.run ~k ~max_trials m) in
+    (r, Obs.Metrics.value steps - before)
+  in
+  let r1, steps1 = walked 1 and r4, steps4 = walked 4 in
+  let full = Array.length (S.survivors m ~k) * max_trials in
+  checkb "chunk rule drops columns" true (steps1 < full);
+  checki "same column-steps at -j 1 and -j 4" steps1 steps4;
+  checkb "wins equal the reference" true
+    (win_counts no r1 = reference_wins ~max_trials ~k m);
+  checkb "-j 1 = -j 4" true (r1 = r4)
 
 let test_subset_prune_threshold () =
   let module S = Predict.Subset in
@@ -855,6 +890,43 @@ let test_subset_prune_threshold () =
   in
   checkb "sub-delta difference: kept" true (S.survivors ulp ~k:2 = [| 0; 1 |]);
   checkb "sub-delta: matches reference" true (matches_reference ~k:2 ulp)
+
+let test_subset_chunk_prune_threshold () =
+  let module S = Predict.Subset in
+  let u = epsilon_float /. 2. in
+  (* (a) k = 2, one chunk of 6 trials.  Column 0 trails column 1 by
+     at most 2^-30 + 2^-53 on every subset, far below the drift
+     margin, and by exactly 2^-53 on {1,2} and {1,3}; the walk's
+     rounding there makes the two running sums equal, and column 0
+     wins on index.  With a
+     zero margin the chunk rule drops it from every block. *)
+  let a =
+    [| [| 0x1p-30; 0. |]; [| 0.; 0. |]; [| 1.; 1. -. u |]; [| u; 0. |] |]
+  in
+  checkb "(a) both survive globally" true (S.survivors a ~k:2 = [| 0; 1 |]);
+  checkb "(a) trailing column wins ties" true
+    (win_counts 2 (S.run ~k:2 a) = [| 2; 4 |]);
+  checkb "(a) matches reference" true (matches_reference ~k:2 a);
+  (* (b) k = 2, capped at 7 trials: {0,1} .. {0,4}, {1,2}, {1,3},
+     {1,4}.  Column 1 wins only {1,3}, which is none of the sample
+     combinations.  Its block, {1,2} .. {1,4}, has the prefix {1}; a
+     prefix one member longer, {1,2}, would count row 2's lead of 0.2
+     in every trial of the block and drop the column. *)
+  let b =
+    [|
+      [| 0.; 1. |]; [| 0.5; 0.5 |]; [| 0.3; 0.5 |]; [| 0.4; 0.3 |];
+      [| 0.3; 0.5 |];
+    |]
+  in
+  checkb "(b) both survive globally" true (S.survivors b ~k:2 = [| 0; 1 |]);
+  checkb "(b) column 1 wins only {1,3}" true
+    (win_counts 2 (S.run ~k:2 ~max_trials:7 b) = [| 6; 1 |]);
+  checkb "(b) matches reference" true (matches_reference ~k:2 ~max_trials:7 b);
+  (* the same column winning only the range's last combination, {1,3}
+     under a cap of 6 *)
+  checkb "(b) last combination: matches reference" true
+    (win_counts 2 (S.run ~k:2 ~max_trials:6 b) = [| 5; 1 |]
+    && matches_reference ~k:2 ~max_trials:6 b)
 
 let test_subset_rejects_bad_matrix () =
   let rejects name m =
@@ -1022,6 +1094,10 @@ let () =
             test_subset_respects_max_trials;
           Alcotest.test_case "subset prune threshold" `Quick
             test_subset_prune_threshold;
+          Alcotest.test_case "subset chunk prune threshold" `Quick
+            test_subset_chunk_prune_threshold;
+          Alcotest.test_case "subset chunk prune fires" `Quick
+            test_subset_chunk_prune_fires;
           Alcotest.test_case "subset rejects bad matrix" `Quick
             test_subset_rejects_bad_matrix;
           Alcotest.test_case "miss matrix -j1 = -j4" `Quick
