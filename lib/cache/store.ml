@@ -19,12 +19,11 @@ let dir () = !dir_ref
 let set_dir d = dir_ref := d
 
 (* All store accounting lives in the process-wide metrics registry
-   (Obs.Metrics) under [cache.*]: disk traffic (hit / miss / corrupt /
-   write) and the recovery counters that the fault smoke gate reads. *)
+   (Obs.Metrics) under [cache.*]: disk traffic (hit / miss / write) and
+   the recovery counters that the fault smoke gate reads. *)
 
 let hits = Obs.Metrics.counter "cache.hit"
 let misses = Obs.Metrics.counter "cache.miss"
-let corrupts = Obs.Metrics.counter "cache.corrupt"
 let writes = Obs.Metrics.counter "cache.write"
 let corrupt_quarantined = Obs.Metrics.counter "cache.corrupt_quarantined"
 let write_failures = Obs.Metrics.counter "cache.write_failures"
@@ -134,7 +133,6 @@ let memo ~table ~key compute =
         bump misses;
         None
       | `Corrupt ->
-        bump corrupts;
         quarantine path;
         None
     in

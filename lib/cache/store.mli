@@ -25,7 +25,7 @@
     skipped, not retried, and its orphaned temporary file deleted — a
     cache write only costs warmth, never correctness.  Disk traffic and
     recovery are counted in {!Obs.Metrics} under [cache.*]: [hit],
-    [miss], [corrupt], [write], [corrupt_quarantined],
+    [miss], [write], [corrupt_quarantined],
     [write_failures] and [tmp_cleaned]. *)
 
 val enabled : unit -> bool

@@ -48,6 +48,13 @@ val uses_before_def :
     it?  The Guard heuristic's core test, exposed for the extended
     variants of {!Heuristic_ext}. *)
 
+val by_property :
+  predict_with:bool -> (int -> bool) -> taken:int -> fall:int -> bool option
+(** [by_property ~predict_with prop ~taken ~fall] predicts only when
+    exactly one successor has [prop]: [Some predict_with] when it is
+    the taken one, [Some (not predict_with)] when it is the
+    fall-through, [None] otherwise. *)
+
 val apply : t -> Cfg.Analysis.t -> block:int -> taken:int -> fall:int -> bool option
 (** [apply h a ~block ~taken ~fall] runs heuristic [h] on the branch
     terminating [block] whose taken/fall-through successors are the

@@ -8,12 +8,6 @@ let name = function
   | Dominated -> "Dominated"
   | Guard_deep -> "Guard+"
 
-let by_property ~predict_with prop ~taken ~fall =
-  match prop taken, prop fall with
-  | true, false -> Some predict_with
-  | false, true -> Some (not predict_with)
-  | true, true | false, false -> None
-
 let distance (a : Cfg.Analysis.t) ~block ~taken ~fall =
   ignore fall;
   (* predict the closer successor: the taken target when the jump is
@@ -24,11 +18,11 @@ let distance (a : Cfg.Analysis.t) ~block ~taken ~fall =
 
 let postdom (a : Cfg.Analysis.t) ~block ~taken ~fall =
   let prop s = Cfg.Analysis.postdominates a s block in
-  by_property ~predict_with:true prop ~taken ~fall
+  Heuristic.by_property ~predict_with:true prop ~taken ~fall
 
 let dominated (a : Cfg.Analysis.t) ~block ~taken ~fall =
   let prop s = s <> block && Cfg.Analysis.dominates a block s in
-  by_property ~predict_with:true prop ~taken ~fall
+  Heuristic.by_property ~predict_with:true prop ~taken ~fall
 
 (* The Guard heuristic, also looking one unconditional hop deeper when
    the immediate successor neither uses nor clobbers the operands. *)
@@ -59,7 +53,7 @@ let guard_deep (a : Cfg.Analysis.t) ~block ~taken ~fall =
     let prop s =
       uses_within 1 s && not (Cfg.Analysis.postdominates a s block)
     in
-    by_property ~predict_with:true prop ~taken ~fall
+    Heuristic.by_property ~predict_with:true prop ~taken ~fall
   end
 
 let apply h a ~block ~taken ~fall =

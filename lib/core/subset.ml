@@ -248,7 +248,7 @@ let survivors (m : float array array) ~k =
     let col = Array.init no (fun o -> Array.init nb (fun b -> m.(b).(o))) in
     let total = Array.map (Array.fold_left ( +. ) 0.) col in
     (* A column's dominators have no larger total (float addition is
-       monotone), and dominance is transitive, so checking candidates
+       monotone), and dominance is transitive, so checking columns
        in order of total against the survivors alone misses none. *)
     let by_total = Array.copy all in
     Array.stable_sort (fun a b -> Float.compare total.(a) total.(b)) by_total;
@@ -283,19 +283,12 @@ let common_prefix a b =
   done;
   !p
 
-(* How many kept columns each column of a block is tested against,
-   best first.  Nearly every column that falls, falls to one of the
-   first few; past this many, the tests cost more than walking the
-   column does. *)
-let candidates = 128
-
 (* Per-column working arrays of [block_columns], shared by the blocks
    of a chunk and reused by every chunk a domain walks: fresh ones per
    block left megabytes of garbage behind the walk and raised the
    process's peak RSS. *)
 type scratch = {
   best : float array;
-  worst : float array;
   sums : float array;  (* [samples] sums per column *)
   order : int array;
   kept : int array;
@@ -318,7 +311,6 @@ let scratch nc =
     let s =
       {
         best = Array.make nc 0.;
-        worst = Array.make nc 0.;
         sums = Array.make (nc * samples) 0.;
         order = Array.make nc 0;
         kept = Array.make nc 0;
@@ -339,19 +331,16 @@ let scratch nc =
    range, so [j]'s float sum exceeds [i]'s throughout and it never
    wins there.
 
-   Over the range a column's sum lies between [best] (P plus its r
-   smallest rows of R) and [worst] (P plus its r largest).  A
-   dominator has the smaller [best], and dominance is transitive, so
-   the columns are checked in order of [best] against the kept ones
-   alone, best first, up to [candidates] of them.  A pair is settled
-   at once when [j]'s [best] clears [i]'s [worst] by [delta], or when
-   at one of a few combinations of the range [j] leads [i] by less;
-   and while the bound is summed, visiting [j]'s best rows first, as
-   soon as the r smallest differences seen so far fall short.  A
-   rejection only keeps a column; [best_j - worst_i] is itself a lower
-   bound on [j]'s lead, a sum of 2k entries whose rounding the margin
-   covers. *)
-let block_columns { best; worst; sums; order; kept; can_win }
+   Over the range a column's sum is at least [best] (P plus its r
+   smallest rows of R).  A dominator has the smaller [best], and
+   dominance is transitive, so the columns are checked in order of
+   [best] against the kept ones alone, best first, while [j]'s [best]
+   exceeds theirs by at least [delta].  A pair is settled at once when
+   at one of a few combinations of the range [j] leads [i] by less
+   than [delta], and while the bound is summed, visiting [j]'s best
+   rows first, as soon as the r smallest differences seen so far fall
+   short.  A rejection only keeps a column. *)
+let block_columns { best; sums; order; kept; can_win }
     (col : float array array) (rows : int array array) ~nb ~k ~delta lo hi =
   let first = unrank ~n:nb ~k lo and last = unrank ~n:nb ~k (hi - 1) in
   let p = common_prefix first last in
@@ -373,17 +362,7 @@ let block_columns { best; worst; sums; order; kept; can_win }
         end;
         incr x
       done;
-      let hi_s = ref !s and n = ref 0 and x = ref (nb - 1) in
-      while !n < r do
-        let b = rc.(!x) in
-        if b >= rlo then begin
-          hi_s := !hi_s +. cc.(b);
-          incr n
-        end;
-        decr x
-      done;
-      best.(c) <- !lo_s;
-      worst.(c) <- !hi_s)
+      best.(c) <- !lo_s)
     col;
   Array.iteri (fun c _ -> order.(c) <- c) order;
   Array.sort
@@ -455,28 +434,23 @@ let block_columns { best; worst; sums; order; kept; can_win }
     end
   in
   let beats i j =
-    best.(j) -. worst.(i) >= delta
-    || begin
-      let t = ref 0 in
-      while
-        !t < samples
-        && Array.unsafe_get sums ((j * samples) + !t)
-           -. Array.unsafe_get sums ((i * samples) + !t)
-           >= delta
-      do
-        incr t
-      done;
-      !t = samples
-    end
-    && leads i j
+    let t = ref 0 in
+    while
+      !t < samples
+      && Array.unsafe_get sums ((j * samples) + !t)
+         -. Array.unsafe_get sums ((i * samples) + !t)
+         >= delta
+    do
+      incr t
+    done;
+    !t = samples && leads i j
   in
   let nk = ref 0 in
   Array.iter
     (fun j ->
       let t = ref 0 and dominated = ref false in
-      let tries = min !nk candidates in
       while
-        (not !dominated) && !t < tries && best.(j) -. best.(kept.(!t)) >= delta
+        (not !dominated) && !t < !nk && best.(j) -. best.(kept.(!t)) >= delta
       do
         dominated := beats kept.(!t) j;
         incr t

@@ -84,9 +84,9 @@ val run : ?k:int -> ?max_trials:int -> float array array -> result
     combinations also share the member after the range's own common
     prefix; a block's prefix is longer, so its bound is tighter.  The
     range walks, in ascending order, every order that some block
-    keeps.  Each order is tested against at most the 128 best orders
-    its block has kept so far; fewer tests only keep more orders, so
-    this never changes a result.  What a range walks is a pure
+    keeps.  Each order is tested against the orders its block has
+    kept so far, best first; a test that fails only keeps an order,
+    so the tests never change a result.  What a range walks is a pure
     function of the matrix and the range, the same at any [-j].  Each
     range adds (orders walked) x (trials) to the
     [subset.column_steps] counter of {!Obs.Metrics}.

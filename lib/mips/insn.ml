@@ -60,7 +60,6 @@ let is_block_end i =
 let is_call = function Jal _ | Jalr _ -> true | _ -> false
 let is_return = function Ret -> true | _ -> false
 let is_store = function Sw _ | Sd _ -> true | _ -> false
-let is_load = function Lw _ | Ld _ -> true | _ -> false
 
 let branch_target = function
   | Beq (_, _, l) | Bne (_, _, l) | Bz (_, _, l) | Bfp (_, l) | J l -> Some l

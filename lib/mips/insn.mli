@@ -85,8 +85,6 @@ val is_return : _ t -> bool
 val is_store : _ t -> bool
 (** [Sw] or [Sd] — what the Store heuristic scans for. *)
 
-val is_load : _ t -> bool
-
 val branch_target : 'lab t -> 'lab option
 (** Target label of a conditional branch or jump, if any. *)
 

@@ -16,8 +16,6 @@ type t = {
   mutable icursor : int;
   mutable fcursor : int;
   input : Dataset.t;
-  mutable dirty_lo : int;
-  mutable dirty_hi : int;
 }
 
 exception Fault of string
@@ -74,7 +72,9 @@ let max_call_depth = 65536
 
 (* Memory planes are private mappings of /dev/zero: the kernel hands
    out zero pages on first touch, so a plane costs resident memory only
-   for the pages a program writes, not for its [mem_words] words. *)
+   for the pages a program writes, not for its [mem_words] words.
+   Every run maps its own pair; its pages go back to the system when
+   the GC finalises the planes. *)
 let map_zero kind =
   let fd = Unix.openfile "/dev/zero" [ Unix.O_RDWR ] 0 in
   Fun.protect
@@ -86,41 +86,8 @@ let map_zero kind =
 
 let map_planes () = (map_zero Bigarray.int, map_zero Bigarray.float64)
 
-(* Domain-local scratch memory.  Each domain parks one plane pair after
-   a run; reacquisition re-zeroes only the address ranges the previous
-   run dirtied, which the interpreter tracks as two intervals — stores
-   land either low (globals/heap, grows up) or high (stack, grows
-   down), so a watermark per half covers everything.  Reuse is what
-   keeps resident memory bounded: a mapping is unmapped only when the
-   GC finalises its plane, so fresh planes per run would pile up.  The
-   slot is emptied while in use, so a nested run on the same domain
-   simply maps a fresh pair. *)
-let scratch_slot : (iplane * fplane) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let acquire_mem () =
-  let slot = Domain.DLS.get scratch_slot in
-  match !slot with
-  | Some mem ->
-    slot := None;
-    mem
-  | None -> map_planes ()
-
-let release_mem m =
-  let w = Bigarray.Array1.dim m.mem_i in
-  let zero lo hi =
-    if lo <= hi then begin
-      Bigarray.Array1.fill (Bigarray.Array1.sub m.mem_i lo (hi - lo + 1)) 0;
-      Bigarray.Array1.fill (Bigarray.Array1.sub m.mem_f lo (hi - lo + 1)) 0.
-    end
-  in
-  zero 0 m.dirty_lo;
-  zero m.dirty_hi (w - 1);
-  let slot = Domain.DLS.get scratch_slot in
-  slot := Some (m.mem_i, m.mem_f)
-
 let create prog input =
-  let mem_i, mem_f = acquire_mem () in
+  let mem_i, mem_f = map_planes () in
   let m =
     {
       prog;
@@ -136,27 +103,10 @@ let create prog input =
       icursor = 0;
       fcursor = 0;
       input;
-      dirty_lo = -1;
-      dirty_hi = Mips.Program.mem_words;
     }
   in
-  let mid = Mips.Program.mem_words lsr 1 in
-  let touch a =
-    if a < mid then begin
-      if a > m.dirty_lo then m.dirty_lo <- a
-    end
-    else if a < m.dirty_hi then m.dirty_hi <- a
-  in
-  List.iter
-    (fun (a, v) ->
-      m.mem_i.{a} <- v;
-      touch a)
-    prog.idata;
-  List.iter
-    (fun (a, v) ->
-      m.mem_f.{a} <- v;
-      touch a)
-    prog.fdata;
+  List.iter (fun (a, v) -> mem_i.{a} <- v) prog.idata;
+  List.iter (fun (a, v) -> mem_f.{a} <- v) prog.fdata;
   m.iregs.(Mips.Reg.to_int Mips.Reg.gp) <- Mips.Program.gp_base;
   m.iregs.(Mips.Reg.to_int Mips.Reg.sp) <- Mips.Program.stack_base;
   m
@@ -187,7 +137,6 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
   let regs = m.iregs and fregs = m.fregs in
   let mem_i = m.mem_i and mem_f = m.mem_f in
   let mem_words = Mips.Program.mem_words in
-  let mem_mid = mem_words lsr 1 in
   let ints = input.Dataset.ints and floats = input.Dataset.floats in
   let nints = Array.length ints and nfloats = Array.length floats in
   let ret_proc = Array.make max_call_depth 0 in
@@ -394,10 +343,6 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
       end
       else begin
         Bigarray.Array1.unsafe_set mem_i addr (Array.unsafe_get regs x);
-        if addr < mem_mid then begin
-          if addr > m.dirty_lo then m.dirty_lo <- addr
-        end
-        else if addr < m.dirty_hi then m.dirty_hi <- addr;
         step c (pc + 1) instrs
       end
     | Decode.Fadd ->
@@ -446,10 +391,6 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
       end
       else begin
         Bigarray.Array1.unsafe_set mem_f addr (Array.unsafe_get fregs x);
-        if addr < mem_mid then begin
-          if addr > m.dirty_lo then m.dirty_lo <- addr
-        end
-        else if addr < m.dirty_hi then m.dirty_hi <- addr;
         step c (pc + 1) instrs
       end
     | Decode.Itof ->
@@ -566,9 +507,7 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
     m.proc <- target;
     enter (Array.unsafe_get dprocs target) 0 instrs
   in
-  Fun.protect
-    ~finally:(fun () -> release_mem m)
-    (fun () -> enter (Array.unsafe_get dprocs m.proc) 0 0)
+  enter (Array.unsafe_get dprocs m.proc) 0 0
 
 let run ?max_instrs ?on_branch ?on_indirect prog input =
   run_decoded ?max_instrs ?on_branch ?on_indirect (Decode.of_program prog)

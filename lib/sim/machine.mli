@@ -37,11 +37,6 @@ type t = {
   mutable icursor : int;
   mutable fcursor : int;
   input : Dataset.t;
-  mutable dirty_lo : int;
-    (** highest dirtied memory word below the midpoint, [-1] if none *)
-  mutable dirty_hi : int;
-    (** lowest dirtied memory word at or above the midpoint,
-        {!Mips.Program.mem_words} if none *)
 }
 
 exception Fault of string

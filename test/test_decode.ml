@@ -54,9 +54,9 @@ let test_fuzzed_programs_pinned () =
   Alcotest.(check string) "digest of (stats, edges)" fuzz_digest
     (Edge_digest.hex b)
 
-(* scratch-memory reuse must leave no residue between runs: the same
-   decoded program profiled twice back-to-back (second run reusing the
-   first run's parked arrays) yields identical results *)
+(* no run may leave a residue for the next: the same decoded program
+   profiled twice back-to-back on one domain (each run on its own
+   freshly mapped planes) yields identical results *)
 let test_scratch_reuse_is_clean () =
   let wl = Workloads.Registry.find "xlisp" in
   let prog = Workloads.Workload.compile wl in

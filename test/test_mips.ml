@@ -80,9 +80,7 @@ let test_block_end () =
 let test_store_load () =
   checkb "sw" true (I.is_store (I.Sw (t0, 0, R.sp)));
   checkb "sd" true (I.is_store (I.Sd (f0, 0, R.sp)));
-  checkb "lw not store" false (I.is_store (I.Lw (t0, 0, R.sp)));
-  checkb "lw is load" true (I.is_load (I.Lw (t0, 0, R.sp)));
-  checkb "ld is load" true (I.is_load (I.Ld (f0, 0, R.sp)))
+  checkb "lw not store" false (I.is_store (I.Lw (t0, 0, R.sp)))
 
 let test_uses_defs () =
   let reg_list = Alcotest.(list string) in

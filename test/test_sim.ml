@@ -556,11 +556,11 @@ let test_machine_float_roundtrip () =
 
 (* ---- scratch memory ----
 
-   Each domain parks its memory planes after a run and the next run
-   reuses them, so [release_mem] must re-zero everything a run wrote.
-   The writer stores non-zero words at the edges of both dirty
-   intervals and of the layout's regions, in both planes; the reader
-   loads and prints every one of them. *)
+   Every run maps its own zero-filled planes, so nothing a run writes
+   may be seen by the next one, on the same domain or another.  The
+   writer stores non-zero words at the edges of the layout's regions
+   and either side of the midpoint, in both planes; the reader loads
+   and prints every one of them. *)
 let edge_addrs =
   let mid = Mips.Program.mem_words / 2 in
   [ Mips.Program.gp_base; Mips.Program.heap_base; mid - 1; mid;
@@ -601,11 +601,6 @@ let test_reuse_leaves_no_residue () =
   ignore (checksum writer);
   checki "reader right after the writer" 0 (checksum reader)
 
-(* Memory planes become resident only where a program writes (or
-   [release_mem] re-zeroes): a fresh domain, which has no parked
-   planes, running a tiny program grows the process by far less than
-   the planes' 2 x 4,194,560 words.  Not the writer above: its stores
-   at the midpoint stretch both dirty intervals over all of memory. *)
 let vm_rss_kb () =
   match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
   | exception Sys_error _ -> None
@@ -614,22 +609,57 @@ let vm_rss_kb () =
       (fun line -> Scanf.sscanf_opt line "VmRSS: %d kB" Fun.id)
       (String.split_on_char '\n' status)
 
-let test_residency () =
-  let prog = compile loopy_src in
+(* Require that [f ()], run on a fresh domain, grows VmRSS by less than
+   [mib] MiB; skipped where /proc/self/status is unreadable. *)
+let check_growth what ~mib f =
   let growth =
     Domain.join
       (Domain.spawn (fun () ->
            match vm_rss_kb () with
            | None -> None
            | Some before ->
-             ignore (checksum prog);
+             f ();
              Option.map (fun after -> after - before) (vm_rss_kb ())))
   in
   match growth with
   | None -> print_endline "skipped: VmRSS unreadable from /proc/self/status"
   | Some kb ->
-    Printf.printf "resident growth of one tiny run: %d kB\n" kb;
-    checkb "resident growth < 16 MiB" true (kb < 16 * 1024)
+    Printf.printf "resident growth of %s: %d kB\n" what kb;
+    checkb (Printf.sprintf "resident growth < %d MiB" mib) true
+      (kb < mib * 1024)
+
+(* Memory planes become resident only where a program writes: a tiny
+   program grows the process by far less than the planes' 2 x
+   4,194,560 words. *)
+let test_residency () =
+  let prog = compile loopy_src in
+  check_growth "one tiny run" ~mib:16 (fun () -> ignore (checksum prog))
+
+(* A run's pages go back to the system once the GC finalises its
+   planes, so many runs on one domain do not pile up resident memory.
+   Each run below writes one word in each of 256 pages (1 MiB if kept);
+   200 of them holding on to their pages would grow the process by
+   some 200 MiB. *)
+let page_writer_src =
+  {|
+int main() {
+  int *p;
+  int i;
+  p = alloc(131072);
+  for (i = 0; i < 131072; i = i + 512) {
+    p[i] = i + 1;
+  }
+  print(p[512]);
+  return 0;
+}
+|}
+
+let test_bounded_residency () =
+  let prog = compile page_writer_src in
+  check_growth "200 page-writing runs" ~mib:32 (fun () ->
+      for _ = 1 to 200 do
+        ignore (checksum prog)
+      done)
 
 (* qcheck: profile counts respect exec = taken + fall >= 0 and perfect
    <= min direction over random small programs built from a template *)
@@ -702,6 +732,8 @@ let () =
             test_reuse_leaves_no_residue;
           Alcotest.test_case "residency follows what a run writes" `Quick
             test_residency;
+          Alcotest.test_case "residency stays bounded over many runs" `Quick
+            test_bounded_residency;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_profile_consistency ] );
