@@ -16,7 +16,10 @@ let distributions name =
   let predictors = predictors_for r in
   Cache.Memo.find traces (r.prog, ds, predictors) (fun () ->
       List.map Tracing.Ipbc.of_result
-        (Sim.Trace_run.run ~decoded:r.decoded r.prog ds predictors))
+        (Obs.span ~name:"trace"
+           ~attrs:[ ("workload", name); ("dataset", ds.name) ]
+           (fun () ->
+             Sim.Trace_run.run ~decoded:r.decoded r.prog ds predictors)))
 
 let warm () =
   Obs.span ~name:"stage.traces" (fun () ->

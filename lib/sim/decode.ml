@@ -1,13 +1,15 @@
-(* Pre-decoded programs: each procedure body is flattened once into
-   parallel arrays of dense opcodes and integer operands, so the
-   interpreter's inner loop is a single jump-table dispatch over [op]
-   with no nested matches, no register wrappers, and no name lookups.
-   Calls are resolved to procedure indices, ALU reg/imm variants and
-   float-compare / zero-test conditions are split into distinct
-   opcodes, and jump tables / float immediates live in per-procedure
-   side tables indexed by an operand field.  A [Fall_off] sentinel at
-   slot n stands in for the interpreter's bounds test, and [runs]
-   lets it check fuel once per straight-line run. *)
+(* Pre-decoded programs: each procedure body is flattened once into an
+   array of dense opcodes and one interleaved array of integer
+   operands, so the interpreter's inner loop is a single jump-table
+   dispatch over [op] with no nested matches, no register wrappers, and
+   no name lookups.  Calls are resolved to procedure indices, ALU
+   reg/imm variants and float-compare / zero-test conditions are split
+   into distinct opcodes, and jump tables / float immediates live in
+   per-procedure side tables indexed by an operand field.  A [Fall_off]
+   sentinel at slot n stands in for the interpreter's bounds test, and
+   [runs] lets it check fuel once per straight-line run.  Pure writes
+   to [$zero] decode to [Nop], and the eight hottest in-run pairs are
+   fused into one op at the first slot of the pair. *)
 
 type op =
   (* ALU, register-register: x=rd, y=rs, z=rt *)
@@ -44,15 +46,17 @@ type op =
   | Nop
   | Fall_off      (* the sentinel at slot n: raises the fall-off fault *)
   | Fuel_trap     (* planted by the machine only: raises Out_of_fuel *)
+  (* fused pairs at slot i: the first half's operands at slot i, the
+     second half's at slot i + 1 *)
+  | Add_ri_move | Move_add_rr | Add_rr_ld | Move_add_ri
+  | Move_move | Add_rr_lw | Slt_rr_bne | Move_lw
 
 type dproc = {
   ops : op array;
-  xs : int array;
-  ys : int array;
-  zs : int array;
+  args : int array;         (* x, y, z of slot i at 3i, 3i + 1, 3i + 2 *)
   runs : int array;         (* instructions up to the next transfer *)
-  jtabs : int array array;  (* jump tables, referenced by [ys] *)
-  fimms : float array;      (* float immediates, referenced by [ys] *)
+  jtabs : int array array;  (* jump tables, referenced by y *)
+  fimms : float array;      (* float immediates, referenced by y *)
 }
 
 type t = {
@@ -65,12 +69,42 @@ let is_transfer = function
   | Jump | Jtab | Call | Callr | Ret | Halt -> true
   | _ -> false
 
+(* Ops whose only effect is writing integer register x: with x = 0
+   they are [Nop]s.  Not Div/Rem, Lw or Ftoi, which can fault, nor
+   ReadI, which consumes input. *)
+let is_pure_write = function
+  | Add_rr | Sub_rr | Mul_rr | And_rr | Or_rr | Xor_rr | Sll_rr | Sra_rr
+  | Slt_rr | Sle_rr | Seq_rr | Sne_rr
+  | Add_ri | Sub_ri | Mul_ri | And_ri | Or_ri | Xor_ri | Sll_ri | Sra_ri
+  | Slt_ri | Sle_ri | Seq_ri | Sne_ri
+  | Li | Move -> true
+  | _ -> false
+
+(* The fused set, chosen from the measured frequency of adjacent
+   in-run pairs over the suite's profile runs. *)
+let fuse first second =
+  match (first, second) with
+  | Add_ri, Move -> Some Add_ri_move
+  | Move, Add_rr -> Some Move_add_rr
+  | Add_rr, Ld -> Some Add_rr_ld
+  | Move, Add_ri -> Some Move_add_ri
+  | Move, Move -> Some Move_move
+  | Add_rr, Lw -> Some Add_rr_lw
+  | Slt_rr, Bne -> Some Slt_rr_bne
+  | Move, Lw -> Some Move_lw
+  | _ -> None
+
+let unfuse = function
+  | Add_ri_move -> Add_ri
+  | Move_add_rr | Move_add_ri | Move_move | Move_lw -> Move
+  | Add_rr_ld | Add_rr_lw -> Add_rr
+  | Slt_rr_bne -> Slt_rr
+  | o -> o
+
 let decode_proc prog (p : Mips.Program.proc) =
   let n = Array.length p.body in
   let ops = Array.make (n + 1) Fall_off in
-  let xs = Array.make (n + 1) 0 in
-  let ys = Array.make (n + 1) 0 in
-  let zs = Array.make (n + 1) 0 in
+  let args = Array.make (3 * (n + 1)) 0 in
   let slot l =
     if l < 0 || l > n then
       invalid_arg
@@ -92,10 +126,10 @@ let decode_proc prog (p : Mips.Program.proc) =
     !nfimms - 1
   in
   let set i o x y z =
-    ops.(i) <- o;
-    xs.(i) <- x;
-    ys.(i) <- y;
-    zs.(i) <- z
+    ops.(i) <- (if x = 0 && is_pure_write o then Nop else o);
+    args.(3 * i) <- x;
+    args.((3 * i) + 1) <- y;
+    args.((3 * i) + 2) <- z
   in
   Array.iteri
     (fun i (ins : int Mips.Insn.t) ->
@@ -168,11 +202,17 @@ let decode_proc prog (p : Mips.Program.proc) =
   for i = n - 1 downto 0 do
     runs.(i) <- (if is_transfer ops.(i) then 1 else 1 + runs.(i + 1))
   done;
+  (* Left to right, so slot i + 1 still holds its plain op when the
+     pair (i, i + 1) is tested; it may then be fused with i + 2 for
+     runs that enter at i + 1. *)
+  for i = 0 to n - 2 do
+    match fuse ops.(i) ops.(i + 1) with
+    | Some f -> ops.(i) <- f
+    | None -> ()
+  done;
   {
     ops;
-    xs;
-    ys;
-    zs;
+    args;
     runs;
     jtabs = Array.of_list (List.rev !jtabs);
     fimms = Array.of_list (List.rev !fimms);

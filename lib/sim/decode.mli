@@ -22,7 +22,13 @@
       [Jal] all land on it;
     - [runs], the length of the straight-line run from each slot, so
       the interpreter checks fuel once per run instead of once per
-      instruction.
+      instruction;
+    - superinstructions: the eight most frequent adjacent pairs inside
+      a straight-line run (measured over the suite's profile runs) are
+      fused into one op at the pair's first slot, so the interpreter
+      dispatches once for both;
+    - pure writes to [$zero] (every ALU op but Div/Rem, [Li], [Move])
+      decode to [Nop], so the hot arms need no [x <> 0] test.
 
     Decoding is cheap (linear in the static code size) but hot loops
     decode each procedure exactly once: callers that run the same
@@ -52,22 +58,41 @@ type op =
   | Fuel_trap
       (** never decoded; {!Machine.run_decoded} plants it in a private
           copy of [ops] where a run will exhaust its fuel *)
+  | Add_ri_move | Move_add_rr | Add_rr_ld | Move_add_ri
+  | Move_move | Add_rr_lw | Slt_rr_bne | Move_lw
+      (** A fused pair [First_second] at slot [i]: the instruction at
+          [i] (a [First]) followed by the one at [i + 1] (a [Second]),
+          each with its own slot's operands.  It counts two
+          instructions and continues at [i + 2] (or, for
+          [Slt_rr_bne], where the branch goes).  Slot [i + 1] keeps
+          its own op, so a transfer into [i + 1] still works; it may
+          itself be fused with [i + 2].  A fault in the second half,
+          and the branch of [Slt_rr_bne], are reported at pc [i + 1]
+          with the count including both.  No transfer, sentinel or
+          write to [$zero] is ever a first half, and a second half is
+          never the sentinel. *)
+
+val unfuse : op -> op
+(** The first half of a fused op; any other op unchanged.
+    {!Machine.run_decoded} un-fuses the slot just before a [Fuel_trap]
+    it plants, so the pair cannot step over the trap. *)
 
 type dproc = {
   ops : op array;
       (** dense opcode per instruction slot, [n + 1] entries: slot [n]
           is [Fall_off] *)
-  xs : int array;           (** first operand field (see {!op}) *)
-  ys : int array;           (** second operand field *)
-  zs : int array;           (** third operand field / branch target *)
+  args : int array;
+      (** the operand fields (see {!op}), interleaved: [x], [y], [z] of
+          slot [i] at [3i], [3i + 1], [3i + 2]; [3 (n + 1)] entries.
+          [z] is the branch target where there is one. *)
   runs : int array;
       (** [runs.(i)] counts the instructions from slot [i] up to and
           including the next control transfer (a conditional branch,
           [Jump], [Jtab], [Call], [Callr], [Ret] or [Halt]), or up to
           the sentinel if none comes first: 1 at a transfer,
           [1 + runs.(i + 1)] elsewhere, 0 at the sentinel *)
-  jtabs : int array array;  (** jump tables, indexed by [ys] *)
-  fimms : float array;      (** float immediates, indexed by [ys] *)
+  jtabs : int array array;  (** jump tables, indexed by [y] *)
+  fimms : float array;      (** float immediates, indexed by [y] *)
 }
 
 type t = {

@@ -139,6 +139,15 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
   let mem_words = Mips.Program.mem_words in
   let ints = input.Dataset.ints and floats = input.Dataset.floats in
   let nints = Array.length ints and nfloats = Array.length floats in
+  (* Full-depth return stacks, 2 x 65,536 words per run whatever the
+     program's call depth.  They are also what paces plane
+     finalisation: [map_planes]' mappings live outside the OCaml heap
+     and add no GC pressure, so these major-heap allocations are what
+     drive the collections that unmap finished runs' planes.  With
+     64-entry stacks that grow on demand, 200 page-writing runs on one
+     domain grew VmRSS by 78 MiB (test_sim's "residency stays bounded
+     over many runs" allows 32), so shrinking them needs another way
+     to release planes. *)
   let ret_proc = Array.make max_call_depth 0 in
   let ret_pc = Array.make max_call_depth 0 in
   let depth = ref 0 in
@@ -163,35 +172,36 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
      executes unchecked.  One that does not runs on a private copy of
      the procedure's [ops] with a [Fuel_trap] at the slot where the
      budget ends — inside the run, so nothing but an earlier fault can
-     stop it being reached. *)
+     stop it being reached.  The slot before the trap is un-fused, so
+     no fused pair executes the trapped slot as its second half. *)
   let rec enter (c : Decode.dproc) pc instrs =
     let left = max_instrs - instrs in
     if Array.unsafe_get c.Decode.runs pc <= left then step c pc instrs
     else begin
       let ops = Array.copy c.Decode.ops in
-      ops.(pc + left) <- Decode.Fuel_trap;
+      let trap = pc + left in
+      ops.(trap) <- Decode.Fuel_trap;
+      if left > 0 then ops.(trap - 1) <- Decode.unfuse ops.(trap - 1);
       step { c with ops } pc instrs
     end
   and step c pc instrs =
     let instrs = instrs + 1 in
-    let x = Array.unsafe_get c.Decode.xs pc in
-    let y = Array.unsafe_get c.Decode.ys pc in
-    let z = Array.unsafe_get c.Decode.zs pc in
+    let args = c.Decode.args and a = 3 * pc in
+    let x = Array.unsafe_get args a in
+    let y = Array.unsafe_get args (a + 1) in
+    let z = Array.unsafe_get args (a + 2) in
     match Array.unsafe_get c.Decode.ops pc with
     | Decode.Add_rr ->
-      if x <> 0 then
-        Array.unsafe_set regs x
-          (Array.unsafe_get regs y + Array.unsafe_get regs z);
+      Array.unsafe_set regs x
+        (Array.unsafe_get regs y + Array.unsafe_get regs z);
       step c (pc + 1) instrs
     | Decode.Sub_rr ->
-      if x <> 0 then
-        Array.unsafe_set regs x
-          (Array.unsafe_get regs y - Array.unsafe_get regs z);
+      Array.unsafe_set regs x
+        (Array.unsafe_get regs y - Array.unsafe_get regs z);
       step c (pc + 1) instrs
     | Decode.Mul_rr ->
-      if x <> 0 then
-        Array.unsafe_set regs x
-          (Array.unsafe_get regs y * Array.unsafe_get regs z);
+      Array.unsafe_set regs x
+        (Array.unsafe_get regs y * Array.unsafe_get regs z);
       step c (pc + 1) instrs
     | Decode.Div_rr ->
       let b = Array.unsafe_get regs z in
@@ -214,58 +224,49 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
         step c (pc + 1) instrs
       end
     | Decode.And_rr ->
-      if x <> 0 then
-        Array.unsafe_set regs x
-          (Array.unsafe_get regs y land Array.unsafe_get regs z);
+      Array.unsafe_set regs x
+        (Array.unsafe_get regs y land Array.unsafe_get regs z);
       step c (pc + 1) instrs
     | Decode.Or_rr ->
-      if x <> 0 then
-        Array.unsafe_set regs x
-          (Array.unsafe_get regs y lor Array.unsafe_get regs z);
+      Array.unsafe_set regs x
+        (Array.unsafe_get regs y lor Array.unsafe_get regs z);
       step c (pc + 1) instrs
     | Decode.Xor_rr ->
-      if x <> 0 then
-        Array.unsafe_set regs x
-          (Array.unsafe_get regs y lxor Array.unsafe_get regs z);
+      Array.unsafe_set regs x
+        (Array.unsafe_get regs y lxor Array.unsafe_get regs z);
       step c (pc + 1) instrs
     | Decode.Sll_rr ->
-      if x <> 0 then
-        Array.unsafe_set regs x
-          (Array.unsafe_get regs y lsl (Array.unsafe_get regs z land 63));
+      Array.unsafe_set regs x
+        (Array.unsafe_get regs y lsl (Array.unsafe_get regs z land 63));
       step c (pc + 1) instrs
     | Decode.Sra_rr ->
-      if x <> 0 then
-        Array.unsafe_set regs x
-          (Array.unsafe_get regs y asr (Array.unsafe_get regs z land 63));
+      Array.unsafe_set regs x
+        (Array.unsafe_get regs y asr (Array.unsafe_get regs z land 63));
       step c (pc + 1) instrs
     | Decode.Slt_rr ->
-      if x <> 0 then
-        Array.unsafe_set regs x
-          (if Array.unsafe_get regs y < Array.unsafe_get regs z then 1 else 0);
+      Array.unsafe_set regs x
+        (if Array.unsafe_get regs y < Array.unsafe_get regs z then 1 else 0);
       step c (pc + 1) instrs
     | Decode.Sle_rr ->
-      if x <> 0 then
-        Array.unsafe_set regs x
-          (if Array.unsafe_get regs y <= Array.unsafe_get regs z then 1 else 0);
+      Array.unsafe_set regs x
+        (if Array.unsafe_get regs y <= Array.unsafe_get regs z then 1 else 0);
       step c (pc + 1) instrs
     | Decode.Seq_rr ->
-      if x <> 0 then
-        Array.unsafe_set regs x
-          (if Array.unsafe_get regs y = Array.unsafe_get regs z then 1 else 0);
+      Array.unsafe_set regs x
+        (if Array.unsafe_get regs y = Array.unsafe_get regs z then 1 else 0);
       step c (pc + 1) instrs
     | Decode.Sne_rr ->
-      if x <> 0 then
-        Array.unsafe_set regs x
-          (if Array.unsafe_get regs y <> Array.unsafe_get regs z then 1 else 0);
+      Array.unsafe_set regs x
+        (if Array.unsafe_get regs y <> Array.unsafe_get regs z then 1 else 0);
       step c (pc + 1) instrs
     | Decode.Add_ri ->
-      if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y + z);
+      Array.unsafe_set regs x (Array.unsafe_get regs y + z);
       step c (pc + 1) instrs
     | Decode.Sub_ri ->
-      if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y - z);
+      Array.unsafe_set regs x (Array.unsafe_get regs y - z);
       step c (pc + 1) instrs
     | Decode.Mul_ri ->
-      if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y * z);
+      Array.unsafe_set regs x (Array.unsafe_get regs y * z);
       step c (pc + 1) instrs
     | Decode.Div_ri ->
       if z = 0 then begin
@@ -286,55 +287,39 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
         step c (pc + 1) instrs
       end
     | Decode.And_ri ->
-      if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y land z);
+      Array.unsafe_set regs x (Array.unsafe_get regs y land z);
       step c (pc + 1) instrs
     | Decode.Or_ri ->
-      if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y lor z);
+      Array.unsafe_set regs x (Array.unsafe_get regs y lor z);
       step c (pc + 1) instrs
     | Decode.Xor_ri ->
-      if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y lxor z);
+      Array.unsafe_set regs x (Array.unsafe_get regs y lxor z);
       step c (pc + 1) instrs
     | Decode.Sll_ri ->
-      if x <> 0 then
-        Array.unsafe_set regs x (Array.unsafe_get regs y lsl (z land 63));
+      Array.unsafe_set regs x (Array.unsafe_get regs y lsl (z land 63));
       step c (pc + 1) instrs
     | Decode.Sra_ri ->
-      if x <> 0 then
-        Array.unsafe_set regs x (Array.unsafe_get regs y asr (z land 63));
+      Array.unsafe_set regs x (Array.unsafe_get regs y asr (z land 63));
       step c (pc + 1) instrs
     | Decode.Slt_ri ->
-      if x <> 0 then
-        Array.unsafe_set regs x (if Array.unsafe_get regs y < z then 1 else 0);
+      Array.unsafe_set regs x (if Array.unsafe_get regs y < z then 1 else 0);
       step c (pc + 1) instrs
     | Decode.Sle_ri ->
-      if x <> 0 then
-        Array.unsafe_set regs x (if Array.unsafe_get regs y <= z then 1 else 0);
+      Array.unsafe_set regs x (if Array.unsafe_get regs y <= z then 1 else 0);
       step c (pc + 1) instrs
     | Decode.Seq_ri ->
-      if x <> 0 then
-        Array.unsafe_set regs x (if Array.unsafe_get regs y = z then 1 else 0);
+      Array.unsafe_set regs x (if Array.unsafe_get regs y = z then 1 else 0);
       step c (pc + 1) instrs
     | Decode.Sne_ri ->
-      if x <> 0 then
-        Array.unsafe_set regs x (if Array.unsafe_get regs y <> z then 1 else 0);
+      Array.unsafe_set regs x (if Array.unsafe_get regs y <> z then 1 else 0);
       step c (pc + 1) instrs
     | Decode.Li ->
-      if x <> 0 then Array.unsafe_set regs x y;
+      Array.unsafe_set regs x y;
       step c (pc + 1) instrs
     | Decode.Move ->
-      if x <> 0 then Array.unsafe_set regs x (Array.unsafe_get regs y);
+      Array.unsafe_set regs x (Array.unsafe_get regs y);
       step c (pc + 1) instrs
-    | Decode.Lw ->
-      let addr = y + Array.unsafe_get regs z in
-      if addr < 0 || addr >= mem_words then begin
-        sync pc instrs;
-        fault m "load from bad address %d" addr
-      end
-      else begin
-        if x <> 0 then
-          Array.unsafe_set regs x (Bigarray.Array1.unsafe_get mem_i addr);
-        step c (pc + 1) instrs
-      end
+    | Decode.Lw -> load_i c pc instrs x y z
     | Decode.Sw ->
       let addr = y + Array.unsafe_get regs z in
       if addr < 0 || addr >= mem_words then begin
@@ -373,16 +358,7 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
     | Decode.Fmove ->
       Array.unsafe_set fregs x (Array.unsafe_get fregs y);
       step c (pc + 1) instrs
-    | Decode.Ld ->
-      let addr = y + Array.unsafe_get regs z in
-      if addr < 0 || addr >= mem_words then begin
-        sync pc instrs;
-        fault m "f-load from bad address %d" addr
-      end
-      else begin
-        Array.unsafe_set fregs x (Bigarray.Array1.unsafe_get mem_f addr);
-        step c (pc + 1) instrs
-      end
+    | Decode.Ld -> load_f c pc instrs x y z
     | Decode.Sd ->
       let addr = y + Array.unsafe_get regs z in
       if addr < 0 || addr >= mem_words then begin
@@ -478,6 +454,84 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
     | Decode.Fuel_trap ->
       sync pc (instrs - 1);
       out_of_fuel m
+    (* Fused pairs: the first half with this slot's operands, the
+       second with slot pc + 1's, counted as instruction [instrs + 1]
+       there.  No first half writes [$zero] (those decode to [Nop]). *)
+    | Decode.Add_ri_move ->
+      Array.unsafe_set regs x (Array.unsafe_get regs y + z);
+      Array.unsafe_set regs
+        (Array.unsafe_get args (a + 3))
+        (Array.unsafe_get regs (Array.unsafe_get args (a + 4)));
+      step c (pc + 2) (instrs + 1)
+    | Decode.Move_add_rr ->
+      Array.unsafe_set regs x (Array.unsafe_get regs y);
+      Array.unsafe_set regs
+        (Array.unsafe_get args (a + 3))
+        (Array.unsafe_get regs (Array.unsafe_get args (a + 4))
+        + Array.unsafe_get regs (Array.unsafe_get args (a + 5)));
+      step c (pc + 2) (instrs + 1)
+    | Decode.Add_rr_ld ->
+      Array.unsafe_set regs x
+        (Array.unsafe_get regs y + Array.unsafe_get regs z);
+      load_f c (pc + 1) (instrs + 1)
+        (Array.unsafe_get args (a + 3))
+        (Array.unsafe_get args (a + 4))
+        (Array.unsafe_get args (a + 5))
+    | Decode.Move_add_ri ->
+      Array.unsafe_set regs x (Array.unsafe_get regs y);
+      Array.unsafe_set regs
+        (Array.unsafe_get args (a + 3))
+        (Array.unsafe_get regs (Array.unsafe_get args (a + 4))
+        + Array.unsafe_get args (a + 5));
+      step c (pc + 2) (instrs + 1)
+    | Decode.Move_move ->
+      Array.unsafe_set regs x (Array.unsafe_get regs y);
+      Array.unsafe_set regs
+        (Array.unsafe_get args (a + 3))
+        (Array.unsafe_get regs (Array.unsafe_get args (a + 4)));
+      step c (pc + 2) (instrs + 1)
+    | Decode.Add_rr_lw ->
+      Array.unsafe_set regs x
+        (Array.unsafe_get regs y + Array.unsafe_get regs z);
+      load_i c (pc + 1) (instrs + 1)
+        (Array.unsafe_get args (a + 3))
+        (Array.unsafe_get args (a + 4))
+        (Array.unsafe_get args (a + 5))
+    | Decode.Slt_rr_bne ->
+      Array.unsafe_set regs x
+        (if Array.unsafe_get regs y < Array.unsafe_get regs z then 1 else 0);
+      branch c (pc + 1) (instrs + 1)
+        (Array.unsafe_get args (a + 5))
+        (Array.unsafe_get regs (Array.unsafe_get args (a + 3))
+        <> Array.unsafe_get regs (Array.unsafe_get args (a + 4)))
+    | Decode.Move_lw ->
+      Array.unsafe_set regs x (Array.unsafe_get regs y);
+      load_i c (pc + 1) (instrs + 1)
+        (Array.unsafe_get args (a + 3))
+        (Array.unsafe_get args (a + 4))
+        (Array.unsafe_get args (a + 5))
+  (* [Lw]/[Ld] at slot [pc], alone or as the second half of a pair *)
+  and load_i c pc instrs x y z =
+    let addr = y + Array.unsafe_get regs z in
+    if addr < 0 || addr >= mem_words then begin
+      sync pc instrs;
+      fault m "load from bad address %d" addr
+    end
+    else begin
+      if x <> 0 then
+        Array.unsafe_set regs x (Bigarray.Array1.unsafe_get mem_i addr);
+      step c (pc + 1) instrs
+    end
+  and load_f c pc instrs x y z =
+    let addr = y + Array.unsafe_get regs z in
+    if addr < 0 || addr >= mem_words then begin
+      sync pc instrs;
+      fault m "f-load from bad address %d" addr
+    end
+    else begin
+      Array.unsafe_set fregs x (Bigarray.Array1.unsafe_get mem_f addr);
+      step c (pc + 1) instrs
+    end
   (* The observer calls live outside [step], so that no value of the
      dispatch loop is live across a call and [step] need not spill. *)
   and branch c pc instrs target taken =

@@ -92,7 +92,13 @@ val run_decoded :
   Decode.t -> Dataset.t -> stats
 (** Like {!run} on a program decoded up front.  The hot loop keeps the
     current procedure, program counter and instruction count in locals
-    and dispatches on the dense {!Decode.op} code.  Before every
+    and dispatches on the dense {!Decode.op} code, reading the slot's
+    operands from the interleaved [args].  A fused pair of
+    {!Decode.op} runs in one dispatch: both halves, two instructions
+    counted, on to the slot after the pair; it is observed exactly as
+    the two instructions unfused, its second half at its own pc and
+    count.  Writes to [$zero] that {!Decode} turned into [Nop] cost no
+    register test; those that can fault still fault.  Before every
     [on_branch]/[on_indirect] call and every fault, [t.proc]/[t.pc] are
     set to the current instruction and [t.instrs] to the instructions
     executed, the current one included.  The two faults raised before
@@ -103,7 +109,10 @@ val run_decoded :
     Fuel is checked once per straight-line run (the [runs] of
     {!Decode.dproc}), on entry to the program and wherever a branch
     (taken or not), jump, jump table, call or return lands; it is never
-    tested between two instructions of one run.  The outcome is the same as checking
+    tested between two instructions of one run (where the budget ends
+    inside a run, a private copy of [ops] gets a [Fuel_trap] there and
+    {!Decode.unfuse}s the slot before it, so no pair steps over it).
+    The outcome is the same as checking
     before every instruction: with [~max_instrs:N] the run stops out of
     fuel before instruction [N + 1], at that instruction's position,
     unless it halts or faults first. *)

@@ -1,8 +1,9 @@
 (* Tests for the pre-decoded simulator: decoding up front agrees with
    decoding on demand, scratch-memory reuse leaves no residue, a fixed
    batch of fuzz-generated programs keeps its pinned statistics and
-   edge profiles, and every decoded body has its sentinel and the
-   straight-line run lengths the interpreter's fuel check relies on. *)
+   edge profiles, and every decoded body has its sentinel, the
+   straight-line run lengths the interpreter's fuel check relies on,
+   and only the fused pairs and [$zero] rewrites it is meant to. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -73,11 +74,82 @@ let test_scratch_reuse_is_clean () =
 (* Every decoded procedure ends in the sentinel, and [runs] counts the
    straight-line run from each slot: 1 at a control transfer, one more
    than the next slot's elsewhere, 0 at the sentinel.  Nothing decodes
-   to [Fuel_trap]; only the interpreter plants it. *)
+   to [Fuel_trap]; only the interpreter plants it.
+
+   Every slot un-fuses to [plain], the op of its instruction written
+   out here independently of the decoder; a fused op sits only where
+   the next slot decodes to its second half, and every pair of the
+   set that occurs is fused.  No transfer and no sentinel is fused. *)
 let is_transfer : int Mips.Insn.t -> bool = function
   | Beq _ | Bne _ | Bz _ | Bfp _ | J _ | Jtab _
   | Jal _ | Jalr _ | Ret | Halt -> true
   | _ -> false
+
+(* A write to $zero decodes to [Nop] only when it has no other effect:
+   not for Div/Rem, Lw, Ftoi or ReadI, which can fault or read input. *)
+let plain : int Mips.Insn.t -> Sim.Decode.op =
+  let module D = Sim.Decode in
+  let to_zero r = Mips.Reg.to_int r = 0 in
+  function
+  | Alu (aop, rd, _, operand) ->
+    let rr, ri =
+      match aop with
+      | Add -> (D.Add_rr, D.Add_ri) | Sub -> (D.Sub_rr, D.Sub_ri)
+      | Mul -> (D.Mul_rr, D.Mul_ri) | Div -> (D.Div_rr, D.Div_ri)
+      | Rem -> (D.Rem_rr, D.Rem_ri) | And -> (D.And_rr, D.And_ri)
+      | Or -> (D.Or_rr, D.Or_ri) | Xor -> (D.Xor_rr, D.Xor_ri)
+      | Sll -> (D.Sll_rr, D.Sll_ri) | Sra -> (D.Sra_rr, D.Sra_ri)
+      | Slt -> (D.Slt_rr, D.Slt_ri) | Sle -> (D.Sle_rr, D.Sle_ri)
+      | Seq -> (D.Seq_rr, D.Seq_ri) | Sne -> (D.Sne_rr, D.Sne_ri)
+    in
+    let pure = match aop with Div | Rem -> false | _ -> true in
+    if pure && to_zero rd then D.Nop
+    else (match operand with Reg _ -> rr | Imm _ -> ri)
+  | Li (r, _) | La (r, _) -> if to_zero r then D.Nop else D.Li
+  | Move (r, _) -> if to_zero r then D.Nop else D.Move
+  | Lw _ -> D.Lw
+  | Sw _ -> D.Sw
+  | Falu (Fadd, _, _, _) -> D.Fadd
+  | Falu (Fsub, _, _, _) -> D.Fsub
+  | Falu (Fmul, _, _, _) -> D.Fmul
+  | Falu (Fdiv, _, _, _) -> D.Fdiv
+  | Fneg _ -> D.Fneg
+  | Fabs _ -> D.Fabs
+  | Fli _ -> D.Fli
+  | Fmove _ -> D.Fmove
+  | Ld _ -> D.Ld
+  | Sd _ -> D.Sd
+  | Itof _ -> D.Itof
+  | Ftoi _ -> D.Ftoi
+  | Fcmp (Feq, _, _) -> D.Fcmp_eq
+  | Fcmp (Flt, _, _) -> D.Fcmp_lt
+  | Fcmp (Fle, _, _) -> D.Fcmp_le
+  | Beq _ -> D.Beq
+  | Bne _ -> D.Bne
+  | Bz (Ltz, _, _) -> D.Bltz
+  | Bz (Lez, _, _) -> D.Blez
+  | Bz (Gtz, _, _) -> D.Bgtz
+  | Bz (Gez, _, _) -> D.Bgez
+  | Bfp (sense, _) -> if sense then D.Bfp_t else D.Bfp_f
+  | J _ -> D.Jump
+  | Jtab _ -> D.Jtab
+  | Jal _ -> D.Call
+  | Jalr _ -> D.Callr
+  | Ret -> D.Ret
+  | ReadI _ -> D.ReadI
+  | ReadF _ -> D.ReadF
+  | PrintI _ -> D.PrintI
+  | PrintF _ -> D.PrintF
+  | Halt -> D.Halt
+  | Nop -> D.Nop
+
+(* the fused set: (fused op, first half, second half) *)
+let fused_pairs =
+  Sim.Decode.
+    [ (Add_ri_move, Add_ri, Move); (Move_add_rr, Move, Add_rr);
+      (Add_rr_ld, Add_rr, Ld); (Move_add_ri, Move, Add_ri);
+      (Move_move, Move, Move); (Add_rr_lw, Add_rr, Lw);
+      (Slt_rr_bne, Slt_rr, Bne); (Move_lw, Move, Lw) ]
 
 let check_decoded where (prog : Mips.Program.t) =
   let d = Sim.Decode.of_program prog in
@@ -90,20 +162,64 @@ let check_decoded where (prog : Mips.Program.t) =
       in
       if Array.length dp.ops <> n + 1 || Array.length dp.runs <> n + 1 then
         fail n "expected n + 1 slots";
+      if Array.length dp.args <> 3 * (n + 1) then
+        fail n "expected 3 (n + 1) operands";
       if dp.ops.(n) <> Sim.Decode.Fall_off then fail n "no sentinel";
       if dp.runs.(n) <> 0 then fail n "runs at the sentinel is not 0";
       for i = 0 to n - 1 do
         let expect = if is_transfer body.(i) then 1 else 1 + dp.runs.(i + 1) in
         if dp.runs.(i) <> expect then
           fail i (Printf.sprintf "runs %d, expected %d" dp.runs.(i) expect);
-        match dp.ops.(i) with
+        (match dp.ops.(i) with
         | Sim.Decode.Fall_off | Sim.Decode.Fuel_trap ->
           fail i "sentinel or trap inside the body"
-        | _ -> ()
+        | _ -> ());
+        let op = dp.ops.(i) in
+        if Sim.Decode.unfuse op <> plain body.(i) then
+          fail i "does not un-fuse to the plain decoding";
+        let next = if i + 1 < n then Some (plain body.(i + 1)) else None in
+        (match List.find_opt (fun (f, _, _) -> f = op) fused_pairs with
+        | Some (_, _, second) ->
+          if is_transfer body.(i) then fail i "a transfer is fused";
+          if next <> Some second then
+            fail i "fused, but the next slot is not the second half"
+        | None ->
+          if op <> plain body.(i) then fail i "not the plain decoding";
+          if
+            List.exists
+              (fun (_, first, second) ->
+                first = op && next = Some second)
+              fused_pairs
+          then fail i "a pair of the fused set is not fused")
       done)
     d.procs
 
+(* Every op that can write an integer register, with $zero as its
+   destination: the pure ones decode to [Nop], the others keep their
+   op (and their fault or input read).  The tail puts moves that would
+   form fused pairs next to writes to $zero, which must not fuse. *)
+let zero_writes =
+  let module I = Mips.Insn in
+  let zero = Mips.Reg.zero and t0 = Mips.Reg.t 0 in
+  let f0 = Mips.Freg.temp 0 in
+  let alus =
+    I.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Sll; Sra; Slt; Sle; Seq; Sne ]
+  in
+  let body =
+    List.concat_map
+      (fun aop ->
+        [ I.Alu (aop, zero, t0, I.Reg t0); I.Alu (aop, zero, t0, I.Imm 3) ])
+      alus
+    @ [ I.Li (zero, 1); I.La (zero, 2); I.Move (zero, t0); I.Move (t0, zero);
+        I.Move (zero, t0); I.Lw (zero, 0, t0); I.Move (t0, t0);
+        I.Move (zero, t0); I.Ftoi (zero, f0); I.ReadI zero;
+        I.Alu (I.Add, zero, t0, I.Imm 1); I.Move (t0, t0); I.Ret ]
+  in
+  Mips.Program.make ~entry:"main"
+    [ ("main", List.map (fun i -> Mips.Asm.Ins i) body) ]
+
 let test_decoded_invariants () =
+  check_decoded "writes to $zero" zero_writes;
   List.iter
     (fun (wl : Workloads.Workload.t) ->
       check_decoded wl.name (Workloads.Workload.compile wl))

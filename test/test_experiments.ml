@@ -225,6 +225,37 @@ let test_load_all_once () =
               (fun (e : Obs.event) -> e.name = "stage.load_all")
               (Obs.events ()))))
 
+(* A cold trace stage records one [trace] span per traced workload,
+   attributed to the workload and its primary dataset. *)
+let test_trace_spans () =
+  let was = Obs.enabled () and stored = Cache.Store.enabled () in
+  Experiments.Bench_run.reset ();
+  Cache.Store.set_enabled false;
+  Obs.reset_events ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      if not was then Obs.disable ();
+      Cache.Store.set_enabled stored;
+      Obs.reset_events ())
+    (fun () ->
+      Experiments.Traces.warm ();
+      let attrs =
+        List.filter_map
+          (fun (e : Obs.event) ->
+            if e.name = "trace" then Some e.attrs else None)
+          (Obs.events ())
+      in
+      let expected =
+        List.map
+          (fun (wl : Workloads.Workload.t) ->
+            [ ("workload", wl.name);
+              ("dataset", (Workloads.Workload.primary_dataset wl).name) ])
+          (Workloads.Registry.traced ())
+      in
+      checkb "one trace span per traced workload" true
+        (List.sort compare attrs = List.sort compare expected))
+
 let () =
   Alcotest.run "experiments"
     [
@@ -237,6 +268,8 @@ let () =
         [
           Alcotest.test_case "load_all once per reset" `Quick
             test_load_all_once;
+          Alcotest.test_case "trace span per traced workload" `Quick
+            test_trace_spans;
         ] );
       ( "paper claims",
         [

@@ -365,6 +365,11 @@ let fault_cases =
       [ ( "main",
           [ Ins (I.Li (t0, 0)); Lab "l"; Ins I.Nop; Ins I.Nop; Ins I.Nop;
             Ins (I.J "l") ] ) ] );
+    (* a write to $zero that can fault is not decoded away *)
+    ( fault "load from bad address -1 (at main+1, 2 instructions executed)",
+      main [ I.Li (t0, -1); I.Lw (zero, 0, t0); I.Ret ] );
+    ( fault "division by zero (at main+1, 2 instructions executed)",
+      main [ I.Li (t0, 7); I.Alu (I.Div, zero, t0, I.Reg zero); I.Ret ] );
   ]
 
 (* A procedure body built without [Mips.Asm], which pads a label at the
@@ -512,6 +517,83 @@ let test_fuel_sweep () =
   checki "runs" sweep_runs !runs;
   Alcotest.(check string) "digest of every outcome" sweep_digest
     (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* Every pair the decoder fuses, at slots 1 and 2 of a program that
+   starts with [li $t0, v] and ends [print; ret]: the pair must be
+   fused there, a fuel limit of 2 must stop the run before the second
+   half (at main+2), a load in the second half must fault there with
+   both halves counted, and the branch of [slt; bne] must be observed
+   at main+2 after 3 instructions. *)
+let fused_cases =
+  let module I = Mips.Insn in
+  let module D = Sim.Decode in
+  let t0 = Mips.Reg.t 0 and t1 = Mips.Reg.t 1 and t2 = Mips.Reg.t 2 in
+  let zero = Mips.Reg.zero and f0 = Mips.Freg.temp 0 in
+  let lw = Some "load from bad address -1" in
+  [
+    ("add_ri; move", D.Add_ri_move, I.Alu (I.Add, t1, t0, I.Imm 3),
+     I.Move (t2, t1), None);
+    ("move; add_rr", D.Move_add_rr, I.Move (t1, t0),
+     I.Alu (I.Add, t2, t1, I.Reg t0), None);
+    ("add_rr; ld", D.Add_rr_ld, I.Alu (I.Add, t1, t0, I.Reg zero),
+     I.Ld (f0, 0, t1), Some "f-load from bad address -1");
+    ("move; add_ri", D.Move_add_ri, I.Move (t1, t0),
+     I.Alu (I.Add, t2, t1, I.Imm 3), None);
+    ("move; move", D.Move_move, I.Move (t1, t0), I.Move (t2, t1), None);
+    ("add_rr; lw", D.Add_rr_lw, I.Alu (I.Add, t1, t0, I.Reg zero),
+     I.Lw (t2, 0, t1), lw);
+    ("slt_rr; bne", D.Slt_rr_bne, I.Alu (I.Slt, t1, zero, I.Reg t0),
+     I.Bne (t1, zero, "out"), None);
+    ("move; lw", D.Move_lw, I.Move (t1, t0), I.Lw (t2, 0, t1), lw);
+  ]
+
+let test_fused_pairs () =
+  let module I = Mips.Insn in
+  let t0 = Mips.Reg.t 0 and t2 = Mips.Reg.t 2 in
+  let prog v first second =
+    Mips.Program.make ~entry:"main"
+      [ ( "main",
+          Mips.Asm.
+            [ Ins (I.Li (t0, v)); Ins first; Ins second; Ins (I.PrintI t2);
+              Lab "out"; Ins I.Ret ] ) ]
+  in
+  let outcome ?on_branch ~fuel prog =
+    match Sim.Machine.run ?on_branch ~max_instrs:fuel prog (ds ()) with
+    | s -> Printf.sprintf "ok %d" s.instr_count
+    | exception e -> Printexc.to_string e
+  in
+  let text = Printexc.to_string in
+  List.iter
+    (fun (name, fused, first, second, load_fault) ->
+      let check what = Alcotest.(check string) (name ^ ": " ^ what) in
+      let good = prog 5 first second in
+      checkb (name ^ ": fused at main+1") true
+        ((Sim.Decode.of_program good).procs.(0).ops.(1) = fused);
+      check "fuel ends before the second half"
+        (text
+           (Sim.Machine.Out_of_fuel
+              "out of fuel: instruction limit exceeded (at main+2, 2 \
+               instructions executed)"))
+        (outcome ~fuel:2 good);
+      Option.iter
+        (fun msg ->
+          check "fault in the second half"
+            (text
+               (Sim.Machine.Fault
+                  (msg ^ " (at main+2, 3 instructions executed)")))
+            (outcome ~fuel:100 (prog (-1) first second)))
+        load_fault;
+      if fused = Sim.Decode.Slt_rr_bne then begin
+        let seen = ref [] in
+        let on_branch (m : Sim.Machine.t) ~taken =
+          seen := (m.pc, m.instrs, taken) :: !seen
+        in
+        check "runs to the end" "ok 4" (outcome ~on_branch ~fuel:100 good);
+        checkb (name ^ ": branch seen at main+2 after 3 instructions") true
+          (!seen = [ (2, 3, true) ])
+      end
+      else check "runs to the end" "ok 5" (outcome ~fuel:100 good))
+    fused_cases
 
 let test_machine_zero_register () =
   let open Mips.Asm in
@@ -697,6 +779,8 @@ let () =
           Alcotest.test_case "instr limit" `Quick test_instr_limit;
           Alcotest.test_case "fuel exactness" `Quick test_fuel_exactness;
           Alcotest.test_case "fuel sweep" `Quick test_fuel_sweep;
+          Alcotest.test_case "fused pairs under fuel and faults" `Quick
+            test_fused_pairs;
           Alcotest.test_case "default fuel" `Quick test_default_fuel;
           Alcotest.test_case "dataset of_seed" `Quick test_dataset_of_seed;
           Alcotest.test_case "reads" `Quick test_reads;
