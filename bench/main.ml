@@ -206,16 +206,21 @@ let fault_smoke () =
 
 (* ---- obs-smoke: the observability gate ----
 
-   Runs the quick experiment suite twice against an isolated on-disk
-   store: once with tracing off, once with span recording on and the
-   trace exported to a file.  Passes only if (1) the traced run's
-   tables are byte-identical to the untraced run's — instrumentation
-   must never leak into results; (2) the emitted file parses as JSON
-   and its traceEvents cover all five pipeline stages; (3) a
+   Runs the quick experiment suite three times: once with tracing off
+   and the disk store bypassed, so every product is computed untraced;
+   then with span recording on, against an empty isolated store (the
+   cold run); then traced again over the store that run filled, after
+   emptying the memo tables (the warm run).  Passes only if (1) both
+   traced runs' tables are byte-identical to the untraced run's —
+   instrumentation must never leak into results; (2) the cold run
+   records a [compile] span per workload and every [profile] and
+   [trace] simulation, while the warm run records none of them and
+   misses the store nowhere; (3) each traced run's trace file parses
+   as JSON and its traceEvents cover all five pipeline stages; (4) a
    disabled Obs.span really is a no-op branch (a generous absolute
    bound on a tight loop of disabled spans, so a pessimised fast path
-   fails loudly without making the gate timing-flaky); and (4) every
-   span name occurs in the trace file exactly as often as
+   fails loudly without making the gate timing-flaky); and (5) every
+   span name occurs in each trace file exactly as often as
    Obs.summaries counts it, so [bpredict stats] and [--trace] agree. *)
 
 let stage_span_names =
@@ -223,6 +228,11 @@ let stage_span_names =
     "stage.load_all"; "stage.miss_matrix"; "stage.subset"; "stage.traces";
     "stage.datasets";
   ]
+
+(* Spans a cold quick run records: one compile per workload, a
+   profile per (workload, dataset) and a trace per traced workload. *)
+let cold_span_counts =
+  [ ("compile", 23); ("profile", 56); ("trace", 7) ]
 
 (* The name of every event in a Chrome trace file. *)
 let trace_event_names path =
@@ -236,15 +246,14 @@ let trace_event_names path =
       evs
   | _ -> []
 
-let obs_smoke () =
-  Printf.printf "==== obs-smoke ====\n%!";
-  let trace_path = Printf.sprintf "_obs_trace_%d.json" (Unix.getpid ()) in
-  with_isolated_store "obs" @@ fun () ->
-  Obs.disable ();
-  let plain_out, plain_sum = render_quick () in
+(* One traced quick run: its tables, summary, and the checks of its
+   trace file, [label]ling each failure, and the count of each span
+   name in the file. *)
+let traced_run ~label ~trace_path check =
   Obs.reset_events ();
+  Obs.Metrics.reset ();
   Obs.enable ();
-  let traced_out, traced_sum = render_quick () in
+  let out, sum = render_quick () in
   Obs.disable ();
   let nevents = List.length (Obs.events ()) in
   let trace_names =
@@ -254,29 +263,14 @@ let obs_smoke () =
         Obs.write_trace trace_path;
         trace_event_names trace_path)
   in
-  (* disabled-span overhead: 10M no-op spans must be branch-cheap *)
-  let niter = 10_000_000 in
-  let acc = ref 0 in
-  let t_disabled =
-    wall (fun () ->
-        for i = 1 to niter do
-          acc := Obs.span ~name:"noop" (fun () -> !acc + i)
-        done)
+  let in_trace name =
+    List.length (List.filter (String.equal name) trace_names)
   in
-  Printf.printf "trace: %d events, %d distinct names -> %s\n" nevents
+  Printf.printf "%s trace: %d events, %d distinct names -> %s\n" label nevents
     (List.length (List.sort_uniq String.compare trace_names))
     trace_path;
-  Printf.printf "disabled span overhead: %.1f ns/span\n"
-    (t_disabled /. float_of_int niter *. 1e9);
-  Format.printf "untraced run: %a" Experiments.Driver.pp_summary plain_sum;
-  Format.printf "traced run:   %a" Experiments.Driver.pp_summary traced_sum;
-  let failures = ref [] in
-  let check cond msg = if not cond then failures := msg :: !failures in
-  check
-    (String.equal traced_out plain_out)
-    "traced run tables differ from untraced run";
-  check (plain_sum.failed = 0) "untraced run had permanent failures";
-  check (traced_sum.failed = 0) "traced run had permanent failures";
+  let check cond msg = check cond (label ^ ": " ^ msg) in
+  check (sum.Experiments.Driver.failed = 0) "permanent failures";
   check (nevents > 0) "no spans were recorded";
   List.iter
     (fun stage ->
@@ -284,14 +278,8 @@ let obs_smoke () =
         (List.mem stage trace_names)
         (Printf.sprintf "trace JSON has no span for %s" stage))
     stage_span_names;
-  check
-    (List.mem "experiment" trace_names)
-    "trace JSON has no experiment spans";
-  check (t_disabled < 2.0) "disabled spans cost far more than a branch";
+  check (List.mem "experiment" trace_names) "trace JSON has no experiment spans";
   let summaries = Obs.summaries () in
-  let in_trace name =
-    List.length (List.filter (String.equal name) trace_names)
-  in
   List.iter
     (fun (name, (s : Obs.summary)) ->
       check (in_trace name = s.count)
@@ -301,8 +289,61 @@ let obs_smoke () =
   check
     (List.for_all (fun n -> List.mem_assoc n summaries) trace_names)
     "a span name in the trace has no summary";
+  (out, sum, nevents, in_trace)
+
+let obs_smoke () =
+  Printf.printf "==== obs-smoke ====\n%!";
+  let trace_path = Printf.sprintf "_obs_trace_%d.json" (Unix.getpid ()) in
+  let failures = ref [] in
+  let check cond msg = if not cond then failures := msg :: !failures in
+  Obs.disable ();
+  Cache.Store.set_enabled false;
+  let plain_out, plain_sum = render_quick () in
+  check (plain_sum.failed = 0) "untraced run had permanent failures";
+  with_isolated_store "obs" @@ fun () ->
+  let cold_out, cold_sum, cold_events, cold_count =
+    traced_run ~label:"cold" ~trace_path check
+  in
+  let warm_out, warm_sum, warm_events, warm_count =
+    traced_run ~label:"warm" ~trace_path check
+  in
+  let warm_misses = metric "cache.miss" in
+  (* disabled-span overhead: 10M no-op spans must be branch-cheap *)
+  let niter = 10_000_000 in
+  let acc = ref 0 in
+  let t_disabled =
+    wall (fun () ->
+        for i = 1 to niter do
+          acc := Obs.span ~name:"noop" (fun () -> !acc + i)
+        done)
+  in
+  Printf.printf "disabled span overhead: %.1f ns/span\n"
+    (t_disabled /. float_of_int niter *. 1e9);
+  Printf.printf "warm run: %d cache misses\n" warm_misses;
+  Format.printf "untraced run:    %a" Experiments.Driver.pp_summary plain_sum;
+  Format.printf "traced cold run: %a" Experiments.Driver.pp_summary cold_sum;
+  Format.printf "traced warm run: %a" Experiments.Driver.pp_summary warm_sum;
+  check
+    (String.equal cold_out plain_out)
+    "traced cold run tables differ from untraced run";
+  check
+    (String.equal warm_out plain_out)
+    "traced warm run tables differ from untraced run";
+  List.iter
+    (fun (name, n) ->
+      check (cold_count name = n)
+        (Printf.sprintf "cold: %d %s spans, expected %d" (cold_count name)
+           name n);
+      check (warm_count name = 0)
+        (Printf.sprintf "warm: %d %s spans, expected none" (warm_count name)
+           name))
+    cold_span_counts;
+  check (warm_misses = 0) "warm run missed the store";
+  check (t_disabled < 2.0) "disabled spans cost far more than a branch";
   report "obs-smoke"
-    (Printf.sprintf "byte-identical tables, %d spans exported" nevents)
+    (Printf.sprintf
+       "byte-identical tables, %d cold and %d warm spans exported" cold_events
+       warm_events)
     !failures
 
 (* Strip "-j N" out of the argument list, configuring the pool. *)

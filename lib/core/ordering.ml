@@ -33,57 +33,111 @@ let index_of_order order =
     order;
   !acc
 
-let all_orders () = Array.init nperm order_of_index
+(* The [nperm] orders as heuristic indices, in lexicographic order:
+   each array is the next permutation of the one before, so no order
+   is unranked from its index. *)
+let order_ints () =
+  let k = Heuristic.count in
+  let cur = Array.init k Fun.id in
+  Array.init nperm (fun i ->
+      if i > 0 then begin
+        (* the longest descending suffix starts after [j] *)
+        let j = ref (k - 2) in
+        while cur.(!j) > cur.(!j + 1) do
+          decr j
+        done;
+        let l = ref (k - 1) in
+        while cur.(!l) < cur.(!j) do
+          decr l
+        done;
+        let swap a b =
+          let t = cur.(a) in
+          cur.(a) <- cur.(b);
+          cur.(b) <- t
+        in
+        swap !j !l;
+        let lo = ref (!j + 1) and hi = ref (k - 1) in
+        while !lo < !hi do
+          swap !lo !hi;
+          incr lo;
+          decr hi
+        done
+      end;
+      Array.copy cur)
 
-(* Per-database precomputation for fast order evaluation. *)
+let all_orders () =
+  Array.map (fun o -> Array.to_list (Array.map Heuristic.of_int o)) (order_ints ())
+
+(* Per-database first-fire tables.  The combined predictor takes the
+   first applicable heuristic, so an order's misses on a branch depend
+   only on the branch's applicability mask.  [fires.(u * k + h)] sums
+   the misses, when [h] predicts, of the non-loop branches to which
+   [h] applies and no heuristic in the set [u] does; walking an order
+   [o_0 .. o_6] with [u] the set of heuristics already passed charges
+   each branch exactly once, at its first applicable heuristic.
+   Branches no heuristic applies to fall to the Default coin. *)
 type compiled = {
-  masks : int array;        (* applicability bitmask per branch *)
-  miss_if : int array array;(* misses when heuristic h fires *)
-  miss_default : int array; (* misses under the Default coin *)
+  fires : int array;  (* (2^k sets) x (k heuristics) *)
+  miss_default : int; (* Default misses of the mask-0 branches *)
   exec_total : int;
 }
 
 let compile (db : Database.t) =
-  let nl = Array.of_list (Database.non_loop_branches db) in
-  let n = Array.length nl in
-  let masks = Array.make n 0 in
-  let miss_if = Array.make_matrix n Heuristic.count 0 in
-  let miss_default = Array.make n 0 in
-  let exec_total = ref 0 in
-  Array.iteri
-    (fun i (br : Database.branch) ->
-      exec_total := !exec_total + Database.exec br;
-      miss_default.(i) <- Database.misses br br.rand_pred;
-      Array.iteri
-        (fun h pred ->
-          match pred with
-          | Some dir ->
-            masks.(i) <- masks.(i) lor (1 lsl h);
-            miss_if.(i).(h) <- Database.misses br dir
-          | None -> ())
-        br.heur)
-    nl;
-  { masks; miss_if; miss_default; exec_total = !exec_total }
-
-let eval_compiled c (order : int array) =
-  let n = Array.length c.masks in
-  let miss = ref 0 in
-  for i = 0 to n - 1 do
-    let mask = Array.unsafe_get c.masks i in
-    if mask = 0 then miss := !miss + Array.unsafe_get c.miss_default i
-    else begin
-      let rec first j =
-        let h = Array.unsafe_get order j in
-        if mask land (1 lsl h) <> 0 then Array.unsafe_get (Array.unsafe_get c.miss_if i) h
-        else first (j + 1)
-      in
-      miss := !miss + first 0
-    end
+  let k = Heuristic.count in
+  let nsets = 1 lsl k in
+  (* by_mask.(m * k + h): misses when [h] predicts, summed over the
+     branches whose applicability mask is [m] *)
+  let by_mask = Array.make (nsets * k) 0 in
+  let seen = Array.make nsets false in
+  let miss_default = ref 0 and exec_total = ref 0 in
+  Array.iter
+    (fun (br : Database.branch) ->
+      if br.cls = Classify.Non_loop_branch then begin
+        exec_total := !exec_total + Database.exec br;
+        let mask = ref 0 in
+        Array.iteri
+          (fun h pred -> if pred <> None then mask := !mask lor (1 lsl h))
+          br.heur;
+        let m = !mask in
+        if m = 0 then
+          miss_default := !miss_default + Database.misses br br.rand_pred
+        else begin
+          seen.(m) <- true;
+          Array.iteri
+            (fun h pred ->
+              match pred with
+              | Some dir ->
+                by_mask.((m * k) + h) <-
+                  by_mask.((m * k) + h) + Database.misses br dir
+              | None -> ())
+            br.heur
+        end
+      end)
+    db.branches;
+  let fires = Array.make (nsets * k) 0 in
+  for m = 1 to nsets - 1 do
+    if seen.(m) then
+      for u = 0 to nsets - 1 do
+        if u land m = 0 then
+          for h = 0 to k - 1 do
+            if m land (1 lsl h) <> 0 then
+              fires.((u * k) + h) <- fires.((u * k) + h) + by_mask.((m * k) + h)
+          done
+      done
   done;
-  if c.exec_total = 0 then Float.nan
-  else float_of_int !miss /. float_of_int c.exec_total
+  { fires; miss_default = !miss_default; exec_total = !exec_total }
 
-let order_as_ints order = Array.of_list (List.map Heuristic.to_int order)
+(* Misses of [order]: Default's, plus at each position those charged
+   to its heuristic with the heuristics before it passed. *)
+let misses_of c (order : int array) =
+  let k = Heuristic.count in
+  let miss = ref c.miss_default and passed = ref 0 in
+  for j = 0 to k - 1 do
+    let h = Array.unsafe_get order j in
+    miss := !miss + Array.unsafe_get c.fires ((!passed * k) + h);
+    passed := !passed lor (1 lsl h)
+  done;
+  !miss
 
 (* The 5040 orders are evaluated in (benchmark x order-chunk) tasks so
    the matrix fills across domains.  Every cell is written exactly once
@@ -94,15 +148,18 @@ let miss_matrix dbs =
   let pool = Par.Pool.get () in
   let nb = Array.length dbs in
   let compiled = Par.Pool.parallel_map pool compile dbs in
-  let orders = Array.init nperm (fun i -> order_as_ints (order_of_index i)) in
+  let orders = order_ints () in
   let m = Array.init nb (fun _ -> Array.make nperm 0.) in
   let per_row = (nperm + order_chunk - 1) / order_chunk in
   Par.Pool.run pool (nb * per_row) (fun task ->
       let b = task / per_row and c = task mod per_row in
       let lo = c * order_chunk and hi = min nperm ((c + 1) * order_chunk) in
       let cb = compiled.(b) and row = m.(b) in
+      let exec = float_of_int cb.exec_total in
       for o = lo to hi - 1 do
-        row.(o) <- eval_compiled cb orders.(o)
+        row.(o) <-
+          (if cb.exec_total = 0 then Float.nan
+           else float_of_int (misses_of cb orders.(o)) /. exec)
       done);
   m
 

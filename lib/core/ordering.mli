@@ -23,9 +23,21 @@ val index_of_order : Combined.order -> int
 val miss_matrix : Database.t array -> float array array
 (** [m.(b).(o)]: miss rate of order [o] on benchmark [b], for all
     5040 orders.  Shared by Graph 1 and the subset experiment.
-    Evaluated in (benchmark x order-chunk) tasks on the {!Par.Pool}
-    default pool; each cell is written by exactly one task, so the
-    matrix is identical at any [-j]. *)
+
+    The combined predictor takes the first applicable heuristic, so an
+    order's misses on a branch depend only on which heuristics apply
+    to it.  Each database is first reduced to a first-fire table: for
+    every set [u] of heuristics and heuristic [h], the summed misses,
+    when [h] predicts, of the non-loop branches to which [h] applies
+    and no member of [u] does (128 x 7 integers).  A cell is then the
+    Default misses of the branches no heuristic applies to plus seven
+    table lookups, one per position of the order, over the total
+    non-loop executions ([nan] when that total is 0).  The sums are
+    integers, so a cell equals a branch-by-branch evaluation exactly.
+
+    Cells are evaluated in (benchmark x order-chunk) tasks on the
+    {!Par.Pool} default pool; each cell is written by exactly one task,
+    so the matrix is identical at any [-j]. *)
 
 val sorted_average : float array array -> float array
 (** Graph 1's series: the per-order average across benchmarks, sorted

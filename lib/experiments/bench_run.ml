@@ -18,14 +18,20 @@ let profile_for (wl : Workloads.Workload.t) ~decoded prog
         ~attrs:[ ("workload", wl.name); ("dataset", ds.name) ]
         (fun () -> Sim.Profile.run ~decoded prog ds))
 
+(* Compiled programs are keyed by source text.  The build fingerprint
+   in every entry's name digests the compiler, so a stored program is
+   always what this build would compile. *)
+let programs = Cache.Memo.create ~persist:true "program"
+
 let loads = Cache.Memo.create "bench_run.load"
 
 let load (wl : Workloads.Workload.t) =
   let name = wl.name in
   Cache.Memo.find loads name (fun () ->
       let prog =
-        Obs.span ~name:"compile" ~attrs:[ ("workload", name) ] (fun () ->
-            Workloads.Workload.compile wl)
+        Cache.Memo.find programs wl.source (fun () ->
+            Obs.span ~name:"compile" ~attrs:[ ("workload", name) ] (fun () ->
+                Workloads.Workload.compile wl))
       in
       let decoded = Sim.Decode.of_program prog in
       let analyses = Cfg.Analysis.of_program prog in

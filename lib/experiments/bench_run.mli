@@ -5,9 +5,10 @@
     per-procedure CFG analyses, the edge profile of the primary
     dataset, and the resulting branch database.
 
-    Edge profiles are memoised in a persisted {!Cache.Memo} table
-    (keyed by program and dataset content), so a warm process skips
-    simulation entirely. *)
+    Compiled programs (keyed by source text) and edge profiles (keyed
+    by program and dataset content) are memoised in persisted
+    {!Cache.Memo} tables, so a warm process neither compiles nor
+    simulates. *)
 
 type t = {
   wl : Workloads.Workload.t;
@@ -20,7 +21,9 @@ type t = {
 
 val load : Workloads.Workload.t -> t
 (** Compile, analyse, and profile on the primary dataset (memoised per
-    workload name; safe to call from multiple domains). *)
+    workload name; safe to call from multiple domains).  A compile
+    that runs, rather than being read from the store, records a
+    [compile] span. *)
 
 val load_all : unit -> t list
 (** All benchmarks of {!Workloads.Registry.all}.  The independent

@@ -114,6 +114,40 @@ let check_predict prog analyses (profile : Sim.Profile.t) =
     db.branches;
   (List.rev !errs, db)
 
+(* the 5040-order miss matrix, built from first-fire tables, must
+   equal the combined predictor run branch by branch under every order *)
+let orders =
+  Array.init (Predict.Ordering.factorial Predict.Heuristic.count)
+    Predict.Ordering.order_of_index
+
+let check_miss_matrix (db : Predict.Database.t) =
+  let module D = Predict.Database in
+  let m = Predict.Ordering.miss_matrix [| db |] in
+  let nl = D.non_loop_branches db in
+  let exec = List.fold_left (fun acc b -> acc + D.exec b) 0 nl in
+  let rec first_diff o =
+    if o = Array.length orders then []
+    else begin
+      let order = orders.(o) in
+      let miss =
+        List.fold_left
+          (fun acc b ->
+            acc + D.misses b (fst (Predict.Combined.predict_non_loop order b)))
+          0 nl
+      in
+      let direct =
+        if exec = 0 then Float.nan else float_of_int miss /. float_of_int exec
+      in
+      if Int64.bits_of_float direct <> Int64.bits_of_float m.(0).(o) then
+        [
+          div "miss-matrix" "order %d: direct %h, first-fire tables %h" o
+            direct m.(0).(o);
+        ]
+      else first_diff (o + 1)
+    end
+  in
+  first_diff 0
+
 (* the 5040-order miss matrix must not depend on the pool width *)
 let check_determinism db =
   let with_jobs j f =
@@ -157,5 +191,6 @@ let check_source ?(det_check = false) src =
         let d3 = check_flow prog profile in
         let analyses = Cfg.Analysis.of_program prog in
         let d4, db = check_predict prog analyses profile in
-        let d5 = if det_check then check_determinism db else [] in
-        d1 @ d2 @ d3 @ d4 @ d5))
+        let d5 = check_miss_matrix db in
+        let d6 = if det_check then check_determinism db else [] in
+        d1 @ d2 @ d3 @ d4 @ d5 @ d6))

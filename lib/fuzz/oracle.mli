@@ -15,6 +15,9 @@
       re-derivation — classification from the CFG analyses, the
       Default coin from {!Predict.Database.rand_bit}, and the combined
       predictor honouring the loop/non-loop partition;
+    - {b miss-matrix}: every cell of the 5040-order miss matrix, built
+      from first-fire tables, must be bitwise equal to the combined
+      predictor's miss rate computed branch by branch under that order;
     - {b par-determinism} (optional, slower): the 5040-order miss
       matrix computed at [-j 1] and [-j 4] must be byte-identical.
 

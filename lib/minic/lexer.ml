@@ -20,24 +20,41 @@ let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident c = is_ident_start c || is_digit c
 
-(* Longest-match first. *)
+(* Longest-match first.  Tokens share these strings and [keywords], so
+   only identifiers and numbers copy text out of the source. *)
 let puncts =
   [ "<<="; ">>="; "->"; "<<"; ">>"; "<="; ">="; "=="; "!="; "&&"; "||";
     "+="; "-="; "*="; "/="; "%="; "&="; "|="; "^="; "++"; "--";
     "+"; "-"; "*"; "/"; "%"; "&"; "|"; "^"; "~"; "!"; "<"; ">"; "=";
     "("; ")"; "{"; "}"; "["; "]"; ";"; ","; "."; "?"; ":" ]
 
+(* [puncts] and [keywords] bucketed by first character, in order *)
+let by_first words =
+  let t = Array.make 256 [] in
+  List.iter
+    (fun w -> t.(Char.code w.[0]) <- t.(Char.code w.[0]) @ [ w ])
+    words;
+  t
+
+let puncts_by_first = by_first puncts
+let keywords_by_first = by_first keywords
+
 let tokenize src =
   let n = String.length src in
   let line = ref 1 in
   let pos = ref 0 in
   let out = ref [] in
-  let peek k = if !pos + k < n then Some src.[!pos + k] else None in
   let error msg = raise (Error (!line, msg)) in
-  let starts_with s =
+  (* [s] occurs in [src] at [at], compared in place *)
+  let occurs_at at s =
     let l = String.length s in
-    !pos + l <= n && String.equal (String.sub src !pos l) s
+    at + l <= n
+    &&
+    let rec from i = i = l || (src.[at + i] = s.[i] && from (i + 1)) in
+    from 0
   in
+  let next_is k c = !pos + k < n && src.[!pos + k] = c in
+  let emit tok = out := { tok; line = !line } :: !out in
   while !pos < n do
     let c = src.[!pos] in
     if c = '\n' then begin
@@ -45,12 +62,12 @@ let tokenize src =
       incr pos
     end
     else if c = ' ' || c = '\t' || c = '\r' then incr pos
-    else if starts_with "//" then begin
+    else if c = '/' && next_is 1 '/' then begin
       while !pos < n && src.[!pos] <> '\n' do
         incr pos
       done
     end
-    else if starts_with "/*" then begin
+    else if c = '/' && next_is 1 '*' then begin
       pos := !pos + 2;
       let closed = ref false in
       while not !closed do
@@ -59,7 +76,7 @@ let tokenize src =
           incr line;
           incr pos
         end
-        else if starts_with "*/" then begin
+        else if src.[!pos] = '*' && next_is 1 '/' then begin
           pos := !pos + 2;
           closed := true
         end
@@ -68,21 +85,19 @@ let tokenize src =
     end
     else if is_digit c then begin
       let start = !pos in
-      if c = '0' && (peek 1 = Some 'x' || peek 1 = Some 'X') then begin
+      if c = '0' && (next_is 1 'x' || next_is 1 'X') then begin
         pos := !pos + 2;
         while !pos < n && is_hex src.[!pos] do
           incr pos
         done;
-        let s = String.sub src start (!pos - start) in
-        out := { tok = INT (int_of_string s); line = !line } :: !out
+        emit (INT (int_of_string (String.sub src start (!pos - start))))
       end
       else begin
         while !pos < n && is_digit src.[!pos] do
           incr pos
         done;
         let is_float =
-          !pos < n && src.[!pos] = '.'
-          && (match peek 1 with Some c -> is_digit c | None -> false)
+          next_is 0 '.' && !pos + 1 < n && is_digit src.[!pos + 1]
         in
         if is_float then begin
           incr pos;
@@ -97,13 +112,9 @@ let tokenize src =
               incr pos
             done
           end;
-          let s = String.sub src start (!pos - start) in
-          out := { tok = FLOAT (float_of_string s); line = !line } :: !out
+          emit (FLOAT (float_of_string (String.sub src start (!pos - start))))
         end
-        else begin
-          let s = String.sub src start (!pos - start) in
-          out := { tok = INT (int_of_string s); line = !line } :: !out
-        end
+        else emit (INT (int_of_string (String.sub src start (!pos - start))))
       end
     end
     else if is_ident_start c then begin
@@ -111,15 +122,22 @@ let tokenize src =
       while !pos < n && is_ident src.[!pos] do
         incr pos
       done;
-      let s = String.sub src start (!pos - start) in
-      let tok = if List.mem s keywords then KW s else IDENT s in
-      out := { tok; line = !line } :: !out
+      let len = !pos - start in
+      match
+        List.find_opt
+          (fun k -> String.length k = len && occurs_at start k)
+          keywords_by_first.(Char.code c)
+      with
+      | Some k -> emit (KW k)
+      | None -> emit (IDENT (String.sub src start len))
     end
     else begin
-      match List.find_opt starts_with puncts with
+      match
+        List.find_opt (occurs_at !pos) puncts_by_first.(Char.code c)
+      with
       | Some p ->
         pos := !pos + String.length p;
-        out := { tok = PUNCT p; line = !line } :: !out
+        emit (PUNCT p)
       | None -> error (Printf.sprintf "unexpected character %C" c)
     end
   done;

@@ -2,15 +2,20 @@ open Ast
 
 exception Error of int * string
 
-type state = { toks : Lexer.t array; mutable cur : int }
+(* The tokens not yet consumed, ending with [EOF].  The parser walks
+   the lexer's list itself: copying a whole program's tokens into an
+   array cost more than lexing it. *)
+type state = { mutable toks : Lexer.t list }
 
-let peek st = st.toks.(st.cur)
+let peek st = List.hd st.toks
+
 let peek2 st =
-  if st.cur + 1 < Array.length st.toks then st.toks.(st.cur + 1)
-  else st.toks.(st.cur)
+  match st.toks with
+  | _ :: t :: _ -> t
+  | _ -> peek st
 
 let line st = (peek st).line
-let advance st = st.cur <- st.cur + 1
+let advance st = st.toks <- List.tl st.toks
 
 let error st msg = raise (Error (line st, msg))
 
@@ -118,19 +123,28 @@ and parse_ternary st =
 
 (* Precedence climbing; level 0 is '||'. *)
 and binop_at_level st level =
-  let p op tok = if is_punct st tok then Some op else None in
-  let first = List.find_map Fun.id in
-  match level with
-  | 0 -> p Lor "||"
-  | 1 -> p Land "&&"
-  | 2 -> p Bor "|"
-  | 3 -> p Bxor "^"
-  | 4 -> p Band "&"
-  | 5 -> first [ p Eq "=="; p Ne "!=" ]
-  | 6 -> first [ p Le "<="; p Ge ">="; p Lt "<"; p Gt ">" ]
-  | 7 -> first [ p Shl "<<"; p Shr ">>" ]
-  | 8 -> first [ p Add "+"; p Sub "-" ]
-  | 9 -> first [ p Mul "*"; p Div "/"; p Mod "%" ]
+  match (peek st).tok with
+  | Lexer.PUNCT p -> (
+    match (level, p) with
+    | 0, "||" -> Some Lor
+    | 1, "&&" -> Some Land
+    | 2, "|" -> Some Bor
+    | 3, "^" -> Some Bxor
+    | 4, "&" -> Some Band
+    | 5, "==" -> Some Eq
+    | 5, "!=" -> Some Ne
+    | 6, "<=" -> Some Le
+    | 6, ">=" -> Some Ge
+    | 6, "<" -> Some Lt
+    | 6, ">" -> Some Gt
+    | 7, "<<" -> Some Shl
+    | 7, ">>" -> Some Shr
+    | 8, "+" -> Some Add
+    | 8, "-" -> Some Sub
+    | 9, "*" -> Some Mul
+    | 9, "/" -> Some Div
+    | 9, "%" -> Some Mod
+    | _ -> None)
   | _ -> None
 
 and parse_binary st level =
@@ -415,8 +429,8 @@ and parse_case_body st =
 
 let parse_decl st =
   if is_kw st "struct" && (match (peek2 st).tok with Lexer.IDENT _ -> true | _ -> false)
-     && (match st.toks.(st.cur + 2).tok with
-        | Lexer.PUNCT "{" -> true
+     && (match st.toks with
+        | _ :: _ :: { tok = Lexer.PUNCT "{"; _ } :: _ -> true
         | _ -> false)
   then begin
     advance st;
@@ -474,7 +488,7 @@ let parse_decl st =
   end
 
 let parse src =
-  let st = { toks = Array.of_list (Lexer.tokenize src); cur = 0 } in
+  let st = { toks = Lexer.tokenize src } in
   let rec loop acc =
     match (peek st).tok with
     | Lexer.EOF -> List.rev acc
@@ -483,7 +497,7 @@ let parse src =
   loop []
 
 let parse_expr src =
-  let st = { toks = Array.of_list (Lexer.tokenize src); cur = 0 } in
+  let st = { toks = Lexer.tokenize src } in
   let e = parse_expr_st st in
   (match (peek st).tok with
   | Lexer.EOF -> ()

@@ -316,12 +316,48 @@ let test_reset_reloads_from_disk () =
       Obs.Metrics.reset ();
       let r2 = Experiments.Bench_run.load wl in
       checkb "reload is a new value" true (r2 != r1);
-      checki "profile is a disk hit" 1 (metric "cache.hit");
+      checki "program and profile are disk hits" 2 (metric "cache.hit");
       checki "no disk miss" 0 (metric "cache.miss");
       checkb "same profile" true
         (r2.profile.taken = r1.profile.taken
         && r2.profile.fall = r1.profile.fall
         && r2.profile.stats = r1.profile.stats))
+
+(* A warm [load_all] reads every compiled program and profile from
+   the store: no [compile] or [profile] span, no disk miss, and each
+   program is the one a fresh compile gives, down to its marshalled
+   bytes (which the profile keys are digests of). *)
+let test_warm_load_compiles_nothing () =
+  let count_spans name =
+    List.length
+      (List.filter (fun (e : Obs.event) -> e.name = name) (Obs.events ()))
+  in
+  let traced_load_all () =
+    Experiments.Bench_run.reset ();
+    Obs.Metrics.reset ();
+    Obs.reset_events ();
+    Obs.enable ();
+    Fun.protect ~finally:Obs.disable Experiments.Bench_run.load_all
+  in
+  let nwl = List.length Workloads.Registry.all in
+  with_temp_store (fun _dir ->
+      ignore (traced_load_all ());
+      checki "cold: a compile span per workload" nwl (count_spans "compile");
+      checki "cold: a profile span per workload" nwl (count_spans "profile");
+      let rs = traced_load_all () in
+      checki "warm: no compile span" 0 (count_spans "compile");
+      checki "warm: no profile span" 0 (count_spans "profile");
+      checki "warm: no disk miss" 0 (metric "cache.miss");
+      checki "warm: program and profile hits" (2 * nwl) (metric "cache.hit");
+      List.iter
+        (fun (r : Experiments.Bench_run.t) ->
+          let fresh = Workloads.Workload.compile r.wl in
+          checkb (r.wl.name ^ ": reloaded program equals a fresh compile") true
+            (compare r.prog fresh = 0);
+          checkb (r.wl.name ^ ": same marshalled bytes") true
+            (Marshal.to_string r.prog [] = Marshal.to_string fresh []))
+        rs);
+  Obs.reset_events ()
 
 let () =
   Random.self_init ();
@@ -358,5 +394,7 @@ let () =
             test_memo_duplicate_name;
           Alcotest.test_case "reset reloads from disk" `Quick
             test_reset_reloads_from_disk;
+          Alcotest.test_case "warm loads compile nothing" `Quick
+            test_warm_load_compiles_nothing;
         ] );
     ]

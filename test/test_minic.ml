@@ -44,6 +44,61 @@ let test_lex_errors () =
     Alcotest.fail "expected lex error"
   with Minic.Lexer.Error (_, _) -> ()
 
+(* The token streams (tokens and line numbers) of the prelude, every
+   workload, 120 seeded generator programs and a few edge cases, as
+   one digest, and the two lexical error texts: pinned, so a rewrite
+   of the lexer cannot change what it produces. *)
+let token_corpus =
+  let fuzz =
+    List.init 120 (fun i ->
+        let cs = Fuzz.Gen.case_seed ~seed:1993 ~index:i in
+        Fuzz.Gen.to_source (Fuzz.Gen.generate ~seed:cs ~size:(8 + (i mod 13))))
+  in
+  (Minic.Frontend.prelude
+  :: List.map (fun (wl : Workloads.Workload.t) -> wl.source)
+       Workloads.Registry.all)
+  @ fuzz
+  @ [
+      "a/=b x->y 1.e5 1.5e+7 2.5E-3 0x1fG 007 a//c\nb /**/ /***/ x";
+      "a<<=b>>=c !== &&& ||| +++ --- ->> ?:~^=%=|=&= \r\n\t.5";
+      "int_ intx _int printf halt sizeof null";
+    ]
+
+let token_count = 142902
+let token_digest = "d5593acaf5bfade90a3fcee80dd6827f"
+
+let render_tokens b src =
+  List.iter
+    (fun (t : Minic.Lexer.t) ->
+      Printf.bprintf b "%d " t.line;
+      (match t.tok with
+      | Minic.Lexer.INT n -> Printf.bprintf b "I%d" n
+      | FLOAT f -> Printf.bprintf b "F%h" f
+      | IDENT s -> Printf.bprintf b "N%s" s
+      | KW s -> Printf.bprintf b "K%s" s
+      | PUNCT s -> Printf.bprintf b "P%s" s
+      | EOF -> Buffer.add_string b "EOF");
+      Buffer.add_char b '\n')
+    (Minic.Lexer.tokenize src)
+
+let test_lex_pinned () =
+  let b = Buffer.create (1 lsl 20) in
+  List.iter (render_tokens b) token_corpus;
+  let lines = List.length (String.split_on_char '\n' (Buffer.contents b)) - 1 in
+  checki "tokens" token_count lines;
+  checks "digest of (line, token)" token_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)));
+  let error src =
+    match Minic.Lexer.tokenize src with
+    | _ -> "no error"
+    | exception Minic.Lexer.Error (line, msg) -> Printf.sprintf "%d: %s" line msg
+  in
+  checks "bad character" "2: unexpected character '$'" (error "a\n $ b");
+  checks "bad character after an operator" "1: unexpected character '@'"
+    (error "x+@");
+  checks "unterminated comment" "3: unterminated comment"
+    (error "a /* b\n c\n d *")
+
 (* ---- parser ---- *)
 
 let rec expr_str (e : Minic.Ast.expr) =
@@ -607,6 +662,7 @@ let () =
           Alcotest.test_case "comments" `Quick test_lex_comments;
           Alcotest.test_case "lines" `Quick test_lex_lines;
           Alcotest.test_case "errors" `Quick test_lex_errors;
+          Alcotest.test_case "token streams pinned" `Quick test_lex_pinned;
         ] );
       ( "parser",
         [

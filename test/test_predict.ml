@@ -691,6 +691,79 @@ let test_miss_matrix_j1_equals_j4 () =
   let m4 = with_jobs 4 (fun () -> Predict.Ordering.miss_matrix dbs) in
   checkb "parallel miss matrix identical at -j 1 and -j 4" true (m1 = m4)
 
+(* ---- first-fire tables vs a direct evaluation ---- *)
+
+(* The miss matrix evaluated branch by branch: for each order, each
+   non-loop branch is charged the misses of the first heuristic in
+   the order that applies to it, or of its Default coin. *)
+let direct_miss_matrix dbs =
+  let orders =
+    Array.init (Predict.Ordering.factorial 7) (fun o ->
+        Array.of_list (List.map H.to_int (Predict.Ordering.order_of_index o)))
+  in
+  Array.map
+    (fun (db : D.t) ->
+      let nl = Array.of_list (D.non_loop_branches db) in
+      let exec = Array.fold_left (fun acc b -> acc + D.exec b) 0 nl in
+      Array.map
+        (fun order ->
+          let miss =
+            Array.fold_left
+              (fun acc (b : D.branch) ->
+                let rec first j =
+                  if j = Array.length order then D.misses b b.rand_pred
+                  else
+                    match b.heur.(order.(j)) with
+                    | Some dir -> D.misses b dir
+                    | None -> first (j + 1)
+                in
+                acc + first 0)
+              0 nl
+          in
+          if exec = 0 then Float.nan
+          else float_of_int miss /. float_of_int exec)
+        orders)
+    dbs
+
+(* cell-by-cell bit equality, naming the first differing cell *)
+let check_bitwise what expected got =
+  checki (what ^ ": rows") (Array.length expected) (Array.length got);
+  Array.iteri
+    (fun b row ->
+      Array.iteri
+        (fun o v ->
+          if Int64.bits_of_float v <> Int64.bits_of_float got.(b).(o) then
+            Alcotest.failf "%s: benchmark %d, order %d: direct %h, tables %h"
+              what b o v got.(b).(o))
+        row)
+    expected
+
+let test_miss_matrix_matches_direct () =
+  let _, quiet = build "int main() { print(1); return 0; }" in
+  let nl = D.non_loop_branches quiet in
+  checkb "no non-loop branch executes" true
+    (nl <> [] && List.for_all (fun b -> D.exec b = 0) nl);
+  let small =
+    Array.map
+      (fun src -> snd (build src))
+      [|
+        "int main() { int i; int s = 0; for (i = 0; i < 40; i++) { if (i % 5 \
+         == 0) { s += i; } } print(s); return 0; }";
+        "int main() { int i; int p = 1; for (i = 1; i < 20; i++) { if (i % 3 \
+         != 0) { p += i * 2; } } print(p); return 0; }";
+      |]
+  in
+  let dbs = Array.append [| quiet |] small in
+  let m = Predict.Ordering.miss_matrix dbs in
+  checkb "the quiet row is nan" true (Array.for_all Float.is_nan m.(0));
+  check_bitwise "small programs" (direct_miss_matrix dbs) m;
+  let suite, rs = Experiments.Orderings.miss_matrix_cached () in
+  let suite_dbs =
+    Array.of_list (List.map (fun (r : Experiments.Bench_run.t) -> r.db) rs)
+  in
+  checki "22 suite databases" 22 (Array.length suite_dbs);
+  check_bitwise "suite" (direct_miss_matrix suite_dbs) suite
+
 let prop_subset_total_wins =
   QCheck.Test.make ~name:"subset: wins sum to trials" ~count:30
     QCheck.(make Gen.(pair (int_range 3 7) (int_range 1 3)))
@@ -1102,6 +1175,8 @@ let () =
             test_subset_rejects_bad_matrix;
           Alcotest.test_case "miss matrix -j1 = -j4" `Quick
             test_miss_matrix_j1_equals_j4;
+          Alcotest.test_case "miss matrix = direct evaluation" `Quick
+            test_miss_matrix_matches_direct;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
