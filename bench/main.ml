@@ -216,7 +216,9 @@ let fault_smoke () =
    records a [compile] span per workload and every [profile] and
    [trace] simulation, while the warm run records none of them and
    misses the store nowhere; (3) each traced run's trace file parses
-   as JSON and its traceEvents cover all five pipeline stages; (4) a
+   as JSON and its traceEvents cover all six pipeline stages, whose
+   spans together cover at least [min_stage_coverage] of the run's
+   wall time, so a run explains itself cold and warm; (4) a
    disabled Obs.span really is a no-op branch (a generous absolute
    bound on a tight loop of disabled spans, so a pessimised fast path
    fails loudly without making the gate timing-flaky); and (5) every
@@ -226,8 +228,31 @@ let fault_smoke () =
 let stage_span_names =
   [
     "stage.load_all"; "stage.miss_matrix"; "stage.subset"; "stage.traces";
-    "stage.datasets";
+    "stage.datasets"; "stage.render";
   ]
+
+let min_stage_coverage = 0.9
+
+(* Seconds during which at least one [stage.*] span was open. *)
+let stage_seconds events =
+  let intervals =
+    List.sort compare
+      (List.filter_map
+         (fun (e : Obs.event) ->
+           if String.starts_with ~prefix:"stage." e.name then
+             Some (e.ts_us, e.ts_us +. e.dur_us)
+           else None)
+         events)
+  in
+  let rec merge covered (lo, hi) = function
+    | [] -> covered +. (hi -. lo)
+    | (s, e) :: rest ->
+      if s > hi then merge (covered +. (hi -. lo)) (s, e) rest
+      else merge covered (lo, Float.max hi e) rest
+  in
+  match intervals with
+  | [] -> 0.
+  | first :: rest -> merge 0. first rest /. 1e6
 
 (* Spans a cold quick run records: one compile per workload, a
    profile per (workload, dataset) and a trace per traced workload. *)
@@ -253,9 +278,12 @@ let traced_run ~label ~trace_path check =
   Obs.reset_events ();
   Obs.Metrics.reset ();
   Obs.enable ();
+  let t0 = Unix.gettimeofday () in
   let out, sum = render_quick () in
+  let run_s = Unix.gettimeofday () -. t0 in
   Obs.disable ();
   let nevents = List.length (Obs.events ()) in
+  let coverage = stage_seconds (Obs.events ()) /. run_s in
   let trace_names =
     Fun.protect
       ~finally:(fun () -> try Sys.remove trace_path with Sys_error _ -> ())
@@ -266,9 +294,12 @@ let traced_run ~label ~trace_path check =
   let in_trace name =
     List.length (List.filter (String.equal name) trace_names)
   in
-  Printf.printf "%s trace: %d events, %d distinct names -> %s\n" label nevents
+  Printf.printf
+    "%s trace: %d events, %d distinct names -> %s; stage spans cover %.1f%% \
+     of %.3f s\n"
+    label nevents
     (List.length (List.sort_uniq String.compare trace_names))
-    trace_path;
+    trace_path (100. *. coverage) run_s;
   let check cond msg = check cond (label ^ ": " ^ msg) in
   check (sum.Experiments.Driver.failed = 0) "permanent failures";
   check (nevents > 0) "no spans were recorded";
@@ -279,6 +310,9 @@ let traced_run ~label ~trace_path check =
         (Printf.sprintf "trace JSON has no span for %s" stage))
     stage_span_names;
   check (List.mem "experiment" trace_names) "trace JSON has no experiment spans";
+  check (coverage >= min_stage_coverage)
+    (Printf.sprintf "stage spans cover %.1f%% of the run, below %.0f%%"
+       (100. *. coverage) (100. *. min_stage_coverage));
   let summaries = Obs.summaries () in
   List.iter
     (fun (name, (s : Obs.summary)) ->

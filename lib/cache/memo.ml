@@ -19,13 +19,12 @@ let create ?(persist = false) name =
   t
 
 let find t key compute =
-  let bytes = Marshal.to_string key [] in
-  let d = Digest.string bytes in
+  let d = Digest.string (Marshal.to_string key []) in
   match Mutex.protect t.mutex (fun () -> Hashtbl.find_opt t.table d) with
   | Some v -> v
   | None ->
     let v =
-      if t.persist then Store.memo ~table:t.name ~key:bytes compute
+      if t.persist then Store.memo ~table:t.name ~key:d compute
       else compute ()
     in
     Mutex.protect t.mutex (fun () -> Hashtbl.replace t.table d v);

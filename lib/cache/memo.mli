@@ -4,7 +4,9 @@
     created with [~persist:true]) the on-disk {!Store}, then runs
     [compute] and keeps its result in both.  Keys are compared by the
     digest of their marshalled bytes, so a key may be any marshallable
-    value, structural content and all.
+    value, structural content and all; that one digest is also the key
+    the {!Store} names the disk entry by, so a lookup hashes the key's
+    bytes once.
 
     Tables are safe to share across domains.  A mutex guards the table
     only; [compute] runs unlocked, so two domains racing on one key at

@@ -45,7 +45,8 @@ val set_dir : string -> unit
 val memo : table:string -> key:string -> (unit -> 'v) -> 'v
 (** [memo ~table ~key compute] returns the value stored for [(table,
     key)] or runs [compute], stores its result, and returns it.  [key]
-    is the caller's serialised key (e.g. a marshalled value).
+    is the caller's serialised key ({!Memo} passes the digest of the
+    marshalled key value).
 
     The value is read back by [Marshal], so one table name must always
     hold one type.  {!Memo.create} guarantees that for the pipeline's

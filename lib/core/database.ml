@@ -42,10 +42,9 @@ let make program analyses ~taken ~fall =
           let taken_dst = te.dst and fall_dst = fe.dst in
           let cls = Classify.classify a ~block:b ~taken:taken_dst ~fall:fall_dst in
           let heur =
-            Array.map
-              (fun h ->
-                Heuristic.apply h a ~block:b ~taken:taken_dst ~fall:fall_dst)
-              (Array.of_list Heuristic.all)
+            Array.init Heuristic.count (fun h ->
+                Heuristic.apply (Heuristic.of_int h) a ~block:b ~taken:taken_dst
+                  ~fall:fall_dst)
           in
           let br =
             {
@@ -68,6 +67,21 @@ let make program analyses ~taken ~fall =
       done)
     analyses;
   { program; analyses; branches = Array.of_list (List.rev !branches) }
+
+(* The static facts are shared: only the two counts are per dataset. *)
+let with_counts t ~taken ~fall =
+  {
+    t with
+    branches =
+      Array.map
+        (fun br ->
+          {
+            br with
+            taken_count = taken.(br.proc).(br.pc);
+            fall_count = fall.(br.proc).(br.pc);
+          })
+        t.branches;
+  }
 
 let exec br = br.taken_count + br.fall_count
 let misses br pred = if pred then br.fall_count else br.taken_count

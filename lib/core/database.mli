@@ -38,6 +38,13 @@ val make :
     count arrays are indexed by procedure and instruction index, as
     produced by the simulator's edge profiler. *)
 
+val with_counts : t -> taken:int array array -> fall:int array array -> t
+(** [with_counts db ~taken ~fall] is [make db.program db.analyses
+    ~taken ~fall] without re-deriving anything: a branch's class,
+    heuristic verdicts, loop prediction and Default coin depend on the
+    program alone, so only the counts are read from the new arrays.
+    The result shares [db]'s program, analyses and verdict arrays. *)
+
 val exec : branch -> int
 (** Dynamic executions of the branch. *)
 

@@ -20,63 +20,46 @@ let pp ppf h = Format.pp_print_string ppf (name h)
 
 (* --- shared block predicates ------------------------------------- *)
 
-let block_contains g b p = List.exists p (Cfg.Graph.block_insns g b)
-
-let contains_call g b = block_contains g b Mips.Insn.is_call
-let contains_return g b = block_contains g b Mips.Insn.is_return
-let contains_store g b = block_contains g b Mips.Insn.is_store
-
 (* "unconditionally passes control to a block that ..." — one hop, the
    heuristics look at most two steps from the branch. *)
 let uncond_succ = Cfg.Graph.single_uncond_succ
 
-let branch_operands g block =
-  let term = Cfg.Graph.terminator g block in
-  let iregs =
-    List.filter
-      (fun r -> not (Mips.Reg.equal r Mips.Reg.zero))
-      (Mips.Insn.uses term)
+(* Index of the latest [Fcmp] in the block: it set the flag a
+   coprocessor branch at the block's end tests. *)
+let last_fcmp (g : Cfg.Graph.t) block =
+  let rec back i =
+    if i < g.first.(block) then None
+    else
+      match g.proc.body.(i) with
+      | Mips.Insn.Fcmp _ -> Some i
+      | _ -> back (i - 1)
   in
-  let fregs =
-    match term with
-    | Mips.Insn.Bfp _ ->
-      (* The flag was set by the latest compare in this block. *)
-      let rec last_cmp acc = function
-        | [] -> acc
-        | Mips.Insn.Fcmp (_, fs, ft) :: rest -> last_cmp [ fs; ft ] rest
-        | _ :: rest -> last_cmp acc rest
-      in
-      last_cmp [] (Cfg.Graph.block_insns g block)
-    | _ -> []
-  in
-  (iregs, fregs)
+  back g.last.(block)
 
-(* Does block [s] use one of [iregs]/[fregs] before defining it? *)
-let uses_before_def g s iregs fregs =
-  let live_i = ref iregs and live_f = ref fregs in
-  let found = ref false in
-  List.iter
-    (fun ins ->
-      if not !found then begin
-        let used r = List.exists (Mips.Reg.equal r) !live_i in
-        let fused r = List.exists (Mips.Freg.equal r) !live_f in
-        if List.exists used (Mips.Insn.uses ins)
-           || List.exists fused (Mips.Insn.fuses ins)
-        then found := true
-        else begin
-          live_i :=
-            List.filter
-              (fun r -> not (List.exists (Mips.Reg.equal r) (Mips.Insn.defs ins)))
-              !live_i;
-          live_f :=
-            List.filter
-              (fun r ->
-                not (List.exists (Mips.Freg.equal r) (Mips.Insn.fdefs ins)))
-              !live_f
-        end
-      end)
-    (Cfg.Graph.block_insns g s);
-  !found
+let branch_operands (a : Cfg.Analysis.t) block =
+  let g = a.graph in
+  let last = g.last.(block) in
+  let imask = a.use_mask.(last) land lnot 1 (* not $zero *) in
+  let fmask =
+    match g.proc.body.(last) with
+    | Mips.Insn.Bfp _ -> (
+      match last_fcmp g block with Some i -> a.fuse_mask.(i) | None -> 0)
+    | _ -> 0
+  in
+  (imask, fmask)
+
+let uses_before_def (a : Cfg.Analysis.t) s ~imask ~fmask =
+  let last = a.graph.last.(s) in
+  let rec scan i live_i live_f =
+    i <= last
+    && (live_i lor live_f <> 0)
+    && (a.use_mask.(i) land live_i <> 0
+       || a.fuse_mask.(i) land live_f <> 0
+       || scan (i + 1)
+            (live_i land lnot a.def_mask.(i))
+            (live_f land lnot a.fdef_mask.(i)))
+  in
+  scan a.graph.first.(s) imask fmask
 
 (* Apply a (selection property, which-successor) pair: predict only
    when exactly one successor has the property. *)
@@ -94,14 +77,10 @@ let opcode (a : Cfg.Analysis.t) ~block =
   | Mips.Insn.Bz ((Gtz | Gez), _, _) -> Some true
   | Mips.Insn.Bfp (sense, _) -> begin
     (* Only equality comparisons are predicted. *)
-    let rec last_cmp acc = function
-      | [] -> acc
-      | Mips.Insn.Fcmp (c, _, _) :: rest -> last_cmp (Some c) rest
-      | _ :: rest -> last_cmp acc rest
-    in
-    match last_cmp None (Cfg.Graph.block_insns a.graph block) with
-    | Some Mips.Insn.Feq -> Some (not sense) (* equality is usually false *)
-    | Some (Mips.Insn.Flt | Mips.Insn.Fle) | None -> None
+    match Option.map (fun i -> a.graph.proc.body.(i)) (last_fcmp a.graph block) with
+    | Some (Mips.Insn.Fcmp (Mips.Insn.Feq, _, _)) ->
+      Some (not sense) (* equality is usually false *)
+    | _ -> None
   end
   | _ -> None
 
@@ -114,9 +93,9 @@ let loop_heuristic (a : Cfg.Analysis.t) ~block ~taken ~fall =
 
 let call_heuristic (a : Cfg.Analysis.t) ~block ~taken ~fall =
   let leads_to_call s =
-    contains_call a.graph s
+    a.has_call.(s)
     || match uncond_succ a.graph s with
-       | Some s' -> contains_call a.graph s' && Cfg.Analysis.dominates a s s'
+       | Some s' -> a.has_call.(s') && Cfg.Analysis.dominates a s s'
        | None -> false
   in
   let prop s = leads_to_call s && not (Cfg.Analysis.postdominates a s block) in
@@ -125,58 +104,53 @@ let call_heuristic (a : Cfg.Analysis.t) ~block ~taken ~fall =
 let return_heuristic (a : Cfg.Analysis.t) ~block ~taken ~fall =
   ignore block;
   let prop s =
-    contains_return a.graph s
+    a.has_return.(s)
     || match uncond_succ a.graph s with
-       | Some s' -> contains_return a.graph s'
+       | Some s' -> a.has_return.(s')
        | None -> false
   in
   by_property ~predict_with:false prop ~taken ~fall
 
 let guard_heuristic (a : Cfg.Analysis.t) ~block ~taken ~fall =
-  let iregs, fregs = branch_operands a.graph block in
-  if iregs = [] && fregs = [] then None
+  let imask, fmask = branch_operands a block in
+  if imask lor fmask = 0 then None
   else
     let prop s =
-      uses_before_def a.graph s iregs fregs
+      uses_before_def a s ~imask ~fmask
       && not (Cfg.Analysis.postdominates a s block)
     in
     by_property ~predict_with:true prop ~taken ~fall
 
 let store_heuristic (a : Cfg.Analysis.t) ~block ~taken ~fall =
   let prop s =
-    contains_store a.graph s && not (Cfg.Analysis.postdominates a s block)
+    a.has_store.(s) && not (Cfg.Analysis.postdominates a s block)
   in
   by_property ~predict_with:false prop ~taken ~fall
 
 (* Pointer comparisons: [beq]/[bne] whose operands were (all) defined
    by loads in this block, not off $gp, with no intervening call. *)
 let point_heuristic (a : Cfg.Analysis.t) ~block =
-  let insns = Cfg.Graph.block_insns a.graph block in
-  (* state maps a register to (loaded off a non-$gp base, call seen
-     between the load and the branch); only insns before the
-     terminator are scanned. *)
-  let state = Hashtbl.create 8 in
-  let rec scan = function
-    | [] | [ _ ] -> ()
-    | ins :: rest ->
-      (match ins with
-      | Mips.Insn.Lw (rt, _, base) ->
-        let ptr_like = not (Mips.Reg.equal base Mips.Reg.gp) in
-        Hashtbl.replace state (Mips.Reg.to_int rt) (ptr_like, false)
-      | _ when Mips.Insn.is_call ins ->
-        let keys = Hashtbl.fold (fun r v acc -> (r, v) :: acc) state [] in
-        List.iter (fun (r, (p, _)) -> Hashtbl.replace state r (p, true)) keys
-      | _ ->
-        List.iter
-          (fun r -> Hashtbl.remove state (Mips.Reg.to_int r))
-          (Mips.Insn.defs ins));
-      scan rest
-  in
-  scan insns;
+  let g = a.graph in
+  (* Over the insns before the terminator, three register masks:
+     [loaded] holds a load's result not since redefined, [ptr] those
+     loaded off a base other than $gp, [called] those with a call
+     between the load and the branch. *)
+  let loaded = ref 0 and ptr = ref 0 and called = ref 0 in
+  for i = g.first.(block) to g.last.(block) - 1 do
+    let ins = g.proc.body.(i) in
+    match ins with
+    | Mips.Insn.Lw (rt, _, base) ->
+      let bit = 1 lsl Mips.Reg.to_int rt in
+      loaded := !loaded lor bit;
+      called := !called land lnot bit;
+      if Mips.Reg.equal base Mips.Reg.gp then ptr := !ptr land lnot bit
+      else ptr := !ptr lor bit
+    | _ when Mips.Insn.is_call ins -> called := !called lor !loaded
+    | _ -> loaded := !loaded land lnot a.def_mask.(i)
+  done;
   let loaded_ptr r =
-    match Hashtbl.find_opt state (Mips.Reg.to_int r) with
-    | Some (ptr_like, call_between) -> ptr_like && not call_between
-    | None -> false
+    let bit = 1 lsl Mips.Reg.to_int r in
+    !loaded land !ptr land lnot !called land bit <> 0
   in
   let check rs rt =
     let zero = Mips.Reg.zero in
@@ -184,7 +158,7 @@ let point_heuristic (a : Cfg.Analysis.t) ~block =
     else if Mips.Reg.equal rs zero then loaded_ptr rt
     else loaded_ptr rs && loaded_ptr rt
   in
-  match Cfg.Graph.terminator a.graph block with
+  match Cfg.Graph.terminator g block with
   | Mips.Insn.Beq (rs, rt, _) when check rs rt -> Some false
   | Mips.Insn.Bne (rs, rt, _) when check rs rt -> Some true
   | _ -> None

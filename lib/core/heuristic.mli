@@ -37,16 +37,17 @@ val of_int : int -> t
 val name : t -> string
 val pp : Format.formatter -> t -> unit
 
-val branch_operands : Cfg.Graph.t -> int -> Mips.Reg.t list * Mips.Freg.t list
-(** Registers tested by the conditional branch terminating the block:
+val branch_operands : Cfg.Analysis.t -> int -> int * int
+(** Registers tested by the conditional branch terminating the block,
+    as masks in the form of {!Cfg.Analysis.t}'s [use_mask]/[fuse_mask]:
     its integer operands (excluding [$zero]), and — for coprocessor
     branches — the operands of the latest [Fcmp] in the same block. *)
 
-val uses_before_def :
-  Cfg.Graph.t -> int -> Mips.Reg.t list -> Mips.Freg.t list -> bool
-(** Does the block use one of the given registers before (re)defining
-    it?  The Guard heuristic's core test, exposed for the extended
-    variants of {!Heuristic_ext}. *)
+val uses_before_def : Cfg.Analysis.t -> int -> imask:int -> fmask:int -> bool
+(** [uses_before_def a s ~imask ~fmask]: does block [s] read one of the
+    integer registers in [imask] or floating registers in [fmask]
+    before (re)defining it?  The Guard heuristic's core test, exposed
+    for the extended variants of {!Heuristic_ext}. *)
 
 val by_property :
   predict_with:bool -> (int -> bool) -> taken:int -> fall:int -> bool option

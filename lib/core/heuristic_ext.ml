@@ -28,22 +28,20 @@ let dominated (a : Cfg.Analysis.t) ~block ~taken ~fall =
    the immediate successor neither uses nor clobbers the operands. *)
 let guard_deep (a : Cfg.Analysis.t) ~block ~taken ~fall =
   let g = a.graph in
-  let iregs, fregs = Heuristic.branch_operands g block in
-  if iregs = [] && fregs = [] then None
+  let imask, fmask = Heuristic.branch_operands a block in
+  if imask lor fmask = 0 then None
   else begin
     let defines s =
-      List.exists
-        (fun ins ->
-          List.exists
-            (fun r -> List.exists (Mips.Reg.equal r) (Mips.Insn.defs ins))
-            iregs
-          || List.exists
-               (fun r -> List.exists (Mips.Freg.equal r) (Mips.Insn.fdefs ins))
-               fregs)
-        (Cfg.Graph.block_insns g s)
+      let rec scan i =
+        i <= g.last.(s)
+        && (a.def_mask.(i) land imask <> 0
+           || a.fdef_mask.(i) land fmask <> 0
+           || scan (i + 1))
+      in
+      scan g.first.(s)
     in
     let rec uses_within depth s =
-      Heuristic.uses_before_def g s iregs fregs
+      Heuristic.uses_before_def a s ~imask ~fmask
       || (depth > 0 && (not (defines s))
          &&
          match Cfg.Graph.single_uncond_succ g s with

@@ -14,6 +14,10 @@ val perfect_rate : Database.branch list -> float
 
 val total_exec : Database.branch list -> int
 
+val ratio : int -> int -> float
+(** [ratio num den] as a float; [nan] when [den = 0].  Every rate
+    here is one. *)
+
 val covered :
   (Database.branch -> bool option) -> Database.branch list ->
   Database.branch list

@@ -168,11 +168,15 @@ let sorted_average m =
   if nb = 0 then [||]
   else begin
     let no = Array.length m.(0) in
-    let avg =
-      Array.init no (fun o ->
-          Array.fold_left (fun acc row -> acc +. row.(o)) 0. m /. float_of_int nb)
-    in
-    Array.sort compare avg;
+    let avg = Array.make no 0. in
+    for o = 0 to no - 1 do
+      let s = ref 0. in
+      for b = 0 to nb - 1 do
+        s := !s +. m.(b).(o)
+      done;
+      avg.(o) <- !s /. float_of_int nb
+    done;
+    Array.stable_sort Float.compare avg;
     avg
   end
 

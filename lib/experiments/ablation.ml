@@ -241,6 +241,28 @@ let layout ppf =
         ];
       ])
 
+(* Integer tallies of one partial predictor over a workload's non-loop
+   branches: all executions, and the executions, misses and perfect
+   misses of the branches it covers.  Every ratio of the table is
+   formed from these, so each predictor runs once per branch. *)
+type tally = { exec : int; cov_exec : int; cov_miss : int; cov_perfect : int }
+
+let tally partial nl =
+  let exec = ref 0 and cov_exec = ref 0 and cov_miss = ref 0
+  and cov_perfect = ref 0 in
+  List.iter
+    (fun (b : D.branch) ->
+      exec := !exec + D.exec b;
+      match partial b with
+      | Some dir ->
+        cov_exec := !cov_exec + D.exec b;
+        cov_miss := !cov_miss + D.misses b dir;
+        cov_perfect := !cov_perfect + D.perfect_misses b
+      | None -> ())
+    nl;
+  { exec = !exec; cov_exec = !cov_exec; cov_miss = !cov_miss;
+    cov_perfect = !cov_perfect }
+
 let extended ppf =
   Format.fprintf ppf
     "Ablation: Section 4.4 — unsuccessful heuristics (Distance, Postdom,@.";
@@ -248,67 +270,50 @@ let extended ppf =
     "Dominated) and the deeper Guard generalisation, in isolation on@.";
   Format.fprintf ppf "dynamic non-loop branches (coverage %%, miss/perfect)@.@.";
   let heuristics = Predict.Heuristic_ext.all in
+  let names = List.map Predict.Heuristic_ext.name heuristics @ [ "Guard" ] in
   let header =
-    "Program"
-    :: List.concat_map
-         (fun h -> [ Predict.Heuristic_ext.name h; "miss/prf" ])
-         heuristics
-    @ [ "Guard"; "miss/prf" ]
+    "Program" :: List.concat_map (fun n -> [ n; "miss/prf" ]) names
   in
-  let rows =
+  (* per workload, one tally per column: the extended heuristics, then
+     the paper's Guard as the baseline *)
+  let tallies =
     List.map
       (fun (r : Bench_run.t) ->
         let nl = D.non_loop_branches r.db in
-        let cell partial =
-          let cov = M.coverage partial nl in
-          if Float.is_nan cov || cov < 0.01 then [ ""; "" ]
-          else
-            [
-              Texttab.pct cov;
-              Texttab.ratio
-                (M.miss_rate_covered partial nl)
-                (M.perfect_rate (M.covered partial nl));
-            ]
-        in
         let ext h (b : D.branch) =
           Predict.Heuristic_ext.apply h r.analyses.(b.proc) ~block:b.block
             ~taken:b.taken_dst ~fall:b.fall_dst
         in
-        r.wl.name
-        :: List.concat_map (fun h -> cell (ext h)) heuristics
-        @ cell (fun (b : D.branch) ->
-              b.heur.(Predict.Heuristic.to_int Predict.Heuristic.Guard)))
+        let guard (b : D.branch) =
+          b.heur.(Predict.Heuristic.to_int Predict.Heuristic.Guard)
+        in
+        (r.wl.name, List.map (fun h -> tally (ext h) nl) heuristics
+                    @ [ tally guard nl ]))
       (Bench_run.load_all ())
   in
-  Texttab.render ppf ~header rows;
+  let cell t =
+    let cov = M.ratio t.cov_exec t.exec in
+    if Float.is_nan cov || cov < 0.01 then [ ""; "" ]
+    else
+      [
+        Texttab.pct cov;
+        Texttab.ratio (M.ratio t.cov_miss t.cov_exec)
+          (M.ratio t.cov_perfect t.cov_exec);
+      ]
+  in
+  Texttab.render ppf ~header
+    (List.map (fun (name, ts) -> name :: List.concat_map cell ts) tallies);
   (* aggregate miss rates over all covered branches, suite-wide *)
   Format.fprintf ppf "@.aggregate (dynamic, suite-wide) miss on covered:@.";
-  let agg partial_of =
-    let miss = ref 0 and total = ref 0 in
-    List.iter
-      (fun (r : Bench_run.t) ->
-        let nl = D.non_loop_branches r.db in
-        List.iter
-          (fun (b : D.branch) ->
-            match partial_of r b with
-            | Some dir ->
-              miss := !miss + D.misses b dir;
-              total := !total + D.exec b
-            | None -> ())
-          nl)
-      (Bench_run.load_all ());
-    if !total = 0 then Float.nan else float_of_int !miss /. float_of_int !total
-  in
-  List.iter
-    (fun h ->
-      Format.fprintf ppf "  %-10s %s%%@."
-        (Predict.Heuristic_ext.name h)
-        (Texttab.pct1
-           (agg (fun (r : Bench_run.t) (b : D.branch) ->
-                Predict.Heuristic_ext.apply h r.analyses.(b.proc)
-                  ~block:b.block ~taken:b.taken_dst ~fall:b.fall_dst))))
-    heuristics;
-  Format.fprintf ppf "  %-10s %s%%@." "Guard"
-    (Texttab.pct1
-       (agg (fun (_ : Bench_run.t) (b : D.branch) ->
-            b.heur.(Predict.Heuristic.to_int Predict.Heuristic.Guard))))
+  List.iteri
+    (fun i name ->
+      let miss, total =
+        List.fold_left
+          (fun (m, e) (_, ts) ->
+            let t = List.nth ts i in
+            (m + t.cov_miss, e + t.cov_exec))
+          (0, 0) tallies
+      in
+      Format.fprintf ppf "  %-10s %s%%@." name
+        (Texttab.pct1 (M.ratio miss total)))
+    names

@@ -64,7 +64,7 @@ let dbs = Cache.Memo.create "bench_run.db"
 let db_for t ds =
   Cache.Memo.find dbs (t.wl.name, ds.Sim.Dataset.name) (fun () ->
       let profile = profile_for t.wl ~decoded:t.decoded t.prog ds in
-      Predict.Database.make t.prog t.analyses ~taken:profile.taken
+      Predict.Database.with_counts t.db ~taken:profile.taken
         ~fall:profile.fall)
 
 let reset = Cache.Memo.reset

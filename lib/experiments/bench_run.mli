@@ -41,9 +41,11 @@ val reset : unit -> unit
     pipelines. *)
 
 val db_for : t -> Sim.Dataset.t -> Predict.Database.t
-(** Branch database for any of the workload's datasets (memoised per
-    (workload, dataset) pair; the profile behind it is shared with
-    {!load}'s through the persisted profile table). *)
+(** Branch database for any of the workload's datasets: [t.db]'s
+    static facts with that dataset's counts
+    ({!Predict.Database.with_counts}), memoised per (workload, dataset)
+    pair; the profile behind it is shared with {!load}'s through the
+    persisted profile table. *)
 
 val prediction_bits :
   t -> (Predict.Database.branch -> bool) -> Sim.Trace_run.prediction_bits

@@ -95,6 +95,7 @@ let run_list ?(quick = false) ?(warm = true) exps ppf =
       Robust.Fault.pp_banner Format.err_formatter fault
     | _ -> ());
   let results =
+    Obs.span ~name:"stage.render" @@ fun () ->
     List.map
       (fun e ->
         Format.fprintf ppf "==== %s ====@.@." e.title;

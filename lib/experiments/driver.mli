@@ -39,7 +39,8 @@ val run_list :
 (** Run the given experiments in sequence after a supervised parallel
     {!prewarm} ([warm], default [true] — pass [false] for a single
     experiment that should only compute what it reads), each inside a
-    {!Robust.Supervise} fault boundary.  Each experiment renders into a private buffer, so a
+    {!Robust.Supervise} fault boundary and all of them inside one
+    [stage.render] span.  Each experiment renders into a private buffer, so a
     failed experiment prints a structured failure banner in place of
     its table, with no partial output, and the suite continues.  Only
     experiment banners, tables and failure banners go to the formatter

@@ -69,21 +69,39 @@ int rand_() {
 }
 |}
 
-let parse_and_check src =
+(* [where line] names a line for the message; line 0 is sema's mark
+   for a declaration-level error, which has none. *)
+let check_as ~where src =
+  let fail phase line msg =
+    raise
+      (Error
+         (if line <= 0 then Printf.sprintf "%s error: %s" phase msg
+          else Printf.sprintf "%s error, %s: %s" phase (where line) msg))
+  in
   try Sema.check (Parser.parse src) with
-  | Lexer.Error (line, msg) ->
-    raise (Error (Printf.sprintf "lex error, line %d: %s" line msg))
-  | Parser.Error (line, msg) ->
-    raise (Error (Printf.sprintf "parse error, line %d: %s" line msg))
-  | Sema.Error (line, msg) ->
-    raise (Error (Printf.sprintf "type error, line %d: %s" line msg))
+  | Lexer.Error (line, msg) -> fail "lex" line msg
+  | Parser.Error (line, msg) -> fail "parse" line msg
+  | Sema.Error (line, msg) -> fail "type" line msg
+
+let parse_and_check = check_as ~where:(Printf.sprintf "line %d")
+
+(* The prelude and the newline joining it to the program take this
+   many lines, so line [l] of the joined text is the program's line
+   [l - prelude_lines]. *)
+let prelude_lines =
+  1 + String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 prelude
+
+let check_with_prelude src =
+  check_as (prelude ^ "\n" ^ src) ~where:(fun line ->
+      if line <= prelude_lines then Printf.sprintf "prelude line %d" line
+      else Printf.sprintf "line %d" (line - prelude_lines))
 
 let initial_idata (c : Sema.checked) =
   let g = Hashtbl.find c.globals "__heap_ptr" in
   c.idata @ [ (g.gaddr, Mips.Program.heap_base) ]
 
 let compile ?(optimize = true) src =
-  let checked = parse_and_check (prelude ^ "\n" ^ src) in
+  let checked = check_with_prelude src in
   if Mips.Program.gp_base + checked.globals_words > Mips.Program.heap_base then
     raise
       (Error

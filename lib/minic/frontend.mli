@@ -19,7 +19,13 @@ val compile : ?optimize:bool -> string -> Mips.Program.t
     @param optimize run the peephole pass (default true). *)
 
 val parse_and_check : string -> Sema.checked
-(** Front half only — used by tests and analysis tools. *)
+(** Front half only, on [src] alone — used by tests and analysis
+    tools. *)
+
+val check_with_prelude : string -> Sema.checked
+(** Front half of {!compile}: [src] checked together with the prelude.
+    An error's line is counted in [src]; one inside the prelude itself
+    says "prelude line N". *)
 
 val initial_idata : Sema.checked -> (int * int) list
 (** [initial_idata c] is the integer memory image [c] starts from: the

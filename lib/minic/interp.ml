@@ -404,7 +404,7 @@ and exec_stmt st frame (s : stmt) =
   end
 
 let run ?(max_steps = 200_000_000) src input =
-  let c = Frontend.parse_and_check (Frontend.prelude ^ "\n" ^ src) in
+  let c = Frontend.check_with_prelude src in
   let bodies = Hashtbl.create 64 in
   List.iter
     (function

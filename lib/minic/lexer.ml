@@ -55,6 +55,15 @@ let tokenize src =
   in
   let next_is k c = !pos + k < n && src.[!pos + k] = c in
   let emit tok = out := { tok; line = !line } :: !out in
+  (* the literal from [start] to [pos]; with its digits checked, only
+     a value beyond [max_int] still fails to convert *)
+  let literal start = String.sub src start (!pos - start) in
+  let int_literal start =
+    let text = literal start in
+    match int_of_string_opt text with
+    | Some v -> emit (INT v)
+    | None -> error ("integer literal out of range: " ^ text)
+  in
   while !pos < n do
     let c = src.[!pos] in
     if c = '\n' then begin
@@ -90,7 +99,9 @@ let tokenize src =
         while !pos < n && is_hex src.[!pos] do
           incr pos
         done;
-        emit (INT (int_of_string (String.sub src start (!pos - start))))
+        if !pos = start + 2 then
+          error ("malformed integer literal " ^ literal start);
+        int_literal start
       end
       else begin
         while !pos < n && is_digit src.[!pos] do
@@ -112,9 +123,12 @@ let tokenize src =
               incr pos
             done
           end;
-          emit (FLOAT (float_of_string (String.sub src start (!pos - start))))
+          let text = literal start in
+          match float_of_string_opt text with
+          | Some f -> emit (FLOAT f)
+          | None -> error ("malformed float literal " ^ text)
         end
-        else emit (INT (int_of_string (String.sub src start (!pos - start))))
+        else int_literal start
       end
     end
     else if is_ident_start c then begin

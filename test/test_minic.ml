@@ -97,7 +97,36 @@ let test_lex_pinned () =
   checks "bad character after an operator" "1: unexpected character '@'"
     (error "x+@");
   checks "unterminated comment" "3: unterminated comment"
-    (error "a /* b\n c\n d *")
+    (error "a /* b\n c\n d *");
+  checks "hex prefix without digits" "1: malformed integer literal 0x"
+    (error "int x = 0x;");
+  checks "exponent without digits" "1: malformed float literal 1.5e+"
+    (error "float x = 1.5e+;");
+  checks "integer out of range"
+    "2: integer literal out of range: 99999999999999999999"
+    (error "int x;\nx = 99999999999999999999;")
+
+(* Errors name the line in the program's own text, not in the prelude
+   joined before it; a declaration-level error has no line. *)
+let test_frontend_error_lines () =
+  let error f src =
+    match f src with
+    | _ -> "no error"
+    | exception Minic.Frontend.Error msg -> msg
+  in
+  let compile = error Minic.Frontend.compile in
+  checks "one-line file" {|parse error, line 1: expected ";", found "}"|}
+    (compile "int main() { return 0 }");
+  let line3 = "int main() {\n  int x;\n  x = y;\n  return 0;\n}\n" in
+  checks "line 3" "type error, line 3: unknown variable y" (compile line3);
+  checks "interpreter, line 3" "type error, line 3: unknown variable y"
+    (error
+       (fun src -> Minic.Interp.run src (Sim.Dataset.make ~name:"t" [||]))
+       line3);
+  checks "lex error" "lex error, line 2: malformed integer literal 0x"
+    (compile "int main() {\n  return 0x; }");
+  checks "no line" "type error: missing function main"
+    (compile "int f() { return 0; }")
 
 (* ---- parser ---- *)
 
@@ -671,6 +700,7 @@ let () =
           Alcotest.test_case "assignment" `Quick test_parse_assign;
           Alcotest.test_case "program" `Quick test_parse_program;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "error lines" `Quick test_frontend_error_lines;
         ] );
       ( "sema",
         [

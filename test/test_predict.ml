@@ -1090,6 +1090,226 @@ let test_combined_seed_matches_database () =
         = Predict.Combined.predict Predict.Combined.paper_order b))
     db.branches
 
+(* ---- register masks vs the list-based primitives ---- *)
+
+(* The heuristics' primitives as they were written over instruction
+   lists ([Insn.uses]/[defs] per query), kept as the reference for the
+   mask-based ones of [Cfg.Analysis] and [Heuristic]. *)
+module Ref = struct
+  module I = Mips.Insn
+
+  let block_contains g b p = List.exists p (Cfg.Graph.block_insns g b)
+
+  let last_cmp g block =
+    List.fold_left
+      (fun acc ins -> match ins with I.Fcmp _ -> Some ins | _ -> acc)
+      None (Cfg.Graph.block_insns g block)
+
+  let branch_operands g block =
+    let term = Cfg.Graph.terminator g block in
+    let iregs =
+      List.filter (fun r -> not (Mips.Reg.equal r Mips.Reg.zero)) (I.uses term)
+    in
+    let fregs =
+      match term, last_cmp g block with
+      | I.Bfp _, Some (I.Fcmp (_, fs, ft)) -> [ fs; ft ]
+      | _ -> []
+    in
+    (iregs, fregs)
+
+  let uses_before_def g s iregs fregs =
+    let live_i = ref iregs and live_f = ref fregs and found = ref false in
+    List.iter
+      (fun ins ->
+        if not !found then
+          if List.exists (fun r -> List.mem r !live_i) (I.uses ins)
+             || List.exists (fun r -> List.mem r !live_f) (I.fuses ins)
+          then found := true
+          else begin
+            live_i := List.filter (fun r -> not (List.mem r (I.defs ins))) !live_i;
+            live_f := List.filter (fun r -> not (List.mem r (I.fdefs ins))) !live_f
+          end)
+      (Cfg.Graph.block_insns g s);
+    !found
+
+  let opcode g block =
+    match Cfg.Graph.terminator g block, last_cmp g block with
+    | I.Bfp (sense, _), Some (I.Fcmp (I.Feq, _, _)) -> Some (not sense)
+    | I.Bfp _, _ -> None
+    | I.Bz ((Ltz | Lez), _, _), _ -> Some false
+    | I.Bz ((Gtz | Gez), _, _), _ -> Some true
+    | _ -> None
+
+  let point g block =
+    let state = Hashtbl.create 8 in
+    let rec scan = function
+      | [] | [ _ ] -> ()
+      | ins :: rest ->
+        (match ins with
+        | I.Lw (rt, _, base) ->
+          Hashtbl.replace state rt (not (Mips.Reg.equal base Mips.Reg.gp), false)
+        | _ when I.is_call ins ->
+          Hashtbl.filter_map_inplace (fun _ (p, _) -> Some (p, true)) state
+        | _ -> List.iter (Hashtbl.remove state) (I.defs ins));
+        scan rest
+    in
+    scan (Cfg.Graph.block_insns g block);
+    let loaded_ptr r =
+      match Hashtbl.find_opt state r with
+      | Some (ptr_like, call_between) -> ptr_like && not call_between
+      | None -> false
+    in
+    let check rs rt =
+      if Mips.Reg.equal rt Mips.Reg.zero then loaded_ptr rs
+      else if Mips.Reg.equal rs Mips.Reg.zero then loaded_ptr rt
+      else loaded_ptr rs && loaded_ptr rt
+    in
+    match Cfg.Graph.terminator g block with
+    | I.Beq (rs, rt, _) when check rs rt -> Some false
+    | I.Bne (rs, rt, _) when check rs rt -> Some true
+    | _ -> None
+
+  let guard_deep (a : Cfg.Analysis.t) ~block ~taken ~fall =
+    let g = a.graph in
+    let iregs, fregs = branch_operands g block in
+    if iregs = [] && fregs = [] then None
+    else begin
+      let defines s =
+        List.exists
+          (fun ins ->
+            List.exists (fun r -> List.mem r (I.defs ins)) iregs
+            || List.exists (fun r -> List.mem r (I.fdefs ins)) fregs)
+          (Cfg.Graph.block_insns g s)
+      in
+      let rec uses_within depth s =
+        uses_before_def g s iregs fregs
+        || depth > 0
+           && (not (defines s))
+           && match Cfg.Graph.single_uncond_succ g s with
+              | Some s' -> uses_within (depth - 1) s'
+              | None -> false
+      in
+      let prop s = uses_within 1 s && not (Cfg.Analysis.postdominates a s block) in
+      H.by_property ~predict_with:true prop ~taken ~fall
+    end
+end
+
+let imask = List.fold_left (fun m r -> m lor (1 lsl Mips.Reg.to_int r)) 0
+let fmask = List.fold_left (fun m r -> m lor (1 lsl Mips.Freg.to_int r)) 0
+
+let check_masks what (a : Cfg.Analysis.t) =
+  let g = a.graph in
+  let body = g.proc.body in
+  let fail fmt = Alcotest.failf ("%s, %s: " ^^ fmt) what g.proc.name in
+  Array.iteri
+    (fun i ins ->
+      if a.use_mask.(i) <> imask (Mips.Insn.uses ins)
+         || a.def_mask.(i) <> imask (Mips.Insn.defs ins)
+         || a.fuse_mask.(i) <> fmask (Mips.Insn.fuses ins)
+         || a.fdef_mask.(i) <> fmask (Mips.Insn.fdefs ins)
+      then fail "register masks of insn %d" i)
+    body;
+  let int_regs = List.init 32 Mips.Reg.of_int in
+  let float_regs = List.init 32 Mips.Freg.of_int in
+  let ubd s iregs fregs =
+    if H.uses_before_def a s ~imask:(imask iregs) ~fmask:(fmask fregs)
+       <> Ref.uses_before_def g s iregs fregs
+    then fail "uses_before_def, block %d" s
+  in
+  for b = 0 to g.nblocks - 1 do
+    if a.has_call.(b) <> Ref.block_contains g b Mips.Insn.is_call
+       || a.has_return.(b) <> Ref.block_contains g b Mips.Insn.is_return
+       || a.has_store.(b) <> Ref.block_contains g b Mips.Insn.is_store
+    then fail "block flags of block %d" b;
+    (* each register alone, all of them at once, and the operands of
+       every branch that leads here *)
+    List.iter (fun r -> ubd b [ r ] []) int_regs;
+    List.iter (fun r -> ubd b [] [ r ]) float_regs;
+    ubd b (List.tl int_regs) float_regs;
+    List.iter
+      (fun (e : Cfg.Graph.edge) ->
+        match Cfg.Graph.branch_edges g e.src with
+        | Some _ ->
+          let iregs, fregs = Ref.branch_operands g e.src in
+          ubd b iregs fregs
+        | None -> ())
+      g.preds.(b);
+    match Cfg.Graph.branch_edges g b with
+    | None -> ()
+    | Some (te, fe) ->
+      let iregs, fregs = Ref.branch_operands g b in
+      if H.branch_operands a b <> (imask iregs, fmask fregs) then
+        fail "branch_operands, block %d" b;
+      let taken = te.dst and fall = fe.dst in
+      if H.apply H.Opcode a ~block:b ~taken ~fall <> Ref.opcode g b then
+        fail "Opcode, block %d" b;
+      if H.apply H.Point a ~block:b ~taken ~fall <> Ref.point g b then
+        fail "Point, block %d" b;
+      if Predict.Heuristic_ext.apply Predict.Heuristic_ext.Guard_deep a
+           ~block:b ~taken ~fall
+         <> Ref.guard_deep a ~block:b ~taken ~fall
+      then fail "Guard+, block %d" b
+  done
+
+(* Cases the compiled programs never produce: a call between a load
+   and the pointer test it feeds, and a load off $gp. *)
+let test_masks_hand_built () =
+  let open Mips.Asm in
+  let module I = Mips.Insn in
+  let t = Mips.Reg.t and s = Mips.Reg.s and zero = Mips.Reg.zero in
+  let f = Mips.Freg.temp in
+  let items =
+    [
+      Ins (I.Lw (t 0, 0, s 0));            (* block 0: call after load *)
+      Ins (I.Jal "q");
+      Ins (I.Beq (t 0, zero, "a"));
+      Ins (I.Lw (t 1, 0, s 1));            (* block 1: p != q *)
+      Ins (I.Lw (t 2, 4, s 1));
+      Ins (I.Bne (t 1, t 2, "b"));
+      Ins (I.Lw (t 3, 0, Mips.Reg.gp));    (* block 2: a global *)
+      Ins (I.Beq (t 3, zero, "a"));
+      Ins (I.Lw (t 4, 0, s 2));            (* block 3: reloaded after *)
+      Ins (I.Jalr (t 5));                  (* the call *)
+      Ins (I.Lw (t 4, 8, s 2));
+      Ins (I.Beq (t 4, zero, "b"));
+      Ins (I.Fcmp (I.Feq, f 0, f 1));      (* block 4: FP equality *)
+      Ins (I.Bfp (true, "b"));
+      Lab "a";
+      Ins I.Ret;
+      Lab "b";
+      Ins I.Ret;
+    ]
+  in
+  let prog = Mips.Program.make ~entry:"p" [ ("p", items); ("q", [ Ins I.Ret ]) ] in
+  let analyses = Cfg.Analysis.of_program prog in
+  Array.iter (check_masks "hand-built") analyses;
+  let a = analyses.(0) in
+  let point b =
+    match Cfg.Graph.branch_edges a.graph b with
+    | Some (te, fe) -> H.apply H.Point a ~block:b ~taken:te.dst ~fall:fe.dst
+    | None -> Alcotest.failf "block %d has no branch" b
+  in
+  checkb "call between load and test" true (point 0 = None);
+  checkb "p != q" true (point 1 = Some true);
+  checkb "load off $gp" true (point 2 = None);
+  checkb "reloaded after the call" true (point 3 = Some false)
+
+let test_masks_match_lists () =
+  List.iter
+    (fun wl ->
+      let r = Experiments.Bench_run.load wl in
+      Array.iter (check_masks wl.Workloads.Workload.name) r.analyses)
+    Workloads.Registry.all;
+  (* the 120 seeded generator programs [test_decode] pins *)
+  for i = 0 to 119 do
+    let cs = Fuzz.Gen.case_seed ~seed:1993 ~index:i in
+    let size = 8 + (i mod 13) in
+    let src = Fuzz.Gen.to_source (Fuzz.Gen.generate ~seed:cs ~size) in
+    Array.iter
+      (check_masks (Printf.sprintf "fuzz case %d" i))
+      (Cfg.Analysis.of_program (Minic.Frontend.compile src))
+  done
+
 (* ---- Subset rank/unrank edge cases ---- *)
 
 let test_unrank_edge_cases () =
@@ -1134,6 +1354,10 @@ let () =
         [
           Alcotest.test_case "distance applies" `Quick test_ext_distance_applies;
           Alcotest.test_case "guard+ depth" `Quick test_ext_guard_deep;
+          Alcotest.test_case "masks = list primitives" `Quick
+            test_masks_match_lists;
+          Alcotest.test_case "masks, hand-built cases" `Quick
+            test_masks_hand_built;
           Alcotest.test_case "postdom" `Quick test_ext_postdom;
         ] );
       ( "classify",

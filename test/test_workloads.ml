@@ -162,26 +162,28 @@ let test_find () =
   with Not_found -> ()
 
 (* every (workload, dataset) pair profiled once, fanned out on the
-   domain pool: compile and decode each workload, then simulate *)
-let profiles () =
-  let pool = Par.Pool.get () in
-  let progs =
-    Par.Pool.parallel_map_list pool
-      (fun (wl : Workloads.Workload.t) ->
-        let prog = Workloads.Workload.compile wl in
-        (wl, prog, Sim.Decode.of_program prog))
-      Workloads.Registry.all
-  in
-  Par.Pool.parallel_map_list pool
-    (fun ((wl : Workloads.Workload.t), prog, decoded, (ds : Sim.Dataset.t)) ->
-      ((wl.name, ds.name), Sim.Profile.run ~decoded prog ds))
-    (List.concat_map
-       (fun ((wl : Workloads.Workload.t), prog, decoded) ->
-         List.map (fun ds -> (wl, prog, decoded, ds)) wl.datasets)
-       progs)
+   domain pool: compile and decode each workload, then simulate.
+   Shared by the golden runs and the per-dataset database check. *)
+let profiles =
+  lazy
+    (let pool = Par.Pool.get () in
+     let progs =
+       Par.Pool.parallel_map_list pool
+         (fun (wl : Workloads.Workload.t) ->
+           let prog = Workloads.Workload.compile wl in
+           (wl, prog, Sim.Decode.of_program prog))
+         Workloads.Registry.all
+     in
+     Par.Pool.parallel_map_list pool
+       (fun ((wl : Workloads.Workload.t), prog, decoded, (ds : Sim.Dataset.t)) ->
+         ((wl.name, ds.name), Sim.Profile.run ~decoded prog ds))
+       (List.concat_map
+          (fun ((wl : Workloads.Workload.t), prog, decoded) ->
+            List.map (fun ds -> (wl, prog, decoded, ds)) wl.datasets)
+          progs))
 
 let test_golden_runs () =
-  let runs = profiles () in
+  let runs = Lazy.force profiles in
   Alcotest.(check (list (pair string string)))
     "golden table covers every (workload, dataset)"
     (List.map (fun (name, dsname, _, _, _) -> (name, dsname)) golden)
@@ -248,6 +250,44 @@ let test_every_workload_exercises_branches () =
         (Predict.Database.non_loop_branches r.db <> []))
     Workloads.Registry.all
 
+(* A per-dataset database shares the primary's static facts and swaps
+   only the counts; it must equal one built from scratch on that
+   dataset's profile, field for field, for every (workload, dataset). *)
+let test_db_for_equals_make () =
+  let module D = Predict.Database in
+  let runs = Lazy.force profiles in
+  let pairs =
+    List.concat_map
+      (fun (wl : Workloads.Workload.t) ->
+        List.map (fun ds -> (wl, ds)) wl.datasets)
+      Workloads.Registry.all
+  in
+  (* on a cold store each [db_for] simulates, so fan out like [profiles] *)
+  let dbs =
+    Par.Pool.parallel_map_list (Par.Pool.get ())
+      (fun (wl, ds) ->
+        let r = Experiments.Bench_run.load wl in
+        (r, Experiments.Bench_run.db_for r ds))
+      pairs
+  in
+  List.iter2
+    (fun ((wl : Workloads.Workload.t), (ds : Sim.Dataset.t))
+         ((r : Experiments.Bench_run.t), (got : D.t)) ->
+      let where = Printf.sprintf "%s/%s" wl.name ds.name in
+      let (p : Sim.Profile.t) = List.assoc (wl.name, ds.name) runs in
+      let fresh = D.make r.prog r.analyses ~taken:p.taken ~fall:p.fall in
+      checkb (where ^ " program") true (got.program == fresh.program);
+      checkb (where ^ " analyses") true (got.analyses == fresh.analyses);
+      checki (where ^ " branches")
+        (Array.length fresh.branches) (Array.length got.branches);
+      Array.iteri
+        (fun i (b : D.branch) ->
+          if b <> got.branches.(i) then
+            Alcotest.failf "%s: branch %d (proc %d, pc %d) differs" where i
+              b.proc b.pc)
+        fresh.branches)
+    pairs dbs
+
 let test_dataset_checksums_differ () =
   (* different datasets genuinely exercise different behaviour; the
      golden runs tie these checksums to live simulations *)
@@ -284,5 +324,7 @@ let () =
             test_every_workload_exercises_branches;
           Alcotest.test_case "dataset variety" `Quick
             test_dataset_checksums_differ;
+          Alcotest.test_case "db_for = Database.make" `Slow
+            test_db_for_equals_make;
         ] );
     ]
