@@ -7,7 +7,9 @@
      predict    annotate every branch with class, heuristics, prediction
      profile    run a program and report per-predictor miss rates
      trace      run the IPBC trace analysis
+     layout     re-linearise code along predicted traces and measure it
      experiment run one of the paper's tables/figures (or "all")
+     stats      run experiments and print their counters and span timings
      list       list workloads and experiments *)
 
 open Cmdliner

@@ -65,7 +65,11 @@ and stmt_node =
 
 type param = ty * string
 
-type decl =
+(* Declarations carry the line of their first token, for the errors
+   sema reports about a declaration as a whole. *)
+type decl = { d : decl_node; dline : int }
+
+and decl_node =
   | Struct_def of string * (ty * string) list
   | Global of ty * string * expr option
   | Func of ty * string * param list * stmt list

@@ -1134,7 +1134,8 @@ let gen_function c (ret, name, params, body) =
 
 let gen_program c =
   List.filter_map
-    (function
+    (fun { d; _ } ->
+      match d with
       | Func (ret, name, params, body) ->
         Some (gen_function c (ret, name, params, body))
       | Struct_def _ | Global _ -> None)

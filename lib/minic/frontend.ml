@@ -70,7 +70,7 @@ int rand_() {
 |}
 
 (* [where line] names a line for the message; line 0 is sema's mark
-   for a declaration-level error, which has none. *)
+   for a missing [main], which has none. *)
 let check_as ~where src =
   let fail phase line msg =
     raise

@@ -407,7 +407,8 @@ let run ?(max_steps = 200_000_000) src input =
   let c = Frontend.check_with_prelude src in
   let bodies = Hashtbl.create 64 in
   List.iter
-    (function
+    (fun { d; _ } ->
+      match d with
       | Func (ret, name, params, body) ->
         Hashtbl.replace bodies name (ret, params, body)
       | Struct_def _ | Global _ -> ())

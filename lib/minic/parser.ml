@@ -427,7 +427,7 @@ and parse_case_body st =
 
 (* --- top level ------------------------------------------------------ *)
 
-let parse_decl st =
+let parse_decl_node st =
   if is_kw st "struct" && (match (peek2 st).tok with Lexer.IDENT _ -> true | _ -> false)
      && (match st.toks with
         | _ :: _ :: { tok = Lexer.PUNCT "{"; _ } :: _ -> true
@@ -486,6 +486,10 @@ let parse_decl st =
       Global (ty, name, init)
     end
   end
+
+let parse_decl st =
+  let dline = line st in
+  { d = parse_decl_node st; dline }
 
 let parse src =
   let st = { toks = Lexer.tokenize src } in

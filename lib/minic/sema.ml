@@ -569,19 +569,20 @@ and check_block fx body =
 let layout_structs prog =
   let structs = Hashtbl.create 16 in
   List.iter
-    (function
+    (fun { d; dline } ->
+      match d with
       | Struct_def (name, fields) ->
-        if Hashtbl.mem structs name then err 0 "duplicate struct %s" name;
+        if Hashtbl.mem structs name then err dline "duplicate struct %s" name;
         let off = ref 0 in
         let laid =
           List.map
             (fun (fty, fname) ->
               (match fty with
               | Tstruct s when not (Hashtbl.mem structs s) ->
-                err 0 "field %s: struct %s not yet defined" fname s
-              | Tvoid -> err 0 "field %s has type void" fname
+                err dline "field %s: struct %s not yet defined" fname s
+              | Tvoid -> err dline "field %s has type void" fname
               | _ -> ());
-              let sz = struct_size structs 0 fty in
+              let sz = struct_size structs dline fty in
               let this = (fname, fty, !off) in
               off := !off + sz;
               this)
@@ -590,7 +591,7 @@ let layout_structs prog =
         (* duplicate field check *)
         let names = List.map (fun (n, _, _) -> n) laid in
         if List.length (List.sort_uniq compare names) <> List.length names then
-          err 0 "duplicate field in struct %s" name;
+          err dline "duplicate field in struct %s" name;
         Hashtbl.replace structs name { fields = laid; size = !off }
       | Global _ | Func _ -> ())
     prog;
@@ -603,16 +604,18 @@ let check prog =
   let locals = Hashtbl.create 64 in
   let next = ref Mips.Program.gp_base in
   let idata = ref [] and fdata = ref [] in
+  let main_line = ref 0 in
   (* Pass 1: globals and function signatures. *)
   List.iter
-    (function
+    (fun { d; dline } ->
+      match d with
       | Struct_def _ -> ()
       | Global (ty, name, init) ->
-        if Hashtbl.mem globals name then err 0 "duplicate global %s" name;
+        if Hashtbl.mem globals name then err dline "duplicate global %s" name;
         (match ty with
-        | Tvoid | Tarray (Tvoid, _) -> err 0 "global %s has type void" name
+        | Tvoid | Tarray (Tvoid, _) -> err dline "global %s has type void" name
         | _ -> ());
-        let size = struct_size structs 0 ty in
+        let size = struct_size structs dline ty in
         let addr = !next in
         next := !next + size;
         Hashtbl.replace globals name { gaddr = addr; gty = ty };
@@ -627,24 +630,26 @@ let check prog =
           | _ -> err e.line "bad initialiser for global %s" name
         end)
       | Func (ret, name, params, _) ->
-        if Hashtbl.mem funcs name then err 0 "duplicate function %s" name;
+        if Hashtbl.mem funcs name then err dline "duplicate function %s" name;
         if List.mem name builtin_names then
-          err 0 "%s is a builtin and cannot be redefined" name;
+          err dline "%s is a builtin and cannot be redefined" name;
         let pnames = List.map snd params in
         if List.length (List.sort_uniq compare pnames) <> List.length pnames
-        then err 0 "duplicate parameter in %s" name;
+        then err dline "duplicate parameter in %s" name;
         List.iter
           (fun (pty, pname) ->
             match pty with
             | Tvoid | Tstruct _ | Tarray _ ->
-              err 0 "parameter %s of %s must be scalar" pname name
+              err dline "parameter %s of %s must be scalar" pname name
             | Tint | Tfloat | Tptr _ -> ())
           params;
+        if name = "main" then main_line := dline;
         Hashtbl.replace funcs name { ret; params })
     prog;
+  (* a missing [main] has no line to name *)
   (match Hashtbl.find_opt funcs "main" with
   | Some { ret = Tint; params = []; _ } -> ()
-  | Some _ -> err 0 "main must be: int main()"
+  | Some _ -> err !main_line "main must be: int main()"
   | None -> err 0 "missing function main");
   let c =
     {
@@ -661,9 +666,9 @@ let check prog =
   (* Pass 2: check bodies. *)
   let prog' =
     List.map
-      (function
-        | Struct_def _ as d -> d
-        | Global _ as d -> d
+      (fun ({ d; dline } as decl) ->
+        match d with
+        | Struct_def _ | Global _ -> decl
         | Func (ret, name, params, body) ->
           let ltbl = Hashtbl.create 32 in
           Hashtbl.replace locals name ltbl;
@@ -681,14 +686,14 @@ let check prog =
           in
           let params' =
             List.map
-              (fun (pty, pname) -> (pty, declare_local fx 0 pty pname))
+              (fun (pty, pname) -> (pty, declare_local fx dline pty pname))
               params
           in
           (* Re-register the signature with renamed parameters so the
              code generator sees matching names. *)
           Hashtbl.replace funcs name { ret; params = params' };
           let body' = check_block fx body in
-          Func (ret, name, params', body'))
+          { decl with d = Func (ret, name, params', body') })
       prog
   in
   {

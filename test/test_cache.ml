@@ -5,16 +5,19 @@
    to its own temporary directory so nothing touches the repo's
    [_cache/]. *)
 
-let checkb = Alcotest.(check bool)
-let checki = Alcotest.(check int)
-let metric name = Obs.Metrics.value (Obs.Metrics.counter name)
+open Check
+
+(* named by pid and a counter: every suite in the runner shares the
+   global RNG, so none of them seeds it *)
+let temp_stores = ref 0
 
 let with_temp_store f =
+  incr temp_stores;
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "ballarus_cache_test_%d_%d" (Unix.getpid ())
-         (Random.bits ()))
+         !temp_stores)
   in
   let old_dir = Cache.Store.dir () in
   let old_enabled = Cache.Store.enabled () in
@@ -359,42 +362,40 @@ let test_warm_load_compiles_nothing () =
         rs);
   Obs.reset_events ()
 
-let () =
-  Random.self_init ();
-  Alcotest.run "cache"
-    [
-      ( "store",
-        [
-          Alcotest.test_case "memo roundtrip and key separation" `Quick
-            test_memo_roundtrip;
-          Alcotest.test_case "disabled store bypasses disk" `Quick
-            test_disabled_bypasses;
-          Alcotest.test_case "corrupt entries are recomputed" `Quick
-            test_corrupt_entry_recomputed;
-          Alcotest.test_case "quarantine deletes bad entry" `Quick
-            test_quarantine_deletes_bad_entry;
-          Alcotest.test_case "misnamed entry recomputed" `Quick
-            test_misnamed_entry_recomputed;
-          Alcotest.test_case "injected write failure skipped" `Quick
-            test_injected_write_failure_skipped;
-          Alcotest.test_case "unwritable store skips the write" `Quick
-            test_unwritable_store_skips_write;
-          Alcotest.test_case "permanent write failure cleans tmp" `Quick
-            test_permanent_write_failure_cleans_tmp;
-          Alcotest.test_case "clear empties the store" `Quick
-            test_clear_empties_store;
-          Alcotest.test_case "profile survives the store" `Quick
-            test_profile_through_store;
-        ] );
-      ( "memo",
-        [
-          Alcotest.test_case "memory, then disk, then compute" `Quick
-            test_memo_layers;
-          Alcotest.test_case "duplicate table name rejected" `Quick
-            test_memo_duplicate_name;
-          Alcotest.test_case "reset reloads from disk" `Quick
-            test_reset_reloads_from_disk;
-          Alcotest.test_case "warm loads compile nothing" `Quick
-            test_warm_load_compiles_nothing;
-        ] );
-    ]
+let tests =
+  [
+    ( "store",
+      [
+        Alcotest.test_case "memo roundtrip and key separation" `Quick
+          test_memo_roundtrip;
+        Alcotest.test_case "disabled store bypasses disk" `Quick
+          test_disabled_bypasses;
+        Alcotest.test_case "corrupt entries are recomputed" `Quick
+          test_corrupt_entry_recomputed;
+        Alcotest.test_case "quarantine deletes bad entry" `Quick
+          test_quarantine_deletes_bad_entry;
+        Alcotest.test_case "misnamed entry recomputed" `Quick
+          test_misnamed_entry_recomputed;
+        Alcotest.test_case "injected write failure skipped" `Quick
+          test_injected_write_failure_skipped;
+        Alcotest.test_case "unwritable store skips the write" `Quick
+          test_unwritable_store_skips_write;
+        Alcotest.test_case "permanent write failure cleans tmp" `Quick
+          test_permanent_write_failure_cleans_tmp;
+        Alcotest.test_case "clear empties the store" `Quick
+          test_clear_empties_store;
+        Alcotest.test_case "profile survives the store" `Quick
+          test_profile_through_store;
+      ] );
+    ( "memo",
+      [
+        Alcotest.test_case "memory, then disk, then compute" `Quick
+          test_memo_layers;
+        Alcotest.test_case "duplicate table name rejected" `Quick
+          test_memo_duplicate_name;
+        Alcotest.test_case "reset reloads from disk" `Quick
+          test_reset_reloads_from_disk;
+        Alcotest.test_case "warm loads compile nothing" `Quick
+          test_warm_load_compiles_nothing;
+      ] );
+  ]

@@ -5,10 +5,10 @@
 module I = Mips.Insn
 module R = Mips.Reg
 
+open Check
+
 let t0 = R.t 0
 let t1 = R.t 1
-let checkb = Alcotest.(check bool)
-let checki = Alcotest.(check int)
 
 (* Build a one-instruction-per-block procedure: block i is a
    conditional branch to [targets.(i)] falling through to block i+1;
@@ -358,34 +358,33 @@ let prop_removing_backedges_acyclic =
       dfs2 0;
       (not !reducible) || not !has_cycle)
 
-let () =
-  Alcotest.run "cfg"
-    [
-      ( "graph",
+let tests =
+  [
+    ( "graph",
+      [
+        Alcotest.test_case "blocks" `Quick test_build_blocks;
+        Alcotest.test_case "edge kinds" `Quick test_edge_kinds;
+        Alcotest.test_case "single uncond succ" `Quick test_single_uncond_succ;
+        Alcotest.test_case "instr count" `Quick test_instr_count;
+      ] );
+    ( "dominators",
+      [
+        Alcotest.test_case "figure 1" `Quick test_dominators_figure1;
+        Alcotest.test_case "postdom figure 1" `Quick test_postdominators_figure1;
+      ] );
+    ( "loops",
+      [
+        Alcotest.test_case "figure 1" `Quick test_loops_figure1;
+        Alcotest.test_case "classification" `Quick test_classification_figure1;
+        Alcotest.test_case "preheader" `Quick test_preheader;
+      ] );
+    ( "properties",
+      List.map qcheck
         [
-          Alcotest.test_case "blocks" `Quick test_build_blocks;
-          Alcotest.test_case "edge kinds" `Quick test_edge_kinds;
-          Alcotest.test_case "single uncond succ" `Quick test_single_uncond_succ;
-          Alcotest.test_case "instr count" `Quick test_instr_count;
+          prop_dominators;
+          prop_postdominators;
+          prop_natural_loop_contains_head;
+          prop_loop_members_have_in_loop_succ;
+          prop_removing_backedges_acyclic;
         ] );
-      ( "dominators",
-        [
-          Alcotest.test_case "figure 1" `Quick test_dominators_figure1;
-          Alcotest.test_case "postdom figure 1" `Quick test_postdominators_figure1;
-        ] );
-      ( "loops",
-        [
-          Alcotest.test_case "figure 1" `Quick test_loops_figure1;
-          Alcotest.test_case "classification" `Quick test_classification_figure1;
-          Alcotest.test_case "preheader" `Quick test_preheader;
-        ] );
-      ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [
-            prop_dominators;
-            prop_postdominators;
-            prop_natural_loop_contains_head;
-            prop_loop_members_have_in_loop_succ;
-            prop_removing_backedges_acyclic;
-          ] );
-    ]
+  ]

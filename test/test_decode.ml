@@ -5,8 +5,7 @@
    straight-line run lengths the interpreter's fuel check relies on,
    and only the fused pairs and [$zero] rewrites it is meant to. *)
 
-let checkb = Alcotest.(check bool)
-let checki = Alcotest.(check int)
+open Check
 
 let same_profile where (d : Sim.Profile.t) (l : Sim.Profile.t) =
   checki (where ^ ": instr_count") l.stats.instr_count d.stats.instr_count;
@@ -231,21 +230,20 @@ let test_decoded_invariants () =
     check_decoded (Printf.sprintf "fuzz case %d" i) (Minic.Frontend.compile src)
   done
 
-let () =
-  Alcotest.run "decode"
-    [
-      ( "differential",
-        [
-          Alcotest.test_case "explicit decode = implicit decode" `Quick
-            test_decode_on_demand_agrees;
-          Alcotest.test_case "fuzzed programs pinned" `Quick
-            test_fuzzed_programs_pinned;
-          Alcotest.test_case "scratch reuse leaves no residue" `Quick
-            test_scratch_reuse_is_clean;
-        ] );
-      ( "invariants",
-        [
-          Alcotest.test_case "sentinel and straight-line runs" `Quick
-            test_decoded_invariants;
-        ] );
-    ]
+let tests =
+  [
+    ( "differential",
+      [
+        Alcotest.test_case "explicit decode = implicit decode" `Quick
+          test_decode_on_demand_agrees;
+        Alcotest.test_case "fuzzed programs pinned" `Quick
+          test_fuzzed_programs_pinned;
+        Alcotest.test_case "scratch reuse leaves no residue" `Quick
+          test_scratch_reuse_is_clean;
+      ] );
+    ( "invariants",
+      [
+        Alcotest.test_case "sentinel and straight-line runs" `Quick
+          test_decoded_invariants;
+      ] );
+  ]

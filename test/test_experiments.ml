@@ -2,9 +2,7 @@
    reproduction drivers (checked against the paper's qualitative
    claims, since absolute numbers depend on the synthetic suite). *)
 
-let checkb = Alcotest.(check bool)
-let checki = Alcotest.(check int)
-let checks = Alcotest.(check string)
+open Check
 
 (* ---- stats ---- *)
 
@@ -256,40 +254,39 @@ let test_trace_spans () =
       checkb "one trace span per traced workload" true
         (List.sort compare attrs = List.sort compare expected))
 
-let () =
-  Alcotest.run "experiments"
-    [
-      ( "stats",
-        [
-          Alcotest.test_case "basics" `Quick test_stats;
-          Alcotest.test_case "texttab" `Quick test_texttab;
-        ] );
-      ( "pipeline",
-        [
-          Alcotest.test_case "load_all once per reset" `Quick
-            test_load_all_once;
-          Alcotest.test_case "trace span per traced workload" `Quick
-            test_trace_spans;
-        ] );
-      ( "paper claims",
-        [
-          Alcotest.test_case "headline" `Quick test_headline_claims;
-          Alcotest.test_case "non-loop" `Quick test_non_loop_claims;
-          Alcotest.test_case "tomcatv" `Quick test_tomcatv_story;
-          Alcotest.test_case "loop predictor" `Quick test_loop_predictor_quality;
-          Alcotest.test_case "forward loop branches" `Quick
-            test_forward_loop_branches_exist;
-          Alcotest.test_case "dataset stability" `Slow test_graph13_stability;
-        ] );
-      ( "orderings",
-        [
-          Alcotest.test_case "miss matrix" `Slow test_miss_matrix_bounds;
-          Alcotest.test_case "best vs paper" `Slow
-            test_best_order_at_least_as_good_as_paper;
-        ] );
-      ( "traces",
-        [
-          Alcotest.test_case "ipbc relationships" `Slow
-            test_trace_ipbc_relationships;
-        ] );
-    ]
+let tests =
+  [
+    ( "stats",
+      [
+        Alcotest.test_case "basics" `Quick test_stats;
+        Alcotest.test_case "texttab" `Quick test_texttab;
+      ] );
+    ( "pipeline",
+      [
+        Alcotest.test_case "load_all once per reset" `Quick
+          test_load_all_once;
+        Alcotest.test_case "trace span per traced workload" `Quick
+          test_trace_spans;
+      ] );
+    ( "paper claims",
+      [
+        Alcotest.test_case "headline" `Quick test_headline_claims;
+        Alcotest.test_case "non-loop" `Quick test_non_loop_claims;
+        Alcotest.test_case "tomcatv" `Quick test_tomcatv_story;
+        Alcotest.test_case "loop predictor" `Quick test_loop_predictor_quality;
+        Alcotest.test_case "forward loop branches" `Quick
+          test_forward_loop_branches_exist;
+        Alcotest.test_case "dataset stability" `Slow test_graph13_stability;
+      ] );
+    ( "orderings",
+      [
+        Alcotest.test_case "miss matrix" `Slow test_miss_matrix_bounds;
+        Alcotest.test_case "best vs paper" `Slow
+          test_best_order_at_least_as_good_as_paper;
+      ] );
+    ( "traces",
+      [
+        Alcotest.test_case "ipbc relationships" `Slow
+          test_trace_ipbc_relationships;
+      ] );
+  ]

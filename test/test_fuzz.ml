@@ -2,7 +2,7 @@
    oracle cleanliness on fixed-seed batches, oracle sensitivity to a
    corrupted profile, and structural shrinking. *)
 
-let checkb = Alcotest.(check bool)
+open Check
 
 let test_generator_deterministic () =
   let s1 = Fuzz.Gen.to_source (Fuzz.Gen.generate ~seed:7 ~size:20) in
@@ -165,31 +165,30 @@ let prop_generated_interp_equals_machine =
         QCheck.Test.fail_reportf "seed %d: %s" seed
           (Format.asprintf "%a" Fuzz.Oracle.pp_divergence d))
 
-let () =
-  Alcotest.run "fuzz"
-    [
-      ( "gen",
-        [
-          Alcotest.test_case "deterministic" `Quick test_generator_deterministic;
-          Alcotest.test_case "programs check" `Quick
-            test_generated_programs_check;
-        ] );
-      ( "oracle",
-        [
-          Alcotest.test_case "clean batch" `Quick test_oracles_clean_batch;
-          Alcotest.test_case "flow clean" `Quick test_flow_clean_profile;
-          Alcotest.test_case "flow corruption" `Quick
-            test_flow_detects_corruption;
-          Alcotest.test_case "par-determinism uses the pool" `Quick
-            test_determinism_oracle_uses_pool;
-        ] );
-      ( "shrink",
-        [
-          Alcotest.test_case "fixpoint" `Quick test_shrink_reaches_fixpoint;
-          Alcotest.test_case "candidates valid" `Quick
-            test_shrink_candidates_all_check;
-        ] );
-      ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_generated_interp_equals_machine ] );
-    ]
+let tests =
+  [
+    ( "gen",
+      [
+        Alcotest.test_case "deterministic" `Quick test_generator_deterministic;
+        Alcotest.test_case "programs check" `Quick
+          test_generated_programs_check;
+      ] );
+    ( "oracle",
+      [
+        Alcotest.test_case "clean batch" `Quick test_oracles_clean_batch;
+        Alcotest.test_case "flow clean" `Quick test_flow_clean_profile;
+        Alcotest.test_case "flow corruption" `Quick
+          test_flow_detects_corruption;
+        Alcotest.test_case "par-determinism uses the pool" `Quick
+          test_determinism_oracle_uses_pool;
+      ] );
+    ( "shrink",
+      [
+        Alcotest.test_case "fixpoint" `Quick test_shrink_reaches_fixpoint;
+        Alcotest.test_case "candidates valid" `Quick
+          test_shrink_candidates_all_check;
+      ] );
+    ( "properties",
+      List.map qcheck
+        [ prop_generated_interp_equals_machine ] );
+  ]

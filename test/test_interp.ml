@@ -3,8 +3,7 @@
    two must produce identical output checksums and consume the same
    inputs. *)
 
-let checkb = Alcotest.(check bool)
-let checki = Alcotest.(check int)
+open Check
 
 let ds ?(ints = [||]) ?(floats = [||]) () =
   Sim.Dataset.make ~floats ~name:"t" ints
@@ -287,20 +286,19 @@ let prop_interp_matches_machine =
       let interp = Minic.Interp.run src d in
       compiled.checksum = interp.checksum)
 
-let () =
-  Alcotest.run "interp"
-    [
-      ( "differential",
-        [
-          Alcotest.test_case "basics" `Quick test_basics;
-          Alcotest.test_case "pointers" `Quick test_pointer_programs;
-          Alcotest.test_case "floats" `Quick test_float_programs;
-          Alcotest.test_case "switch + &&" `Quick test_switch_and_shortcircuit;
-          Alcotest.test_case "globals + prelude" `Quick
-            test_globals_and_prelude;
-          Alcotest.test_case "faults mirror" `Quick test_faults_mirror;
-          Alcotest.test_case "xlisp end to end" `Slow test_workload_xlisp;
-        ] );
-      ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_interp_matches_machine ] );
-    ]
+let tests =
+  [
+    ( "differential",
+      [
+        Alcotest.test_case "basics" `Quick test_basics;
+        Alcotest.test_case "pointers" `Quick test_pointer_programs;
+        Alcotest.test_case "floats" `Quick test_float_programs;
+        Alcotest.test_case "switch + &&" `Quick test_switch_and_shortcircuit;
+        Alcotest.test_case "globals + prelude" `Quick
+          test_globals_and_prelude;
+        Alcotest.test_case "faults mirror" `Quick test_faults_mirror;
+        Alcotest.test_case "xlisp end to end" `Slow test_workload_xlisp;
+      ] );
+    ( "properties",
+      [ qcheck prop_interp_matches_machine ] );
+  ]

@@ -4,8 +4,7 @@
 module I = Mips.Insn
 module R = Mips.Reg
 
-let checkb = Alcotest.(check bool)
-let checki = Alcotest.(check int)
+open Check
 
 let t0 = R.t 0
 let t1 = R.t 1
@@ -337,34 +336,33 @@ let test_heuristic_ext_single_block () =
   checkb "no branch edges" true
     (Cfg.Graph.branch_edges analysis.graph 0 = None)
 
-let () =
-  Alcotest.run "layout"
-    [
-      ( "invert",
-        [
-          Alcotest.test_case "forms" `Quick test_invert_forms;
-          Alcotest.test_case "involution" `Quick test_invert_involution;
-          QCheck_alcotest.to_alcotest prop_invert_semantics;
-          QCheck_alcotest.to_alcotest prop_layout_preserves_generated;
-        ] );
-      ( "reorder",
-        [
-          Alcotest.test_case "preserves semantics" `Slow
-            test_layout_preserves_semantics;
-          Alcotest.test_case "reduces taken" `Slow test_layout_reduces_taken;
-          Alcotest.test_case "perfect bound" `Slow
-            test_layout_perfect_at_most_miss_rate;
-          Alcotest.test_case "code size" `Quick test_layout_idempotent_code_size;
-          Alcotest.test_case "registry taken_after = simulation" `Slow
-            test_taken_after_matches_simulation;
-        ] );
-      ( "corner cases",
-        [
-          Alcotest.test_case "single block" `Quick test_layout_single_block;
-          Alcotest.test_case "self loop" `Quick test_layout_self_loop;
-          Alcotest.test_case "both successors backedges" `Quick
-            test_both_successors_backedges;
-          Alcotest.test_case "ext on single block" `Quick
-            test_heuristic_ext_single_block;
-        ] );
-    ]
+let tests =
+  [
+    ( "invert",
+      [
+        Alcotest.test_case "forms" `Quick test_invert_forms;
+        Alcotest.test_case "involution" `Quick test_invert_involution;
+        qcheck prop_invert_semantics;
+        qcheck prop_layout_preserves_generated;
+      ] );
+    ( "reorder",
+      [
+        Alcotest.test_case "preserves semantics" `Slow
+          test_layout_preserves_semantics;
+        Alcotest.test_case "reduces taken" `Slow test_layout_reduces_taken;
+        Alcotest.test_case "perfect bound" `Slow
+          test_layout_perfect_at_most_miss_rate;
+        Alcotest.test_case "code size" `Quick test_layout_idempotent_code_size;
+        Alcotest.test_case "registry taken_after = simulation" `Slow
+          test_taken_after_matches_simulation;
+      ] );
+    ( "corner cases",
+      [
+        Alcotest.test_case "single block" `Quick test_layout_single_block;
+        Alcotest.test_case "self loop" `Quick test_layout_self_loop;
+        Alcotest.test_case "both successors backedges" `Quick
+          test_both_successors_backedges;
+        Alcotest.test_case "ext on single block" `Quick
+          test_heuristic_ext_single_block;
+      ] );
+  ]

@@ -2,9 +2,7 @@
    compile-and-execute semantics, including a differential qcheck
    property against a reference expression evaluator. *)
 
-let checkb = Alcotest.(check bool)
-let checki = Alcotest.(check int)
-let checks = Alcotest.(check string)
+open Check
 
 (* ---- lexer ---- *)
 
@@ -48,7 +46,7 @@ let test_lex_errors () =
    workload, 120 seeded generator programs and a few edge cases, as
    one digest, and the two lexical error texts: pinned, so a rewrite
    of the lexer cannot change what it produces. *)
-let token_corpus =
+let token_corpus () =
   let fuzz =
     List.init 120 (fun i ->
         let cs = Fuzz.Gen.case_seed ~seed:1993 ~index:i in
@@ -83,7 +81,7 @@ let render_tokens b src =
 
 let test_lex_pinned () =
   let b = Buffer.create (1 lsl 20) in
-  List.iter (render_tokens b) token_corpus;
+  List.iter (render_tokens b) (token_corpus ());
   let lines = List.length (String.split_on_char '\n' (Buffer.contents b)) - 1 in
   checki "tokens" token_count lines;
   checks "digest of (line, token)" token_digest
@@ -107,7 +105,8 @@ let test_lex_pinned () =
     (error "int x;\nx = 99999999999999999999;")
 
 (* Errors name the line in the program's own text, not in the prelude
-   joined before it; a declaration-level error has no line. *)
+   joined before it; a declaration-level error names the line its
+   declaration starts on, and only a missing [main] has no line. *)
 let test_frontend_error_lines () =
   let error f src =
     match f src with
@@ -126,7 +125,35 @@ let test_frontend_error_lines () =
   checks "lex error" "lex error, line 2: malformed integer literal 0x"
     (compile "int main() {\n  return 0x; }");
   checks "no line" "type error: missing function main"
-    (compile "int f() { return 0; }")
+    (compile "int f() { return 0; }");
+  (* each declaration-level error, its declaration starting on line 3 *)
+  let main = "int main() { return 0; }\n" in
+  List.iter
+    (fun (msg, src) -> checks msg ("type error, line 3: " ^ msg) (compile src))
+    [
+      ("duplicate function iabs",
+       main ^ "\nint iabs(int x) {\n  return x;\n}\n");
+      ("duplicate function f",
+       "int f() { return 0; }\n" ^ main ^ "int f() { return 1; }\n");
+      ("read is a builtin and cannot be redefined",
+       main ^ "\nint read() { return 0; }\n");
+      ("duplicate struct s",
+       "struct s { int a; };\n" ^ main ^ "struct s { int b; };\n");
+      ("duplicate field in struct s",
+       main ^ "\nstruct s {\n  int a;\n  int a;\n};\n");
+      ("field x has type void", main ^ "\nstruct s { void x; };\n");
+      ("field f: struct t not yet defined",
+       main ^ "\nstruct s { struct t f; };\n");
+      ("duplicate global g", "int g;\n" ^ main ^ "int g;\n");
+      ("global g has type void", main ^ "\nvoid g;\n");
+      ("unknown struct u", main ^ "\nstruct u g;\n");
+      ("duplicate parameter in f",
+       main ^ "\nint f(int a,\n      int a) { return a; }\n");
+      ("parameter s of f must be scalar",
+       main ^ "\nint f(struct t s) { return 0; }\n");
+      ("main must be: int main()",
+       "int f() { return 0; }\n\nint main(int x) { return x; }\n");
+    ]
 
 (* ---- parser ---- *)
 
@@ -682,59 +709,58 @@ let prop_compiler_matches_reference =
       let stats = run_src src in
       stats.checksum = checksum_of [ reval e ])
 
-let () =
-  Alcotest.run "minic"
-    [
-      ( "lexer",
-        [
-          Alcotest.test_case "basic" `Quick test_lex_basic;
-          Alcotest.test_case "comments" `Quick test_lex_comments;
-          Alcotest.test_case "lines" `Quick test_lex_lines;
-          Alcotest.test_case "errors" `Quick test_lex_errors;
-          Alcotest.test_case "token streams pinned" `Quick test_lex_pinned;
-        ] );
-      ( "parser",
-        [
-          Alcotest.test_case "precedence" `Quick test_parse_precedence;
-          Alcotest.test_case "unary/postfix" `Quick test_parse_unary_postfix;
-          Alcotest.test_case "assignment" `Quick test_parse_assign;
-          Alcotest.test_case "program" `Quick test_parse_program;
-          Alcotest.test_case "errors" `Quick test_parse_errors;
-          Alcotest.test_case "error lines" `Quick test_frontend_error_lines;
-        ] );
-      ( "sema",
-        [
-          Alcotest.test_case "accepts valid" `Quick test_sema_ok;
-          Alcotest.test_case "rejects invalid" `Quick test_sema_errors;
-          Alcotest.test_case "shadowing" `Quick test_sema_shadowing;
-          Alcotest.test_case "struct layout" `Quick test_sema_struct_layout;
-          Alcotest.test_case "recursive struct" `Quick
-            test_sema_recursive_struct_by_value;
-        ] );
-      ( "exec",
-        [
-          Alcotest.test_case "arithmetic" `Quick test_exec_arith;
-          Alcotest.test_case "floats" `Quick test_exec_float;
-          Alcotest.test_case "control flow" `Quick test_exec_control;
-          Alcotest.test_case "short circuit" `Quick test_exec_short_circuit;
-          Alcotest.test_case "switch" `Quick test_exec_switch;
-          Alcotest.test_case "pointers" `Quick test_exec_pointers;
-          Alcotest.test_case "structs" `Quick test_exec_structs;
-          Alcotest.test_case "heap" `Quick test_exec_heap;
-          Alcotest.test_case "recursion" `Quick test_exec_recursion;
-          Alcotest.test_case "many args" `Quick test_exec_many_args;
-          Alcotest.test_case "globals" `Quick test_exec_globals;
-          Alcotest.test_case "read builtins" `Quick test_exec_read;
-          Alcotest.test_case "ternary" `Quick test_exec_ternary;
-          Alcotest.test_case "prelude" `Quick test_exec_prelude;
-          Alcotest.test_case "faults" `Quick test_exec_faults;
-        ] );
-      ( "peephole",
-        [
-          Alcotest.test_case "rewrites" `Quick test_peephole_rewrites;
-          Alcotest.test_case "preserves semantics" `Quick
-            test_peephole_preserves_semantics;
-        ] );
-      ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_compiler_matches_reference ] );
-    ]
+let tests =
+  [
+    ( "lexer",
+      [
+        Alcotest.test_case "basic" `Quick test_lex_basic;
+        Alcotest.test_case "comments" `Quick test_lex_comments;
+        Alcotest.test_case "lines" `Quick test_lex_lines;
+        Alcotest.test_case "errors" `Quick test_lex_errors;
+        Alcotest.test_case "token streams pinned" `Quick test_lex_pinned;
+      ] );
+    ( "parser",
+      [
+        Alcotest.test_case "precedence" `Quick test_parse_precedence;
+        Alcotest.test_case "unary/postfix" `Quick test_parse_unary_postfix;
+        Alcotest.test_case "assignment" `Quick test_parse_assign;
+        Alcotest.test_case "program" `Quick test_parse_program;
+        Alcotest.test_case "errors" `Quick test_parse_errors;
+        Alcotest.test_case "error lines" `Quick test_frontend_error_lines;
+      ] );
+    ( "sema",
+      [
+        Alcotest.test_case "accepts valid" `Quick test_sema_ok;
+        Alcotest.test_case "rejects invalid" `Quick test_sema_errors;
+        Alcotest.test_case "shadowing" `Quick test_sema_shadowing;
+        Alcotest.test_case "struct layout" `Quick test_sema_struct_layout;
+        Alcotest.test_case "recursive struct" `Quick
+          test_sema_recursive_struct_by_value;
+      ] );
+    ( "exec",
+      [
+        Alcotest.test_case "arithmetic" `Quick test_exec_arith;
+        Alcotest.test_case "floats" `Quick test_exec_float;
+        Alcotest.test_case "control flow" `Quick test_exec_control;
+        Alcotest.test_case "short circuit" `Quick test_exec_short_circuit;
+        Alcotest.test_case "switch" `Quick test_exec_switch;
+        Alcotest.test_case "pointers" `Quick test_exec_pointers;
+        Alcotest.test_case "structs" `Quick test_exec_structs;
+        Alcotest.test_case "heap" `Quick test_exec_heap;
+        Alcotest.test_case "recursion" `Quick test_exec_recursion;
+        Alcotest.test_case "many args" `Quick test_exec_many_args;
+        Alcotest.test_case "globals" `Quick test_exec_globals;
+        Alcotest.test_case "read builtins" `Quick test_exec_read;
+        Alcotest.test_case "ternary" `Quick test_exec_ternary;
+        Alcotest.test_case "prelude" `Quick test_exec_prelude;
+        Alcotest.test_case "faults" `Quick test_exec_faults;
+      ] );
+    ( "peephole",
+      [
+        Alcotest.test_case "rewrites" `Quick test_peephole_rewrites;
+        Alcotest.test_case "preserves semantics" `Quick
+          test_peephole_preserves_semantics;
+      ] );
+    ( "properties",
+      [ qcheck prop_compiler_matches_reference ] );
+  ]

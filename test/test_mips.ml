@@ -5,9 +5,9 @@ module I = Mips.Insn
 module R = Mips.Reg
 module F = Mips.Freg
 
+open Check
+
 let check = Alcotest.check
-let checkb = Alcotest.(check bool)
-let checki = Alcotest.(check int)
 
 (* ---- registers ---- *)
 
@@ -257,42 +257,41 @@ let prop_branch_iff_target =
       if I.is_cond_branch i then I.branch_target i <> None
       else I.is_uncond_jump i || I.branch_target i = None)
 
-let () =
-  Alcotest.run "mips"
-    [
-      ( "registers",
-        [
-          Alcotest.test_case "names" `Quick test_reg_names;
-          Alcotest.test_case "bounds" `Quick test_reg_bounds;
-          Alcotest.test_case "distinct" `Quick test_reg_distinct;
-          Alcotest.test_case "freg" `Quick test_freg;
-        ] );
-      ( "insn",
-        [
-          Alcotest.test_case "is_branch" `Quick test_is_branch;
-          Alcotest.test_case "block_end" `Quick test_block_end;
-          Alcotest.test_case "store/load" `Quick test_store_load;
-          Alcotest.test_case "uses/defs" `Quick test_uses_defs;
-          Alcotest.test_case "branch_target" `Quick test_branch_target;
-          Alcotest.test_case "map_label" `Quick test_map_label;
-          Alcotest.test_case "to_string" `Quick test_to_string;
-        ] );
-      ( "asm",
-        [
-          Alcotest.test_case "basic" `Quick test_assemble_basic;
-          Alcotest.test_case "trivial jump" `Quick test_assemble_trivial_jump_dropped;
-          Alcotest.test_case "jump kept" `Quick test_assemble_jump_kept;
-          Alcotest.test_case "errors" `Quick test_assemble_errors;
-          Alcotest.test_case "label at end" `Quick test_assemble_label_at_end;
-        ] );
-      ( "program",
-        [
-          Alcotest.test_case "link" `Quick test_program_link;
-          Alcotest.test_case "unknown callee" `Quick test_program_unknown_callee;
-          Alcotest.test_case "branch count" `Quick test_static_branch_count;
-        ] );
-      ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_map_label_id; prop_defs_disjoint_zero; prop_branch_iff_target ]
-      );
-    ]
+let tests =
+  [
+    ( "registers",
+      [
+        Alcotest.test_case "names" `Quick test_reg_names;
+        Alcotest.test_case "bounds" `Quick test_reg_bounds;
+        Alcotest.test_case "distinct" `Quick test_reg_distinct;
+        Alcotest.test_case "freg" `Quick test_freg;
+      ] );
+    ( "insn",
+      [
+        Alcotest.test_case "is_branch" `Quick test_is_branch;
+        Alcotest.test_case "block_end" `Quick test_block_end;
+        Alcotest.test_case "store/load" `Quick test_store_load;
+        Alcotest.test_case "uses/defs" `Quick test_uses_defs;
+        Alcotest.test_case "branch_target" `Quick test_branch_target;
+        Alcotest.test_case "map_label" `Quick test_map_label;
+        Alcotest.test_case "to_string" `Quick test_to_string;
+      ] );
+    ( "asm",
+      [
+        Alcotest.test_case "basic" `Quick test_assemble_basic;
+        Alcotest.test_case "trivial jump" `Quick test_assemble_trivial_jump_dropped;
+        Alcotest.test_case "jump kept" `Quick test_assemble_jump_kept;
+        Alcotest.test_case "errors" `Quick test_assemble_errors;
+        Alcotest.test_case "label at end" `Quick test_assemble_label_at_end;
+      ] );
+    ( "program",
+      [
+        Alcotest.test_case "link" `Quick test_program_link;
+        Alcotest.test_case "unknown callee" `Quick test_program_unknown_callee;
+        Alcotest.test_case "branch count" `Quick test_static_branch_count;
+      ] );
+    ( "properties",
+      List.map qcheck
+        [ prop_map_label_id; prop_defs_disjoint_zero; prop_branch_iff_target ]
+    );
+  ]

@@ -3,13 +3,7 @@
    recorded events, the counter registry, and the Chrome trace_event
    JSON export. *)
 
-let checkb = Alcotest.(check bool)
-let checki = Alcotest.(check int)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
+open Check
 
 (* Run [f] with span recording on and a clean event buffer, restoring
    the previous state afterwards so test order cannot matter. *)
@@ -280,36 +274,35 @@ let test_parse_rejects () =
       ("empty input", "");
     ]
 
-let () =
-  Alcotest.run "obs"
-    [
-      ( "spans",
-        [
-          Alcotest.test_case "record and nest" `Quick test_span_records;
-          Alcotest.test_case "exception passthrough" `Quick
-            test_span_exception_passthrough;
-          Alcotest.test_case "disabled is a no-op" `Quick
-            test_disabled_is_noop;
-          Alcotest.test_case "summaries are exact nearest-rank" `Quick
-            test_summaries_exact;
-          Alcotest.test_case "skewed quantiles land by rank" `Quick
-            test_skewed_quantiles;
-        ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "counter registry" `Quick test_counter_registry;
-          Alcotest.test_case "reset" `Quick test_metrics_reset;
-          Alcotest.test_case "dump renders" `Quick test_dump_renders;
-        ] );
-      ( "export",
-        [
-          Alcotest.test_case "trace JSON valid" `Quick test_trace_json_valid;
-          Alcotest.test_case "write_trace roundtrip" `Quick
-            test_write_trace_roundtrip;
-          Alcotest.test_case "control bytes round-trip" `Quick
-            test_trace_json_control_bytes;
-          Alcotest.test_case "parse values" `Quick test_parse_values;
-          Alcotest.test_case "parse rejects malformed" `Quick
-            test_parse_rejects;
-        ] );
-    ]
+let tests =
+  [
+    ( "spans",
+      [
+        Alcotest.test_case "record and nest" `Quick test_span_records;
+        Alcotest.test_case "exception passthrough" `Quick
+          test_span_exception_passthrough;
+        Alcotest.test_case "disabled is a no-op" `Quick
+          test_disabled_is_noop;
+        Alcotest.test_case "summaries are exact nearest-rank" `Quick
+          test_summaries_exact;
+        Alcotest.test_case "skewed quantiles land by rank" `Quick
+          test_skewed_quantiles;
+      ] );
+    ( "metrics",
+      [
+        Alcotest.test_case "counter registry" `Quick test_counter_registry;
+        Alcotest.test_case "reset" `Quick test_metrics_reset;
+        Alcotest.test_case "dump renders" `Quick test_dump_renders;
+      ] );
+    ( "export",
+      [
+        Alcotest.test_case "trace JSON valid" `Quick test_trace_json_valid;
+        Alcotest.test_case "write_trace roundtrip" `Quick
+          test_write_trace_roundtrip;
+        Alcotest.test_case "control bytes round-trip" `Quick
+          test_trace_json_control_bytes;
+        Alcotest.test_case "parse values" `Quick test_parse_values;
+        Alcotest.test_case "parse rejects malformed" `Quick
+          test_parse_rejects;
+      ] );
+  ]

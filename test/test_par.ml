@@ -1,13 +1,7 @@
 (* Tests for the lib/par domain pool: fork-join correctness, result
    determinism across pool widths, exception propagation. *)
 
-let checki = Alcotest.(check int)
-let checkb = Alcotest.(check bool)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
+open Check
 
 let with_pool jobs f =
   let p = Par.Pool.create ~jobs in
@@ -213,30 +207,29 @@ let test_default_pool_set_jobs () =
   Par.Pool.set_jobs 1;
   checki "re-created narrower" 1 (Par.Pool.jobs (Par.Pool.get ()))
 
-let () =
-  Alcotest.run "par"
-    [
-      ( "pool",
-        [
-          Alcotest.test_case "jobs clamped" `Quick test_jobs_clamped;
-          Alcotest.test_case "run covers indices" `Quick
-            test_run_covers_every_index;
-          Alcotest.test_case "map matches sequential" `Quick
-            test_parallel_map_matches_sequential;
-          Alcotest.test_case "chunked for" `Quick test_run_chunked;
-          Alcotest.test_case "reduce chunk order" `Quick
-            test_reduce_merges_in_chunk_order;
-          Alcotest.test_case "exceptions" `Quick test_exception_propagates;
-          Alcotest.test_case "exception backtrace" `Quick
-            test_exception_backtrace;
-          Alcotest.test_case "sequential stops at first failure" `Quick
-            test_sequential_stops_at_failure;
-          Alcotest.test_case "job reuse" `Quick
-            test_nested_data_parallel_sections;
-          Alcotest.test_case "fewer tasks than jobs" `Quick
-            test_fewer_tasks_than_jobs;
-          Alcotest.test_case "job dropped after join" `Quick
-            test_job_dropped_after_join;
-          Alcotest.test_case "default pool" `Quick test_default_pool_set_jobs;
-        ] );
-    ]
+let tests =
+  [
+    ( "pool",
+      [
+        Alcotest.test_case "jobs clamped" `Quick test_jobs_clamped;
+        Alcotest.test_case "run covers indices" `Quick
+          test_run_covers_every_index;
+        Alcotest.test_case "map matches sequential" `Quick
+          test_parallel_map_matches_sequential;
+        Alcotest.test_case "chunked for" `Quick test_run_chunked;
+        Alcotest.test_case "reduce chunk order" `Quick
+          test_reduce_merges_in_chunk_order;
+        Alcotest.test_case "exceptions" `Quick test_exception_propagates;
+        Alcotest.test_case "exception backtrace" `Quick
+          test_exception_backtrace;
+        Alcotest.test_case "sequential stops at first failure" `Quick
+          test_sequential_stops_at_failure;
+        Alcotest.test_case "job reuse" `Quick
+          test_nested_data_parallel_sections;
+        Alcotest.test_case "fewer tasks than jobs" `Quick
+          test_fewer_tasks_than_jobs;
+        Alcotest.test_case "job dropped after join" `Quick
+          test_job_dropped_after_join;
+        Alcotest.test_case "default pool" `Quick test_default_pool_set_jobs;
+      ] );
+  ]

@@ -5,8 +5,7 @@
 module D = Predict.Database
 module H = Predict.Heuristic
 
-let checkb = Alcotest.(check bool)
-let checki = Alcotest.(check int)
+open Check
 
 let build src =
   let prog = Minic.Frontend.compile src in
@@ -1330,86 +1329,85 @@ let test_unrank_edge_cases () =
      Alcotest.fail "negative rank accepted"
    with Invalid_argument _ -> ())
 
-let () =
-  Alcotest.run "predict"
-    [
-      ( "heuristics",
+let tests =
+  [
+    ( "heuristics",
+      [
+        Alcotest.test_case "opcode bltz" `Quick test_opcode_heuristic;
+        Alcotest.test_case "opcode fp equality" `Quick test_opcode_fp_equality;
+        Alcotest.test_case "pointer" `Quick test_pointer_heuristic;
+        Alcotest.test_case "pointer excludes gp" `Quick test_pointer_excludes_gp;
+        Alcotest.test_case "call" `Quick test_call_heuristic;
+        Alcotest.test_case "return" `Quick test_return_heuristic;
+        Alcotest.test_case "store" `Quick test_store_heuristic;
+        Alcotest.test_case "guard" `Quick test_guard_heuristic;
+        Alcotest.test_case "loop" `Quick test_loop_heuristic;
+      ] );
+    ( "probabilities",
+      [
+        Alcotest.test_case "bounds" `Quick test_probability_bounds;
+        Alcotest.test_case "of_databases" `Quick test_probability_of_databases;
+      ] );
+    ( "extended heuristics",
+      [
+        Alcotest.test_case "distance applies" `Quick test_ext_distance_applies;
+        Alcotest.test_case "guard+ depth" `Quick test_ext_guard_deep;
+        Alcotest.test_case "masks = list primitives" `Quick
+          test_masks_match_lists;
+        Alcotest.test_case "masks, hand-built cases" `Quick
+          test_masks_hand_built;
+        Alcotest.test_case "postdom" `Quick test_ext_postdom;
+      ] );
+    ( "classify",
+      [
+        Alcotest.test_case "rotated loop" `Quick
+          test_classification_rotated_loop;
+      ] );
+    ( "combined",
+      [
+        Alcotest.test_case "first applicable" `Quick
+          test_combined_first_applicable;
+        Alcotest.test_case "validate" `Quick test_validate_order;
+        Alcotest.test_case "metrics" `Quick test_metrics;
+        Alcotest.test_case "seed threading" `Quick
+          test_combined_seed_threading;
+        Alcotest.test_case "seed matches database" `Quick
+          test_combined_seed_matches_database;
+      ] );
+    ( "orderings",
+      [
+        Alcotest.test_case "roundtrip exhaustive" `Quick
+          test_order_roundtrip_exhaustive;
+        Alcotest.test_case "all distinct" `Quick test_all_orders_distinct;
+        Alcotest.test_case "choose" `Quick test_choose;
+        Alcotest.test_case "unrank/rank roundtrip" `Quick
+          test_unrank_rank_roundtrip;
+        Alcotest.test_case "unrank/rank edges" `Quick
+          test_unrank_edge_cases;
+        Alcotest.test_case "subset small" `Quick test_subset_run_small;
+        Alcotest.test_case "subset max trials" `Quick
+          test_subset_respects_max_trials;
+        Alcotest.test_case "subset prune threshold" `Quick
+          test_subset_prune_threshold;
+        Alcotest.test_case "subset chunk prune threshold" `Quick
+          test_subset_chunk_prune_threshold;
+        Alcotest.test_case "subset chunk prune fires" `Quick
+          test_subset_chunk_prune_fires;
+        Alcotest.test_case "subset rejects bad matrix" `Quick
+          test_subset_rejects_bad_matrix;
+        Alcotest.test_case "miss matrix -j1 = -j4" `Quick
+          test_miss_matrix_j1_equals_j4;
+        Alcotest.test_case "miss matrix = direct evaluation" `Quick
+          test_miss_matrix_matches_direct;
+      ] );
+    ( "properties",
+      List.map qcheck
         [
-          Alcotest.test_case "opcode bltz" `Quick test_opcode_heuristic;
-          Alcotest.test_case "opcode fp equality" `Quick test_opcode_fp_equality;
-          Alcotest.test_case "pointer" `Quick test_pointer_heuristic;
-          Alcotest.test_case "pointer excludes gp" `Quick test_pointer_excludes_gp;
-          Alcotest.test_case "call" `Quick test_call_heuristic;
-          Alcotest.test_case "return" `Quick test_return_heuristic;
-          Alcotest.test_case "store" `Quick test_store_heuristic;
-          Alcotest.test_case "guard" `Quick test_guard_heuristic;
-          Alcotest.test_case "loop" `Quick test_loop_heuristic;
+          prop_order_roundtrip;
+          prop_unrank_rank_roundtrip;
+          prop_subset_run_j1_equals_j4;
+          prop_subset_total_wins;
+          prop_subset_run_equals_reference;
+          prop_perfect_is_optimal;
         ] );
-      ( "probabilities",
-        [
-          Alcotest.test_case "bounds" `Quick test_probability_bounds;
-          Alcotest.test_case "of_databases" `Quick test_probability_of_databases;
-        ] );
-      ( "extended heuristics",
-        [
-          Alcotest.test_case "distance applies" `Quick test_ext_distance_applies;
-          Alcotest.test_case "guard+ depth" `Quick test_ext_guard_deep;
-          Alcotest.test_case "masks = list primitives" `Quick
-            test_masks_match_lists;
-          Alcotest.test_case "masks, hand-built cases" `Quick
-            test_masks_hand_built;
-          Alcotest.test_case "postdom" `Quick test_ext_postdom;
-        ] );
-      ( "classify",
-        [
-          Alcotest.test_case "rotated loop" `Quick
-            test_classification_rotated_loop;
-        ] );
-      ( "combined",
-        [
-          Alcotest.test_case "first applicable" `Quick
-            test_combined_first_applicable;
-          Alcotest.test_case "validate" `Quick test_validate_order;
-          Alcotest.test_case "metrics" `Quick test_metrics;
-          Alcotest.test_case "seed threading" `Quick
-            test_combined_seed_threading;
-          Alcotest.test_case "seed matches database" `Quick
-            test_combined_seed_matches_database;
-        ] );
-      ( "orderings",
-        [
-          Alcotest.test_case "roundtrip exhaustive" `Quick
-            test_order_roundtrip_exhaustive;
-          Alcotest.test_case "all distinct" `Quick test_all_orders_distinct;
-          Alcotest.test_case "choose" `Quick test_choose;
-          Alcotest.test_case "unrank/rank roundtrip" `Quick
-            test_unrank_rank_roundtrip;
-          Alcotest.test_case "unrank/rank edges" `Quick
-            test_unrank_edge_cases;
-          Alcotest.test_case "subset small" `Quick test_subset_run_small;
-          Alcotest.test_case "subset max trials" `Quick
-            test_subset_respects_max_trials;
-          Alcotest.test_case "subset prune threshold" `Quick
-            test_subset_prune_threshold;
-          Alcotest.test_case "subset chunk prune threshold" `Quick
-            test_subset_chunk_prune_threshold;
-          Alcotest.test_case "subset chunk prune fires" `Quick
-            test_subset_chunk_prune_fires;
-          Alcotest.test_case "subset rejects bad matrix" `Quick
-            test_subset_rejects_bad_matrix;
-          Alcotest.test_case "miss matrix -j1 = -j4" `Quick
-            test_miss_matrix_j1_equals_j4;
-          Alcotest.test_case "miss matrix = direct evaluation" `Quick
-            test_miss_matrix_matches_direct;
-        ] );
-      ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [
-            prop_order_roundtrip;
-            prop_unrank_rank_roundtrip;
-            prop_subset_run_j1_equals_j4;
-            prop_subset_total_wins;
-            prop_subset_run_equals_reference;
-            prop_perfect_is_optimal;
-          ] );
-    ]
+  ]

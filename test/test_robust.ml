@@ -3,14 +3,7 @@
    and graceful suite degradation when a runaway program exhausts its
    fuel. *)
 
-let checkb = Alcotest.(check bool)
-let checki = Alcotest.(check int)
-let metric name = Obs.Metrics.value (Obs.Metrics.counter name)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
+open Check
 
 exception Boom
 
@@ -155,24 +148,23 @@ let test_pool_task_failure_banner () =
       (String.equal f.message (Printexc.to_string exn))
   | _ -> Alcotest.fail "expected the pooled experiment to fail")
 
-let () =
-  Alcotest.run "robust"
-    [
-      ( "fault",
-        [
-          Alcotest.test_case "taxonomy" `Quick test_taxonomy;
-        ] );
-      ( "supervise",
-        [
-          Alcotest.test_case "outcomes" `Quick test_supervise_outcomes;
-          Alcotest.test_case "worker backtrace preserved" `Quick
-            test_worker_backtrace_preserved;
-        ] );
-      ( "degradation",
-        [
-          Alcotest.test_case "fuel exhaustion degrades gracefully" `Quick
-            test_fuel_degradation;
-          Alcotest.test_case "pool task failure banner" `Quick
-            test_pool_task_failure_banner;
-        ] );
-    ]
+let tests =
+  [
+    ( "fault",
+      [
+        Alcotest.test_case "taxonomy" `Quick test_taxonomy;
+      ] );
+    ( "supervise",
+      [
+        Alcotest.test_case "outcomes" `Quick test_supervise_outcomes;
+        Alcotest.test_case "worker backtrace preserved" `Quick
+          test_worker_backtrace_preserved;
+      ] );
+    ( "degradation",
+      [
+        Alcotest.test_case "fuel exhaustion degrades gracefully" `Quick
+          test_fuel_degradation;
+        Alcotest.test_case "pool task failure banner" `Quick
+          test_pool_task_failure_banner;
+      ] );
+  ]

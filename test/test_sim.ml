@@ -1,8 +1,7 @@
 (* Simulator tests: machine semantics, edge profiling, trace-run
    accounting, and flow-conservation properties. *)
 
-let checkb = Alcotest.(check bool)
-let checki = Alcotest.(check int)
+open Check
 
 let compile src = Minic.Frontend.compile src
 let ds ?(ints = [||]) ?(floats = [||]) () =
@@ -770,55 +769,54 @@ let prop_profile_consistency =
           && Predict.Database.exec b = b.taken_count + b.fall_count)
         db.branches)
 
-let () =
-  Alcotest.run "sim"
-    [
-      ( "machine",
-        [
-          Alcotest.test_case "deterministic" `Quick test_stats_deterministic;
-          Alcotest.test_case "instr limit" `Quick test_instr_limit;
-          Alcotest.test_case "fuel exactness" `Quick test_fuel_exactness;
-          Alcotest.test_case "fuel sweep" `Quick test_fuel_sweep;
-          Alcotest.test_case "fused pairs under fuel and faults" `Quick
-            test_fused_pairs;
-          Alcotest.test_case "default fuel" `Quick test_default_fuel;
-          Alcotest.test_case "dataset of_seed" `Quick test_dataset_of_seed;
-          Alcotest.test_case "reads" `Quick test_reads;
-        ] );
-      ( "profile",
-        [
-          Alcotest.test_case "counts" `Quick test_profile_counts;
-          Alcotest.test_case "loop counts" `Quick test_profile_loop_counts;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "partition" `Quick test_trace_partition;
-          Alcotest.test_case "perfect beats naive" `Quick
-            test_trace_perfect_beats_naive;
-          Alcotest.test_case "switch breaks" `Quick test_switch_is_break;
-        ] );
-      ( "machine edge cases",
-        [
-          Alcotest.test_case "jalr" `Quick test_machine_jalr;
-          Alcotest.test_case "jalr indirect" `Quick
-            test_machine_jalr_is_indirect_break;
-          Alcotest.test_case "jtab bounds" `Quick test_machine_jtab_bounds;
-          Alcotest.test_case "bad call index" `Quick test_machine_bad_call_index;
-          Alcotest.test_case "fault messages" `Quick test_fault_messages;
-          Alcotest.test_case "target out of range" `Quick
-            test_target_out_of_range;
-          Alcotest.test_case "zero register" `Quick test_machine_zero_register;
-          Alcotest.test_case "float ops" `Quick test_machine_float_roundtrip;
-        ] );
-      ( "scratch memory",
-        [
-          Alcotest.test_case "reuse leaves no residue at the edges" `Quick
-            test_reuse_leaves_no_residue;
-          Alcotest.test_case "residency follows what a run writes" `Quick
-            test_residency;
-          Alcotest.test_case "residency stays bounded over many runs" `Quick
-            test_bounded_residency;
-        ] );
-      ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_profile_consistency ] );
-    ]
+let tests =
+  [
+    ( "machine",
+      [
+        Alcotest.test_case "deterministic" `Quick test_stats_deterministic;
+        Alcotest.test_case "instr limit" `Quick test_instr_limit;
+        Alcotest.test_case "fuel exactness" `Quick test_fuel_exactness;
+        Alcotest.test_case "fuel sweep" `Quick test_fuel_sweep;
+        Alcotest.test_case "fused pairs under fuel and faults" `Quick
+          test_fused_pairs;
+        Alcotest.test_case "default fuel" `Quick test_default_fuel;
+        Alcotest.test_case "dataset of_seed" `Quick test_dataset_of_seed;
+        Alcotest.test_case "reads" `Quick test_reads;
+      ] );
+    ( "profile",
+      [
+        Alcotest.test_case "counts" `Quick test_profile_counts;
+        Alcotest.test_case "loop counts" `Quick test_profile_loop_counts;
+      ] );
+    ( "trace",
+      [
+        Alcotest.test_case "partition" `Quick test_trace_partition;
+        Alcotest.test_case "perfect beats naive" `Quick
+          test_trace_perfect_beats_naive;
+        Alcotest.test_case "switch breaks" `Quick test_switch_is_break;
+      ] );
+    ( "machine edge cases",
+      [
+        Alcotest.test_case "jalr" `Quick test_machine_jalr;
+        Alcotest.test_case "jalr indirect" `Quick
+          test_machine_jalr_is_indirect_break;
+        Alcotest.test_case "jtab bounds" `Quick test_machine_jtab_bounds;
+        Alcotest.test_case "bad call index" `Quick test_machine_bad_call_index;
+        Alcotest.test_case "fault messages" `Quick test_fault_messages;
+        Alcotest.test_case "target out of range" `Quick
+          test_target_out_of_range;
+        Alcotest.test_case "zero register" `Quick test_machine_zero_register;
+        Alcotest.test_case "float ops" `Quick test_machine_float_roundtrip;
+      ] );
+    ( "scratch memory",
+      [
+        Alcotest.test_case "reuse leaves no residue at the edges" `Quick
+          test_reuse_leaves_no_residue;
+        Alcotest.test_case "residency follows what a run writes" `Quick
+          test_residency;
+        Alcotest.test_case "residency stays bounded over many runs" `Quick
+          test_bounded_residency;
+      ] );
+    ( "properties",
+      [ qcheck prop_profile_consistency ] );
+  ]

@@ -1,8 +1,7 @@
 (* Tests for the IPBC analysis: distributions, dividing lengths, and
    the analytic model of Graph 12. *)
 
-let checkb = Alcotest.(check bool)
-let checki = Alcotest.(check int)
+open Check
 
 let mk_result label lens =
   (* synthesise a Trace_run.result from a list of sequence lengths *)
@@ -108,21 +107,20 @@ let prop_distribution_consistent =
       && d.total_breaks = List.length lens
       && Tracing.Ipbc.dividing_length d >= 0)
 
-let () =
-  Alcotest.run "tracing"
-    [
-      ( "ipbc",
+let tests =
+  [
+    ( "ipbc",
+      [
+        Alcotest.test_case "average" `Quick test_ipbc_average;
+        Alcotest.test_case "skew" `Quick test_skewed_distribution;
+        Alcotest.test_case "monotone" `Quick test_cumulative_monotone;
+        Alcotest.test_case "model" `Quick test_model;
+      ] );
+    ( "properties",
+      List.map qcheck
         [
-          Alcotest.test_case "average" `Quick test_ipbc_average;
-          Alcotest.test_case "skew" `Quick test_skewed_distribution;
-          Alcotest.test_case "monotone" `Quick test_cumulative_monotone;
-          Alcotest.test_case "model" `Quick test_model;
+          prop_model_monotone_in_s;
+          prop_model_monotone_in_m;
+          prop_distribution_consistent;
         ] );
-      ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [
-            prop_model_monotone_in_s;
-            prop_model_monotone_in_m;
-            prop_distribution_consistent;
-          ] );
-    ]
+  ]

@@ -3,8 +3,7 @@
    and edge profile, and exhibits the branch-behaviour class it stands
    in for. *)
 
-let checkb = Alcotest.(check bool)
-let checki = Alcotest.(check int)
+open Check
 
 (* Golden (instructions, checksum, edge digest) per (workload,
    dataset), one row for every pair in the registry.  These pin down
@@ -305,26 +304,25 @@ let test_dataset_checksums_differ () =
         (List.length (List.sort_uniq compare sums) >= 2))
     Workloads.Registry.all
 
-let () =
-  Alcotest.run "workloads"
-    [
-      ( "registry",
-        [
-          Alcotest.test_case "roster" `Quick test_roster;
-          Alcotest.test_case "without" `Quick test_without;
-          Alcotest.test_case "find" `Quick test_find;
-        ] );
-      ( "execution",
-        [
-          Alcotest.test_case "golden runs" `Slow test_golden_runs;
-          Alcotest.test_case "compile+analyze" `Quick
-            test_all_compile_and_analyze;
-          Alcotest.test_case "class shapes" `Quick test_branch_class_shapes;
-          Alcotest.test_case "branch volume" `Quick
-            test_every_workload_exercises_branches;
-          Alcotest.test_case "dataset variety" `Quick
-            test_dataset_checksums_differ;
-          Alcotest.test_case "db_for = Database.make" `Slow
-            test_db_for_equals_make;
-        ] );
-    ]
+let tests =
+  [
+    ( "registry",
+      [
+        Alcotest.test_case "roster" `Quick test_roster;
+        Alcotest.test_case "without" `Quick test_without;
+        Alcotest.test_case "find" `Quick test_find;
+      ] );
+    ( "execution",
+      [
+        Alcotest.test_case "golden runs" `Slow test_golden_runs;
+        Alcotest.test_case "compile+analyze" `Quick
+          test_all_compile_and_analyze;
+        Alcotest.test_case "class shapes" `Quick test_branch_class_shapes;
+        Alcotest.test_case "branch volume" `Quick
+          test_every_workload_exercises_branches;
+        Alcotest.test_case "dataset variety" `Quick
+          test_dataset_checksums_differ;
+        Alcotest.test_case "db_for = Database.make" `Slow
+          test_db_for_equals_make;
+      ] );
+  ]
