@@ -10,6 +10,7 @@
      layout     re-linearise code along predicted traces and measure it
      experiment run one of the paper's tables/figures (or "all")
      stats      run experiments and print their counters and span timings
+     fuzz       differential fuzzer for the whole pipeline
      list       list workloads and experiments *)
 
 open Cmdliner
@@ -227,32 +228,25 @@ let trace_cmd =
 let layout_cmd =
   let run src =
     handle_errors (fun () ->
-        let prog, ds, _, db = load_database src in
-        let order = Predict.Combined.paper_order in
-        let predictions = Hashtbl.create 512 in
-        Array.iter
-          (fun (br : Predict.Database.branch) ->
-            Hashtbl.replace predictions (br.proc, br.block)
-              (Predict.Combined.predict order br))
-          db.branches;
+        let prog, ds, profile, db = load_database src in
         let laid =
-          Predict.Layout.apply prog ~predict:(fun ~proc ~block ->
-              match Hashtbl.find_opt predictions (proc, block) with
-              | Some dir -> dir
-              | None -> false)
+          Predict.Layout.apply prog
+            ~predict:
+              (Predict.Layout.predictor db
+                 (Predict.Combined.predict Predict.Combined.paper_order))
         in
-        let t0, e0, s0 = Predict.Layout.taken_transfers prog ds in
-        let t1, e1, s1 = Predict.Layout.taken_transfers laid ds in
-        if s0.checksum <> s1.checksum then
+        let t0 = Array.fold_left (Array.fold_left ( + )) 0 profile.taken in
+        let t1, _, s1 = Predict.Layout.taken_transfers laid ds in
+        if profile.stats.checksum <> s1.checksum then
           failwith "layout changed program behaviour";
-        ignore e1;
         Format.printf
           "laid out %d procedures along predicted traces@."
           (Array.length prog.procs);
         Format.printf "taken conditional branches: %d -> %d (of %d executed)@."
-          t0 t1 e0;
+          t0 t1
+          (Sim.Profile.branch_execs profile);
         Format.printf "instructions executed: %d -> %d (checksum unchanged)@."
-          s0.instr_count s1.instr_count)
+          profile.stats.instr_count s1.instr_count)
   in
   Cmd.v
     (Cmd.info "layout"
@@ -358,6 +352,72 @@ let stats_cmd =
              discarded")
     Term.(const run $ id_arg $ full_arg $ jobs_arg $ no_cache_arg $ trace_arg)
 
+(* ---- fuzz ---- *)
+
+(* Seeded random MiniC programs, each cross-checked by every oracle of
+   [Fuzz.Oracle]; failing cases are shrunk to reproducers under the
+   failure directory.  The exit status is the number of failing cases
+   (capped at 99), so [fuzz --seed 42 --count 200] doubles as a CI
+   gate. *)
+let fuzz_cmd =
+  let seed_arg =
+    Arg.(value & opt int 42 & info [ "s"; "seed" ] ~docv:"SEED"
+           ~doc:"Run seed; every case derives its own seed from it.")
+  in
+  let count_arg =
+    Arg.(value & opt int 500 & info [ "n"; "count" ] ~docv:"N"
+           ~doc:"Number of random programs to generate and check.")
+  in
+  let size_arg =
+    Arg.(value & opt int Fuzz.Harness.default.max_size
+         & info [ "size" ] ~docv:"N"
+             ~doc:"Statement-budget ceiling for generated programs.")
+  in
+  let det_arg =
+    Arg.(value & opt int Fuzz.Harness.default.det_every
+         & info [ "det-every" ] ~docv:"N"
+             ~doc:"Run the (slow) -j determinism oracle every $(docv) \
+                   cases; 0 disables it.")
+  in
+  let dir_arg =
+    Arg.(value & opt string Fuzz.Harness.default.failure_dir
+         & info [ "failure-dir" ] ~docv:"DIR"
+             ~doc:"Directory for shrunk failing reproducers.")
+  in
+  let dump_arg =
+    Arg.(value & opt (some int) None & info [ "dump" ] ~docv:"CASE"
+           ~doc:"Print the generated source of case $(docv) and exit \
+                 (debugging aid; no oracles run).")
+  in
+  let run seed count max_size det_every failure_dir dump =
+    match dump with
+    | Some i ->
+      let cs = Fuzz.Gen.case_seed ~seed ~index:i in
+      let size = 6 + (cs land max_int) mod (max 1 (max_size - 5)) in
+      print_string (Fuzz.Gen.to_source (Fuzz.Gen.generate ~seed:cs ~size))
+    | None ->
+      let cfg =
+        { Fuzz.Harness.seed; count; max_size; det_every; failure_dir }
+      in
+      let t0 = Unix.gettimeofday () in
+      let outcome = Fuzz.Harness.run ~log:print_endline cfg in
+      let dt = Unix.gettimeofday () -. t0 in
+      let nfail = List.length outcome.failures in
+      Printf.printf "%d cases, %d divergence(s), %.1fs (seed %d)\n"
+        outcome.cases nfail dt seed;
+      if nfail > 0 then begin
+        Printf.printf "reproducers under %s/\n" failure_dir;
+        exit (min 99 nfail)
+      end
+  in
+  Cmd.v
+    (Cmd.info "fuzz"
+       ~doc:"Differential fuzzer for the MiniC -> MIPS -> prediction \
+             pipeline; exits with the number of failing cases")
+    Term.(
+      const run $ seed_arg $ count_arg $ size_arg $ det_arg $ dir_arg
+      $ dump_arg)
+
 (* ---- list ---- *)
 
 let list_cmd =
@@ -381,6 +441,6 @@ let main_cmd =
   let doc = "program-based branch prediction (Ball & Larus, PLDI 1993)" in
   Cmd.group (Cmd.info "bpredict" ~version:"1.0.0" ~doc)
     [ compile_cmd; cfg_cmd; predict_cmd; profile_cmd; trace_cmd; layout_cmd;
-      experiment_cmd; stats_cmd; list_cmd ]
+      experiment_cmd; stats_cmd; fuzz_cmd; list_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -4,7 +4,7 @@
    each CFG to estimate basic-block frequencies, then compare the
    estimated ranking of hot blocks against the measured profile.
 
-   Run with:  dune exec examples/hot_paths.exe [workload] *)
+   Run with:  dune exec examples/main.exe hot_paths [workload] *)
 
 module D = Predict.Database
 
@@ -50,8 +50,8 @@ let estimate (a : Cfg.Analysis.t) prob_taken =
   done;
   freq
 
-let () =
-  let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "gcc" in
+let run args =
+  let name = match args with n :: _ -> n | [] -> "gcc" in
   let r = Experiments.Bench_run.load (Workloads.Registry.find name) in
   let order = Predict.Combined.paper_order in
 

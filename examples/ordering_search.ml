@@ -3,12 +3,10 @@
    the benchmarks, find the heuristic order that minimises their
    average non-loop miss rate, and evaluate it on the held-out half.
 
-   Run with:  dune exec examples/ordering_search.exe [train-fraction%] *)
+   Run with:  dune exec examples/main.exe ordering_search [train-fraction%] *)
 
-let () =
-  let train_pct =
-    if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 50
-  in
+let run args =
+  let train_pct = match args with p :: _ -> int_of_string p | [] -> 50 in
   let m, rs = Experiments.Orderings.miss_matrix_cached () in
   let names =
     Array.of_list

@@ -3,14 +3,12 @@
    workload, estimate cycles lost per 1000 instructions under each
    static predictor, assuming a fixed penalty per miss.
 
-   Run with:  dune exec examples/pipeline_cost.exe [penalty] *)
+   Run with:  dune exec examples/main.exe pipeline_cost [penalty] *)
 
 module M = Predict.Metrics
 
-let () =
-  let penalty =
-    if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 10
-  in
+let run args =
+  let penalty = match args with p :: _ -> int_of_string p | [] -> 10 in
   let order = Predict.Combined.paper_order in
   Printf.printf
     "estimated branch-miss cycles per 1000 instructions (penalty = %d)\n\n"

@@ -2,7 +2,7 @@
    statically, then run it and check the predictions against the edge
    profile.
 
-   Run with:  dune exec examples/quickstart.exe *)
+   Run with:  dune exec examples/main.exe quickstart *)
 
 let source =
   {|
@@ -38,7 +38,7 @@ int main() {
 }
 |}
 
-let () =
+let run _args =
   (* 1. compile *)
   let prog = Minic.Frontend.compile source in
   Printf.printf "compiled: %d procedures, %d instructions, %d branches\n\n"

@@ -109,6 +109,15 @@ let reorder_proc ~predict (proc : Mips.Program.proc) =
       end);
   { proc with body = Mips.Asm.assemble (List.rev !items) }
 
+let predictor (db : Database.t) dir =
+  let predictions = Hashtbl.create 512 in
+  Array.iter
+    (fun (br : Database.branch) ->
+      Hashtbl.replace predictions (br.proc, br.block) (dir br))
+    db.branches;
+  fun ~proc ~block ->
+    Option.value ~default:false (Hashtbl.find_opt predictions (proc, block))
+
 let apply (prog : Mips.Program.t) ~predict =
   {
     prog with

@@ -26,6 +26,13 @@ val reorder_proc :
     terminating [block] (in the {e original} CFG's block ids); it is
     consulted only for branch-terminated blocks. *)
 
+val predictor :
+  Database.t -> (Database.branch -> bool) -> proc:int -> block:int -> bool
+(** [predictor db dir] is the [~predict] argument of {!apply} and
+    {!taken_after} that gives each branch of [db] the direction [dir]
+    chooses for it, looked up by (procedure, block); a block with no
+    branch in [db] is predicted not taken. *)
+
 val apply :
   Mips.Program.t ->
   predict:(proc:int -> block:int -> bool) ->

@@ -206,15 +206,8 @@ let layout ppf =
   let rows =
     List.map
       (fun (r : Bench_run.t) ->
-        let predictions = Hashtbl.create 512 in
-        Array.iter
-          (fun (br : D.branch) ->
-            Hashtbl.replace predictions (br.proc, br.block)
-              (Predict.Combined.predict order br))
-          r.db.branches;
-        let predict ~proc ~block =
-          Option.value ~default:false
-            (Hashtbl.find_opt predictions (proc, block))
+        let predict =
+          Predict.Layout.predictor r.db (Predict.Combined.predict order)
         in
         (* both counts follow from the edge profile: layout only keeps
            or inverts each conditional branch *)

@@ -115,13 +115,17 @@ let check_predict prog analyses (profile : Sim.Profile.t) =
   (List.rev !errs, db)
 
 (* the 5040-order miss matrix, built from first-fire tables, must
-   equal the combined predictor run branch by branch under every order *)
+   equal the combined predictor run branch by branch under every order;
+   the orders are listed on first use, not when a program linking the
+   fuzzer starts *)
 let orders =
-  Array.init (Predict.Ordering.factorial Predict.Heuristic.count)
-    Predict.Ordering.order_of_index
+  lazy
+    (Array.init (Predict.Ordering.factorial Predict.Heuristic.count)
+       Predict.Ordering.order_of_index)
 
 let check_miss_matrix (db : Predict.Database.t) =
   let module D = Predict.Database in
+  let orders = Lazy.force orders in
   let m = Predict.Ordering.miss_matrix [| db |] in
   let nl = D.non_loop_branches db in
   let exec = List.fold_left (fun acc b -> acc + D.exec b) 0 nl in

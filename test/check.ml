@@ -6,6 +6,30 @@ let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
 let metric name = Obs.Metrics.value (Obs.Metrics.counter name)
 
+(* Run [f dir] against a fresh on-disk store [dir] private to this
+   process, [_NAME_cache_PID_N] in the current directory; however [f]
+   ends, the store is removed and the previous directory and switch
+   restored.  Named by pid and a counter: every suite shares the
+   global RNG, so none of them seeds it. *)
+let isolated_stores = ref 0
+
+let with_isolated_store name f =
+  incr isolated_stores;
+  let dir =
+    Printf.sprintf "_%s_cache_%d_%d" name (Unix.getpid ()) !isolated_stores
+  in
+  let old_dir = Cache.Store.dir () and old_enabled = Cache.Store.enabled () in
+  Cache.Store.set_dir dir;
+  Cache.Store.set_enabled true;
+  Cache.Store.clear ();
+  Fun.protect
+    ~finally:(fun () ->
+      Cache.Store.clear ();
+      (try Sys.rmdir dir with Sys_error _ -> ());
+      Cache.Store.set_dir old_dir;
+      Cache.Store.set_enabled old_enabled)
+    (fun () -> f dir)
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in

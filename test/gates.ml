@@ -1,43 +1,24 @@
-(* The tier-2 gates that exercise the experiment pipeline as a whole.
+(* The tier-2 gates that exercise the experiment pipeline as a whole,
+   run by the test runner next to the suites ([main.exe GATE]) and by
+   the aliases of the same names in test/dune:
 
-     main.exe perf-smoke          parallel path no slower than sequential
-     main.exe fault-smoke         quick suite byte-identical over a damaged
-                                  and over an unwritable store
-     main.exe obs-smoke           quick suite byte-identical when traced
+     perf-smoke          parallel path no slower than sequential
+     fault-smoke         quick suite byte-identical over a damaged and
+                         over an unwritable store
+     obs-smoke           quick suite byte-identical when traced
 
-   "-j N" anywhere on the command line sets the domain count (default:
-   BALLARUS_JOBS or the machine's recommended domain count).  Each gate
-   prints its findings and exits 0 on success, 1 on failure; a bad
-   command line prints the usage and exits 2.  Paper tables come from
-   [bpredict experiment]; timing the suite is [suitebench/run.py]'s job. *)
+   The pool width is the default pool's: BALLARUS_JOBS, or the
+   machine's recommended domain count.  Each gate prints its findings
+   and returns 0 on success, 1 on failure.  Paper tables come from
+   [bpredict experiment]; timing the suite is [suitebench/run.py]'s
+   job. *)
 
-let usage =
-  "usage: main.exe [-j N] (perf-smoke | fault-smoke | obs-smoke)"
-
-let usage_error msg =
-  if msg <> "" then prerr_endline msg;
-  prerr_endline usage;
-  exit 2
+open Check
 
 let wall f =
   let t0 = Unix.gettimeofday () in
   f ();
   Unix.gettimeofday () -. t0
-
-let metric name = Obs.Metrics.value (Obs.Metrics.counter name)
-
-(* Run [f] against a fresh on-disk store private to this process,
-   removing the store however [f] ends. *)
-let with_isolated_store name f =
-  let dir = Printf.sprintf "_%s_cache_%d" name (Unix.getpid ()) in
-  Cache.Store.set_dir dir;
-  Cache.Store.set_enabled true;
-  Cache.Store.clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      Cache.Store.clear ();
-      try Sys.rmdir dir with Sys_error _ -> ())
-    f
 
 (* The quick suite from empty memo tables, rendered to a string. *)
 let render_quick () =
@@ -69,7 +50,8 @@ let report gate ok_msg failures =
    also loses more than 50ms (so single-digit-ms timer noise on a
    1-core host cannot flap the gate). *)
 
-let perf_smoke jn =
+let perf_smoke () =
+  let jn = Par.Pool.default_jobs () in
   Cache.Store.set_enabled false;
   (* the miss matrix feeding the subset stage is built once, outside
      the timed region; the stage times the walk itself, which a memo
@@ -147,8 +129,7 @@ let damage entries bytes i =
 
 let fault_smoke () =
   Printf.printf "==== fault-smoke ====\n%!";
-  with_isolated_store "fault" @@ fun () ->
-  let dir = Cache.Store.dir () in
+  with_isolated_store "fault" @@ fun dir ->
   let clean_out, clean_sum = render_quick () in
   let entries =
     Sys.readdir dir |> Array.to_list
@@ -334,7 +315,7 @@ let obs_smoke () =
   Cache.Store.set_enabled false;
   let plain_out, plain_sum = render_quick () in
   check (plain_sum.failed = 0) "untraced run had permanent failures";
-  with_isolated_store "obs" @@ fun () ->
+  with_isolated_store "obs" @@ fun _ ->
   let cold_out, cold_sum, cold_events, cold_count =
     traced_run ~label:"cold" ~trace_path check
   in
@@ -380,21 +361,9 @@ let obs_smoke () =
        warm_events)
     !failures
 
-(* Strip "-j N" out of the argument list, configuring the pool. *)
-let rec parse_flags acc = function
-  | [] -> List.rev acc
-  | "-j" :: n :: rest -> (
-    match int_of_string_opt n with
-    | Some jobs when jobs >= 1 ->
-      Par.Pool.set_jobs jobs;
-      parse_flags acc rest
-    | _ -> usage_error (Printf.sprintf "bad -j argument %S" n))
-  | [ "-j" ] -> usage_error "-j needs an argument"
-  | x :: rest -> parse_flags (x :: acc) rest
-
-let () =
-  match parse_flags [] (List.tl (Array.to_list Sys.argv)) with
-  | [ "perf-smoke" ] -> exit (perf_smoke (Par.Pool.default_jobs ()))
-  | [ "fault-smoke" ] -> exit (fault_smoke ())
-  | [ "obs-smoke" ] -> exit (obs_smoke ())
-  | _ -> usage_error ""
+let gates =
+  [
+    ("perf-smoke", perf_smoke);
+    ("fault-smoke", fault_smoke);
+    ("obs-smoke", obs_smoke);
+  ]

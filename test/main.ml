@@ -1,7 +1,8 @@
 (* The test runner: [main.exe SUITE [alcotest arguments]] runs one
-   suite, e.g. [main.exe sim test fuel].  [dune runtest] runs each
-   suite in its own process (see test/dune), so they run in parallel
-   and no suite's process-wide state reaches another's. *)
+   suite, e.g. [main.exe sim test fuel], and [main.exe GATE] one of the
+   tier-2 gates of [Gates].  [dune runtest] runs each suite in its own
+   process (see test/dune), so they run in parallel and no suite's
+   process-wide state reaches another's. *)
 
 let suites =
   [
@@ -24,15 +25,19 @@ let suites =
   ]
 
 let () =
-  let argv = Sys.argv in
-  match
-    if Array.length argv < 2 then None else List.assoc_opt argv.(1) suites
-  with
-  | Some tests ->
-    let rest = Array.sub argv 2 (Array.length argv - 2) in
-    Alcotest.run ~argv:(Array.append [| argv.(0) |] rest) argv.(1) tests
-  | None ->
-    if Array.length argv >= 2 then prerr_endline ("unknown suite " ^ argv.(1));
-    prerr_endline "usage: main.exe SUITE [alcotest arguments]";
+  match Array.to_list Sys.argv with
+  | exe :: name :: rest when List.mem_assoc name suites ->
+    Alcotest.run ~argv:(Array.of_list (exe :: rest)) name
+      (List.assoc name suites)
+  | [ _; name ] when List.mem_assoc name Gates.gates ->
+    exit ((List.assoc name Gates.gates) ())
+  | args ->
+    (match args with
+     | _ :: name :: _ :: _ when List.mem_assoc name Gates.gates ->
+       prerr_endline (name ^ " takes no arguments")
+     | _ :: name :: _ -> prerr_endline ("unknown suite or gate " ^ name)
+     | _ -> ());
+    prerr_endline "usage: main.exe (SUITE [alcotest arguments] | GATE)";
     prerr_endline ("suites: " ^ String.concat " " (List.map fst suites));
+    prerr_endline ("gates: " ^ String.concat " " (List.map fst Gates.gates));
     exit 2

@@ -1,35 +1,11 @@
 (* Tests for the memo layer and the persistent store under it: memo
    hit/miss behaviour, the enabled switch, key/table separation,
    corruption and misnamed-entry tolerance, unwritable stores and
-   clearing.  Every test redirects the store
-   to its own temporary directory so nothing touches the repo's
+   clearing.  Every test redirects the store to its own private
+   directory ([Check.with_isolated_store]) so nothing touches
    [_cache/]. *)
 
 open Check
-
-(* named by pid and a counter: every suite in the runner shares the
-   global RNG, so none of them seeds it *)
-let temp_stores = ref 0
-
-let with_temp_store f =
-  incr temp_stores;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ballarus_cache_test_%d_%d" (Unix.getpid ())
-         !temp_stores)
-  in
-  let old_dir = Cache.Store.dir () in
-  let old_enabled = Cache.Store.enabled () in
-  Cache.Store.set_dir dir;
-  Cache.Store.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Cache.Store.clear ();
-      (try Unix.rmdir dir with Unix.Unix_error _ | Sys_error _ -> ());
-      Cache.Store.set_dir old_dir;
-      Cache.Store.set_enabled old_enabled)
-    (fun () -> f dir)
 
 let entry_files dir =
   if Sys.file_exists dir then
@@ -39,7 +15,7 @@ let entry_files dir =
   else []
 
 let test_memo_roundtrip () =
-  with_temp_store (fun dir ->
+  with_isolated_store "test" (fun dir ->
       let calls = ref 0 in
       let compute () =
         incr calls;
@@ -57,7 +33,7 @@ let test_memo_roundtrip () =
       checki "three entries on disk" 3 (List.length (entry_files dir)))
 
 let test_disabled_bypasses () =
-  with_temp_store (fun dir ->
+  with_isolated_store "test" (fun dir ->
       Cache.Store.set_enabled false;
       let calls = ref 0 in
       let compute () =
@@ -77,7 +53,7 @@ let corrupt path garbage =
   close_out oc
 
 let test_corrupt_entry_recomputed () =
-  with_temp_store (fun dir ->
+  with_isolated_store "test" (fun dir ->
       Obs.Metrics.reset ();
       let calls = ref 0 in
       let compute () =
@@ -114,7 +90,7 @@ let test_corrupt_entry_recomputed () =
 let test_quarantine_deletes_bad_entry () =
   (* a corrupt entry must be removed from disk at detection time, so
      it cannot re-trip a later run that never recomputes this key *)
-  with_temp_store (fun dir ->
+  with_isolated_store "test" (fun dir ->
       Obs.Metrics.reset ();
       let _ = Cache.Store.memo ~table:"t" ~key:"1" (fun () -> "x") in
       let path =
@@ -137,7 +113,7 @@ let test_quarantine_deletes_bad_entry () =
    bytes copied onto key "2"'s entry name are well-formed, but must be
    quarantined and recomputed, never served as key "2"'s value. *)
 let test_misnamed_entry_recomputed () =
-  with_temp_store (fun dir ->
+  with_isolated_store "test" (fun dir ->
       let _ = Cache.Store.memo ~table:"t" ~key:"1" (fun () -> "one") in
       let p1 =
         match entry_files dir with [ p ] -> p | _ -> Alcotest.fail "one entry"
@@ -161,7 +137,7 @@ let test_misnamed_entry_recomputed () =
    the entry; once the file is gone, the next lookup recomputes and
    its entry lands. *)
 let test_injected_write_failure_skipped () =
-  with_temp_store (fun dir ->
+  with_isolated_store "test" (fun dir ->
       Obs.Metrics.reset ();
       let calls = ref 0 in
       let compute () =
@@ -184,7 +160,7 @@ let test_injected_write_failure_skipped () =
    open fails with ENOTDIR.  The lookup is a miss, the write is
    skipped, and the computed value comes back. *)
 let test_unwritable_store_skips_write () =
-  with_temp_store (fun dir ->
+  with_isolated_store "test" (fun dir ->
       let oc = open_out dir in
       close_out oc;
       Fun.protect
@@ -204,7 +180,7 @@ let test_unwritable_store_skips_write () =
    The rename fails for real here: a non-empty directory sits at the
    entry's name. *)
 let test_permanent_write_failure_cleans_tmp () =
-  with_temp_store (fun dir ->
+  with_isolated_store "test" (fun dir ->
       let _ = Cache.Store.memo ~table:"t" ~key:"4" (fun () -> "first") in
       let path =
         match entry_files dir with [ p ] -> p | _ -> Alcotest.fail "one entry"
@@ -232,7 +208,7 @@ let test_permanent_write_failure_cleans_tmp () =
       checki "entry landed once writes heal" 1 (List.length (entry_files dir)))
 
 let test_clear_empties_store () =
-  with_temp_store (fun dir ->
+  with_isolated_store "test" (fun dir ->
       let calls = ref 0 in
       let compute () =
         incr calls;
@@ -249,7 +225,7 @@ let test_clear_empties_store () =
 (* a cached profile must be indistinguishable from a fresh one: run a
    real workload product through the store and compare *)
 let test_profile_through_store () =
-  with_temp_store (fun _dir ->
+  with_isolated_store "test" (fun _dir ->
       let wl = Workloads.Registry.find "gcc" in
       let prog = Workloads.Workload.compile wl in
       let ds = Workloads.Workload.primary_dataset wl in
@@ -270,7 +246,7 @@ let test_profile_through_store () =
 (* memory first, then disk, then compute; a memory-only table never
    touches the disk, and the table name separates equal keys *)
 let test_memo_layers () =
-  with_temp_store (fun dir ->
+  with_isolated_store "test" (fun dir ->
       let calls = ref 0 in
       let compute () =
         incr calls;
@@ -310,7 +286,7 @@ let test_memo_duplicate_name () =
 (* [Bench_run.reset] empties the memory tables only: a reload rebuilds
    the run (a new value), but its profile comes back from disk *)
 let test_reset_reloads_from_disk () =
-  with_temp_store (fun _dir ->
+  with_isolated_store "test" (fun _dir ->
       let wl = Workloads.Registry.find "matrix300" in
       Experiments.Bench_run.reset ();
       let r1 = Experiments.Bench_run.load wl in
@@ -343,7 +319,7 @@ let test_warm_load_compiles_nothing () =
     Fun.protect ~finally:Obs.disable Experiments.Bench_run.load_all
   in
   let nwl = List.length Workloads.Registry.all in
-  with_temp_store (fun _dir ->
+  with_isolated_store "test" (fun _dir ->
       ignore (traced_load_all ());
       checki "cold: a compile span per workload" nwl (count_spans "compile");
       checki "cold: a profile span per workload" nwl (count_spans "profile");

@@ -107,38 +107,17 @@ int main() {
           ~fall:profile.fall
       in
       let laid_checksum predictor =
-        let predictions = Hashtbl.create 64 in
-        Array.iter
-          (fun (br : Predict.Database.branch) ->
-            Hashtbl.replace predictions (br.proc, br.block) (predictor br))
-          db.branches;
-        let laid =
-          Predict.Layout.apply prog ~predict:(fun ~proc ~block ->
-              match Hashtbl.find_opt predictions (proc, block) with
-              | Some dir -> dir
-              | None -> false)
-        in
-        (Sim.Machine.run laid d).checksum
+        let predict = Predict.Layout.predictor db predictor in
+        (Sim.Machine.run (Predict.Layout.apply prog ~predict) d).checksum
       in
       laid_checksum Predict.Combined.perfect_predict = base
       && laid_checksum (fun b -> not (Predict.Combined.perfect_predict b))
          = base
       && laid_checksum (fun _ -> true) = base)
 
-let predict_with predictor (r : Experiments.Bench_run.t) =
-  let predictions = Hashtbl.create 512 in
-  Array.iter
-    (fun (br : Predict.Database.branch) ->
-      Hashtbl.replace predictions (br.proc, br.block) (predictor br))
-    r.db.branches;
-  fun ~proc ~block ->
-    match Hashtbl.find_opt predictions (proc, block) with
-    | Some dir -> dir
-    | None -> false
-
 let layout_with predictor r =
   Predict.Layout.apply r.Experiments.Bench_run.prog
-    ~predict:(predict_with predictor r)
+    ~predict:(Predict.Layout.predictor r.db predictor)
 
 let workloads_under_test = [ "xlisp"; "grep"; "tomcatv"; "gcc"; "compress" ]
 
@@ -200,7 +179,7 @@ let test_layout_perfect_at_most_miss_rate () =
 let test_taken_after_matches_simulation () =
   let heuristic = Predict.Combined.predict Predict.Combined.paper_order in
   let measure (r : Experiments.Bench_run.t) =
-    let predict = predict_with heuristic r in
+    let predict = Predict.Layout.predictor r.db heuristic in
     let laid = Predict.Layout.apply r.prog ~predict in
     let taken, execs, stats =
       Predict.Layout.taken_transfers laid
