@@ -1,6 +1,7 @@
 #!/bin/sh
 # Pre-merge check: tier-1 (build + unit/property tests + golden
-# snapshots) then tier-2 (fixed-seed differential fuzz smoke).
+# snapshots) then tier-2 (fixed-seed differential fuzz smoke and the
+# perf, fault, obs and contract gates).
 # See TESTING.md.
 set -eu
 
@@ -19,5 +20,8 @@ dune build @fault-smoke
 
 echo "== tier 2: obs smoke (@obs-smoke)"
 dune build @obs-smoke
+
+echo "== tier 2: contract smoke (@contract-smoke)"
+dune build @contract-smoke
 
 echo "CI OK"

@@ -51,8 +51,8 @@ let estimate (a : Cfg.Analysis.t) prob_taken =
   freq
 
 let run args =
-  let name = match args with n :: _ -> n | [] -> "gcc" in
-  let r = Experiments.Bench_run.load (Workloads.Registry.find name) in
+  let wl = Usage.workload_arg (match args with n :: _ -> n | [] -> "gcc") in
+  let r = Experiments.Bench_run.load wl in
   let order = Predict.Combined.paper_order in
 
   (* per-branch taken probability from each heuristic's measured hit
@@ -110,7 +110,7 @@ let run args =
   let mtop = top k meas_rank and etop = top k est_rank in
   let overlap = List.length (List.filter (fun b -> List.mem b etop) mtop) in
   Printf.printf
-    "workload %s: top-%d hot branch blocks, estimated vs measured\n" name k;
+    "workload %s: top-%d hot branch blocks, estimated vs measured\n" wl.name k;
   Printf.printf "overlap: %d of %d\n\n" overlap k;
   Printf.printf "top measured blocks (proc, block) with estimated rank:\n";
   List.iteri

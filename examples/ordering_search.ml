@@ -6,7 +6,9 @@
    Run with:  dune exec examples/main.exe ordering_search [train-fraction%] *)
 
 let run args =
-  let train_pct = match args with p :: _ -> int_of_string p | [] -> 50 in
+  let train_pct =
+    match args with p :: _ -> Usage.int_arg "PCT" p | [] -> 50
+  in
   let m, rs = Experiments.Orderings.miss_matrix_cached () in
   let names =
     Array.of_list

@@ -8,7 +8,9 @@
 module M = Predict.Metrics
 
 let run args =
-  let penalty = match args with p :: _ -> int_of_string p | [] -> 10 in
+  let penalty =
+    match args with p :: _ -> Usage.int_arg "PENALTY" p | [] -> 10
+  in
   let order = Predict.Combined.paper_order in
   Printf.printf
     "estimated branch-miss cycles per 1000 instructions (penalty = %d)\n\n"

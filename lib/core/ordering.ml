@@ -85,10 +85,10 @@ type compiled = {
 let compile (db : Database.t) =
   let k = Heuristic.count in
   let nsets = 1 lsl k in
-  (* by_mask.(m * k + h): misses when [h] predicts, summed over the
-     branches whose applicability mask is [m] *)
-  let by_mask = Array.make (nsets * k) 0 in
-  let seen = Array.make nsets false in
+  (* sums.(m * k + h): misses when [h] predicts, summed over the
+     branches whose applicability mask is [m] (0 unless [h] is in
+     [m]) *)
+  let sums = Array.make (nsets * k) 0 in
   let miss_default = ref 0 and exec_total = ref 0 in
   Array.iter
     (fun (br : Database.branch) ->
@@ -101,30 +101,34 @@ let compile (db : Database.t) =
         let m = !mask in
         if m = 0 then
           miss_default := !miss_default + Database.misses br br.rand_pred
-        else begin
-          seen.(m) <- true;
+        else
           Array.iteri
             (fun h pred ->
               match pred with
               | Some dir ->
-                by_mask.((m * k) + h) <-
-                  by_mask.((m * k) + h) + Database.misses br dir
+                sums.((m * k) + h) <-
+                  sums.((m * k) + h) + Database.misses br dir
               | None -> ())
             br.heur
-        end
       end)
     db.branches;
-  let fires = Array.make (nsets * k) 0 in
-  for m = 1 to nsets - 1 do
-    if seen.(m) then
-      for u = 0 to nsets - 1 do
-        if u land m = 0 then
-          for h = 0 to k - 1 do
-            if m land (1 lsl h) <> 0 then
-              fires.((u * k) + h) <- fires.((u * k) + h) + by_mask.((m * k) + h)
-          done
-      done
+  (* Subset-sum (zeta) transform, one bit at a time: afterwards
+     [sums.(s * k + h)] sums the masks [m] that are subsets of [s].
+     The masks disjoint from [u] are the subsets of its complement. *)
+  for bit = 0 to k - 1 do
+    let b = 1 lsl bit in
+    for s = 0 to nsets - 1 do
+      if s land b <> 0 then
+        for h = 0 to k - 1 do
+          sums.((s * k) + h) <- sums.((s * k) + h) + sums.(((s lxor b) * k) + h)
+        done
+    done
   done;
+  let full = nsets - 1 in
+  let fires =
+    Array.init (nsets * k) (fun i ->
+        sums.(((full lxor (i / k)) * k) + (i mod k)))
+  in
   { fires; miss_default = !miss_default; exec_total = !exec_total }
 
 (* Misses of [order]: Default's, plus at each position those charged

@@ -29,7 +29,9 @@ val miss_matrix : Database.t array -> float array array
     to it.  Each database is first reduced to a first-fire table: for
     every set [u] of heuristics and heuristic [h], the summed misses,
     when [h] predicts, of the non-loop branches to which [h] applies
-    and no member of [u] does (128 x 7 integers).  A cell is then the
+    and no member of [u] does (128 x 7 integers), from the per-mask
+    sums by one subset-sum (zeta) transform of 7 x 7 x 128 integer
+    additions at most, whatever the branch count.  A cell is then the
     Default misses of the branches no heuristic applies to plus seven
     table lookups, one per position of the order, over the total
     non-loop executions ([nan] when that total is 0).  The sums are

@@ -1,19 +1,25 @@
 type t = {
   wl : Workloads.Workload.t;
   prog : Mips.Program.t;
+  digest : Digest.t;
   decoded : Sim.Decode.t;
   analyses : Cfg.Analysis.t array;
   profile : Sim.Profile.t;
   db : Predict.Database.t;
 }
 
-(* Edge profiles are keyed by (program, dataset) content, so
+(* The digest of a program's marshalled bytes: the program's part of
+   every key that depends on it, computed once per [load]. *)
+let digest_of (prog : Mips.Program.t) =
+  Digest.string (Marshal.to_string prog [])
+
+(* Edge profiles are keyed by (program digest, dataset) content, so
    recompiling an unchanged workload still hits on disk. *)
 let profiles = Cache.Memo.create ~persist:true "profile"
 
-let profile_for (wl : Workloads.Workload.t) ~decoded prog
+let profile_for (wl : Workloads.Workload.t) ~decoded ~digest prog
     (ds : Sim.Dataset.t) =
-  Cache.Memo.find profiles (prog, ds) (fun () ->
+  Cache.Memo.find profiles (digest, ds) (fun () ->
       Obs.span ~name:"profile"
         ~attrs:[ ("workload", wl.name); ("dataset", ds.name) ]
         (fun () -> Sim.Profile.run ~decoded prog ds))
@@ -33,16 +39,18 @@ let load (wl : Workloads.Workload.t) =
             Obs.span ~name:"compile" ~attrs:[ ("workload", name) ] (fun () ->
                 Workloads.Workload.compile wl))
       in
+      let digest = digest_of prog in
       let decoded = Sim.Decode.of_program prog in
       let analyses = Cfg.Analysis.of_program prog in
       let profile =
-        profile_for wl ~decoded prog (Workloads.Workload.primary_dataset wl)
+        profile_for wl ~decoded ~digest prog
+          (Workloads.Workload.primary_dataset wl)
       in
       let db =
         Predict.Database.make prog analyses ~taken:profile.taken
           ~fall:profile.fall
       in
-      { wl; prog; decoded; analyses; profile; db })
+      { wl; prog; digest; decoded; analyses; profile; db })
 
 (* Every table asks for the whole list; the stage runs once per
    [reset]. *)
@@ -63,7 +71,9 @@ let dbs = Cache.Memo.create "bench_run.db"
 
 let db_for t ds =
   Cache.Memo.find dbs (t.wl.name, ds.Sim.Dataset.name) (fun () ->
-      let profile = profile_for t.wl ~decoded:t.decoded t.prog ds in
+      let profile =
+        profile_for t.wl ~decoded:t.decoded ~digest:t.digest t.prog ds
+      in
       Predict.Database.with_counts t.db ~taken:profile.taken
         ~fall:profile.fall)
 

@@ -6,13 +6,17 @@
     dataset, and the resulting branch database.
 
     Compiled programs (keyed by source text) and edge profiles (keyed
-    by program and dataset content) are memoised in persisted
+    by program digest and dataset content) are memoised in persisted
     {!Cache.Memo} tables, so a warm process neither compiles nor
     simulates. *)
 
 type t = {
   wl : Workloads.Workload.t;
   prog : Mips.Program.t;
+  digest : Digest.t;
+      (** of [prog]'s marshalled bytes, computed once by {!load}: the
+          program's part of every key derived from it (profiles,
+          traces, the subset walk), so no lookup marshals [prog] *)
   decoded : Sim.Decode.t;  (** [prog] pre-decoded, for re-simulation *)
   analyses : Cfg.Analysis.t array;
   profile : Sim.Profile.t;

@@ -21,7 +21,7 @@ let all =
     exp "graph2" "Graphs 2-3 and Table 4: subset experiment"
       (fun ppf -> Orderings.graph2_3_table4 ppf)
       ~quick_run:(fun ppf ->
-        Orderings.graph2_3_table4 ~max_trials:20_000 ppf);
+        Orderings.graph2_3_table4 ~max_trials:Orderings.quick_max_trials ppf);
     exp "table5" "Table 5: prioritised heuristics" Tables.table5;
     exp "table6" "Table 6: final results" Tables.table6;
     exp "table7" "Table 7: summary" Tables.table7;
@@ -53,13 +53,15 @@ let find id = List.find_opt (fun e -> String.equal e.id id) all
 
 (* Fill every memo table the experiments read from, fanning the
    independent per-workload pipelines (and the per-workload trace
-   simulations and per-dataset profiles) across the default pool.  The
-   experiments themselves then print from warm caches in sequence, so
-   their output is byte-identical to a fully sequential run. *)
-let prewarm () =
+   simulations, the per-dataset profiles, the miss matrix and the
+   subset walk — capped as [--quick] caps it) across the default pool.
+   The experiments then only print. *)
+let prewarm ?(quick = false) () =
   ignore (Bench_run.load_all ());
   Traces.warm ();
-  Datasets_exp.warm ()
+  Datasets_exp.warm ();
+  let max_trials = if quick then Some Orderings.quick_max_trials else None in
+  ignore (Orderings.subset_result ?max_trials ())
 
 (* ---- supervised suite execution ---- *)
 
@@ -90,18 +92,23 @@ let run_list ?(quick = false) ?(warm = true) exps ppf =
      experiment recomputes what it needs on demand — so it is reported
      on stderr and the suite proceeds with the tables untouched. *)
   if warm then
-    (match Robust.Supervise.run ~label:"prewarm" prewarm with
+    (match Robust.Supervise.run ~label:"prewarm" (prewarm ~quick) with
     | { status = Failed fault; _ } ->
       Robust.Fault.pp_banner Format.err_formatter fault
     | _ -> ());
+  (* The experiments render across the default pool, each into its own
+     buffer, and print in list order: the output is the sequential
+     one at any width. *)
   let results =
     Obs.span ~name:"stage.render" @@ fun () ->
-    List.map
-      (fun e ->
+    let outcomes =
+      Par.Pool.parallel_map_list (Par.Pool.get ()) (run_one ~quick) exps
+    in
+    List.map2
+      (fun e (o : string Robust.Supervise.outcome) ->
         Format.fprintf ppf "==== %s ====@.@." e.title;
-        let o = run_one ~quick e in
         let r =
-          match o.Robust.Supervise.status with
+          match o.status with
           | Completed ->
             Format.pp_print_string ppf (Option.get o.value);
             Passed
@@ -111,7 +118,7 @@ let run_list ?(quick = false) ?(warm = true) exps ppf =
         in
         Format.fprintf ppf "@.";
         (e.id, r))
-      exps
+      exps outcomes
   in
   let failed =
     List.length (List.filter (function _, Failed _ -> true | _ -> false) results)

@@ -17,9 +17,12 @@ val all : experiment list
 
 val find : string -> experiment option
 
-val prewarm : unit -> unit
-(** Fill the benchmark and trace memo tables in parallel on the
-    {!Par.Pool} default pool. *)
+val prewarm : ?quick:bool -> unit -> unit
+(** Fill every memo table the experiments read — benchmarks, traces,
+    per-dataset databases, the miss matrix and the subset walk — in
+    parallel on the {!Par.Pool} default pool.  [quick] (default
+    [false]) walks the subset experiment's [--quick] cap
+    ({!Orderings.quick_max_trials}) instead of all 705,432 trials. *)
 
 (** {1 Supervised suite execution} *)
 
@@ -36,16 +39,21 @@ type summary = {
 val run_list :
   ?quick:bool -> ?warm:bool -> experiment list ->
   Format.formatter -> summary
-(** Run the given experiments in sequence after a supervised parallel
-    {!prewarm} ([warm], default [true] — pass [false] for a single
-    experiment that should only compute what it reads), each inside a
+(** Run the given experiments after a supervised parallel {!prewarm}
+    ([warm], default [true] — pass [false] for a single experiment
+    that should only compute what it reads), each inside a
     {!Robust.Supervise} fault boundary and all of them inside one
-    [stage.render] span.  Each experiment renders into a private buffer, so a
-    failed experiment prints a structured failure banner in place of
-    its table, with no partial output, and the suite continues.  Only
-    experiment banners, tables and failure banners go to the formatter
-    — the summary does not, so callers can diff table output
-    byte-for-byte. *)
+    [stage.render] span.  The experiments render across the
+    {!Par.Pool} default pool, each into a private buffer, and are
+    printed in list order once all have finished, so the output is
+    byte-identical at any width.  A failed experiment prints a
+    structured failure banner in place of its table, with no partial
+    output, and the suite continues.  Whatever a failed prewarm left
+    cold is computed on demand inside the render, sequentially within
+    each experiment (a {!Par.Pool.run} nested in a task runs inline).
+    Only experiment banners, tables and failure banners go to the
+    formatter — the summary does not, so callers can diff table
+    output byte-for-byte. *)
 
 val run_all : ?quick:bool -> Format.formatter -> summary
 (** {!run_list} over {!all}.  [quick] substitutes each experiment's

@@ -41,13 +41,24 @@ let graph1 ppf =
   Format.fprintf ppf "best order: %s (%s%%)@." (order_string best_idx)
     (Texttab.pct1 best_v)
 
+let quick_max_trials = 20_000
+
+(* Under one build fingerprint the matrix is a pure function of each
+   benchmark's program and primary dataset, so the walk is keyed by
+   those 22 pairs, [k] and the cap, never by the matrix's own bytes. *)
 let subsets = Cache.Memo.create ~persist:true "subset"
 
 let subset_result ?max_trials () =
   let m, rs = miss_matrix_cached () in
   let k = (List.length rs + 1) / 2 in
+  let inputs =
+    List.map
+      (fun (r : Bench_run.t) ->
+        (r.digest, Workloads.Workload.primary_dataset r.wl))
+      rs
+  in
   Obs.span ~name:"stage.subset" (fun () ->
-      Cache.Memo.find subsets (m, k, max_trials) (fun () ->
+      Cache.Memo.find subsets (inputs, k, max_trials) (fun () ->
           Predict.Subset.run ~k ?max_trials m))
 
 let graph2_3_table4 ?max_trials ppf =

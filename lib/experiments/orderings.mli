@@ -6,6 +6,16 @@ val graph1 : Format.formatter -> unit
     excluded, as in the paper), printed as a downsampled sorted series
     plus min / median / max. *)
 
+val quick_max_trials : int
+(** 20,000: the trial cap of the subset experiment in a [--quick]
+    run. *)
+
+val subset_result : ?max_trials:int -> unit -> Predict.Subset.result
+(** The subset walk over {!miss_matrix_cached}, memoised in memory
+    and in the store, keyed by each benchmark's program digest and
+    primary dataset, [k] and [max_trials]; every call opens a
+    [stage.subset] span. *)
+
 val graph2_3_table4 : ?max_trials:int -> Format.formatter -> unit
 (** The C(22,11) subset experiment.  Prints Graph 2 (cumulative share
     of trials won by the most frequent orders), Graph 3 (overall

@@ -6,20 +6,27 @@ let predictors_for (r : Bench_run.t) =
     ("Perfect", Bench_run.prediction_bits r Predict.Combined.perfect_predict);
   ]
 
-(* The key carries the prediction bits themselves, so a predictor
-   change re-simulates. *)
+(* Entries hold the simulator's raw integer histograms, and the
+   distributions are derived on read.  The key is the program's
+   digest, the dataset and the prediction bits themselves; the build
+   fingerprint in every entry's name covers the code, so a predictor
+   change re-simulates either way. *)
 let traces = Cache.Memo.create ~persist:true "traces"
 
+(* The derived distributions, per workload name, for this process. *)
+let dists = Cache.Memo.create "traces.distributions"
+
 let distributions name =
-  let r = Bench_run.load (Workloads.Registry.find name) in
-  let ds = Workloads.Workload.primary_dataset r.wl in
-  let predictors = predictors_for r in
-  Cache.Memo.find traces (r.prog, ds, predictors) (fun () ->
+  Cache.Memo.find dists name (fun () ->
+      let r = Bench_run.load (Workloads.Registry.find name) in
+      let ds = Workloads.Workload.primary_dataset r.wl in
+      let predictors = predictors_for r in
       List.map Tracing.Ipbc.of_result
-        (Obs.span ~name:"trace"
-           ~attrs:[ ("workload", name); ("dataset", ds.name) ]
-           (fun () ->
-             Sim.Trace_run.run ~decoded:r.decoded r.prog ds predictors)))
+        (Cache.Memo.find traces (r.digest, ds, predictors) (fun () ->
+             Obs.span ~name:"trace"
+               ~attrs:[ ("workload", name); ("dataset", ds.name) ]
+               (fun () ->
+                 Sim.Trace_run.run ~decoded:r.decoded r.prog ds predictors))))
 
 let warm () =
   Obs.span ~name:"stage.traces" (fun () ->
@@ -71,15 +78,7 @@ let graph_for ppf name =
          (fun len ->
            string_of_int len
            :: List.map
-                (fun (d : Tracing.Ipbc.distribution) ->
-                  let rec go i prev =
-                    if i >= Array.length d.by_breaks then prev
-                    else begin
-                      let bound, frac = d.by_breaks.(i) in
-                      if bound > len then prev else go (i + 1) frac
-                    end
-                  in
-                  Texttab.pct (go 0 0.))
+                (fun d -> Texttab.pct (Tracing.Ipbc.breaks_below d len))
                 dists)
          lengths)
   end

@@ -154,13 +154,11 @@ let check_miss_matrix (db : Predict.Database.t) =
 
 (* the 5040-order miss matrix must not depend on the pool width *)
 let check_determinism db =
-  let with_jobs j f =
-    let prev = Par.Pool.default_jobs () in
-    Par.Pool.set_jobs j;
-    Fun.protect ~finally:(fun () -> Par.Pool.set_jobs prev) f
+  let matrix jobs =
+    Par.Pool.with_jobs jobs (fun () -> Predict.Ordering.miss_matrix [| db |])
   in
-  let m1 = with_jobs 1 (fun () -> Predict.Ordering.miss_matrix [| db |]) in
-  let m4 = with_jobs 4 (fun () -> Predict.Ordering.miss_matrix [| db |]) in
+  let m1 = matrix 1 in
+  let m4 = matrix 4 in
   if Marshal.to_string m1 [] <> Marshal.to_string m4 [] then
     [ div "par-determinism" "miss_matrix differs between -j 1 and -j 4" ]
   else []

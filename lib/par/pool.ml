@@ -5,10 +5,14 @@
    without touching anything.  The first failure is recorded in the job
    itself (guarded by the pool mutex) — never in the pool — so an
    orphaned straggler from an earlier job can never poison a later
-   one. *)
+   one.  [backtrace] is the caller's backtrace recording, which every
+   task runs under: recording is per domain, and a worker spawned
+   before the caller turned it on would otherwise report a failure
+   without the backtrace the caller's own domain records. *)
 type job = {
   body : int -> unit;
   total : int;
+  backtrace : bool;
   next : int Atomic.t;
   finished : int Atomic.t;
   mutable failure : (exn * Printexc.raw_backtrace) option;
@@ -32,20 +36,31 @@ let has_pending_job t =
   Mutex.protect t.mutex (fun () ->
       match t.job with Some _ -> true | None -> false)
 
+(* Whether this domain is running a task of some pool's job.  A [run]
+   called from inside a task runs its body inline: a job posted there
+   would take the pool's job slot from the task's own job and clear it
+   on its join while that job still runs. *)
+let in_task = Domain.DLS.new_key (fun () -> ref false)
+
 (* Claim and run indices until the job is drained.  Exceptions are
    recorded (first wins, with its backtrace) but never abort the join:
    [finished] is incremented regardless, so the caller cannot deadlock
    and the worker domains survive to serve the next job. *)
 let execute t (j : job) =
+  let inside = Domain.DLS.get in_task in
+  if Printexc.backtrace_status () <> j.backtrace then
+    Printexc.record_backtrace j.backtrace;
   let rec grab () =
     let i = Atomic.fetch_and_add j.next 1 in
     if i < j.total then begin
+      inside := true;
       (try j.body i
        with e ->
          let bt = Printexc.get_raw_backtrace () in
          Mutex.lock t.mutex;
          if j.failure = None then j.failure <- Some (e, bt);
          Mutex.unlock t.mutex);
+      inside := false;
       let f = 1 + Atomic.fetch_and_add j.finished 1 in
       if f = j.total then begin
         Mutex.lock t.mutex;
@@ -107,9 +122,10 @@ let run t n body =
   if n > 0 then begin
     Obs.Metrics.incr jobs_counter;
     Obs.Metrics.incr ~by:n tasks_counter;
-    if t.size = 1 || n = 1 then
-      (* sequential fast path: no handoff, ascending order; the first
-         exception stops the loop and propagates as it was raised *)
+    if t.size = 1 || n = 1 || !(Domain.DLS.get in_task) then
+      (* sequential fast path, also taken by a [run] nested in a task:
+         no handoff, ascending order; the first exception stops the
+         loop and propagates as it was raised *)
       for i = 0 to n - 1 do
         body i
       done
@@ -120,6 +136,7 @@ let run t n body =
             {
               body;
               total = n;
+              backtrace = Printexc.backtrace_status ();
               next = Atomic.make 0;
               finished = Atomic.make 0;
               failure = None;
@@ -206,10 +223,12 @@ let default_jobs () =
   | Some n -> n
   | None -> Domain.recommended_domain_count ()
 
-let set_jobs n =
-  let n = max 1 n in
+(* Install [request] as the override ([None]: none) and retire a
+   default pool of another width; the next [get] re-creates it. *)
+let set_override request =
   Mutex.lock default_mutex;
-  jobs_override := Some n;
+  jobs_override := request;
+  let n = default_jobs () in
   let stale =
     match !default_pool with
     | Some p when jobs p <> n ->
@@ -219,6 +238,13 @@ let set_jobs n =
   in
   Mutex.unlock default_mutex;
   match stale with Some p -> shutdown p | None -> ()
+
+let set_jobs n = set_override (Some (max 1 n))
+
+let with_jobs n f =
+  let prev = Mutex.protect default_mutex (fun () -> !jobs_override) in
+  set_jobs n;
+  Fun.protect ~finally:(fun () -> set_override prev) f
 
 let get () =
   Mutex.lock default_mutex;

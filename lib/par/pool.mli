@@ -41,7 +41,14 @@ val run : t -> int -> (int -> unit) -> unit
     whichever domain ran it; the first failure (by completion order)
     wins.  On the pool every task still runs after a failure, and the
     worker domains survive to serve the next job; the sequential fast
-    path ([jobs = 1] or [n = 1]) stops at the first exception. *)
+    path ([jobs = 1] or [n = 1]) stops at the first exception.  Every
+    task runs under the caller's backtrace recording
+    ([Printexc.backtrace_status]), whichever domain runs it.
+
+    A [run] called from inside a task of any pool's job takes the
+    sequential fast path on the calling domain: the task's own job
+    stays the pool's one in-flight job, so a stage that fans out can
+    be called from a task that is itself fanned out. *)
 
 val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Like [Array.map], with elements processed across the pool.  The
@@ -82,6 +89,12 @@ val set_jobs : int -> unit
 (** Override the default pool width ([-j N]).  If the default pool
     already exists at a different width it is shut down and lazily
     re-created.  Must not be called from inside a parallel section. *)
+
+val with_jobs : int -> (unit -> 'a) -> 'a
+(** [with_jobs n f] runs [f] with the default pool width overridden to
+    [n], then restores the previous override — or none, so that
+    {!default_jobs} follows [BALLARUS_JOBS] or the recommended count
+    again — however [f] ends.  Same restriction as {!set_jobs}. *)
 
 val get : unit -> t
 (** The process-wide pool, created on first use.  An [at_exit] hook

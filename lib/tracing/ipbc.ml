@@ -4,21 +4,21 @@ type distribution = {
   total_breaks : int;
   ipbc : float;
   miss_rate : float;
-  by_instructions : (int * float) array;
-  by_breaks : (int * float) array;
+  by_instructions : float array;
+  by_breaks : float array;
 }
 
+let bound j = (j + 1) * Sim.Trace_run.bucket_width
+
 let of_result (r : Sim.Trace_run.result) =
-  let n = Sim.Trace_run.nbuckets in
-  let w = Sim.Trace_run.bucket_width in
   let total_instrs = r.instr_count in
   let total_breaks = r.breaks in
   let fi = float_of_int in
   let cum_of values total =
     let acc = ref 0 in
-    Array.init n (fun j ->
+    Array.init Sim.Trace_run.nbuckets (fun j ->
         acc := !acc + values.(j);
-        ((j + 1) * w, if total = 0 then 0. else fi !acc /. fi total))
+        if total = 0 then 0. else fi !acc /. fi total)
   in
   {
     label = r.label;
@@ -32,24 +32,21 @@ let of_result (r : Sim.Trace_run.result) =
   }
 
 let dividing_length d =
+  let n = Array.length d.by_instructions in
   let rec go i =
-    if i >= Array.length d.by_instructions then
-      fst d.by_instructions.(Array.length d.by_instructions - 1)
-    else begin
-      let bound, frac = d.by_instructions.(i) in
-      if frac >= 0.5 then bound else go (i + 1)
-    end
+    if i >= n then bound (n - 1)
+    else if d.by_instructions.(i) >= 0.5 then bound i
+    else go (i + 1)
   in
   go 0
 
-let fraction_below d len =
-  let rec go i prev =
-    if i >= Array.length d.by_instructions then prev
-    else begin
-      let bound, frac = d.by_instructions.(i) in
-      if bound > len then prev else go (i + 1) frac
-    end
-  in
-  go 0 0.
+(* The last bucket whose bound is at most [len], or 0 before the
+   first. *)
+let below cum len =
+  let j = min (Array.length cum) (len / Sim.Trace_run.bucket_width) - 1 in
+  if j < 0 then 0. else cum.(j)
+
+let fraction_below d len = below d.by_instructions len
+let breaks_below d len = below d.by_breaks len
 
 let model ~miss_rate s = 1. -. ((1. -. miss_rate) ** float_of_int s)

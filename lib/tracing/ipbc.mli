@@ -15,12 +15,17 @@ type distribution = {
   ipbc : float;                (** total instrs / breaks: the
                                     profile-based average *)
   miss_rate : float;           (** all conditional branches *)
-  by_instructions : (int * float) array;
-  (** (length upper bound, cumulative fraction of executed
-      instructions in sequences of length < bound) — Graphs 4, 6-11 *)
-  by_breaks : (int * float) array;
+  by_instructions : float array;
+  (** [.(j)]: cumulative fraction of executed instructions in
+      sequences of length < [bound j] — Graphs 4, 6-11.  Flat floats,
+      so deriving a distribution allocates no tuple per bucket. *)
+  by_breaks : float array;
   (** same x-axis, cumulative fraction of breaks — Graph 5 *)
 }
+
+val bound : int -> int
+(** The length upper bound of bucket [j]: [j + 1] times
+    {!Sim.Trace_run.bucket_width}. *)
 
 val of_result : Sim.Trace_run.result -> distribution
 
@@ -30,7 +35,11 @@ val dividing_length : distribution -> int
 
 val fraction_below : distribution -> int -> float
 (** Fraction of executed instructions in sequences shorter than the
-    given length. *)
+    given length, read at the last bucket whose bound is at most that
+    length (0 below the first bound). *)
+
+val breaks_below : distribution -> int -> float
+(** The same for breaks (Graph 5). *)
 
 val model : miss_rate:float -> int -> float
 (** The analytic model of Graph 12: with unit basic blocks and

@@ -6,6 +6,8 @@
      fault-smoke         quick suite byte-identical over a damaged and
                          over an unwritable store
      obs-smoke           quick suite byte-identical when traced
+     contract-smoke      bpredict experiment all, run as a user runs
+                         it, prints the goldens at any -j, cold and warm
 
    The pool width is the default pool's: BALLARUS_JOBS, or the
    machine's recommended domain count.  Each gate prints its findings
@@ -44,7 +46,7 @@ let report gate ok_msg failures =
    Profiles four small workloads at -j 1 and at the effective width
    (four, so the pool has tasks to spread), and runs a capped subset
    enumeration the same way.  Each stage runs twice per width and the
-   second run is timed: the first after [set_jobs] pays each new
+   second run is timed: the first after [with_jobs] pays each new
    worker domain's start-up.  Fails when the parallel path is
    meaningfully slower than sequential — a speedup below 0.9x that
    also loses more than 50ms (so single-digit-ms timer noise on a
@@ -56,7 +58,6 @@ let perf_smoke () =
   (* the miss matrix feeding the subset stage is built once, outside
      the timed region; the stage times the walk itself, which a memo
      table would otherwise serve from memory the second time *)
-  Par.Pool.set_jobs jn;
   let m, _ = Experiments.Orderings.miss_matrix_cached () in
   let k = (Array.length m + 1) / 2 in
   let smoke_wls = [ "xlisp"; "gcc"; "rn"; "compress" ] in
@@ -74,7 +75,7 @@ let perf_smoke () =
   List.iter
     (fun (name, prepare, run) ->
       let timed jobs =
-        Par.Pool.set_jobs jobs;
+        Par.Pool.with_jobs jobs @@ fun () ->
         prepare ();
         run ();
         prepare ();
@@ -199,7 +200,9 @@ let fault_smoke () =
    misses the store nowhere; (3) each traced run's trace file parses
    as JSON and its traceEvents cover all six pipeline stages, whose
    spans together cover at least [min_stage_coverage] of the run's
-   wall time, so a run explains itself cold and warm; (4) a
+   wall time, so a run explains itself cold and warm (the prewarm
+   opens the first five, the miss matrix and subset walk included,
+   and [stage.render] wraps the parallel render); (4) a
    disabled Obs.span really is a no-op branch (a generous absolute
    bound on a tight loop of disabled spans, so a pessimised fast path
    fails loudly without making the gate timing-flaky); and (5) every
@@ -361,9 +364,143 @@ let obs_smoke () =
        warm_events)
     !failures
 
+(* ---- contract-smoke: the behaviour contract, end to end ----
+
+   Runs [bpredict experiment all] as a child process, the way a user
+   does, in four cases: [-j 1 --no-cache]; [-j 4] cold on an empty
+   private store; [-j 4] warm on that store; [--quick -j 2] warm.  Each
+   must exit 0, report [25 passed, 0 failed] on stderr, and print the
+   25 sections in registry order, each equal to its golden snapshot
+   ([graph2.full.expected] for graph2 in a full run).  The binary and
+   the snapshots are found next to this executable, where the alias
+   rule's dependencies put them. *)
+
+let here = Filename.dirname Sys.executable_name
+let bpredict = Filename.concat here "../bin/bpredict.exe"
+let golden file = read_file (Filename.concat here ("golden/" ^ file))
+
+(* [bpredict args] with the store in [store] and every other BALLARUS_
+   setting removed; its exit code, stdout and stderr. *)
+let run_bpredict ~store args =
+  let env =
+    Array.append
+      [| "BALLARUS_CACHE_DIR=" ^ store |]
+      (Array.of_list
+         (List.filter
+            (fun v -> not (String.starts_with ~prefix:"BALLARUS_" v))
+            (Array.to_list (Unix.environment ()))))
+  in
+  let out = Filename.concat store "stdout"
+  and err = Filename.concat store "stderr" in
+  let fd path =
+    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  let fo = fd out and fe = fd err in
+  let pid =
+    Unix.create_process_env bpredict
+      (Array.of_list (bpredict :: "experiment" :: "all" :: args))
+      env Unix.stdin fo fe
+  in
+  Unix.close fo;
+  Unix.close fe;
+  let code =
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED c -> c
+    | Unix.WSIGNALED s | Unix.WSTOPPED s -> 128 + abs s
+  in
+  let o = read_file out and e = read_file err in
+  Sys.remove out;
+  Sys.remove err;
+  (code, o, e)
+
+(* The sections of a run's stdout, in order: (title, body), the body
+   being everything between its header line and the next header. *)
+let sections out =
+  let n = String.length out in
+  let header l =
+    let k = String.length l in
+    if k > 10 && String.starts_with ~prefix:"==== " l
+       && String.ends_with ~suffix:" ====" l
+    then Some (String.sub l 5 (k - 10))
+    else None
+  in
+  (* (title, where its header starts, where its body starts) *)
+  let rec heads i acc =
+    if i >= n then List.rev acc
+    else begin
+      let eol = Option.value (String.index_from_opt out i '\n') ~default:n in
+      let acc =
+        match header (String.sub out i (eol - i)) with
+        | Some t -> (t, i, min n (eol + 1)) :: acc
+        | None -> acc
+      in
+      heads (eol + 1) acc
+    end
+  in
+  let rec bodies = function
+    | (t, _, b) :: ((_, next, _) :: _ as rest) ->
+      (t, String.sub out b (next - b)) :: bodies rest
+    | [ (t, _, b) ] -> [ (t, String.sub out b (n - b)) ]
+    | [] -> []
+  in
+  bodies (heads 0 [])
+
+let contract_smoke () =
+  Printf.printf "==== contract-smoke ====\n%!";
+  let store = Printf.sprintf "_contract_cache_%d" (Unix.getpid ()) in
+  let exps = Experiments.Driver.all in
+  let expected ~quick =
+    List.map
+      (fun (e : Experiments.Driver.experiment) ->
+        let file =
+          if e.id = "graph2" && not quick then "graph2.full.expected"
+          else e.id ^ ".expected"
+        in
+        (e.title, "\n" ^ golden file ^ "\n"))
+      exps
+  in
+  let failures = ref [] in
+  let check cond msg = if not cond then failures := msg :: !failures in
+  let case label ~quick args =
+    let t0 = Unix.gettimeofday () in
+    let code, out, err = run_bpredict ~store args in
+    let got = sections out and want = expected ~quick in
+    let summary = Printf.sprintf "%d passed, 0 failed" (List.length exps) in
+    Printf.printf "%-26s exit %d, %d sections, %.2f s\n%!" label code
+      (List.length got) (Unix.gettimeofday () -. t0);
+    let check cond msg = check cond (label ^ ": " ^ msg) in
+    check (code = 0) (Printf.sprintf "exit %d" code);
+    check (contains err summary) ("stderr lacks " ^ summary);
+    check
+      (List.map fst got = List.map fst want)
+      "sections missing or not in registry order";
+    List.iter2
+      (fun (e : Experiments.Driver.experiment) (title, body) ->
+        match List.assoc_opt title got with
+        | Some b when String.equal b body -> ()
+        | Some _ -> check false (e.id ^ " differs from its golden")
+        | None -> ())
+      exps want
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat store f))
+        (try Sys.readdir store with Sys_error _ -> [||]);
+      try Sys.rmdir store with Sys_error _ -> ())
+    (fun () ->
+      Unix.mkdir store 0o755;
+      case "-j 1 --no-cache" ~quick:false [ "-j"; "1"; "--no-cache" ];
+      case "-j 4 cold" ~quick:false [ "-j"; "4" ];
+      case "-j 4 warm" ~quick:false [ "-j"; "4" ];
+      case "--quick -j 2 warm" ~quick:true [ "--quick"; "-j"; "2" ]);
+  report "contract-smoke"
+    "four runs print the goldens in registry order" !failures
+
 let gates =
   [
     ("perf-smoke", perf_smoke);
     ("fault-smoke", fault_smoke);
     ("obs-smoke", obs_smoke);
+    ("contract-smoke", contract_smoke);
   ]

@@ -254,6 +254,94 @@ let test_trace_spans () =
       checkb "one trace span per traced workload" true
         (List.sort compare attrs = List.sort compare expected))
 
+let span_count name =
+  List.length
+    (List.filter (fun (e : Obs.event) -> e.name = name) (Obs.events ()))
+
+(* The quick prewarm fills every table the quick suite reads: with the
+   store off, rendering all 25 experiments afterwards compiles,
+   profiles, traces and walks nothing. *)
+let test_prewarm_fills_render () =
+  let was = Obs.enabled () and stored = Cache.Store.enabled () in
+  Cache.Store.set_enabled false;
+  Fun.protect
+    ~finally:(fun () ->
+      if not was then Obs.disable ();
+      Cache.Store.set_enabled stored;
+      Obs.reset_events ())
+    (fun () ->
+      Experiments.Driver.prewarm ~quick:true ();
+      Obs.reset_events ();
+      Obs.enable ();
+      let steps = metric "subset.column_steps" in
+      let buf = Buffer.create (1 lsl 16) in
+      let ppf = Format.formatter_of_buffer buf in
+      let s =
+        Experiments.Driver.run_list ~quick:true ~warm:false
+          Experiments.Driver.all ppf
+      in
+      checki "no experiment failed" 0 s.failed;
+      List.iter
+        (fun name -> checki (name ^ " spans in the render") 0 (span_count name))
+        [ "compile"; "profile"; "trace" ];
+      checki "25 experiment spans" 25 (span_count "experiment");
+      checki "subset.column_steps unchanged" steps
+        (metric "subset.column_steps"))
+
+(* The render fans out across the pool but prints in list order: a
+   list whose slow members finish last, with a raising member in the
+   middle, prints the same bytes at width 1 and 3, the failure banner
+   in the raising member's slot. *)
+let test_render_order () =
+  let exp id run =
+    { Experiments.Driver.id; title = "T " ^ id; run; quick_run = None }
+  in
+  let slow id ppf =
+    Unix.sleepf 0.02;
+    Format.fprintf ppf "%s done@." id
+  in
+  let exps =
+    [
+      exp "a" (slow "a");
+      exp "b" (fun ppf -> Format.fprintf ppf "b done@.");
+      exp "boom" (fun ppf ->
+          Format.fprintf ppf "partial@.";
+          failwith "boom");
+      exp "c" (slow "c");
+      exp "graph12" Experiments.Traces.graph12;
+      exp "d" (fun ppf -> Format.fprintf ppf "d done@.");
+    ]
+  in
+  let render jobs =
+    Par.Pool.with_jobs jobs @@ fun () ->
+    let buf = Buffer.create 4096 in
+    let ppf = Format.formatter_of_buffer buf in
+    let s = Experiments.Driver.run_list ~warm:false exps ppf in
+    Format.pp_print_flush ppf ();
+    (Buffer.contents buf, s)
+  in
+  let out1, s1 = render 1 in
+  let out3, s3 = render 3 in
+  checks "width 1 = width 3" out1 out3;
+  checki "one failure" 1 s3.failed;
+  checkb "same results" true
+    (List.map fst s1.results = List.map fst s3.results
+    && List.map fst s3.results = List.map (fun e -> e.Experiments.Driver.id) exps);
+  let at needle =
+    let n = String.length needle in
+    let rec go i =
+      if i + n > String.length out3 then Alcotest.fail ("missing " ^ needle)
+      else if String.sub out3 i n = needle then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  checkb "banner in its slot" true
+    (at "==== T b ====" < at "==== T boom ===="
+    && at "==== T boom ====" < at "!! boom FAILED [hard]: Failure(\"boom\")"
+    && at "!! boom FAILED" < at "==== T c ====");
+  checkb "no partial table" false (contains out3 "partial")
+
 let tests =
   [
     ( "stats",
@@ -267,6 +355,10 @@ let tests =
           test_load_all_once;
         Alcotest.test_case "trace span per traced workload" `Quick
           test_trace_spans;
+        Alcotest.test_case "prewarm fills the render" `Quick
+          test_prewarm_fills_render;
+        Alcotest.test_case "render order at any width" `Quick
+          test_render_order;
       ] );
     ( "paper claims",
       [

@@ -66,15 +66,13 @@ let test_determinism_oracle_uses_pool () =
     Predict.Database.make prog (Cfg.Analysis.of_program prog)
       ~taken:profile.taken ~fall:profile.fall
   in
-  let prev = Par.Pool.default_jobs () in
-  Par.Pool.set_jobs 4;
+  Par.Pool.with_jobs 4 @@ fun () ->
   Obs.reset_events ();
   Obs.enable ();
   Fun.protect
     ~finally:(fun () ->
       Obs.disable ();
-      Obs.reset_events ();
-      Par.Pool.set_jobs prev)
+      Obs.reset_events ())
     (fun () ->
       ignore (Predict.Ordering.miss_matrix [| db |]);
       checkb "-j 4 records a pool.job span" true

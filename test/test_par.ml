@@ -200,12 +200,74 @@ let test_job_dropped_after_join () =
         checkb "still cleared" false (Par.Pool.has_pending_job p)
       done)
 
+(* A [run] nested in a task of the same pool runs inline on the task's
+   domain: every inner index runs exactly once, an inner exception
+   reaches the task (or, uncaught, the outer caller) as itself, and the
+   outer job stays the pool's job until it completes — a nested job
+   posted to the pool would take the job slot and clear it on its own
+   join. *)
+let test_nested_run_inline () =
+  with_pool 3 (fun p ->
+      let outer = Array.make 8 0 in
+      let inner = Array.init 8 (fun _ -> Array.make 5 0) in
+      let caught = Array.make 8 false in
+      let kept = Array.make 8 false in
+      Par.Pool.run p 8 (fun i ->
+          Par.Pool.run p 5 (fun j -> inner.(i).(j) <- inner.(i).(j) + 1);
+          (match Par.Pool.run p 4 (fun j -> if j = 2 then raise Boom) with
+          | () -> ()
+          | exception Boom -> caught.(i) <- true);
+          kept.(i) <- Par.Pool.has_pending_job p;
+          outer.(i) <- outer.(i) + 1);
+      Array.iter (checki "outer index once" 1) outer;
+      Array.iter (Array.iter (checki "inner index once" 1)) inner;
+      Array.iter (checkb "inner exception reached its task" true) caught;
+      Array.iter (checkb "outer job kept its slot" true) kept;
+      (match
+         Par.Pool.run p 4 (fun i ->
+             Par.Pool.run p 3 (fun j -> if i = 1 && j = 1 then raise Boom))
+       with
+      | () -> Alcotest.fail "expected the nested exception to surface"
+      | exception Boom -> ());
+      checkb "job slot cleared" false (Par.Pool.has_pending_job p);
+      let sum = Atomic.make 0 in
+      Par.Pool.run p 8 (fun i -> ignore (Atomic.fetch_and_add sum i));
+      checki "pool still works" 28 (Atomic.get sum))
+
 let test_default_pool_set_jobs () =
-  Par.Pool.set_jobs 3;
-  checki "requested width" 3 (Par.Pool.default_jobs ());
-  checki "pool width follows" 3 (Par.Pool.jobs (Par.Pool.get ()));
-  Par.Pool.set_jobs 1;
-  checki "re-created narrower" 1 (Par.Pool.jobs (Par.Pool.get ()))
+  Par.Pool.with_jobs 3 (fun () ->
+      checki "requested width" 3 (Par.Pool.default_jobs ());
+      checki "pool width follows" 3 (Par.Pool.jobs (Par.Pool.get ()));
+      Par.Pool.with_jobs 1 (fun () ->
+          checki "re-created narrower" 1 (Par.Pool.jobs (Par.Pool.get ())));
+      checki "outer width restored" 3 (Par.Pool.jobs (Par.Pool.get ())))
+
+(* Once [with_jobs] returns, or raises, the width follows BALLARUS_JOBS
+   or the recommended domain count again: no override is left behind. *)
+let test_with_jobs_restores_no_override () =
+  let unset () =
+    match Sys.getenv_opt "BALLARUS_JOBS" with
+    | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some n when n >= 1 -> n
+      | _ -> Domain.recommended_domain_count ())
+    | None -> Domain.recommended_domain_count ()
+  in
+  let env = Sys.getenv_opt "BALLARUS_JOBS" in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "BALLARUS_JOBS" (Option.value env ~default:""))
+    (fun () ->
+      checki "no override before" (unset ()) (Par.Pool.default_jobs ());
+      Par.Pool.with_jobs 3 (fun () -> ());
+      checki "no override after" (unset ()) (Par.Pool.default_jobs ());
+      checki "pool follows" (unset ()) (Par.Pool.jobs (Par.Pool.get ()));
+      Unix.putenv "BALLARUS_JOBS" "5";
+      (try Par.Pool.with_jobs 2 (fun () -> raise Boom) with Boom -> ());
+      checki "BALLARUS_JOBS after a raise" 5 (Par.Pool.default_jobs ());
+      Unix.putenv "BALLARUS_JOBS" "";
+      Par.Pool.with_jobs 2 (fun () -> ());
+      checki "recommended count after" (Domain.recommended_domain_count ())
+        (Par.Pool.default_jobs ()))
 
 let tests =
   [
@@ -230,6 +292,9 @@ let tests =
           test_fewer_tasks_than_jobs;
         Alcotest.test_case "job dropped after join" `Quick
           test_job_dropped_after_join;
+        Alcotest.test_case "nested run inline" `Quick test_nested_run_inline;
         Alcotest.test_case "default pool" `Quick test_default_pool_set_jobs;
+        Alcotest.test_case "with_jobs restores no override" `Quick
+          test_with_jobs_restores_no_override;
       ] );
   ]

@@ -651,9 +651,7 @@ let prop_unrank_rank_roundtrip =
       = r)
 
 (* The parallel enumeration must be bit-identical at any domain count. *)
-let with_jobs jobs f =
-  Par.Pool.set_jobs jobs;
-  Fun.protect ~finally:(fun () -> Par.Pool.set_jobs 1) f
+let with_jobs = Par.Pool.with_jobs
 
 let random_matrix nb no seed =
   (* deterministic pseudo-random miss matrix in [0, 1) *)

@@ -42,17 +42,8 @@ let test_skewed_distribution () =
   checkb "few instructions below the average" true
     (Tracing.Ipbc.fraction_below d 100 < 0.05);
   (* while 99% of breaks are below it *)
-  let breaks_below =
-    let rec go i prev =
-      if i >= Array.length d.by_breaks then prev
-      else begin
-        let bound, frac = d.by_breaks.(i) in
-        if bound > 100 then prev else go (i + 1) frac
-      end
-    in
-    go 0 0.
-  in
-  checkb "most breaks below the average" true (breaks_below > 0.9);
+  checkb "most breaks below the average" true
+    (Tracing.Ipbc.breaks_below d 100 > 0.9);
   (* dividing length: over half the instructions live in the big
      sequence's bucket *)
   checkb "dividing length is large" true (Tracing.Ipbc.dividing_length d > 5000)
@@ -63,17 +54,17 @@ let test_cumulative_monotone () =
   let mono arr =
     let ok = ref true in
     for i = 1 to Array.length arr - 1 do
-      if snd arr.(i) < snd arr.(i - 1) -. 1e-12 then ok := false
+      if arr.(i) < arr.(i - 1) -. 1e-12 then ok := false
     done;
     !ok
   in
   checkb "by_instructions monotone" true (mono d.by_instructions);
   checkb "by_breaks monotone" true (mono d.by_breaks);
   checkb "ends at 1 (instructions)" true
-    (abs_float (snd d.by_instructions.(Array.length d.by_instructions - 1) -. 1.)
+    (abs_float (d.by_instructions.(Array.length d.by_instructions - 1) -. 1.)
     < 1e-9);
   checkb "ends at 1 (breaks)" true
-    (abs_float (snd d.by_breaks.(Array.length d.by_breaks - 1) -. 1.) < 1e-9)
+    (abs_float (d.by_breaks.(Array.length d.by_breaks - 1) -. 1.) < 1e-9)
 
 let test_model () =
   let open Tracing.Ipbc in
