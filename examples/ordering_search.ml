@@ -43,7 +43,7 @@ let run args =
   let paper = Predict.Ordering.index_of_order Predict.Combined.paper_order in
   Printf.printf "paper order held-out miss: %.1f%%\n"
     (100. *. avg_over test paper);
-  let gbest, gv = Predict.Ordering.best_order m in
+  let gbest, gv = Predict.Ordering.best_order (Predict.Ordering.averages m) in
   Printf.printf "global best order (all benchmarks): %s (%.1f%%)\n"
     (String.concat " "
        (List.map Predict.Heuristic.name (Predict.Ordering.order_of_index gbest)))

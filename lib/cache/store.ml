@@ -52,34 +52,39 @@ let entry_path ~table key =
    It makes truncation and bit corruption detectable, and binds the
    bytes to the name they were written under, so an entry copied or
    renamed onto another key's name (whose payload may be another
-   table's type) is never unmarshalled. *)
-let seal path payload =
-  Digest.to_hex (Digest.string (Filename.basename path ^ Digest.string payload))
+   table's type) is never unmarshalled.  [payload_digest] is
+   [Digest.string payload]. *)
+let seal path payload_digest =
+  Digest.to_hex (Digest.string (Filename.basename path ^ payload_digest))
 
 (* An entry is [format_tag] NL [seal] NL [payload].  A missing entry is
    a [`Miss]; an existing but damaged or misplaced one is [`Corrupt],
-   which the caller quarantines. *)
+   which the caller quarantines.  The file is read whole, once; the
+   payload is sealed and unmarshalled where it lies in that string. *)
 let read_entry path =
   match open_in_bin path with
   | exception Sys_error _ -> `Miss
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match
-          let tag = input_line ic in
-          let hex = input_line ic in
-          let len = in_channel_length ic - pos_in ic in
-          let payload = really_input_string ic len in
-          (tag, hex, payload)
-        with
+  | ic -> (
+    match
+      let s =
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
+      in
+      let nl1 = String.index s '\n' in
+      let nl2 = String.index_from s (nl1 + 1) '\n' in
+      (s, String.sub s 0 nl1, String.sub s (nl1 + 1) (nl2 - nl1 - 1), nl2 + 1)
+    with
+    | exception _ -> `Corrupt
+    | s, tag, hex, off ->
+      if
+        tag = format_tag
+        && seal path (Digest.substring s off (String.length s - off)) = hex
+      then
+        match Marshal.from_string s off with
+        | v -> `Hit v
         | exception _ -> `Corrupt
-        | tag, hex, payload ->
-          if tag = format_tag && seal path payload = hex then
-            match Marshal.from_string payload 0 with
-            | v -> `Hit v
-            | exception _ -> `Corrupt
-          else `Corrupt)
+      else `Corrupt)
 
 (* Delete a damaged entry so it cannot re-trip every subsequent run;
    count it either way.  Deletion failing (e.g. a concurrent writer
@@ -104,7 +109,7 @@ let write_entry path payload =
       (fun () ->
         output_string oc format_tag;
         output_char oc '\n';
-        output_string oc (seal path payload);
+        output_string oc (seal path (Digest.string payload));
         output_char oc '\n';
         output_string oc payload);
     (* atomic publish: concurrent writers of the same key race benignly,

@@ -167,38 +167,28 @@ let miss_matrix dbs =
       done);
   m
 
-let sorted_average m =
+(* Summed over b = 0 .. nb-1 in that order, so every caller gets the
+   same floats bit for bit. *)
+let averages m =
   let nb = Array.length m in
   if nb = 0 then [||]
-  else begin
-    let no = Array.length m.(0) in
-    let avg = Array.make no 0. in
-    for o = 0 to no - 1 do
-      let s = ref 0. in
-      for b = 0 to nb - 1 do
-        s := !s +. m.(b).(o)
-      done;
-      avg.(o) <- !s /. float_of_int nb
-    done;
-    Array.stable_sort Float.compare avg;
-    avg
-  end
+  else
+    Array.init (Array.length m.(0)) (fun o ->
+        let s = ref 0. in
+        for b = 0 to nb - 1 do
+          s := !s +. m.(b).(o)
+        done;
+        !s /. float_of_int nb)
 
-let best_order m =
-  let nb = Array.length m in
-  let no = Array.length m.(0) in
+let best_order avg =
   let best = ref 0 and best_v = ref infinity in
-  for o = 0 to no - 1 do
-    let s = ref 0. in
-    for b = 0 to nb - 1 do
-      s := !s +. m.(b).(o)
-    done;
-    let v = !s /. float_of_int nb in
-    if v < !best_v then begin
-      best := o;
-      best_v := v
-    end
-  done;
+  Array.iteri
+    (fun o v ->
+      if v < !best_v then begin
+        best := o;
+        best_v := v
+      end)
+    avg;
   (!best, !best_v)
 
 let pairwise_order dbs =

@@ -41,13 +41,15 @@ val miss_matrix : Database.t array -> float array array
     {!Par.Pool} default pool; each cell is written by exactly one task,
     so the matrix is identical at any [-j]. *)
 
-val sorted_average : float array array -> float array
-(** Graph 1's series: the per-order average across benchmarks, sorted
-    ascending. *)
+val averages : float array array -> float array
+(** [averages m]: per order [o], the mean of [m.(b).(o)] over the
+    benchmarks, summed in benchmark order so every caller (Graph 1,
+    the ablation, {!Subset.run}'s [overall]) gets the same floats bit
+    for bit; [[||]] when [m] has no rows. *)
 
-val best_order : float array array -> int * float
-(** Order index minimising the cross-benchmark average, with its
-    average miss rate. *)
+val best_order : float array -> int * float
+(** [best_order avg]: the first order index minimising the per-order
+    averages {!averages}, with its average miss rate. *)
 
 val pairwise_order : Database.t array -> Combined.order
 (** The cheaper ordering strategy of Section 5: compare each pair of

@@ -538,14 +538,7 @@ let run ?k ?(max_trials = max_int) (m : float array array) =
         acc)
       ~init:(Array.make no_all 0) ()
   in
-  let overall =
-    Array.init no_all (fun o ->
-        let s = ref 0. in
-        for b = 0 to nb - 1 do
-          s := !s +. m.(b).(o)
-        done;
-        !s /. float_of_int nb)
-  in
+  let overall = Ordering.averages m in
   let wins =
     Array.to_list win_counts
     |> List.mapi (fun o c -> (o, c))

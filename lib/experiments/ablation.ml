@@ -40,24 +40,17 @@ let btfn ppf =
         ];
       ])
 
-let eval_order_avg order =
-  let m, rs = Orderings.miss_matrix_cached () in
-  ignore rs;
-  let idx = Predict.Ordering.index_of_order order in
-  let nb = Array.length m in
-  let s = ref 0. in
-  for b = 0 to nb - 1 do
-    s := !s +. m.(b).(idx)
-  done;
-  !s /. float_of_int nb
-
 let pairwise ppf =
   Format.fprintf ppf
     "Ablation: ordering strategies (avg non-loop miss, matrix300 excl.)@.@.";
-  let m, rs = Orderings.miss_matrix_cached () in
-  let dbs = Array.of_list (List.map (fun (r : Bench_run.t) -> r.db) rs) in
+  let avg = Orderings.order_averages () in
+  let eval_order_avg order = avg.(Predict.Ordering.index_of_order order) in
+  let dbs =
+    Array.of_list
+      (List.map (fun (r : Bench_run.t) -> r.db) (Orderings.benchmarks ()))
+  in
   let pw = Predict.Ordering.pairwise_order dbs in
-  let best_idx, best_v = Predict.Ordering.best_order m in
+  let best_idx, best_v = Predict.Ordering.best_order avg in
   let name o = String.concat " " (List.map Predict.Heuristic.name o) in
   Texttab.render ppf
     ~header:[ "strategy"; "avg miss %"; "order" ]

@@ -8,13 +8,8 @@ type t = {
   db : Predict.Database.t;
 }
 
-(* The digest of a program's marshalled bytes: the program's part of
-   every key that depends on it, computed once per [load]. *)
-let digest_of (prog : Mips.Program.t) =
-  Digest.string (Marshal.to_string prog [])
-
-(* Edge profiles are keyed by (program digest, dataset) content, so
-   recompiling an unchanged workload still hits on disk. *)
+(* Edge profiles are keyed by (source digest, dataset): under one
+   build fingerprint the program is a pure function of its source. *)
 let profiles = Cache.Memo.create ~persist:true "profile"
 
 let profile_for (wl : Workloads.Workload.t) ~decoded ~digest prog
@@ -24,33 +19,45 @@ let profile_for (wl : Workloads.Workload.t) ~decoded ~digest prog
         ~attrs:[ ("workload", wl.name); ("dataset", ds.name) ]
         (fun () -> Sim.Profile.run ~decoded prog ds))
 
-(* Compiled programs are keyed by source text.  The build fingerprint
-   in every entry's name digests the compiler, so a stored program is
-   always what this build would compile. *)
+(* A program's static facts, keyed by source text: the database of
+   its branches with zero counts, which holds the program and its CFG
+   analyses too.  The build fingerprint in every entry's name digests
+   the compiler and the analyses, so a stored entry is always what
+   this build would derive. *)
 let programs = Cache.Memo.create ~persist:true "program"
+
+let static_facts (wl : Workloads.Workload.t) =
+  Cache.Memo.find programs wl.source (fun () ->
+      let prog =
+        Obs.span ~name:"compile" ~attrs:[ ("workload", wl.name) ] (fun () ->
+            Workloads.Workload.compile wl)
+      in
+      let zeros =
+        Array.map
+          (fun (p : Mips.Program.proc) -> Array.make (Array.length p.body) 0)
+          prog.procs
+      in
+      Predict.Database.make prog
+        (Cfg.Analysis.of_program prog)
+        ~taken:zeros ~fall:zeros)
 
 let loads = Cache.Memo.create "bench_run.load"
 
 let load (wl : Workloads.Workload.t) =
-  let name = wl.name in
-  Cache.Memo.find loads name (fun () ->
-      let prog =
-        Cache.Memo.find programs wl.source (fun () ->
-            Obs.span ~name:"compile" ~attrs:[ ("workload", name) ] (fun () ->
-                Workloads.Workload.compile wl))
-      in
-      let digest = digest_of prog in
+  Cache.Memo.find loads wl.name (fun () ->
+      let static = static_facts wl in
+      let prog = static.program in
+      let digest = Digest.string wl.source in
       let decoded = Sim.Decode.of_program prog in
-      let analyses = Cfg.Analysis.of_program prog in
       let profile =
         profile_for wl ~decoded ~digest prog
           (Workloads.Workload.primary_dataset wl)
       in
       let db =
-        Predict.Database.make prog analyses ~taken:profile.taken
+        Predict.Database.with_counts static ~taken:profile.taken
           ~fall:profile.fall
       in
-      { wl; prog; digest; decoded; analyses; profile; db })
+      { wl; prog; digest; decoded; analyses = static.analyses; profile; db })
 
 (* Every table asks for the whole list; the stage runs once per
    [reset]. *)

@@ -5,18 +5,22 @@
     per-procedure CFG analyses, the edge profile of the primary
     dataset, and the resulting branch database.
 
-    Compiled programs (keyed by source text) and edge profiles (keyed
-    by program digest and dataset content) are memoised in persisted
-    {!Cache.Memo} tables, so a warm process neither compiles nor
+    Two persisted {!Cache.Memo} tables hold what a warm process reads
+    instead of deriving: [program], keyed by source text, holds the
+    branch database with zero counts, and with it the compiled program
+    and its CFG analyses (every branch's class and heuristic verdicts
+    included); [profile], keyed by source digest and dataset, holds
+    the edge profiles.  A warm process neither compiles, analyses nor
     simulates. *)
 
 type t = {
   wl : Workloads.Workload.t;
   prog : Mips.Program.t;
   digest : Digest.t;
-      (** of [prog]'s marshalled bytes, computed once by {!load}: the
-          program's part of every key derived from it (profiles,
-          traces, the subset walk), so no lookup marshals [prog] *)
+      (** of the workload's source text: under one build fingerprint
+          the program is a pure function of it, so it stands for the
+          program in every key derived from it (profiles, traces, the
+          per-order averages and the subset walk) *)
   decoded : Sim.Decode.t;  (** [prog] pre-decoded, for re-simulation *)
   analyses : Cfg.Analysis.t array;
   profile : Sim.Profile.t;
@@ -25,9 +29,10 @@ type t = {
 
 val load : Workloads.Workload.t -> t
 (** Compile, analyse, and profile on the primary dataset (memoised per
-    workload name; safe to call from multiple domains).  A compile
-    that runs, rather than being read from the store, records a
-    [compile] span. *)
+    workload name; safe to call from multiple domains).  [db] is the
+    stored zero-count database with the primary profile's counts
+    ({!Predict.Database.with_counts}).  A compile that runs, rather
+    than being read from the store, records a [compile] span. *)
 
 val load_all : unit -> t list
 (** All benchmarks of {!Workloads.Registry.all}.  The independent

@@ -53,13 +53,16 @@ let find id = List.find_opt (fun e -> String.equal e.id id) all
 
 (* Fill every memo table the experiments read from, fanning the
    independent per-workload pipelines (and the per-workload trace
-   simulations, the per-dataset profiles, the miss matrix and the
-   subset walk — capped as [--quick] caps it) across the default pool.
-   The experiments then only print. *)
+   simulations, the per-dataset profiles, the per-order averages and
+   the subset walk — capped as [--quick] caps it) across the default
+   pool.  The experiments then only print.  On a warm store the miss
+   matrix behind the averages and the walk is never built, but its
+   stage still opens, around the averages. *)
 let prewarm ?(quick = false) () =
   ignore (Bench_run.load_all ());
   Traces.warm ();
   Datasets_exp.warm ();
+  ignore (Obs.span ~name:"stage.miss_matrix" Orderings.order_averages);
   let max_trials = if quick then Some Orderings.quick_max_trials else None in
   ignore (Orderings.subset_result ?max_trials ())
 

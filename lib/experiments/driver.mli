@@ -19,8 +19,11 @@ val find : string -> experiment option
 
 val prewarm : ?quick:bool -> unit -> unit
 (** Fill every memo table the experiments read — benchmarks, traces,
-    per-dataset databases, the miss matrix and the subset walk — in
-    parallel on the {!Par.Pool} default pool.  [quick] (default
+    per-dataset databases, the per-order averages (under a
+    [stage.miss_matrix] span) and the subset walk — in parallel on the
+    {!Par.Pool} default pool.  On a warm store nothing is derived: the
+    miss matrix is built only when the averages or the walk miss the
+    store.  [quick] (default
     [false]) walks the subset experiment's [--quick] cap
     ({!Orderings.quick_max_trials}) instead of all 705,432 trials. *)
 

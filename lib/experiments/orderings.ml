@@ -1,16 +1,36 @@
+(* The benchmarks of the ordering study: every workload but
+   matrix300, in registry order. *)
+let benchmarks () =
+  List.filter
+    (fun (r : Bench_run.t) -> not (String.equal r.wl.name "matrix300"))
+    (Bench_run.load_all ())
+
+(* Under one build fingerprint the matrix is a pure function of each
+   benchmark's program and primary dataset, so the products derived
+   from it are keyed by those 22 pairs, never by the matrix's own
+   bytes. *)
+let inputs rs =
+  List.map
+    (fun (r : Bench_run.t) ->
+      (r.digest, Workloads.Workload.primary_dataset r.wl))
+    rs
+
 let matrices = Cache.Memo.create "orderings.miss_matrix"
 
 let miss_matrix_cached () =
   Cache.Memo.find matrices () (fun () ->
-      Obs.span ~name:"stage.miss_matrix" (fun () ->
-          let rs =
-            Par.Pool.parallel_map_list (Par.Pool.get ()) Bench_run.load
-              (Workloads.Registry.without [ "matrix300" ])
-          in
+      Obs.span ~name:"miss_matrix" (fun () ->
+          let rs = benchmarks () in
           let dbs =
             Array.of_list (List.map (fun (r : Bench_run.t) -> r.db) rs)
           in
           (Predict.Ordering.miss_matrix dbs, rs)))
+
+let averages = Cache.Memo.create ~persist:true "order_averages"
+
+let order_averages () =
+  Cache.Memo.find averages (inputs (benchmarks ())) (fun () ->
+      Predict.Ordering.averages (fst (miss_matrix_cached ())))
 
 let order_string idx =
   String.concat " "
@@ -20,8 +40,9 @@ let graph1 ppf =
   Format.fprintf ppf
     "Graph 1: average non-loop miss rate for all 5040 orderings@.";
   Format.fprintf ppf "(matrix300 excluded; sorted by miss rate)@.@.";
-  let m, _ = miss_matrix_cached () in
-  let sorted = Predict.Ordering.sorted_average m in
+  let avg = order_averages () in
+  let sorted = Array.copy avg in
+  Array.stable_sort Float.compare sorted;
   let n = Array.length sorted in
   let pick rank = sorted.(min (n - 1) rank) in
   let rows =
@@ -37,33 +58,24 @@ let graph1 ppf =
     (Texttab.pct1 (Stats.percentile sorted 0.5))
     (Texttab.pct1 sorted.(n - 1))
     (Texttab.pct1 (sorted.(n - 1) -. sorted.(0)));
-  let best_idx, best_v = Predict.Ordering.best_order m in
+  let best_idx, best_v = Predict.Ordering.best_order avg in
   Format.fprintf ppf "best order: %s (%s%%)@." (order_string best_idx)
     (Texttab.pct1 best_v)
 
 let quick_max_trials = 20_000
 
-(* Under one build fingerprint the matrix is a pure function of each
-   benchmark's program and primary dataset, so the walk is keyed by
-   those 22 pairs, [k] and the cap, never by the matrix's own bytes. *)
+(* Keyed like the averages, plus [k] and the cap. *)
 let subsets = Cache.Memo.create ~persist:true "subset"
 
 let subset_result ?max_trials () =
-  let m, rs = miss_matrix_cached () in
+  let rs = benchmarks () in
   let k = (List.length rs + 1) / 2 in
-  let inputs =
-    List.map
-      (fun (r : Bench_run.t) ->
-        (r.digest, Workloads.Workload.primary_dataset r.wl))
-      rs
-  in
   Obs.span ~name:"stage.subset" (fun () ->
-      Cache.Memo.find subsets (inputs, k, max_trials) (fun () ->
-          Predict.Subset.run ~k ?max_trials m))
+      Cache.Memo.find subsets (inputs rs, k, max_trials) (fun () ->
+          Predict.Subset.run ~k ?max_trials (fst (miss_matrix_cached ()))))
 
 let graph2_3_table4 ?max_trials ppf =
-  let _, rs = miss_matrix_cached () in
-  let nb = List.length rs in
+  let nb = List.length (benchmarks ()) in
   let k = (nb + 1) / 2 in
   let result = subset_result ?max_trials () in
   Format.fprintf ppf

@@ -17,6 +17,11 @@ let pct_non_loop r =
 let by_non_loop_share rs =
   List.sort (fun a b -> compare (pct_non_loop b) (pct_non_loop a)) rs
 
+(* Each workload of a group, sorted as in Table 2, with its [cell] for
+   every column: computed once for its row and for the summary rows. *)
+let with_cells cell columns group =
+  List.map (fun r -> (r, List.map (cell r) columns)) (by_non_loop_share group)
+
 let table1 ppf =
   Format.fprintf ppf "Table 1: benchmarks, sorted by code size within group@.";
   Format.fprintf ppf "(SPEC89 members marked *; sizes in IR instructions)@.@.";
@@ -133,14 +138,16 @@ let table3 ppf =
         M.perfect_rate covered )
     end
   in
-  let render_row (r : Bench_run.t) =
+  let irows = with_cells cell heuristics ints
+  and frows = with_cells cell heuristics floats in
+  let cells = irows @ frows in
+  let render_row ((r : Bench_run.t), row) =
     r.wl.name :: Texttab.pct (pct_non_loop r)
     :: List.concat_map
-         (fun h ->
-           let cov, miss, prf = cell r h in
+         (fun (cov, miss, prf) ->
            if String.equal cov "" then [ ""; "" ]
            else [ cov; Texttab.ratio miss prf ])
-         heuristics
+         row
   in
   let header =
     "Program" :: "NL"
@@ -148,13 +155,11 @@ let table3 ppf =
          (fun h -> [ Predict.Heuristic.name h; "miss/prf" ])
          heuristics
   in
-  let rows group = List.map render_row (by_non_loop_share group) in
   (* means over non-blank entries *)
-  let all = by_non_loop_share ints @ by_non_loop_share floats in
   let mean_cells stat =
     List.concat_map
-      (fun h ->
-        let entries = List.map (fun r -> cell r h) all in
+      (fun i ->
+        let entries = List.map (fun (_, row) -> List.nth row i) cells in
         let covs =
           List.filter_map
             (fun (c, _, _) ->
@@ -167,12 +172,12 @@ let table3 ppf =
           (if covs = [] then "" else Printf.sprintf "%.0f" (stat (List.map (fun c -> c /. 100.) covs) *. 100.));
           Texttab.ratio (stat misses) (stat prfs);
         ])
-      heuristics
+      (List.init (List.length heuristics) Fun.id)
   in
   Texttab.render ppf ~header
-    (rows ints
+    (List.map render_row irows
     @ [ [ "--" ] ]
-    @ rows floats
+    @ List.map render_row frows
     @ [ "MEAN" :: "" :: mean_cells Stats.mean;
         "Std.Dev" :: "" :: mean_cells Stats.stddev ])
 
@@ -208,25 +213,26 @@ let table5 ppf =
       Some (cov, M.miss_rate pred slice, M.perfect_rate slice)
     end
   in
-  let render_row (r : Bench_run.t) =
+  let irows = with_cells cell sources ints
+  and frows = with_cells cell sources floats in
+  let cells = irows @ frows in
+  let render_row ((r : Bench_run.t), row) =
     r.wl.name
     :: List.concat_map
-         (fun src ->
-           match cell r src with
+         (function
            | None -> [ ""; "" ]
            | Some (cov, miss, prf) ->
              [ Texttab.pct cov; Texttab.ratio miss prf ])
-         sources
+         row
   in
   let header =
     "Program"
     :: List.concat_map (fun s -> [ source_name s; "miss/prf" ]) sources
   in
-  let all = by_non_loop_share ints @ by_non_loop_share floats in
   let stat_cells stat =
     List.concat_map
-      (fun src ->
-        let entries = List.filter_map (fun r -> cell r src) all in
+      (fun i ->
+        let entries = List.filter_map (fun (_, row) -> List.nth row i) cells in
         if entries = [] then [ ""; "" ]
         else begin
           let covs = List.map (fun (c, _, _) -> c) entries in
@@ -237,12 +243,12 @@ let table5 ppf =
             Texttab.ratio (stat misses) (stat prfs);
           ]
         end)
-      sources
+      (List.init (List.length sources) Fun.id)
   in
   Texttab.render ppf ~header
-    (List.map render_row (by_non_loop_share ints)
+    (List.map render_row irows
     @ [ [ "--" ] ]
-    @ List.map render_row (by_non_loop_share floats)
+    @ List.map render_row frows
     @ [ "MEAN" :: stat_cells Stats.mean; "Std.Dev" :: stat_cells Stats.stddev ])
 
 (* ---------------- Table 6 ---------------- *)
@@ -337,28 +343,21 @@ let table7 ppf =
   Format.fprintf ppf
     " dominated by a handful of branches; entries are mean +- std)@.@.";
   let excluded = [ "eqntott"; "grep"; "tomcatv"; "matrix300" ] in
-  let all = Bench_run.load_all () in
-  let most =
-    List.filter (fun (r : Bench_run.t) -> not (List.mem r.wl.name excluded)) all
-  in
   let fmt_ms xs =
     let m, s = Stats.mean_std xs in
     Printf.sprintf "%s +- %s" (Texttab.pct m) (Texttab.pct s)
   in
-  let row name get =
-    [
-      name;
-      fmt_ms (List.map get (List.map t6data all));
-      fmt_ms (List.map get (List.map t6data most));
-    ]
+  (* each workload's Table 6 and Table 2 rows, computed once *)
+  let all =
+    List.map
+      (fun (r : Bench_run.t) ->
+        (not (List.mem r.wl.name excluded), t6data r, t2data r))
+      (Bench_run.load_all ())
   in
-  let t2row name get =
-    [
-      name;
-      fmt_ms (List.map get (List.map t2data all));
-      fmt_ms (List.map get (List.map t2data most));
-    ]
-  in
+  let most = List.filter (fun (in_most, _, _) -> in_most) all in
+  let cells get = [ fmt_ms (List.map get all); fmt_ms (List.map get most) ] in
+  let row name get = name :: cells (fun (_, d, _) -> get d) in
+  let t2row name get = name :: cells (fun (_, _, d) -> get d) in
   Texttab.render ppf
     ~header:[ "Metric"; "(all)"; "(most)" ]
     [

@@ -7,10 +7,10 @@ let predictors_for (r : Bench_run.t) =
   ]
 
 (* Entries hold the simulator's raw integer histograms, and the
-   distributions are derived on read.  The key is the program's
-   digest, the dataset and the prediction bits themselves; the build
-   fingerprint in every entry's name covers the code, so a predictor
-   change re-simulates either way. *)
+   distributions are derived on read.  The key is the workload's source
+   digest and the dataset: the build fingerprint in every entry's name
+   covers the compiler and the predictors, so the prediction bits are
+   a function of the key and are built only when it misses. *)
 let traces = Cache.Memo.create ~persist:true "traces"
 
 (* The derived distributions, per workload name, for this process. *)
@@ -20,13 +20,13 @@ let distributions name =
   Cache.Memo.find dists name (fun () ->
       let r = Bench_run.load (Workloads.Registry.find name) in
       let ds = Workloads.Workload.primary_dataset r.wl in
-      let predictors = predictors_for r in
       List.map Tracing.Ipbc.of_result
-        (Cache.Memo.find traces (r.digest, ds, predictors) (fun () ->
+        (Cache.Memo.find traces (r.digest, ds) (fun () ->
              Obs.span ~name:"trace"
                ~attrs:[ ("workload", name); ("dataset", ds.name) ]
                (fun () ->
-                 Sim.Trace_run.run ~decoded:r.decoded r.prog ds predictors))))
+                 Sim.Trace_run.run ~decoded:r.decoded r.prog ds
+                   (predictors_for r)))))
 
 let warm () =
   Obs.span ~name:"stage.traces" (fun () ->

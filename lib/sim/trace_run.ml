@@ -15,7 +15,6 @@ let nbuckets = 1000
 
 type acc = {
   lbl : string;
-  bits : prediction_bits;
   counts : int array;
   sums : int array;
   mutable last_break : int;  (* instruction index of previous break *)
@@ -43,10 +42,9 @@ let run ?decoded prog input predictors =
   in
   let accs =
     List.map
-      (fun (lbl, bits) ->
+      (fun (lbl, _) ->
         {
           lbl;
-          bits;
           counts = Array.make nbuckets 0;
           sums = Array.make nbuckets 0;
           last_break = 0;
@@ -57,17 +55,41 @@ let run ?decoded prog input predictors =
   in
   let arr = Array.of_list accs in
   let n = Array.length arr in
+  if n >= Sys.int_size then invalid_arg "Trace_run.run: too many predictors";
+  (* masks.(proc).(pc): bit i set when predictor i predicts taken, so a
+     branch's mispredictions are one XOR with its outcome *)
+  let masks =
+    Array.map
+      (fun (p : Mips.Program.proc) -> Array.make (Array.length p.body) 0)
+      prog.procs
+  in
+  List.iteri
+    (fun i (_, bits) ->
+      Array.iteri
+        (fun proc row ->
+          Array.iteri
+            (fun pc taken ->
+              if taken then
+                masks.(proc).(pc) <- masks.(proc).(pc) lor (1 lsl i))
+            row)
+        bits)
+    predictors;
+  let all_taken = (1 lsl n) - 1 in
   let cond_execs = ref 0 in
   let on_branch (m : Machine.t) ~taken =
     incr cond_execs;
-    for i = 0 to n - 1 do
-      let a = Array.unsafe_get arr i in
-      let predicted = Array.unsafe_get (Array.unsafe_get a.bits m.proc) m.pc in
-      if predicted <> taken then begin
-        a.misses <- a.misses + 1;
-        record a m.instrs
-      end
-    done
+    let wrong =
+      Array.unsafe_get (Array.unsafe_get masks m.proc) m.pc
+      lxor if taken then all_taken else 0
+    in
+    if wrong <> 0 then
+      for i = 0 to n - 1 do
+        if wrong land (1 lsl i) <> 0 then begin
+          let a = Array.unsafe_get arr i in
+          a.misses <- a.misses + 1;
+          record a m.instrs
+        end
+      done
   in
   let on_indirect (m : Machine.t) =
     for i = 0 to n - 1 do

@@ -39,4 +39,8 @@ val run :
   result list
 (** Execute once, measuring every labelled predictor.  [decoded], when
     given, must be the decoding of this very program (checked by
-    physical equality) and skips the per-call decode pass. *)
+    physical equality) and skips the per-call decode pass.  The
+    predictions are folded into one int per (proc, pc) first, a bit
+    per predictor, so a branch's mispredictions are one XOR with its
+    outcome; more than [Sys.int_size - 1] predictors raise
+    [Invalid_argument]. *)

@@ -7,7 +7,8 @@
                          over an unwritable store
      obs-smoke           quick suite byte-identical when traced
      contract-smoke      bpredict experiment all, run as a user runs
-                         it, prints the goldens at any -j, cold and warm
+                         it, prints the goldens at any -j, cold and warm,
+                         full and --quick over each other's store
 
    The pool width is the default pool's: BALLARUS_JOBS, or the
    machine's recommended domain count.  Each gate prints its findings
@@ -367,8 +368,10 @@ let obs_smoke () =
 (* ---- contract-smoke: the behaviour contract, end to end ----
 
    Runs [bpredict experiment all] as a child process, the way a user
-   does, in four cases: [-j 1 --no-cache]; [-j 4] cold on an empty
-   private store; [-j 4] warm on that store; [--quick -j 2] warm.  Each
+   does, in six cases: [-j 1 --no-cache]; [-j 4] cold on an empty
+   private store; [-j 4] warm on that store; [--quick -j 2] warm; then,
+   on the store emptied again, [--quick -j 2] cold and a full [-j 2]
+   run on the store it filled.  Each
    must exit 0, report [25 passed, 0 failed] on stderr, and print the
    25 sections in registry order, each equal to its golden snapshot
    ([graph2.full.expected] for graph2 in a full run).  The binary and
@@ -493,9 +496,16 @@ let contract_smoke () =
       case "-j 1 --no-cache" ~quick:false [ "-j"; "1"; "--no-cache" ];
       case "-j 4 cold" ~quick:false [ "-j"; "4" ];
       case "-j 4 warm" ~quick:false [ "-j"; "4" ];
-      case "--quick -j 2 warm" ~quick:true [ "--quick"; "-j"; "2" ]);
+      case "--quick -j 2 warm" ~quick:true [ "--quick"; "-j"; "2" ];
+      (* a full run over a store a quick run filled: the two share the
+         per-order averages but not the subset walk *)
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat store f))
+        (Sys.readdir store);
+      case "--quick -j 2 cold" ~quick:true [ "--quick"; "-j"; "2" ];
+      case "-j 2 after --quick" ~quick:false [ "-j"; "2" ]);
   report "contract-smoke"
-    "four runs print the goldens in registry order" !failures
+    "six runs print the goldens in registry order" !failures
 
 let gates =
   [

@@ -131,6 +131,64 @@ let test_misnamed_entry_recomputed () =
       checki "no hit" 0 (metric "cache.hit");
       checki "one quarantine" 1 (metric "cache.corrupt_quarantined"))
 
+(* The single-read parser: every malformed shape of an entry is
+   quarantined and recomputed, and a well-formed payload is served
+   whatever bytes it holds.  The shapes with a header take the format
+   tag from a real entry and a seal computed as the store computes it
+   (digest of the file name and the payload's digest), so only the
+   shape is wrong. *)
+let test_entry_shapes () =
+  with_isolated_store "test" (fun dir ->
+      let awkward = "a\nb\000\n\000\n\nc" in
+      let calls = ref 0 in
+      let compute () =
+        incr calls;
+        awkward
+      in
+      let memo () = Cache.Store.memo ~table:"t" ~key:"shapes" compute in
+      ignore (memo ());
+      let path =
+        match entry_files dir with [ p ] -> p | _ -> Alcotest.fail "one entry"
+      in
+      let tag = In_channel.with_open_bin path In_channel.input_line in
+      let tag = Option.get tag in
+      let seal payload =
+        Digest.to_hex
+          (Digest.string (Filename.basename path ^ Digest.string payload))
+      in
+      let payload = Marshal.to_string awkward [] in
+      checkb "payload holds newlines and NULs" true
+        (String.contains payload '\n' && String.contains payload '\000');
+      (* the entry as written is served *)
+      Obs.Metrics.reset ();
+      Alcotest.(check string) "served" awkward (memo ());
+      checki "hit" 1 (metric "cache.hit");
+      checki "computed once" 1 !calls;
+      List.iteri
+        (fun i (label, bytes) ->
+          corrupt path bytes;
+          Obs.Metrics.reset ();
+          Alcotest.(check string) (label ^ ": recomputed value") awkward
+            (memo ());
+          checki (label ^ ": no hit") 0 (metric "cache.hit");
+          checki (label ^ ": quarantined") 1
+            (metric "cache.corrupt_quarantined");
+          checki (label ^ ": recomputed") (i + 2) !calls;
+          (* the rewritten entry is whole again *)
+          Obs.Metrics.reset ();
+          Alcotest.(check string) (label ^ ": served after rewrite") awkward
+            (memo ());
+          checki (label ^ ": hit after rewrite") 1 (metric "cache.hit"))
+        [
+          ("empty file", "");
+          ("tag with no newline", tag);
+          ("tag and seal, no newline after the seal", tag ^ "\n" ^ seal "");
+          ("tag and seal, no payload", tag ^ "\n" ^ seal "" ^ "\n");
+          ( "payload cut after its newlines",
+            let cut = String.sub payload 0 (String.length payload - 2) in
+            tag ^ "\n" ^ seal cut ^ "\n" ^ cut );
+        ])
+
 (* A failed write is skipped, not retried: the fault is injected
    between the lookup and the write, by turning the store directory
    into a regular file while the value is computed.  One failure costs
@@ -334,9 +392,47 @@ let test_warm_load_compiles_nothing () =
           checkb (r.wl.name ^ ": reloaded program equals a fresh compile") true
             (compare r.prog fresh = 0);
           checkb (r.wl.name ^ ": same marshalled bytes") true
-            (Marshal.to_string r.prog [] = Marshal.to_string fresh []))
+            (Marshal.to_string r.prog [] = Marshal.to_string fresh []);
+          (* the static facts come from the program entry, not from a
+             fresh analysis *)
+          let analyses = Cfg.Analysis.of_program r.prog in
+          checkb (r.wl.name ^ ": stored analyses equal fresh ones") true
+            (compare r.analyses analyses = 0);
+          checkb (r.wl.name ^ ": database equals Database.make") true
+            (compare r.db
+               (Predict.Database.make r.prog analyses ~taken:r.profile.taken
+                  ~fall:r.profile.fall)
+             = 0))
         rs);
   Obs.reset_events ()
+
+(* The per-order averages Graph 1 and ablation-orders read are stored:
+   bit for bit the averages of the miss matrix, whether computed (cold)
+   or read back from the store (warm), where the matrix is rebuilt
+   from the warm loads only to compare. *)
+let test_order_averages_stored () =
+  let bits a = Array.map Int64.bits_of_float a in
+  let from_matrix () =
+    Predict.Ordering.averages
+      (fst (Experiments.Orderings.miss_matrix_cached ()))
+  in
+  with_isolated_store "test" (fun _dir ->
+      Experiments.Bench_run.reset ();
+      let cold = Experiments.Orderings.order_averages () in
+      checki "5040 averages" 5040 (Array.length cold);
+      checkb "cold: bitwise the matrix's averages" true
+        (bits cold = bits (from_matrix ()));
+      Experiments.Bench_run.reset ();
+      Obs.Metrics.reset ();
+      let warm = Experiments.Orderings.order_averages () in
+      checki "warm: no disk miss" 0 (metric "cache.miss");
+      checki "warm: the loads and the averages are disk hits"
+        ((2 * List.length Workloads.Registry.all) + 1)
+        (metric "cache.hit");
+      checkb "warm: a new value" true (warm != cold);
+      checkb "warm: bitwise the matrix's averages" true
+        (bits warm = bits (from_matrix ())));
+  Experiments.Bench_run.reset ()
 
 let tests =
   [
@@ -362,6 +458,7 @@ let tests =
           test_clear_empties_store;
         Alcotest.test_case "profile survives the store" `Quick
           test_profile_through_store;
+        Alcotest.test_case "entry shapes, one read" `Quick test_entry_shapes;
       ] );
     ( "memo",
       [
@@ -373,5 +470,7 @@ let tests =
           test_reset_reloads_from_disk;
         Alcotest.test_case "warm loads compile nothing" `Quick
           test_warm_load_compiles_nothing;
+        Alcotest.test_case "order averages stored" `Quick
+          test_order_averages_stored;
       ] );
   ]

@@ -166,7 +166,7 @@ let test_miss_matrix_bounds () =
 
 let test_best_order_at_least_as_good_as_paper () =
   let m, _ = Experiments.Orderings.miss_matrix_cached () in
-  let _, best_v = Predict.Ordering.best_order m in
+  let _, best_v = Predict.Ordering.best_order (Predict.Ordering.averages m) in
   let paper_idx = Predict.Ordering.index_of_order Predict.Combined.paper_order in
   let nb = Array.length m in
   let paper_avg =
@@ -288,6 +288,49 @@ let test_prewarm_fills_render () =
       checki "subset.column_steps unchanged" steps
         (metric "subset.column_steps"))
 
+(* On a warm store the quick prewarm and render read and print: they
+   build no miss matrix (no [miss_matrix] span, which a cold run
+   records once), compile, profile and trace nothing, and miss the
+   store nowhere; the prewarm still opens [stage.miss_matrix] around
+   the stored averages. *)
+let test_warm_builds_no_matrix () =
+  let was = Obs.enabled () in
+  let traced_suite () =
+    Experiments.Bench_run.reset ();
+    Obs.Metrics.reset ();
+    Obs.reset_events ();
+    Obs.enable ();
+    Fun.protect ~finally:Obs.disable (fun () ->
+        Experiments.Driver.prewarm ~quick:true ();
+        let buf = Buffer.create (1 lsl 16) in
+        let ppf = Format.formatter_of_buffer buf in
+        let s =
+          Experiments.Driver.run_list ~quick:true ~warm:false
+            Experiments.Driver.all ppf
+        in
+        Format.pp_print_flush ppf ();
+        checki "no experiment failed" 0 s.failed;
+        Buffer.contents buf)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if was then Obs.enable ();
+      Obs.reset_events ();
+      Experiments.Bench_run.reset ())
+    (fun () ->
+      with_isolated_store "test" (fun _dir ->
+          let cold = traced_suite () in
+          checki "cold: one matrix build" 1 (span_count "miss_matrix");
+          let warm = traced_suite () in
+          checks "warm tables = cold tables" cold warm;
+          checki "warm: no matrix build" 0 (span_count "miss_matrix");
+          checki "warm: one stage.miss_matrix span" 1
+            (span_count "stage.miss_matrix");
+          List.iter
+            (fun name -> checki ("warm: no " ^ name ^ " span") 0 (span_count name))
+            [ "compile"; "profile"; "trace" ];
+          checki "warm: no disk miss" 0 (metric "cache.miss")))
+
 (* The render fans out across the pool but prints in list order: a
    list whose slow members finish last, with a raising member in the
    middle, prints the same bytes at width 1 and 3, the failure banner
@@ -359,6 +402,8 @@ let tests =
           test_prewarm_fills_render;
         Alcotest.test_case "render order at any width" `Quick
           test_render_order;
+        Alcotest.test_case "warm run builds no matrix" `Quick
+          test_warm_builds_no_matrix;
       ] );
     ( "paper claims",
       [
