@@ -15,35 +15,21 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* A program source: either a MiniC file or a named built-in workload
-   with its primary dataset. *)
-let load_program src =
+(* A program source: a built-in workload, or a MiniC file wrapped as a
+   workload with one empty dataset. *)
+let workload_of src =
   match Workloads.Registry.find src with
-  | wl -> (Workloads.Workload.compile wl, Workloads.Workload.primary_dataset wl)
+  | wl -> wl
   | exception Not_found ->
     if Sys.file_exists src then
-      (Minic.Frontend.compile (read_file src), Sim.Dataset.make ~name:"empty" [||])
+      Workloads.Workload.make ~name:src ~description:"MiniC file" ~lang:C
+        ~datasets:[ Sim.Dataset.make ~name:"empty" [||] ]
+        (In_channel.with_open_bin src In_channel.input_all)
     else
       failwith
         (Printf.sprintf "%s: not a workload name and not a file" src)
 
-(* The pipeline [predict], [profile] and [layout] share: load, analyse,
-   profile on the dataset, and join the two into a branch database. *)
-let load_database src =
-  let prog, ds = load_program src in
-  let analyses = Cfg.Analysis.of_program prog in
-  let profile = Sim.Profile.run prog ds in
-  let db =
-    Predict.Database.make prog analyses ~taken:profile.taken ~fall:profile.fall
-  in
-  (prog, ds, profile, db)
+let load src = Experiments.Bench_run.load (workload_of src)
 
 let src_arg =
   let doc = "A MiniC source file, or the name of a built-in workload." in
@@ -77,7 +63,7 @@ let apply_no_cache no_cache = if no_cache then Cache.Store.set_enabled false
 
 let handle_errors f =
   try f () with
-  | Minic.Frontend.Error msg | Failure msg ->
+  | Failure msg ->
     Printf.eprintf "error: %s\n" msg;
     exit 1
   | Sim.Machine.Fault msg | Sim.Machine.Out_of_fuel msg ->
@@ -102,7 +88,7 @@ let apply_trace = function
 let compile_cmd =
   let run src =
     handle_errors (fun () ->
-        let prog, _ = load_program src in
+        let prog = Workloads.Workload.compile (workload_of src) in
         Format.printf "%a" Mips.Program.pp prog)
   in
   Cmd.v
@@ -121,7 +107,7 @@ let cfg_cmd =
   in
   let run src proc dot =
     handle_errors (fun () ->
-        let prog, _ = load_program src in
+        let prog = Workloads.Workload.compile (workload_of src) in
         let dump (p : Mips.Program.proc) =
           let g = Cfg.Graph.build p in
           if dot then Format.printf "%a" Cfg.Graph.to_dot g
@@ -143,7 +129,7 @@ let cfg_cmd =
 let predict_cmd =
   let run src =
     handle_errors (fun () ->
-        let prog, _, _, db = load_database src in
+        let { Experiments.Bench_run.prog; db; _ } = load src in
         let order = Predict.Combined.paper_order in
         Format.printf
           "branch predictions (order: %s; T = predict taken)@.@."
@@ -183,7 +169,7 @@ let predict_cmd =
 let profile_cmd =
   let run src =
     handle_errors (fun () ->
-        let _, _, profile, db = load_database src in
+        let { Experiments.Bench_run.profile; db; _ } = load src in
         let branches = Array.to_list db.branches in
         let order = Predict.Combined.paper_order in
         let open Predict in
@@ -228,7 +214,7 @@ let trace_cmd =
 let layout_cmd =
   let run src =
     handle_errors (fun () ->
-        let prog, ds, profile, db = load_database src in
+        let { Experiments.Bench_run.wl; prog; profile; db; _ } = load src in
         let laid =
           Predict.Layout.apply prog
             ~predict:
@@ -236,7 +222,10 @@ let layout_cmd =
                  (Predict.Combined.predict Predict.Combined.paper_order))
         in
         let t0 = Array.fold_left (Array.fold_left ( + )) 0 profile.taken in
-        let t1, _, s1 = Predict.Layout.taken_transfers laid ds in
+        let t1, _, s1 =
+          Predict.Layout.taken_transfers laid
+            (Workloads.Workload.primary_dataset wl)
+        in
         if profile.stats.checksum <> s1.checksum then
           failwith "layout changed program behaviour";
         Format.printf

@@ -92,7 +92,7 @@ let run args =
                (r.profile.taken.(pidx).(pc) + r.profile.fall.(pidx).(pc)))
         | None -> ()
       done)
-    r.analyses;
+    (Cfg.Analysis.of_program r.prog);
 
   (* rank branch-ending blocks by both metrics and report overlap *)
   let ranked tbl =

@@ -8,6 +8,7 @@ type branch = {
   taken_count : int;
   fall_count : int;
   heur : bool option array;
+  ext : bool option array;
   loop_pred : bool;
   rand_pred : bool;
   backward : bool;
@@ -15,7 +16,6 @@ type branch = {
 
 type t = {
   program : Mips.Program.t;
-  analyses : Cfg.Analysis.t array;
   branches : branch array;
 }
 
@@ -46,6 +46,14 @@ let make program analyses ~taken ~fall =
                 Heuristic.apply (Heuristic.of_int h) a ~block:b ~taken:taken_dst
                   ~fall:fall_dst)
           in
+          let ext =
+            Array.of_list
+              (List.map
+                 (fun h ->
+                   Heuristic_ext.apply h a ~block:b ~taken:taken_dst
+                     ~fall:fall_dst)
+                 Heuristic_ext.all)
+          in
           let br =
             {
               proc = pidx;
@@ -57,6 +65,7 @@ let make program analyses ~taken ~fall =
               taken_count = taken.(pidx).(pc);
               fall_count = fall.(pidx).(pc);
               heur;
+              ext;
               loop_pred =
                 Classify.loop_predict a ~block:b ~taken:taken_dst ~fall:fall_dst;
               rand_pred = rand_bit ~seed ~proc:pidx ~pc;
@@ -66,7 +75,7 @@ let make program analyses ~taken ~fall =
           branches := br :: !branches
       done)
     analyses;
-  { program; analyses; branches = Array.of_list (List.rev !branches) }
+  { program; branches = Array.of_list (List.rev !branches) }
 
 (* The static facts are shared: only the two counts are per dataset. *)
 let with_counts t ~taken ~fall =

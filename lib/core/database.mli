@@ -3,9 +3,11 @@
 
     All of the paper's tables are computed from this structure.  Each
     branch records its loop/non-loop class, its execution counts along
-    the taken and fall-through edges, the prediction of each heuristic
-    (when applicable), the loop predictor's choice, and a
-    deterministic pseudo-random default. *)
+    the taken and fall-through edges, the verdict of each heuristic
+    (the paper's and the Section 4.4 ones), the loop predictor's
+    choice, and a deterministic pseudo-random default.  All but the
+    counts are read from the CFG analyses in {!make}, which keeps no
+    analyses: the database is a program's one static record. *)
 
 type branch = {
   proc : int;               (** procedure index *)
@@ -17,6 +19,7 @@ type branch = {
   taken_count : int;
   fall_count : int;
   heur : bool option array; (** indexed by [Heuristic.to_int] *)
+  ext : bool option array;  (** in {!Heuristic_ext.all}'s order *)
   loop_pred : bool;
   rand_pred : bool;
   backward : bool;          (** taken edge goes backward in the code *)
@@ -24,7 +27,6 @@ type branch = {
 
 type t = {
   program : Mips.Program.t;
-  analyses : Cfg.Analysis.t array;
   branches : branch array;
 }
 
@@ -39,11 +41,12 @@ val make :
     produced by the simulator's edge profiler. *)
 
 val with_counts : t -> taken:int array array -> fall:int array array -> t
-(** [with_counts db ~taken ~fall] is [make db.program db.analyses
-    ~taken ~fall] without re-deriving anything: a branch's class,
-    heuristic verdicts, loop prediction and Default coin depend on the
-    program alone, so only the counts are read from the new arrays.
-    The result shares [db]'s program, analyses and verdict arrays. *)
+(** [with_counts db ~taken ~fall] is [make db.program
+    (Cfg.Analysis.of_program db.program) ~taken ~fall] without
+    re-deriving anything: a branch's class, heuristic verdicts, loop
+    prediction and Default coin depend on the program alone, so only
+    the counts are read from the new arrays.  The result shares [db]'s
+    program and its [heur] and [ext] arrays. *)
 
 val exec : branch -> int
 (** Dynamic executions of the branch. *)

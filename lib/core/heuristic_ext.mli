@@ -7,7 +7,8 @@
     successful ones to look beyond adjacent blocks.  This module
     implements representatives of both so the negative result can be
     reproduced and the generalisation measured (see the
-    [ablation-ext] experiment). *)
+    [ablation-ext] experiment), which reads the verdicts
+    {!Database.make} bakes into each branch's [ext] array. *)
 
 type t =
   | Distance    (** predict the successor closer in the code: short

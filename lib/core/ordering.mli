@@ -43,9 +43,10 @@ val miss_matrix : Database.t array -> float array array
 
 val averages : float array array -> float array
 (** [averages m]: per order [o], the mean of [m.(b).(o)] over the
-    benchmarks, summed in benchmark order so every caller (Graph 1,
-    the ablation, {!Subset.run}'s [overall]) gets the same floats bit
-    for bit; [[||]] when [m] has no rows. *)
+    benchmarks, summed in benchmark order; [[||]] when [m] has no
+    rows.  The experiments compute it once per matrix and store it:
+    Graph 1, the ordering ablation, Graph 3 and Table 4 all read that
+    one array. *)
 
 val best_order : float array -> int * float
 (** [best_order avg]: the first order index minimising the per-order

@@ -2,7 +2,6 @@ type result = {
   trials : int;
   distinct_orders : int;
   wins : (int * int) array;
-  overall : float array;
 }
 
 let choose n k =
@@ -538,7 +537,6 @@ let run ?k ?(max_trials = max_int) (m : float array array) =
         acc)
       ~init:(Array.make no_all 0) ()
   in
-  let overall = Ordering.averages m in
   let wins =
     Array.to_list win_counts
     |> List.mapi (fun o c -> (o, c))
@@ -548,7 +546,7 @@ let run ?k ?(max_trials = max_int) (m : float array array) =
            if c <> 0 then c else compare o1 o2)
     |> Array.of_list
   in
-  { trials = total; distinct_orders = Array.length wins; wins; overall }
+  { trials = total; distinct_orders = Array.length wins; wins }
 
 let cumulative_share r =
   let total = float_of_int r.trials in

@@ -45,9 +45,9 @@ type result = {
   distinct_orders : int;         (** how many orders ever won *)
   wins : (int * int) array;      (** (order index, #trials won), by
                                      descending frequency *)
-  overall : float array;         (** per-order average miss rate over
-                                     ALL benchmarks, indexed by order *)
 }
+(** An order's average over {e all} benchmarks is
+    {!Ordering.averages} of the same matrix. *)
 
 val choose : int -> int -> int
 (** Binomial coefficient. *)

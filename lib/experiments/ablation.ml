@@ -150,25 +150,19 @@ let profile_based ppf =
       (fun (r : Bench_run.t) ->
         match r.wl.datasets with
         | _ :: alt :: _ ->
-          let eval_db = r.db in
-          let train_db = Bench_run.db_for r alt in
-          (* predictions trained on [alt]: majority direction per
-             branch, keyed by (proc, pc) *)
-          let trained = Hashtbl.create 512 in
-          Array.iter
-            (fun (b : D.branch) ->
-              Hashtbl.replace trained (b.proc, b.pc)
-                (Predict.Combined.perfect_predict b))
-            train_db.branches;
-          let cross (b : D.branch) =
-            match Hashtbl.find_opt trained (b.proc, b.pc) with
-            | Some dir -> dir
-            | None -> b.rand_pred
-          in
-          let branches = Array.to_list eval_db.branches in
+          (* [r.db] and the [alt] database are [with_counts] of one
+             static database, so branch [i] is the same branch in
+             each: predict it in its majority direction on [alt] *)
+          let cross = ref 0 in
+          Array.iter2
+            (fun b trained ->
+              let dir = Predict.Combined.perfect_predict trained in
+              cross := !cross + D.misses b dir)
+            r.db.branches (Bench_run.db_for r alt).branches;
+          let branches = Array.to_list r.db.branches in
           Some
             ( r.wl.name,
-              M.miss_rate cross branches,
+              M.ratio !cross (M.total_exec branches),
               M.miss_rate (Predict.Combined.predict order) branches,
               M.perfect_rate branches )
         | _ -> None)
@@ -266,14 +260,11 @@ let extended ppf =
     List.map
       (fun (r : Bench_run.t) ->
         let nl = D.non_loop_branches r.db in
-        let ext h (b : D.branch) =
-          Predict.Heuristic_ext.apply h r.analyses.(b.proc) ~block:b.block
-            ~taken:b.taken_dst ~fall:b.fall_dst
-        in
         let guard (b : D.branch) =
           b.heur.(Predict.Heuristic.to_int Predict.Heuristic.Guard)
         in
-        (r.wl.name, List.map (fun h -> tally (ext h) nl) heuristics
+        (r.wl.name, List.mapi (fun i _ -> tally (fun b -> b.D.ext.(i)) nl)
+                      heuristics
                     @ [ tally guard nl ]))
       (Bench_run.load_all ())
   in

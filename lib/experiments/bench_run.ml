@@ -3,7 +3,6 @@ type t = {
   prog : Mips.Program.t;
   digest : Digest.t;
   decoded : Sim.Decode.t;
-  analyses : Cfg.Analysis.t array;
   profile : Sim.Profile.t;
   db : Predict.Database.t;
 }
@@ -20,10 +19,11 @@ let profile_for (wl : Workloads.Workload.t) ~decoded ~digest prog
         (fun () -> Sim.Profile.run ~decoded prog ds))
 
 (* A program's static facts, keyed by source text: the database of
-   its branches with zero counts, which holds the program and its CFG
-   analyses too.  The build fingerprint in every entry's name digests
-   the compiler and the analyses, so a stored entry is always what
-   this build would derive. *)
+   its branches with zero counts, which holds the program too.  The
+   analyses are read once, inside [Database.make], and not kept.  The
+   build fingerprint in every entry's name digests the compiler and
+   the analyses, so a stored entry is always what this build would
+   derive. *)
 let programs = Cache.Memo.create ~persist:true "program"
 
 let static_facts (wl : Workloads.Workload.t) =
@@ -57,7 +57,7 @@ let load (wl : Workloads.Workload.t) =
         Predict.Database.with_counts static ~taken:profile.taken
           ~fall:profile.fall
       in
-      { wl; prog; digest; decoded; analyses = static.analyses; profile; db })
+      { wl; prog; digest; decoded; profile; db })
 
 (* Every table asks for the whole list; the stage runs once per
    [reset]. *)
@@ -68,11 +68,6 @@ let load_all () =
       Obs.span ~name:"stage.load_all" (fun () ->
           Par.Pool.parallel_map_list (Par.Pool.get ()) load
             Workloads.Registry.all))
-
-let load_named names =
-  Par.Pool.parallel_map_list (Par.Pool.get ())
-    (fun n -> load (Workloads.Registry.find n))
-    names
 
 let dbs = Cache.Memo.create "bench_run.db"
 
@@ -85,15 +80,3 @@ let db_for t ds =
         ~fall:profile.fall)
 
 let reset = Cache.Memo.reset
-
-let prediction_bits t predictor =
-  let bits =
-    Array.map
-      (fun (p : Mips.Program.proc) -> Array.make (Array.length p.body) false)
-      t.prog.procs
-  in
-  Array.iter
-    (fun (br : Predict.Database.branch) ->
-      bits.(br.proc).(br.pc) <- predictor br)
-    t.db.branches;
-  bits

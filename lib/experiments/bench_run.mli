@@ -1,16 +1,19 @@
 (** Compiled-and-profiled benchmarks, memoised.
 
-    A [t] joins everything the experiment drivers need for one
-    workload: the compiled program, its pre-decoded form, its
-    per-procedure CFG analyses, the edge profile of the primary
-    dataset, and the resulting branch database.
+    A [t] joins everything the experiment drivers and the CLI's
+    per-program subcommands need for one workload: the compiled
+    program, its pre-decoded form, the edge profile of the primary
+    dataset, and the resulting branch database.  {!load} is the one
+    path from a source to them.
 
     Two persisted {!Cache.Memo} tables hold what a warm process reads
     instead of deriving: [program], keyed by source text, holds the
-    branch database with zero counts, and with it the compiled program
-    and its CFG analyses (every branch's class and heuristic verdicts
-    included); [profile], keyed by source digest and dataset, holds
-    the edge profiles.  A warm process neither compiles, analyses nor
+    branch database with zero counts, that is the compiled program and
+    its branch records, every static fact of each branch included (its
+    class, loop prediction, Default coin and the verdicts of the
+    paper's and the Section 4.4 heuristics), but no CFG analyses;
+    [profile], keyed by source digest and dataset, holds the edge
+    profiles.  A warm process neither compiles, analyses nor
     simulates. *)
 
 type t = {
@@ -22,7 +25,6 @@ type t = {
           program in every key derived from it (profiles, traces, the
           per-order averages and the subset walk) *)
   decoded : Sim.Decode.t;  (** [prog] pre-decoded, for re-simulation *)
-  analyses : Cfg.Analysis.t array;
   profile : Sim.Profile.t;
   db : Predict.Database.t;
 }
@@ -32,7 +34,9 @@ val load : Workloads.Workload.t -> t
     workload name; safe to call from multiple domains).  [db] is the
     stored zero-count database with the primary profile's counts
     ({!Predict.Database.with_counts}).  A compile that runs, rather
-    than being read from the store, records a [compile] span. *)
+    than being read from the store, records a [compile] span.  The
+    workload need not be a registry one: [bpredict] loads a MiniC file
+    the same way, wrapped by {!Workloads.Workload.make}. *)
 
 val load_all : unit -> t list
 (** All benchmarks of {!Workloads.Registry.all}.  The independent
@@ -40,9 +44,6 @@ val load_all : unit -> t list
     pool; the returned list is in registry order regardless of [-j].
     Memoised: the [stage.load_all] span and its pool job run once per
     {!reset}. *)
-
-val load_named : string list -> t list
-(** Like {!load_all} for a named subset, in the given order. *)
 
 val reset : unit -> unit
 (** {!Cache.Memo.reset}: empty every memo table in memory (the disk
@@ -55,8 +56,3 @@ val db_for : t -> Sim.Dataset.t -> Predict.Database.t
     ({!Predict.Database.with_counts}), memoised per (workload, dataset)
     pair; the profile behind it is shared with {!load}'s through the
     persisted profile table. *)
-
-val prediction_bits :
-  t -> (Predict.Database.branch -> bool) -> Sim.Trace_run.prediction_bits
-(** Materialise a static predictor into the per-pc bit arrays the
-    trace runner consumes. *)

@@ -78,6 +78,7 @@ let graph2_3_table4 ?max_trials ppf =
   let nb = List.length (benchmarks ()) in
   let k = (nb + 1) / 2 in
   let result = subset_result ?max_trials () in
+  let overall = order_averages () in
   Format.fprintf ppf
     "Subset experiment: best order per %d-subset of %d benchmarks,@."
     k nb;
@@ -109,7 +110,7 @@ let graph2_3_table4 ?max_trials ppf =
              [
                string_of_int (i + 1);
                Texttab.pct1 (float_of_int c /. float_of_int result.trials);
-               Texttab.pct1 result.overall.(o);
+               Texttab.pct1 overall.(o);
              ]
          end
          else None)
@@ -125,7 +126,7 @@ let graph2_3_table4 ?max_trials ppf =
        (fun (o, c) ->
          [
            Texttab.pct1 (float_of_int c /. float_of_int result.trials);
-           Texttab.pct1 result.overall.(o);
+           Texttab.pct1 overall.(o);
            order_string o;
          ])
        top10)

@@ -32,8 +32,9 @@ val graph2_3_table4 : ?max_trials:int -> Format.formatter -> unit
 (** The C(22,11) subset experiment.  Prints Graph 2 (cumulative share
     of trials won by the most frequent orders), Graph 3 (overall
     average miss of those orders), and Table 4 (the ten most common
-    winning orders).  [max_trials] caps the enumeration for quick
-    runs; the default runs all 705,432 trials. *)
+    winning orders); the overall averages are {!order_averages}.
+    [max_trials] caps the enumeration for quick runs; the default runs
+    all 705,432 trials. *)
 
 val miss_matrix_cached : unit -> float array array * Bench_run.t list
 (** The (benchmark x 5040 orders) miss matrix over all benchmarks

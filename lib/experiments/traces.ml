@@ -1,9 +1,23 @@
+(* Materialise a static predictor into the per-pc bit arrays the
+   trace runner consumes. *)
+let prediction_bits (r : Bench_run.t) predictor =
+  let bits =
+    Array.map
+      (fun (p : Mips.Program.proc) -> Array.make (Array.length p.body) false)
+      r.prog.procs
+  in
+  Array.iter
+    (fun (br : Predict.Database.branch) ->
+      bits.(br.proc).(br.pc) <- predictor br)
+    r.db.branches;
+  bits
+
 let predictors_for (r : Bench_run.t) =
   let order = Predict.Combined.paper_order in
   [
-    ("Loop+Rand", Bench_run.prediction_bits r Predict.Combined.loop_rand_predict);
-    ("Heuristic", Bench_run.prediction_bits r (Predict.Combined.predict order));
-    ("Perfect", Bench_run.prediction_bits r Predict.Combined.perfect_predict);
+    ("Loop+Rand", prediction_bits r Predict.Combined.loop_rand_predict);
+    ("Heuristic", prediction_bits r (Predict.Combined.predict order));
+    ("Perfect", prediction_bits r Predict.Combined.perfect_predict);
   ]
 
 (* Entries hold the simulator's raw integer histograms, and the

@@ -55,6 +55,15 @@ let check_predict prog analyses (profile : Sim.Profile.t) =
           (div "predict" "%s: stored class %s but re-derived %s" where
              (Format.asprintf "%a" Predict.Classify.pp_cls b.cls)
              (Format.asprintf "%a" Predict.Classify.pp_cls cls));
+      let ext =
+        List.map
+          (fun h ->
+            Predict.Heuristic_ext.apply h a ~block:b.block ~taken:b.taken_dst
+              ~fall:b.fall_dst)
+          Predict.Heuristic_ext.all
+      in
+      if Array.to_list b.ext <> ext then
+        err (div "predict" "%s: ext disagrees with Heuristic_ext.apply" where);
       if b.rand_pred <> D.rand_bit ~seed:D.seed ~proc:b.proc ~pc:b.pc then
         err (div "predict" "%s: rand_pred disagrees with rand_bit" where);
       (if b.cls = Predict.Classify.Loop_branch then begin

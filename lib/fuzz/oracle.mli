@@ -12,8 +12,9 @@
       block's in-flow equals its out-flow, procedure entries balance
       call sites, and program entry balances exit ({!Cfg.Flow});
     - {b predict}: the branch database must agree with an independent
-      re-derivation — classification from the CFG analyses, the
-      Default coin from {!Predict.Database.rand_bit}, and the combined
+      re-derivation — classification and the Section 4.4 verdicts
+      ({!Predict.Heuristic_ext}) from the CFG analyses, the Default
+      coin from {!Predict.Database.rand_bit}, and the combined
       predictor honouring the loop/non-loop partition;
     - {b miss-matrix}: every cell of the 5040-order miss matrix, built
       from first-fire tables, must be bitwise equal to the combined

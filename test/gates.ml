@@ -66,7 +66,12 @@ let perf_smoke () =
     [
       ( "profile:" ^ String.concat "+" smoke_wls,
         (fun () -> Experiments.Bench_run.reset ()),
-        fun () -> ignore (Experiments.Bench_run.load_named smoke_wls) );
+        fun () ->
+          ignore
+            (Par.Pool.parallel_map_list (Par.Pool.get ())
+               (fun n ->
+                 Experiments.Bench_run.load (Workloads.Registry.find n))
+               smoke_wls) );
       ( "subset:20k",
         ignore,
         fun () -> ignore (Predict.Subset.run ~k ~max_trials:20_000 m) );

@@ -381,15 +381,27 @@ let test_ext_distance_applies () =
     build
       "int main() { int x = read(); if (x > 3) { print(1); } else { print(2); } return 0; }"
   in
+  let analyses = Cfg.Analysis.of_program prog in
   let brs = branches_of prog db "main" in
   checkb "distance always predicts" true
     (List.for_all
        (fun (b : D.branch) ->
          Predict.Heuristic_ext.apply Predict.Heuristic_ext.Distance
-           db.analyses.(b.proc) ~block:b.block ~taken:b.taken_dst
+           analyses.(b.proc) ~block:b.block ~taken:b.taken_dst
            ~fall:b.fall_dst
          <> None)
-       brs)
+       brs);
+  (* the database bakes every Section 4.4 verdict, in [all]'s order *)
+  Array.iter
+    (fun (b : D.branch) ->
+      List.iteri
+        (fun i h ->
+          checkb "baked ext verdict" true
+            (b.ext.(i)
+            = Predict.Heuristic_ext.apply h analyses.(b.proc) ~block:b.block
+                ~taken:b.taken_dst ~fall:b.fall_dst))
+        Predict.Heuristic_ext.all)
+    db.branches
 
 let test_ext_guard_deep () =
   (* hand-built CFG: the branch operand is used two blocks away,
@@ -428,17 +440,18 @@ let test_ext_guard_deep () =
 let test_ext_postdom () =
   (* if/else diamond: neither arm postdominates, but a successor that
      IS the join in an if-without-else does *)
-  let _, db =
+  let prog, db =
     build
       "int g1 = 0;\nint main() { int x = read(); if (x > 0) { g1 = 1; } print(g1); return 0; }"
   in
+  let analyses = Cfg.Analysis.of_program prog in
   (* the if branch: taken successor = join (postdominates), fall =
      then-block (does not) -> Postdom predicts taken *)
   let br =
     Array.to_list db.branches
     |> List.find_opt (fun (b : D.branch) ->
            Predict.Heuristic_ext.apply Predict.Heuristic_ext.Postdom
-             db.analyses.(b.proc) ~block:b.block ~taken:b.taken_dst
+             analyses.(b.proc) ~block:b.block ~taken:b.taken_dst
              ~fall:b.fall_dst
            <> None)
   in
@@ -549,6 +562,7 @@ let test_metrics () =
       cls = Predict.Classify.Non_loop_branch;
       taken_count; fall_count;
       heur = Array.make H.count None;
+      ext = [||];
       loop_pred = false; rand_pred = false; backward = false;
     }
   in
@@ -1020,6 +1034,7 @@ let prop_perfect_is_optimal =
           cls = Predict.Classify.Non_loop_branch;
           taken_count = t; fall_count = f;
           heur = Array.make H.count None;
+          ext = [||];
           loop_pred = false; rand_pred = false; backward = false;
         }
       in
@@ -1034,6 +1049,7 @@ let mk_default_branch pc rand_pred =
     cls = Predict.Classify.Non_loop_branch;
     taken_count = 5; fall_count = 5;
     heur = Array.make H.count None;
+    ext = [||];
     loop_pred = false; rand_pred; backward = false;
   }
 
@@ -1295,7 +1311,8 @@ let test_masks_match_lists () =
   List.iter
     (fun wl ->
       let r = Experiments.Bench_run.load wl in
-      Array.iter (check_masks wl.Workloads.Workload.name) r.analyses)
+      Array.iter (check_masks wl.Workloads.Workload.name)
+        (Cfg.Analysis.of_program r.prog))
     Workloads.Registry.all;
   (* the 120 seeded generator programs [test_decode] pins *)
   for i = 0 to 119 do
