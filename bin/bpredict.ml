@@ -35,8 +35,8 @@ let src_arg =
   let doc = "A MiniC source file, or the name of a built-in workload." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SOURCE" ~doc)
 
-(* Domain count for the parallel sections (experiment suite, trace
-   warm-up).  Falls back to BALLARUS_JOBS, then to the machine's
+(* Domain count for the parallel sections of the experiment suite.
+   Falls back to BALLARUS_JOBS, then to the machine's
    recommended domain count; -j 1 forces the sequential path. *)
 let jobs_arg =
   let doc =
@@ -196,10 +196,8 @@ let profile_cmd =
 (* ---- trace ---- *)
 
 let trace_cmd =
-  let run src jobs no_cache =
+  let run src =
     handle_errors (fun () ->
-        apply_jobs jobs;
-        apply_no_cache no_cache;
         match Workloads.Registry.find src with
         | exception Not_found ->
           failwith "trace analysis requires a built-in workload name"
@@ -207,7 +205,7 @@ let trace_cmd =
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Instructions-per-break-in-control analysis")
-    Term.(const run $ src_arg $ jobs_arg $ no_cache_arg)
+    Term.(const run $ src_arg)
 
 (* ---- layout ---- *)
 
@@ -381,9 +379,8 @@ let fuzz_cmd =
   let run seed count max_size det_every failure_dir dump =
     match dump with
     | Some i ->
-      let cs = Fuzz.Gen.case_seed ~seed ~index:i in
-      let size = 6 + (cs land max_int) mod (max 1 (max_size - 5)) in
-      print_string (Fuzz.Gen.to_source (Fuzz.Gen.generate ~seed:cs ~size))
+      print_string
+        (Fuzz.Gen.to_source (snd (Fuzz.Harness.case ~seed ~max_size i)))
     | None ->
       let cfg =
         { Fuzz.Harness.seed; count; max_size; det_every; failure_dir }

@@ -1,35 +1,35 @@
-let total_exec branches =
-  List.fold_left (fun acc b -> acc + Database.exec b) 0 branches
+type tally = { exec : int; cov_exec : int; cov_miss : int; cov_perfect : int }
 
-let ratio num den = if den = 0 then Float.nan else float_of_int num /. float_of_int den
+let tally partial branches =
+  List.fold_left
+    (fun t (b : Database.branch) ->
+      let exec = t.exec + Database.exec b in
+      match partial b with
+      | Some dir ->
+        {
+          exec;
+          cov_exec = t.cov_exec + Database.exec b;
+          cov_miss = t.cov_miss + Database.misses b dir;
+          cov_perfect = t.cov_perfect + Database.perfect_misses b;
+        }
+      | None -> { t with exec })
+    { exec = 0; cov_exec = 0; cov_miss = 0; cov_perfect = 0 }
+    branches
+
+let ratio num den =
+  if den = 0 then Float.nan else float_of_int num /. float_of_int den
+
+let coverage t = ratio t.cov_exec t.exec
+let miss t = ratio t.cov_miss t.cov_exec
+let perfect t = ratio t.cov_perfect t.cov_exec
 
 let miss_rate predictor branches =
-  let miss =
-    List.fold_left (fun acc b -> acc + Database.misses b (predictor b)) 0 branches
-  in
-  ratio miss (total_exec branches)
+  miss (tally (fun b -> Some (predictor b)) branches)
 
-let perfect_rate branches =
-  let miss = List.fold_left (fun acc b -> acc + Database.perfect_misses b) 0 branches in
-  ratio miss (total_exec branches)
+let perfect_rate branches = perfect (tally (fun _ -> Some true) branches)
 
-let covered partial branches =
-  List.filter (fun b -> partial b <> None) branches
-
-let coverage partial branches =
-  ratio (total_exec (covered partial branches)) (total_exec branches)
-
-let miss_rate_covered partial branches =
-  let cov = covered partial branches in
-  let miss =
-    List.fold_left
-      (fun acc b ->
-        match partial b with
-        | Some dir -> acc + Database.misses b dir
-        | None -> acc)
-      0 cov
-  in
-  ratio miss (total_exec cov)
+let total_exec branches =
+  List.fold_left (fun acc b -> acc + Database.exec b) 0 branches
 
 let big_branches ~threshold branches =
   let total = total_exec branches in

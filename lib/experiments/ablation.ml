@@ -106,13 +106,7 @@ let opcode_fusion ppf =
       (fun (r : Bench_run.t) ->
         let nl = D.non_loop_branches r.db in
         let total = M.total_exec nl in
-        let share p =
-          if total = 0 then Float.nan
-          else begin
-            let e = M.total_exec (List.filter p nl) in
-            float_of_int e /. float_of_int total
-          end
-        in
+        let share p = M.ratio (M.total_exec (List.filter p nl)) total in
         let is_bz (b : D.branch) =
           match r.prog.procs.(b.proc).body.(b.pc) with
           | Mips.Insn.Bz _ -> true
@@ -159,12 +153,12 @@ let profile_based ppf =
               let dir = Predict.Combined.perfect_predict trained in
               cross := !cross + D.misses b dir)
             r.db.branches (Bench_run.db_for r alt).branches;
-          let branches = Array.to_list r.db.branches in
-          Some
-            ( r.wl.name,
-              M.ratio !cross (M.total_exec branches),
-              M.miss_rate (Predict.Combined.predict order) branches,
-              M.perfect_rate branches )
+          let t =
+            M.tally
+              (fun b -> Some (Predict.Combined.predict order b))
+              (Array.to_list r.db.branches)
+          in
+          Some (r.wl.name, M.ratio !cross t.exec, M.miss t, M.perfect t)
         | _ -> None)
       (Bench_run.load_all ())
   in
@@ -203,7 +197,7 @@ let layout ppf =
         in
         let after = Predict.Layout.taken_after r.prog ~predict r.profile in
         let execs = Sim.Profile.branch_execs r.profile in
-        let rate t = float_of_int t /. float_of_int (max 1 execs) in
+        let rate t = M.ratio t execs in
         (r.wl.name, rate before, rate after))
       (Bench_run.load_all ())
   in
@@ -220,28 +214,6 @@ let layout ppf =
           Texttab.pct (mean (fun (_, _, a) -> a));
         ];
       ])
-
-(* Integer tallies of one partial predictor over a workload's non-loop
-   branches: all executions, and the executions, misses and perfect
-   misses of the branches it covers.  Every ratio of the table is
-   formed from these, so each predictor runs once per branch. *)
-type tally = { exec : int; cov_exec : int; cov_miss : int; cov_perfect : int }
-
-let tally partial nl =
-  let exec = ref 0 and cov_exec = ref 0 and cov_miss = ref 0
-  and cov_perfect = ref 0 in
-  List.iter
-    (fun (b : D.branch) ->
-      exec := !exec + D.exec b;
-      match partial b with
-      | Some dir ->
-        cov_exec := !cov_exec + D.exec b;
-        cov_miss := !cov_miss + D.misses b dir;
-        cov_perfect := !cov_perfect + D.perfect_misses b
-      | None -> ())
-    nl;
-  { exec = !exec; cov_exec = !cov_exec; cov_miss = !cov_miss;
-    cov_perfect = !cov_perfect }
 
 let extended ppf =
   Format.fprintf ppf
@@ -263,23 +235,15 @@ let extended ppf =
         let guard (b : D.branch) =
           b.heur.(Predict.Heuristic.to_int Predict.Heuristic.Guard)
         in
-        (r.wl.name, List.mapi (fun i _ -> tally (fun b -> b.D.ext.(i)) nl)
+        (r.wl.name, List.mapi (fun i _ -> M.tally (fun b -> b.D.ext.(i)) nl)
                       heuristics
-                    @ [ tally guard nl ]))
+                    @ [ M.tally guard nl ]))
       (Bench_run.load_all ())
   in
-  let cell t =
-    let cov = M.ratio t.cov_exec t.exec in
-    if Float.is_nan cov || cov < 0.01 then [ ""; "" ]
-    else
-      [
-        Texttab.pct cov;
-        Texttab.ratio (M.ratio t.cov_miss t.cov_exec)
-          (M.ratio t.cov_perfect t.cov_exec);
-      ]
-  in
   Texttab.render ppf ~header
-    (List.map (fun (name, ts) -> name :: List.concat_map cell ts) tallies);
+    (List.map
+       (fun (name, ts) -> name :: List.concat_map Tables.covered_cells ts)
+       tallies);
   (* aggregate miss rates over all covered branches, suite-wide *)
   Format.fprintf ppf "@.aggregate (dynamic, suite-wide) miss on covered:@.";
   List.iteri
@@ -288,7 +252,7 @@ let extended ppf =
         List.fold_left
           (fun (m, e) (_, ts) ->
             let t = List.nth ts i in
-            (m + t.cov_miss, e + t.cov_exec))
+            (m + t.M.cov_miss, e + t.M.cov_exec))
           (0, 0) tallies
       in
       Format.fprintf ppf "  %-10s %s%%@." name

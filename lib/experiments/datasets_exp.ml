@@ -26,13 +26,12 @@ let graph13 ppf =
     List.map
       (fun ((wl : Workloads.Workload.t), (ds : Sim.Dataset.t)) ->
         let db = Bench_run.db_for (Bench_run.load wl) ds in
-        let branches = Array.to_list db.branches in
-        [
-          wl.name;
-          ds.name;
-          Texttab.pct (M.miss_rate (Predict.Combined.predict order) branches);
-          Texttab.pct (M.perfect_rate branches);
-        ])
+        let t =
+          M.tally
+            (fun b -> Some (Predict.Combined.predict order b))
+            (Array.to_list db.branches)
+        in
+        [ wl.name; ds.name; Texttab.pct (M.miss t); Texttab.pct (M.perfect t) ])
       (pairs ())
   in
   Texttab.render ppf

@@ -10,17 +10,48 @@ let lang_groups () =
   List.partition (fun (r : Bench_run.t) -> r.wl.lang = Workloads.Workload.C) rs
 
 let pct_non_loop r =
-  let nl = M.total_exec (nl_of r) and all = M.total_exec (all_of r) in
-  if all = 0 then Float.nan else float_of_int nl /. float_of_int all
+  M.ratio (M.total_exec (nl_of r)) (M.total_exec (all_of r))
 
-(* sort a group by non-loop share, descending, as in Table 2 *)
-let by_non_loop_share rs =
-  List.sort (fun a b -> compare (pct_non_loop b) (pct_non_loop a)) rs
+(* The layout of Tables 2, 3, 5 and 6: the integer group's rows, a
+   [--] row, the float group's rows, then MEAN and Std.Dev over every
+   workload.  Each group is sorted by non-loop share, descending, as
+   in Table 2; [data share r] is a workload's figures, formed once for
+   its [row] and for the [summary] rows. *)
+let grouped ppf ~header ~data ~row ~summary =
+  let ints, floats = lang_groups () in
+  let rows group =
+    List.map (fun r -> (pct_non_loop r, r)) group
+    |> List.sort (fun (a, _) (b, _) -> compare b a)
+    |> List.map (fun (share, r) -> data share r)
+  in
+  let irows = rows ints and frows = rows floats in
+  let all = irows @ frows in
+  Texttab.render ppf ~header
+    (List.map row irows
+    @ [ [ "--" ] ]
+    @ List.map row frows
+    @ [ summary "MEAN" Stats.mean all; summary "Std.Dev" Stats.stddev all ])
 
-(* Each workload of a group, sorted as in Table 2, with its [cell] for
-   every column: computed once for its row and for the summary rows. *)
-let with_cells cell columns group =
-  List.map (fun r -> (r, List.map (cell r) columns)) (by_non_loop_share group)
+(* the tally of a predictor that covers every branch *)
+let total p = M.tally (fun b -> Some (p b))
+
+(* A tally's C/D entry, and [stat] of the Cs over the Ds of many *)
+let cd t = Texttab.ratio (M.miss t) (M.perfect t)
+
+let cd_stat stat ts =
+  Texttab.ratio (stat (List.map M.miss ts)) (stat (List.map M.perfect ts))
+
+(* a partial predictor's cell is shown when it covers 1% or more (a
+   [nan] coverage is not) *)
+let shown t = M.coverage t >= 0.01
+
+let covered_cells t =
+  if shown t then [ Texttab.pct (M.coverage t); cd t ] else [ ""; "" ]
+
+(* the columns of a table given as rows *)
+let rec transpose = function
+  | [] | [] :: _ -> []
+  | rows -> List.map List.hd rows :: transpose (List.map List.tl rows)
 
 let table1 ppf =
   Format.fprintf ppf "Table 1: benchmarks, sorted by code size within group@.";
@@ -48,29 +79,22 @@ let table1 ppf =
 
 (* ---------------- Table 2 ---------------- *)
 
+(* loop predictor on loop branches; target and random on non-loop *)
 type t2row = {
-  name2 : string;
-  loop_prd : float;
-  loop_prf : float;
-  share_nl : float;
-  tgt : float;
-  rnd : float;
-  nl_prf : float;
+  loop : M.tally;
+  tgt : M.tally;
+  rnd : M.tally;
   big_n : int;
   big_share : float;
 }
 
 let t2data (r : Bench_run.t) =
-  let nl = nl_of r and lp = lp_of r in
+  let nl = nl_of r in
   let big, big_share = M.big_branches ~threshold:0.05 nl in
   {
-    name2 = r.wl.name;
-    loop_prd = M.miss_rate (fun b -> b.D.loop_pred) lp;
-    loop_prf = M.perfect_rate lp;
-    share_nl = pct_non_loop r;
-    tgt = M.miss_rate (fun _ -> true) nl;
-    rnd = M.miss_rate (fun b -> b.D.rand_pred) nl;
-    nl_prf = M.perfect_rate nl;
+    loop = total (fun b -> b.D.loop_pred) (lp_of r);
+    tgt = total (fun _ -> true) nl;
+    rnd = total (fun b -> b.D.rand_pred) nl;
     big_n = List.length big;
     big_share;
   }
@@ -82,40 +106,32 @@ let table2 ppf =
     "(Prd/Prf = loop predictor miss %% / perfect miss %%; %%All = share of@.";
   Format.fprintf ppf
     " dynamic branches that are non-loop; Tgt/Rnd = target/random miss)@.@.";
-  let ints, floats = lang_groups () in
-  let rows group = List.map t2data (by_non_loop_share group) in
-  let irows = rows ints and frows = rows floats in
-  let render_row d =
+  let row (name, share, d) =
     [
-      d.name2;
-      Texttab.ratio d.loop_prd d.loop_prf;
-      Texttab.pct d.share_nl;
-      Texttab.ratio d.tgt d.nl_prf;
-      Texttab.ratio d.rnd d.nl_prf;
+      name;
+      cd d.loop;
+      Texttab.pct share;
+      cd d.tgt;
+      cd d.rnd;
       string_of_int d.big_n;
       Texttab.pct d.big_share;
     ]
   in
-  let all = irows @ frows in
-  let agg f = List.map f all in
-  let mrow name stat =
+  let summary name stat all =
+    let over f = cd_stat stat (List.map (fun (_, _, d) -> f d) all) in
     [
       name;
-      Texttab.ratio (stat (agg (fun d -> d.loop_prd))) (stat (agg (fun d -> d.loop_prf)));
-      Texttab.pct (stat (agg (fun d -> d.share_nl)));
-      Texttab.ratio (stat (agg (fun d -> d.tgt))) (stat (agg (fun d -> d.nl_prf)));
-      Texttab.ratio (stat (agg (fun d -> d.rnd))) (stat (agg (fun d -> d.nl_prf)));
-      "";
-      "";
+      over (fun d -> d.loop);
+      Texttab.pct (stat (List.map (fun (_, share, _) -> share) all));
+      over (fun d -> d.tgt);
+      over (fun d -> d.rnd);
     ]
   in
-  Texttab.render ppf
+  grouped ppf
     ~header:
       [ "Program"; "Loop Prd/Prf"; "%All"; "Tgt/Prf"; "Rnd/Prf"; "Big"; "Big%" ]
-    (List.map render_row irows
-    @ [ [ "--" ] ]
-    @ List.map render_row frows
-    @ [ mrow "MEAN" Stats.mean; mrow "Std.Dev" Stats.stddev ])
+    ~data:(fun share (r : Bench_run.t) -> (r.wl.name, share, t2data r))
+    ~row ~summary
 
 (* ---------------- Table 3 ---------------- *)
 
@@ -124,66 +140,38 @@ let table3 ppf =
   Format.fprintf ppf
     "(coverage %% of dynamic non-loop branches, then miss/perfect on the@.";
   Format.fprintf ppf " covered branches; blank when coverage < 1%%)@.@.";
-  let ints, floats = lang_groups () in
   let heuristics = Predict.Heuristic.all in
-  let cell r h =
+  let data share (r : Bench_run.t) =
     let nl = nl_of r in
-    let partial (b : D.branch) = b.D.heur.(Predict.Heuristic.to_int h) in
-    let cov = M.coverage partial nl in
-    if Float.is_nan cov || cov < 0.01 then ("", Float.nan, Float.nan)
-    else begin
-      let covered = M.covered partial nl in
-      ( Texttab.pct cov,
-        M.miss_rate_covered partial nl,
-        M.perfect_rate covered )
-    end
+    let tally h = M.tally (fun b -> b.D.heur.(Predict.Heuristic.to_int h)) nl in
+    (r.wl.name, share, List.map tally heuristics)
   in
-  let irows = with_cells cell heuristics ints
-  and frows = with_cells cell heuristics floats in
-  let cells = irows @ frows in
-  let render_row ((r : Bench_run.t), row) =
-    r.wl.name :: Texttab.pct (pct_non_loop r)
+  let row (name, share, ts) =
+    name :: Texttab.pct share :: List.concat_map covered_cells ts
+  in
+  (* over the shown cells; the coverage mean is of the printed
+     percentages *)
+  let summary name stat all =
+    let printed t = float_of_string (Texttab.pct (M.coverage t)) /. 100. in
+    name :: ""
     :: List.concat_map
-         (fun (cov, miss, prf) ->
-           if String.equal cov "" then [ ""; "" ]
-           else [ cov; Texttab.ratio miss prf ])
-         row
+         (fun column ->
+           let ts = List.filter shown column in
+           [
+             (if ts = [] then "" else Texttab.pct (stat (List.map printed ts)));
+             cd_stat stat ts;
+           ])
+         (transpose (List.map (fun (_, _, ts) -> ts) all))
   in
-  let header =
-    "Program" :: "NL"
-    :: List.concat_map
-         (fun h -> [ Predict.Heuristic.name h; "miss/prf" ])
-         heuristics
-  in
-  (* means over non-blank entries *)
-  let mean_cells stat =
-    List.concat_map
-      (fun i ->
-        let entries = List.map (fun (_, row) -> List.nth row i) cells in
-        let covs =
-          List.filter_map
-            (fun (c, _, _) ->
-              if String.equal c "" then None else Some (float_of_string c))
-            entries
-        in
-        let misses = List.map (fun (_, m, _) -> m) entries in
-        let prfs = List.map (fun (_, _, p) -> p) entries in
-        [
-          (if covs = [] then "" else Printf.sprintf "%.0f" (stat (List.map (fun c -> c /. 100.) covs) *. 100.));
-          Texttab.ratio (stat misses) (stat prfs);
-        ])
-      (List.init (List.length heuristics) Fun.id)
-  in
-  Texttab.render ppf ~header
-    (List.map render_row irows
-    @ [ [ "--" ] ]
-    @ List.map render_row frows
-    @ [ "MEAN" :: "" :: mean_cells Stats.mean;
-        "Std.Dev" :: "" :: mean_cells Stats.stddev ])
+  grouped ppf
+    ~header:
+      ("Program" :: "NL"
+      :: List.concat_map
+           (fun h -> [ Predict.Heuristic.name h; "miss/prf" ])
+           heuristics)
+    ~data ~row ~summary
 
 (* ---------------- Table 5 ---------------- *)
-
-let slice_of order (b : D.branch) = snd (Predict.Combined.predict_non_loop order b)
 
 let table5 ppf =
   let order = Predict.Combined.paper_order in
@@ -193,7 +181,6 @@ let table5 ppf =
   Format.fprintf ppf
     "(per heuristic: %% of dynamic non-loop branches it predicts, and@.";
   Format.fprintf ppf " miss/perfect on that slice; Default = random)@.@.";
-  let ints, floats = lang_groups () in
   let sources =
     List.map (fun h -> Predict.Combined.By h) order @ [ Predict.Combined.Default ]
   in
@@ -201,92 +188,58 @@ let table5 ppf =
     | Predict.Combined.By h -> Predict.Heuristic.name h
     | Predict.Combined.Default -> "Default"
   in
-  let cell r src =
+  (* a source's slice: the branches it predicts under the order *)
+  let slice src b =
+    let dir, s = Predict.Combined.predict_non_loop order b in
+    if s = src then Some dir else None
+  in
+  let data _ (r : Bench_run.t) =
     let nl = nl_of r in
-    let total = M.total_exec nl in
-    let slice = List.filter (fun b -> slice_of order b = src) nl in
-    let e = M.total_exec slice in
-    let cov = if total = 0 then Float.nan else float_of_int e /. float_of_int total in
-    if Float.is_nan cov || cov < 0.01 then None
-    else begin
-      let pred b = fst (Predict.Combined.predict_non_loop order b) in
-      Some (cov, M.miss_rate pred slice, M.perfect_rate slice)
-    end
+    (r.wl.name, List.map (fun src -> M.tally (slice src) nl) sources)
   in
-  let irows = with_cells cell sources ints
-  and frows = with_cells cell sources floats in
-  let cells = irows @ frows in
-  let render_row ((r : Bench_run.t), row) =
-    r.wl.name
+  let row (name, ts) = name :: List.concat_map covered_cells ts in
+  let summary name stat all =
+    name
     :: List.concat_map
-         (function
-           | None -> [ ""; "" ]
-           | Some (cov, miss, prf) ->
-             [ Texttab.pct cov; Texttab.ratio miss prf ])
-         row
+         (fun column ->
+           match List.filter shown column with
+           | [] -> [ ""; "" ]
+           | ts ->
+             [ Texttab.pct (stat (List.map M.coverage ts)); cd_stat stat ts ])
+         (transpose (List.map snd all))
   in
-  let header =
-    "Program"
-    :: List.concat_map (fun s -> [ source_name s; "miss/prf" ]) sources
-  in
-  let stat_cells stat =
-    List.concat_map
-      (fun i ->
-        let entries = List.filter_map (fun (_, row) -> List.nth row i) cells in
-        if entries = [] then [ ""; "" ]
-        else begin
-          let covs = List.map (fun (c, _, _) -> c) entries in
-          let misses = List.map (fun (_, m, _) -> m) entries in
-          let prfs = List.map (fun (_, _, p) -> p) entries in
-          [
-            Printf.sprintf "%.0f" (stat covs *. 100.);
-            Texttab.ratio (stat misses) (stat prfs);
-          ]
-        end)
-      (List.init (List.length sources) Fun.id)
-  in
-  Texttab.render ppf ~header
-    (List.map render_row irows
-    @ [ [ "--" ] ]
-    @ List.map render_row frows
-    @ [ "MEAN" :: stat_cells Stats.mean; "Std.Dev" :: stat_cells Stats.stddev ])
+  grouped ppf
+    ~header:
+      ("Program"
+      :: List.concat_map (fun s -> [ source_name s; "miss/prf" ]) sources)
+    ~data ~row ~summary
 
 (* ---------------- Table 6 ---------------- *)
 
+(* the combined predictor on the non-loop branches a heuristic covers,
+   on all non-loop branches (+Default) and on all branches, and
+   Loop+Rand on all branches *)
 type t6row = {
-  name6 : string;
-  cov : float;
-  h_miss : float;
-  h_prf : float;
-  d_miss : float;
-  d_prf : float;
-  a_miss : float;
-  a_prf : float;
-  lr_miss : float;
-  lr_prf : float;
+  heur : M.tally;
+  dflt : M.tally;
+  all_br : M.tally;
+  loop_rand : M.tally;
 }
 
 let t6data (r : Bench_run.t) =
-  let order = Predict.Combined.paper_order in
+  let module C = Predict.Combined in
+  let order = C.paper_order in
   let nl = nl_of r and all = all_of r in
-  let covered =
-    List.filter (fun b -> slice_of order b <> Predict.Combined.Default) nl
+  let covered b =
+    match C.predict_non_loop order b with
+    | _, C.Default -> None
+    | dir, C.By _ -> Some dir
   in
-  let pred_nl b = fst (Predict.Combined.predict_non_loop order b) in
   {
-    name6 = r.wl.name;
-    cov =
-      (let t = M.total_exec nl in
-       if t = 0 then Float.nan
-       else float_of_int (M.total_exec covered) /. float_of_int t);
-    h_miss = M.miss_rate pred_nl covered;
-    h_prf = M.perfect_rate covered;
-    d_miss = M.miss_rate pred_nl nl;
-    d_prf = M.perfect_rate nl;
-    a_miss = M.miss_rate (Predict.Combined.predict order) all;
-    a_prf = M.perfect_rate all;
-    lr_miss = M.miss_rate Predict.Combined.loop_rand_predict all;
-    lr_prf = M.perfect_rate all;
+    heur = M.tally covered nl;
+    dflt = total (fun b -> fst (C.predict_non_loop order b)) nl;
+    all_br = total (C.predict order) all;
+    loop_rand = total C.loop_rand_predict all;
   }
 
 let table6 ppf =
@@ -295,44 +248,32 @@ let table6 ppf =
     "(Heuristics: covered non-loop branches; +Default adds uncovered;@.";
   Format.fprintf ppf
     " All adds loop branches; Loop+Rand = loop predictor + random)@.@.";
-  let ints, floats = lang_groups () in
-  let render d =
-    [
-      d.name6;
-      Texttab.pct d.cov;
-      Texttab.ratio d.h_miss d.h_prf;
-      Texttab.ratio d.d_miss d.d_prf;
-      Texttab.ratio d.a_miss d.a_prf;
-      Texttab.ratio d.lr_miss d.lr_prf;
-    ]
-  in
-  let irows = List.map t6data (by_non_loop_share ints) in
-  let frows = List.map t6data (by_non_loop_share floats) in
-  let all = irows @ frows in
-  let mrow name stat =
+  let row (name, d) =
     [
       name;
-      Texttab.pct (stat (List.map (fun d -> d.cov) all));
-      Texttab.ratio
-        (stat (List.map (fun d -> d.h_miss) all))
-        (stat (List.map (fun d -> d.h_prf) all));
-      Texttab.ratio
-        (stat (List.map (fun d -> d.d_miss) all))
-        (stat (List.map (fun d -> d.d_prf) all));
-      Texttab.ratio
-        (stat (List.map (fun d -> d.a_miss) all))
-        (stat (List.map (fun d -> d.a_prf) all));
-      Texttab.ratio
-        (stat (List.map (fun d -> d.lr_miss) all))
-        (stat (List.map (fun d -> d.lr_prf) all));
+      Texttab.pct (M.coverage d.heur);
+      cd d.heur;
+      cd d.dflt;
+      cd d.all_br;
+      cd d.loop_rand;
     ]
   in
-  Texttab.render ppf
+  let summary name stat all =
+    let ds = List.map snd all in
+    let over f = cd_stat stat (List.map f ds) in
+    [
+      name;
+      Texttab.pct (stat (List.map (fun d -> M.coverage d.heur) ds));
+      over (fun d -> d.heur);
+      over (fun d -> d.dflt);
+      over (fun d -> d.all_br);
+      over (fun d -> d.loop_rand);
+    ]
+  in
+  grouped ppf
     ~header:[ "Program"; "Cov%"; "Heuristics"; "+Default"; "All"; "Loop+Rand" ]
-    (List.map render irows
-    @ [ [ "--" ] ]
-    @ List.map render frows
-    @ [ mrow "MEAN" Stats.mean; mrow "Std.Dev" Stats.stddev ])
+    ~data:(fun _ (r : Bench_run.t) -> (r.wl.name, t6data r))
+    ~row ~summary
 
 (* ---------------- Table 7 ---------------- *)
 
@@ -361,13 +302,13 @@ let table7 ppf =
   Texttab.render ppf
     ~header:[ "Metric"; "(all)"; "(most)" ]
     [
-      row "Heuristics (covered non-loop)" (fun d -> d.h_miss);
-      row "+Default (all non-loop)" (fun d -> d.d_miss);
-      row "All branches" (fun d -> d.a_miss);
-      row "Loop+Rand (all branches)" (fun d -> d.lr_miss);
-      t2row "Tgt (non-loop)" (fun d -> d.tgt);
-      t2row "Rnd (non-loop)" (fun d -> d.rnd);
-      t2row "Perfect (non-loop)" (fun d -> d.nl_prf);
+      row "Heuristics (covered non-loop)" (fun d -> M.miss d.heur);
+      row "+Default (all non-loop)" (fun d -> M.miss d.dflt);
+      row "All branches" (fun d -> M.miss d.all_br);
+      row "Loop+Rand (all branches)" (fun d -> M.miss d.loop_rand);
+      t2row "Tgt (non-loop)" (fun d -> M.miss d.tgt);
+      t2row "Rnd (non-loop)" (fun d -> M.miss d.rnd);
+      t2row "Perfect (non-loop)" (fun d -> M.perfect d.tgt);
     ]
 
 (* ---------------- loop shapes (Section 3 support) ---------------- *)
@@ -381,15 +322,11 @@ let loop_shapes ppf =
     List.map
       (fun (r : Bench_run.t) ->
         let lp = lp_of r in
-        let total = M.total_exec lp in
-        let fwd =
-          M.total_exec (List.filter (fun b -> not b.D.backward) lp)
-        in
-        let share =
-          if total = 0 then Float.nan
-          else float_of_int fwd /. float_of_int total
-        in
-        [ r.wl.name; Texttab.pct share ])
+        let fwd = List.filter (fun b -> not b.D.backward) lp in
+        [
+          r.wl.name;
+          Texttab.pct (M.ratio (M.total_exec fwd) (M.total_exec lp));
+        ])
       (Bench_run.load_all ())
   in
   Texttab.render ppf ~header:[ "Program"; "%fwd loop branches" ] rows

@@ -4,6 +4,11 @@
     entries are "predictor miss % / perfect miss %", blank below 1%
     coverage, equal benchmark weights in means). *)
 
+val covered_cells : Predict.Metrics.tally -> string list
+(** A partial predictor's two cells in Tables 3 and 5: its coverage,
+    then its C/D on the branches it covers; both blank when it covers
+    under 1% of the executions. *)
+
 val table1 : Format.formatter -> unit
 (** Benchmark roster: name, description, language, code size, static
     branches. *)

@@ -24,13 +24,13 @@ type failure = {
 
 type outcome = { cases : int; failures : failure list }
 
-let case_size ~case_seed ~max_size =
-  6 + (case_seed land max_int) mod (max 1 (max_size - 5))
+let case ~seed ~max_size i =
+  let cs = Gen.case_seed ~seed ~index:i in
+  let size = 6 + (cs land max_int) mod (max 1 (max_size - 5)) in
+  (cs, Gen.generate ~seed:cs ~size)
 
 let run_case ~seed ~max_size i =
-  let cs = Gen.case_seed ~seed ~index:i in
-  let size = case_size ~case_seed:cs ~max_size in
-  let src = Gen.to_source (Gen.generate ~seed:cs ~size) in
+  let src = Gen.to_source (snd (case ~seed ~max_size i)) in
   (src, Oracle.check_source src)
 
 let ensure_dir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755
@@ -51,9 +51,7 @@ let run ?(log = fun _ -> ()) cfg =
       log (Printf.sprintf "... %d/%d cases, %d failure(s)" i cfg.count
              (List.length !failures));
     let det_check = cfg.det_every > 0 && i mod cfg.det_every = 0 in
-    let cs = Gen.case_seed ~seed:cfg.seed ~index:i in
-    let size = case_size ~case_seed:cs ~max_size:cfg.max_size in
-    let prog = Gen.generate ~seed:cs ~size in
+    let cs, prog = case ~seed:cfg.seed ~max_size:cfg.max_size i in
     let src = Gen.to_source prog in
     match Oracle.check_source ~det_check src with
     | [] -> ()

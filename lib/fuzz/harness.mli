@@ -32,6 +32,12 @@ type failure = {
 
 type outcome = { cases : int; failures : failure list }
 
+val case : seed:int -> max_size:int -> int -> int * Gen.program
+(** [case ~seed ~max_size i] is case [i] of a run: the seed it derives
+    with {!Gen.case_seed} and the program grown from it, under a
+    statement budget between 6 and [max_size].  {!run}, {!run_case}
+    and [bpredict fuzz --dump] all generate through it. *)
+
 val run_case : seed:int -> max_size:int -> int ->
   string * Oracle.divergence list
 (** Generate and check case [i] with every oracle but par-determinism;

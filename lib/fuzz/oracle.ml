@@ -4,9 +4,11 @@ let pp_divergence ppf d = Format.fprintf ppf "[%s] %s" d.oracle d.detail
 
 let div oracle fmt = Printf.ksprintf (fun detail -> { oracle; detail }) fmt
 
-(* generated programs read no input; an empty dataset keeps any stray
-   read() an honest fault in both executors *)
-let dataset = Sim.Dataset.make ~name:"fuzz" [||]
+(* Generated programs read no input.  Past the end of a dataset both
+   executors return -1 and count no read, so on an empty dataset a
+   stray read() would go unseen; this one holds one int and one float,
+   which the first read of each kind consumes and counts. *)
+let dataset = Sim.Dataset.make ~name:"fuzz" ~floats:[| 0.5 |] [| 1 |]
 
 let max_steps = 50_000_000
 
@@ -25,6 +27,16 @@ let stats_mismatch oracle which (i : Minic.Interp.stats)
         m.floats_read;
     ]
   else []
+
+let check_input (i : Minic.Interp.stats) (m : Sim.Machine.stats) =
+  if i.ints_read + i.floats_read + m.ints_read + m.floats_read = 0 then []
+  else
+    [
+      div "input"
+        "the program reads input: interp {ints=%d floats=%d}, machine \
+         {ints=%d floats=%d}"
+        i.ints_read i.floats_read m.ints_read m.floats_read;
+    ]
 
 let check_flow prog (profile : Sim.Profile.t) =
   match
@@ -189,6 +201,7 @@ let check_source ?(det_check = false) src =
       | exception (Sim.Machine.Fault msg | Sim.Machine.Out_of_fuel msg) ->
         [ div "machine" "simulator fault: %s" msg ]
       | profile ->
+        let d0 = check_input istats profile.stats in
         let d1 = stats_mismatch "interp-vs-machine" "opt" istats profile.stats in
         let d2 =
           match unopt with
@@ -204,4 +217,4 @@ let check_source ?(det_check = false) src =
         let d4, db = check_predict prog analyses profile in
         let d5 = check_miss_matrix db in
         let d6 = if det_check then check_determinism db else [] in
-        d1 @ d2 @ d3 @ d4 @ d5 @ d6))
+        d0 @ d1 @ d2 @ d3 @ d4 @ d5 @ d6))

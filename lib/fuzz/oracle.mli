@@ -6,6 +6,9 @@
     - {b interp-vs-machine}: the AST interpreter and the compiled
       program running on the simulator must produce the same output
       checksum and consume the same inputs;
+    - {b input}: generated programs read no input, so neither
+      executor may consume any of the one int and one float the
+      oracles' dataset holds;
     - {b opt-vs-unopt}: the peephole optimiser must not change
       observable behaviour;
     - {b flow}: the edge profile must be flow-consistent — every

@@ -49,24 +49,11 @@ let out_of_fuel m =
           "out of fuel: instruction limit exceeded (at %s+%d, %d instructions executed)"
           m.prog.procs.(m.proc).name m.pc m.instrs))
 
-(* The default fuel budget for a run that does not pass [?max_instrs]:
-   high enough that no real workload comes near it, low enough that a
+(* The fuel budget of a run that does not pass [?max_instrs]: high
+   enough that no real workload comes near it, low enough that a
    runaway generated program fails in bounded time instead of hanging
-   a domain forever.  Overridable per-process via [BALLARUS_FUEL] or
-   [set_default_fuel]. *)
-let builtin_fuel = 2_000_000_000
-
-let default_fuel_limit =
-  ref
-    (match Sys.getenv_opt "BALLARUS_FUEL" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ -> builtin_fuel)
-    | None -> builtin_fuel)
-
-let set_default_fuel n = default_fuel_limit := max 1 n
-let default_fuel () = !default_fuel_limit
+   a domain forever. *)
+let fuel_budget = 2_000_000_000
 
 let max_call_depth = 65536
 
@@ -130,7 +117,7 @@ let noindirect _ = ()
 let run_decoded ?max_instrs ?(on_branch = nobranch)
     ?(on_indirect = noindirect) (d : Decode.t) input =
   let max_instrs =
-    max 0 (match max_instrs with Some n -> n | None -> !default_fuel_limit)
+    max 0 (Option.value max_instrs ~default:fuel_budget)
   in
   let prog = d.Decode.prog in
   let m = create prog input in

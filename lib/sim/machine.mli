@@ -49,15 +49,6 @@ exception Out_of_fuel of string
     [Fuel_exhausted] rather than hard errors; carries the same
     location context as {!Fault}. *)
 
-val set_default_fuel : int -> unit
-(** Set the process-wide fuel budget used when a run does not pass
-    [?max_instrs] (clamped to at least 1).  Initialised from
-    [BALLARUS_FUEL] when set, else 2_000_000_000. *)
-
-val default_fuel : unit -> int
-(** The fuel budget currently in force for runs without
-    [?max_instrs]. *)
-
 type stats = {
   instr_count : int;
   checksum : int;
@@ -81,7 +72,7 @@ val run :
     themselves.
 
     @param max_instrs raise {!Out_of_fuel} after this many
-    instructions (default: {!default_fuel}).  A program that halts in
+    instructions (default: 2_000_000_000).  A program that halts in
     exactly [N] instructions succeeds with [~max_instrs:N] and runs
     out of fuel with [~max_instrs:(N - 1)]. *)
 

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Runs bpredict's per-program subcommands on a built-in workload and
-# on MiniC files, each case three times: without the store
+# Runs bpredict's per-program subcommands, and trace, on a built-in
+# workload and on MiniC files, each case three times: without the store
 # (BALLARUS_NO_CACHE), then cold and warm over one private store that
 # starts empty.  Fails unless the three runs print the same bytes and
 # exit the same way, and the warm run writes nothing new.  Prints each
@@ -47,6 +47,8 @@ for src in xlisp small.mc; do
   run_case layout "$src"
 done
 run_case profile bad.mc
+run_case trace xlisp
+run_case trace small.mc
 
 rm -rf "$store" out.none out.cold out.warm
 exit $fail

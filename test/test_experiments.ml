@@ -93,11 +93,11 @@ let test_tomcatv_story () =
   let nl = Predict.Database.non_loop_branches r.db in
   let guard b = b.Predict.Database.heur.(Predict.Heuristic.to_int Guard) in
   let store b = b.Predict.Database.heur.(Predict.Heuristic.to_int Store) in
-  let guard_miss = Predict.Metrics.miss_rate_covered guard nl in
-  let store_miss = Predict.Metrics.miss_rate_covered store nl in
-  checkb "guard coverage high" true (Predict.Metrics.coverage guard nl > 0.9);
-  checkb "guard miss extreme" true (guard_miss > 0.9);
-  checkb "store miss tiny" true (store_miss < 0.1)
+  let guard = Predict.Metrics.tally guard nl in
+  let store = Predict.Metrics.tally store nl in
+  checkb "guard coverage high" true (Predict.Metrics.coverage guard > 0.9);
+  checkb "guard miss extreme" true (Predict.Metrics.miss guard > 0.9);
+  checkb "store miss tiny" true (Predict.Metrics.miss store < 0.1)
 
 let test_loop_predictor_quality () =
   (* the loop predictor approaches perfect on loop branches for

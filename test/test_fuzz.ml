@@ -33,6 +33,39 @@ let test_oracles_clean_batch () =
         i (Format.asprintf "%a" Fuzz.Oracle.pp_divergence d)
   done
 
+let test_input_oracle () =
+  (* generated programs read no input: a read() must be reported, even
+     though both executors agree on what it returns *)
+  let oracles src =
+    List.map (fun (d : Fuzz.Oracle.divergence) -> d.oracle)
+      (Fuzz.Oracle.check_source src)
+  in
+  Alcotest.(check (list string)) "a read is reported" [ "input" ]
+    (oracles "int main() { int x = read(); print(x); return 0; }");
+  Alcotest.(check (list string)) "no read, no divergence" []
+    (oracles "int main() { int x = 4; print(x); return 0; }")
+
+let test_dump_prints_checked_source () =
+  (* [bpredict fuzz --dump N] prints the source that case N of the same
+     run checks; the binary is found next to this executable, where the
+     suite's runtest rule puts it *)
+  let bpredict =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/bpredict.exe"
+  in
+  List.iter
+    (fun i ->
+      let checked, _ = Fuzz.Harness.run_case ~seed:11 ~max_size:12 i in
+      let ic =
+        Unix.open_process_args_in bpredict
+          [| bpredict; "fuzz"; "--seed"; "11"; "--size"; "12"; "--dump";
+             string_of_int i |]
+      in
+      let dumped = In_channel.input_all ic in
+      checkb "--dump exits 0" true
+        (Unix.close_process_in ic = Unix.WEXITED 0);
+      checks (Printf.sprintf "case %d" i) checked dumped)
+    [ 0; 5 ]
+
 let flow_src =
   {|
 int helper(int k) {
@@ -174,6 +207,9 @@ let tests =
     ( "oracle",
       [
         Alcotest.test_case "clean batch" `Quick test_oracles_clean_batch;
+        Alcotest.test_case "input" `Quick test_input_oracle;
+        Alcotest.test_case "dump prints the checked source" `Quick
+          test_dump_prints_checked_source;
         Alcotest.test_case "flow clean" `Quick test_flow_clean_profile;
         Alcotest.test_case "flow corruption" `Quick
           test_flow_detects_corruption;

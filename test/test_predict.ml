@@ -578,6 +578,77 @@ let test_metrics () =
   checki "one big branch" 1 (List.length big);
   checkb "share" true (abs_float (share -. 0.8) < 1e-9)
 
+(* The branch-by-branch definition of each rate the tally projects:
+   filter out the covered branches, then fold them again per rate. *)
+module Reference = struct
+  let ratio num den =
+    if den = 0 then Float.nan else float_of_int num /. float_of_int den
+
+  let total_exec bs = List.fold_left (fun acc b -> acc + D.exec b) 0 bs
+  let covered partial bs = List.filter (fun b -> partial b <> None) bs
+
+  let coverage partial bs =
+    ratio (total_exec (covered partial bs)) (total_exec bs)
+
+  let miss_rate_covered partial bs =
+    let cov = covered partial bs in
+    let miss =
+      List.fold_left
+        (fun acc b ->
+          match partial b with
+          | Some dir -> acc + D.misses b dir
+          | None -> acc)
+        0 cov
+    in
+    ratio miss (total_exec cov)
+
+  let perfect_rate bs =
+    ratio (List.fold_left (fun acc b -> acc + D.perfect_misses b) 0 bs)
+      (total_exec bs)
+end
+
+let prop_tally_matches_reference =
+  (* per branch its taken and fall counts, zero half the time, and the
+     partial predictor's verdict: none, taken or not taken *)
+  let count = QCheck.Gen.(oneof [ return 0; int_range 0 40 ]) in
+  QCheck.Test.make ~name:"tally = branch-by-branch rates" ~count:500
+    QCheck.(
+      make
+        Gen.(
+          list_size (int_range 0 8)
+            (triple count count (oneofl [ None; Some true; Some false ]))))
+    (fun specs ->
+      let brs =
+        List.mapi
+          (fun pc (taken_count, fall_count, verdict) ->
+            {
+              D.proc = 0; block = 0; pc; taken_dst = 1; fall_dst = 2;
+              cls = Predict.Classify.Non_loop_branch;
+              taken_count; fall_count;
+              heur = [| verdict |];
+              ext = [||];
+              loop_pred = false; rand_pred = false; backward = false;
+            })
+          specs
+      in
+      let partial (b : D.branch) = b.heur.(0) in
+      let same a b =
+        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+      in
+      let module M = Predict.Metrics in
+      let t = M.tally partial brs in
+      let cov = Reference.covered partial brs in
+      let always dir = M.miss_rate (fun _ -> dir) brs in
+      same (M.coverage t) (Reference.coverage partial brs)
+      && same (M.miss t) (Reference.miss_rate_covered partial brs)
+      && same (M.perfect t) (Reference.perfect_rate cov)
+      && same (always true)
+           (Reference.miss_rate_covered (fun _ -> Some true) brs)
+      && same (M.perfect_rate brs) (Reference.perfect_rate brs)
+      && Float.is_nan (M.coverage t) = (Reference.total_exec brs = 0)
+      && Float.is_nan (M.miss t) = (Reference.total_exec cov = 0)
+      && Float.is_nan (always false) = (Reference.total_exec brs = 0))
+
 (* ---- orderings ---- *)
 
 let test_order_roundtrip_exhaustive () =
@@ -1424,5 +1495,6 @@ let tests =
           prop_subset_total_wins;
           prop_subset_run_equals_reference;
           prop_perfect_is_optimal;
+          prop_tally_matches_reference;
         ] );
   ]

@@ -56,18 +56,6 @@ let test_fuel_exactness () =
        instructions executed)"
       msg
 
-let test_default_fuel () =
-  let saved = Sim.Machine.default_fuel () in
-  Fun.protect
-    ~finally:(fun () -> Sim.Machine.set_default_fuel saved)
-    (fun () ->
-      Sim.Machine.set_default_fuel 5_000;
-      checki "accessor reflects" 5_000 (Sim.Machine.default_fuel ());
-      let prog = compile "int main() { while (1) { } return 0; }" in
-      match Sim.Machine.run prog (ds ()) with
-      | _ -> Alcotest.fail "expected the default fuel limit to trip"
-      | exception Sim.Machine.Out_of_fuel _ -> ())
-
 let test_dataset_of_seed () =
   let d1 = Sim.Dataset.of_seed ~name:"a" ~size:64 ~seed:7 in
   let d2 = Sim.Dataset.of_seed ~name:"b" ~size:64 ~seed:7 in
@@ -779,7 +767,6 @@ let tests =
         Alcotest.test_case "fuel sweep" `Quick test_fuel_sweep;
         Alcotest.test_case "fused pairs under fuel and faults" `Quick
           test_fused_pairs;
-        Alcotest.test_case "default fuel" `Quick test_default_fuel;
         Alcotest.test_case "dataset of_seed" `Quick test_dataset_of_seed;
         Alcotest.test_case "reads" `Quick test_reads;
       ] );
