@@ -1,12 +1,11 @@
 (* The examples: [main.exe NAME [ARG]] runs one, e.g.
-   [dune exec examples/main.exe hot_paths xlisp].  Each lives in its
+   [dune exec examples/main.exe pipeline_cost 3].  Each lives in its
    own file as [run args]; a bad argument, an unknown example or none
    prints the usage and exits 2. *)
 
 let examples =
   [
     ("quickstart", Quickstart.run);
-    ("hot_paths", Hot_paths.run);
     ("pipeline_cost", Pipeline_cost.run);
     ("ordering_search", Ordering_search.run);
   ]

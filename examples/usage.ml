@@ -7,8 +7,3 @@ let int_arg what s =
   match int_of_string_opt s with
   | Some n -> n
   | None -> raise (Bad (Printf.sprintf "%s must be an integer, not %S" what s))
-
-let workload_arg name =
-  if List.mem name (Workloads.Registry.names ()) then
-    Workloads.Registry.find name
-  else raise (Bad ("unknown workload " ^ name))

@@ -30,17 +30,19 @@
 
 val enabled : unit -> bool
 (** Whether lookups and writes happen at all.  Starts as
-    [not BALLARUS_NO_CACHE]. *)
+    [not BALLARUS_NO_CACHE].  Test seam: tests that switch the store
+    restore it afterwards. *)
 
 val set_enabled : bool -> unit
 (** Turn the store on or off for this process ([--no-cache]). *)
 
 val dir : unit -> string
-(** The cache directory currently in force. *)
+(** The cache directory currently in force.  Test seam: a private
+    store restores the previous directory. *)
 
 val set_dir : string -> unit
-(** Redirect the store (used by tests; overrides
-    [BALLARUS_CACHE_DIR]). *)
+(** Redirect the store (overrides [BALLARUS_CACHE_DIR]).  Test seam:
+    the suites and gates give themselves private stores. *)
 
 val memo : table:string -> key:string -> (unit -> 'v) -> 'v
 (** [memo ~table ~key compute] returns the value stored for [(table,
@@ -53,4 +55,5 @@ val memo : table:string -> key:string -> (unit -> 'v) -> 'v
     tables by rejecting duplicate names. *)
 
 val clear : unit -> unit
-(** Delete every entry in {!dir}.  Missing directory is fine. *)
+(** Delete every entry in {!dir}.  Missing directory is fine.  Test
+    seam: tests empty a store to force a cold run. *)

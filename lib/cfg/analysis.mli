@@ -17,12 +17,13 @@ type t = {
   def_mask : int array;   (** likewise for {!Mips.Insn.defs} *)
   fuse_mask : int array;  (** likewise for {!Mips.Insn.fuses}, by [Freg.to_int] *)
   fdef_mask : int array;  (** likewise for {!Mips.Insn.fdefs} *)
-  has_call : bool array;  (** per block: contains a [Jal]/[Jalr] *)
+  has_call : bool array;  (** per block: contains a [Jal] *)
   has_return : bool array;  (** per block: contains a [Ret] *)
   has_store : bool array;  (** per block: contains a [Sw]/[Sd] *)
 }
 
 val of_proc : Mips.Program.proc -> t
+(** Test seam: tests analyse hand-built procedures one at a time. *)
 
 val of_program : Mips.Program.t -> t array
 (** Analysis of every procedure, indexed like [Program.procs]. *)

@@ -97,10 +97,6 @@ let idom t b =
   let d = t.idom.(b) in
   if d < 0 || d >= t.nreal then None else Some d
 
-let reachable t b = t.depth.(b) >= 0 || t.idom.(b) >= 0
-
-let depth t b = t.depth.(b)
-
 let dominates t v w =
   if v = w then true
   else if t.depth.(v) < 0 || t.depth.(w) < 0 then false

@@ -21,15 +21,9 @@ val post_of_graph : Graph.t -> t
 val idom : t -> int -> int option
 (** Immediate dominator, [None] for the root, unreachable blocks, and
     (for postdominators) blocks whose only "parent" is the virtual
-    exit. *)
+    exit.  Test seam: [test_cfg] checks the trees of Figure 1. *)
 
 val dominates : t -> int -> int -> bool
 (** [dominates t v w] — reflexive.  For the postdominator tree this
     reads "[v] postdominates [w]".  Unreachable blocks dominate only
     themselves. *)
-
-val reachable : t -> int -> bool
-(** Whether the block was reachable from the root during analysis. *)
-
-val depth : t -> int -> int
-(** Depth in the dominator tree (root = 0). *)

@@ -189,48 +189,39 @@ let check_program (prog : Mips.Program.t) ~taken ~fall =
           ~fall:fall.(i))
       graphs
   in
-  let has_indirect_calls =
-    Array.exists
-      (fun (p : Mips.Program.proc) ->
-        Array.exists (function Mips.Insn.Jalr _ -> true | _ -> false) p.body)
-      prog.procs
-  in
   (* Interprocedural closure: a procedure is entered once per executed
-     direct call site (plus once for the program entry). *)
+     call site (plus once for the program entry). *)
   let progress = ref true in
   while !progress do
     progress := false;
     Array.iter fixpoint states;
-    if not has_indirect_calls then
-      Array.iteri
-        (fun callee_idx st ->
-          let callsum = ref (Some 0) in
-          Array.iteri
-            (fun caller_idx (p : Mips.Program.proc) ->
-              let cst = states.(caller_idx) in
-              Array.iteri
-                (fun pc ins ->
-                  match ins with
-                  | Mips.Insn.Jal name
-                    when Mips.Program.proc_index prog name = callee_idx -> begin
-                    let b = cst.g.block_of_instr.(pc) in
-                    match (!callsum, cst.cnt.(b)) with
-                    | Some s, Some c -> callsum := Some (s + c)
-                    | _ -> callsum := None
-                  end
-                  | _ -> ())
-                p.body)
-            prog.procs;
-          match !callsum with
-          | None -> ()
-          | Some calls ->
-            let expected =
-              calls + if callee_idx = prog.entry then 1 else 0
-            in
-            let before = st.entries in
-            set_entries st expected;
-            if before = None && st.entries <> None then progress := true)
-        states
+    Array.iteri
+      (fun callee_idx st ->
+        let callsum = ref (Some 0) in
+        Array.iteri
+          (fun caller_idx (p : Mips.Program.proc) ->
+            let cst = states.(caller_idx) in
+            Array.iteri
+              (fun pc ins ->
+                match ins with
+                | Mips.Insn.Jal name
+                  when Mips.Program.proc_index prog name = callee_idx -> begin
+                  let b = cst.g.block_of_instr.(pc) in
+                  match (!callsum, cst.cnt.(b)) with
+                  | Some s, Some c -> callsum := Some (s + c)
+                  | _ -> callsum := None
+                end
+                | _ -> ())
+              p.body)
+          prog.procs;
+        match !callsum with
+        | None -> ()
+        | Some calls ->
+          let expected = calls + if callee_idx = prog.entry then 1 else 0 in
+          let before = st.entries in
+          set_entries st expected;
+          if before = None && st.entries <> None then progress := true)
+      states
   done;
   (* Exit balance: without any Halt executed, every invocation returns,
      including the program entry's final return (where the machine

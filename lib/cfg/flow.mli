@@ -24,10 +24,9 @@ val check_program :
 (** Check a whole program's edge profile, as produced by
     [Sim.Profile.run].  Propagates every procedure's per-pc counts to a
     fixpoint and closes the interprocedural balance: a procedure's
-    entry count must equal the summed execution counts of its (direct)
-    call sites, plus one for the program entry; a procedure without
-    [Halt] must exit as many times as it is entered.  Procedures
-    reached by indirect calls ([Jalr]) are exempted from the call-site
-    balance, and the program entry from the exit balance (the machine
+    entry count must equal the summed execution counts of its call
+    sites ([Jal], the only call), plus one for the program entry; a
+    procedure without [Halt] must exit as many times as it is entered.
+    The program entry is exempted from the exit balance (the machine
     stops at its final return).  Returns all violations found, empty
     when the profile is flow-consistent. *)

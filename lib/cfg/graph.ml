@@ -110,7 +110,6 @@ let single_uncond_succ g b =
   | [ { kind = Uncond; dst; _ } ] -> Some dst
   | _ -> None
 
-let instr_count g b = g.last.(b) - g.first.(b) + 1
 
 let iter_edges f g = Array.iter (List.iter f) g.succs
 

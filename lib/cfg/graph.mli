@@ -33,7 +33,8 @@ val entry : t -> int
 (** The entry block (always 0). *)
 
 val block_insns : t -> int -> int Mips.Insn.t list
-(** Instructions of a block, in order. *)
+(** Instructions of a block, in order.  Test seam: [test_predict]'s
+    list-based reference heuristics read blocks through it. *)
 
 val terminator : t -> int -> int Mips.Insn.t
 (** Last instruction of the block. *)
@@ -46,9 +47,6 @@ val single_uncond_succ : t -> int -> int option
 (** The unique successor of a block that "unconditionally passes
     control" — i.e. it ends in a jump or plain fall-through, not a
     conditional branch, switch, or return. *)
-
-val instr_count : t -> int -> int
-(** Number of instructions in the block. *)
 
 val iter_edges : (edge -> unit) -> t -> unit
 

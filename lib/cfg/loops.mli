@@ -29,7 +29,8 @@ val is_preheader : t -> int -> bool
     dominates. *)
 
 val loop_heads : t -> int list
-(** All loop heads, ascending. *)
+(** All loop heads, ascending.  Test seam: [test_cfg] checks natural
+    loops against a brute-force reference. *)
 
 val in_loop : t -> head:int -> int -> bool
 (** Membership of a block in the natural loop of [head]. *)
@@ -41,4 +42,5 @@ val loops_containing : t -> int -> int list
 (** Heads of all natural loops containing the block. *)
 
 val loop_body : t -> head:int -> int list
-(** Blocks of the natural loop of [head], ascending. *)
+(** Blocks of the natural loop of [head], ascending.  Test seam, as
+    {!loop_heads}. *)

@@ -16,7 +16,6 @@ let name = function
   | Opcode -> "Opcode" | Loop -> "Loop" | Call -> "Call" | Return -> "Return"
   | Guard -> "Guard" | Store -> "Store" | Point -> "Point"
 
-let pp ppf h = Format.pp_print_string ppf (name h)
 
 (* --- shared block predicates ------------------------------------- *)
 

@@ -35,7 +35,6 @@ val to_int : t -> int
 
 val of_int : int -> t
 val name : t -> string
-val pp : Format.formatter -> t -> unit
 
 val branch_operands : Cfg.Analysis.t -> int -> int * int
 (** Registers tested by the conditional branch terminating the block,

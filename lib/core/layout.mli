@@ -17,14 +17,16 @@
 val invert : int Mips.Insn.t -> int Mips.Insn.t
 (** Invert the condition of a conditional branch (target unchanged):
     [beq <-> bne], [bltz <-> bgez], [blez <-> bgtz], [bc1t <-> bc1f].
-    Raises [Invalid_argument] on non-branches. *)
+    Raises [Invalid_argument] on non-branches.  Test seam: [test_layout]
+    checks it is an involution. *)
 
 val reorder_proc :
   predict:(block:int -> bool) -> Mips.Program.proc -> Mips.Program.proc
 (** Lay out one procedure along predicted traces.  [predict ~block]
     gives the predicted direction of the conditional branch
     terminating [block] (in the {e original} CFG's block ids); it is
-    consulted only for branch-terminated blocks. *)
+    consulted only for branch-terminated blocks.  Test seam:
+    [test_layout] lays out hand-built procedures. *)
 
 val predictor :
   Database.t -> (Database.branch -> bool) -> proc:int -> block:int -> bool

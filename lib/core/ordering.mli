@@ -12,7 +12,7 @@ val factorial : int -> int
 val all_orders : unit -> Combined.order array
 (** The 5040 permutations, in lexicographic order of heuristic
     indices; index 0 is [Opcode; Loop; Call; Return; Guard; Store;
-    Point]. *)
+    Point].  Test seam: [test_predict] checks they are distinct. *)
 
 val order_of_index : int -> Combined.order
 (** Lexicographic unranking; inverse of {!index_of_order}. *)

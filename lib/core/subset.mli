@@ -50,16 +50,17 @@ type result = {
     {!Ordering.averages} of the same matrix. *)
 
 val choose : int -> int -> int
-(** Binomial coefficient. *)
+(** Binomial coefficient.  Test seam, as {!unrank}. *)
 
 val unrank : n:int -> k:int -> int -> int array
 (** [unrank ~n ~k r] is the [r]-th (0-based) k-combination of
     [0 .. n-1] in lexicographic order, as a sorted array.  Raises
-    [Invalid_argument] unless [0 <= r < choose n k]. *)
+    [Invalid_argument] unless [0 <= r < choose n k].  Test seam:
+    [test_predict] checks the walk's combination order through it. *)
 
 val rank : n:int -> k:int -> int array -> int
 (** Lexicographic rank of a sorted k-combination of [0 .. n-1];
-    inverse of {!unrank}. *)
+    inverse of {!unrank}.  Test seam, as {!unrank}. *)
 
 val run : ?k:int -> ?max_trials:int -> float array array -> result
 (** [run m] over the miss matrix from {!Ordering.miss_matrix}
@@ -103,7 +104,8 @@ val survivors : float array array -> k:int -> int array
     [i]'s and it never wins.  δ is the margin derived above.  A matrix
     with a non-finite entry, or whose δ would underflow or sums
     overflow, keeps every order.  Raises [Invalid_argument] on a
-    matrix {!run} rejects. *)
+    matrix {!run} rejects.  Test seam: [test_predict] checks the
+    prune on hand-built matrices. *)
 
 val cumulative_share : result -> float array
 (** Graph 2's series: cumulative fraction of all trials accounted for

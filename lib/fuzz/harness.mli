@@ -41,7 +41,8 @@ val case : seed:int -> max_size:int -> int -> int * Gen.program
 val run_case : seed:int -> max_size:int -> int ->
   string * Oracle.divergence list
 (** Generate and check case [i] with every oracle but par-determinism;
-    returns the source and any divergences.  Exposed for tests. *)
+    returns the source and any divergences.  Test seam: [test_fuzz]
+    checks single cases. *)
 
 val run : ?log:(string -> unit) -> config -> outcome
 (** The full loop.  [log] receives one line per failure and a

@@ -8,7 +8,8 @@
     program still fails but no single shrink step of it does. *)
 
 val candidates : Gen.program -> Gen.program Seq.t
-(** All one-step shrinks of a program, lazily. *)
+(** All one-step shrinks of a program, lazily.  Test seam: [test_fuzz]
+    checks each candidate. *)
 
 val minimize : failing:(Gen.program -> bool) -> Gen.program -> Gen.program
 (** [minimize ~failing p] with [failing p = true] returns a local

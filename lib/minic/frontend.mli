@@ -11,7 +11,8 @@ exception Error of string
     the message. *)
 
 val prelude : string
-(** Source text of the runtime prelude. *)
+(** Source text of the runtime prelude.  Test seam: [test_minic]
+    compiles it alone. *)
 
 val compile : ?optimize:bool -> string -> Mips.Program.t
 (** Compile a translation unit whose entry point is [int main()],
@@ -19,8 +20,8 @@ val compile : ?optimize:bool -> string -> Mips.Program.t
     @param optimize run the peephole pass (default true). *)
 
 val parse_and_check : string -> Sema.checked
-(** Front half only, on [src] alone — used by tests and analysis
-    tools. *)
+(** Front half only, on [src] alone.  Test seam: [test_minic] checks
+    type errors without code generation. *)
 
 val check_with_prelude : string -> Sema.checked
 (** Front half of {!compile}: [src] checked together with the prelude.

@@ -19,5 +19,3 @@ exception Error of int * string
 
 val tokenize : string -> t list
 (** The whole token stream, ending with [EOF]. *)
-
-val keywords : string list

@@ -14,4 +14,5 @@ val parse : string -> Ast.program
     {!Lexer.Error} with a line number on malformed input. *)
 
 val parse_expr : string -> Ast.expr
-(** Parse a single expression — used by tests. *)
+(** Parse a single expression.  Test seam: [test_minic] checks
+    precedence on expressions alone. *)

@@ -8,10 +8,6 @@ type stats = {
   simplified_branches : int;
 }
 
-let total s =
-  s.fused_immediates + s.dropped_moves + s.dropped_identities
-  + s.simplified_branches
-
 let is_control (ins : string I.t) =
   I.is_block_end ins || I.is_call ins
 

@@ -25,5 +25,3 @@ type stats = {
 
 val optimize : Mips.Asm.item list -> Mips.Asm.item list * stats
 (** One fixpoint run of all rewrites. *)
-
-val total : stats -> int

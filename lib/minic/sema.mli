@@ -72,5 +72,3 @@ val is_float_ty : Ast.ty -> bool
 val decay : Ast.ty -> Ast.ty
 (** Array-to-pointer decay. *)
 
-val promote : Ast.ty -> Ast.ty -> Ast.ty
-(** Usual arithmetic conversions restricted to [int]/[float]. *)

@@ -24,6 +24,4 @@ let num_temps = 8
 let num_saved = 8
 
 let equal = Int.equal
-let compare = Int.compare
 let name r = Printf.sprintf "$f%d" r
-let pp ppf r = Format.pp_print_string ppf (name r)

@@ -8,6 +8,8 @@
 type t = private int
 
 val of_int : int -> t
+(** Test seam: tests enumerate the register file. *)
+
 val to_int : t -> int
 
 val f0 : t
@@ -26,6 +28,4 @@ val num_temps : int
 val num_saved : int
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val name : t -> string
-val pp : Format.formatter -> t -> unit

@@ -14,7 +14,6 @@ type operand = Reg of Reg.t | Imm of int
 type 'lab t =
   | Alu of alu * Reg.t * Reg.t * operand
   | Li of Reg.t * int
-  | La of Reg.t * int
   | Move of Reg.t * Reg.t
   | Lw of Reg.t * int * Reg.t
   | Sw of Reg.t * int * Reg.t
@@ -35,29 +34,25 @@ type 'lab t =
   | J of 'lab
   | Jtab of Reg.t * 'lab array
   | Jal of string
-  | Jalr of Reg.t
   | Ret
   | ReadI of Reg.t
   | ReadF of Freg.t
   | PrintI of Reg.t
   | PrintF of Freg.t
   | Halt
-  | Nop
 
 let is_cond_branch = function
   | Beq _ | Bne _ | Bz _ | Bfp _ -> true
-  | Alu _ | Li _ | La _ | Move _ | Lw _ | Sw _ | Falu _ | Fneg _ | Fabs _
-  | Fli _ | Fmove _ | Ld _ | Sd _ | Itof _ | Ftoi _ | Fcmp _ | J _ | Jtab _ | Jal _
-  | Jalr _ | Ret | ReadI _ | ReadF _ | PrintI _ | PrintF _ | Halt | Nop ->
+  | Alu _ | Li _ | Move _ | Lw _ | Sw _ | Falu _ | Fneg _ | Fabs _ | Fli _
+  | Fmove _ | Ld _ | Sd _ | Itof _ | Ftoi _ | Fcmp _ | J _ | Jtab _ | Jal _ | Ret
+  | ReadI _ | ReadF _ | PrintI _ | PrintF _ | Halt ->
     false
-
-let is_uncond_jump = function J _ -> true | _ -> false
 
 let is_block_end i =
   is_cond_branch i
   || match i with J _ | Jtab _ | Ret | Halt -> true | _ -> false
 
-let is_call = function Jal _ | Jalr _ -> true | _ -> false
+let is_call = function Jal _ -> true | _ -> false
 let is_return = function Ret -> true | _ -> false
 let is_store = function Sw _ | Sd _ -> true | _ -> false
 
@@ -69,7 +64,7 @@ let operand_uses = function Reg r -> [ r ] | Imm _ -> []
 
 let uses = function
   | Alu (_, _, rs, op) -> rs :: operand_uses op
-  | Li _ | La _ | Fli _ -> []
+  | Li _ | Fli _ -> []
   | Move (_, rs) -> [ rs ]
   | Lw (_, _, base) -> [ base ]
   | Sw (rt, _, base) -> [ rt; base ]
@@ -84,16 +79,15 @@ let uses = function
   | J _ -> []
   | Jtab (rs, _) -> [ rs ]
   | Jal _ -> []
-  | Jalr (rs) -> [ rs ]
   | Ret -> [ Reg.ra ]
   | ReadI _ | ReadF _ -> []
   | PrintI (rs) -> [ rs ]
   | PrintF _ -> []
-  | Halt | Nop -> []
+  | Halt -> []
 
 let defs = function
   | Alu (_, rd, _, _) -> [ rd ]
-  | Li (rd, _) | La (rd, _) -> [ rd ]
+  | Li (rd, _) -> [ rd ]
   | Move (rd, _) -> [ rd ]
   | Lw (rt, _, _) -> [ rt ]
   | Sw _ -> []
@@ -102,12 +96,12 @@ let defs = function
   | Itof _ -> []
   | Ftoi (rd, _) -> [ rd ]
   | Beq _ | Bne _ | Bz _ | Bfp _ | J _ | Jtab _ -> []
-  | Jal _ | Jalr _ -> [ Reg.ra ]
+  | Jal _ -> [ Reg.ra ]
   | Ret -> []
   | ReadI (rd) -> [ rd ]
   | ReadF _ -> []
   | PrintI _ | PrintF _ -> []
-  | Halt | Nop -> []
+  | Halt -> []
 
 let fuses = function
   | Falu (_, _, fs, ft) -> [ fs; ft ]
@@ -135,7 +129,6 @@ let map_label f = function
   | Jtab (r, ls) -> Jtab (r, Array.map f ls)
   | Alu (o, a, b, c) -> Alu (o, a, b, c)
   | Li (r, n) -> Li (r, n)
-  | La (r, n) -> La (r, n)
   | Move (a, b) -> Move (a, b)
   | Lw (a, n, b) -> Lw (a, n, b)
   | Sw (a, n, b) -> Sw (a, n, b)
@@ -150,14 +143,12 @@ let map_label f = function
   | Ftoi (a, b) -> Ftoi (a, b)
   | Fcmp (c, a, b) -> Fcmp (c, a, b)
   | Jal s -> Jal s
-  | Jalr r -> Jalr r
   | Ret -> Ret
   | ReadI r -> ReadI r
   | ReadF r -> ReadF r
   | PrintI r -> PrintI r
   | PrintF r -> PrintF r
   | Halt -> Halt
-  | Nop -> Nop
 
 let alu_name = function
   | Add -> "add" | Sub -> "sub" | Mul -> "mul" | Div -> "div" | Rem -> "rem"
@@ -181,7 +172,6 @@ let pp pp_lab ppf i =
   | Alu (op, rd, rs, Imm n) ->
     pf "%si %s, %s, %d" (alu_name op) (reg rd) (reg rs) n
   | Li (rd, n) -> pf "li %s, %d" (reg rd) n
-  | La (rd, n) -> pf "la %s, %d" (reg rd) n
   | Move (rd, rs) -> pf "move %s, %s" (reg rd) (reg rs)
   | Lw (rt, off, base) -> pf "lw %s, %d(%s)" (reg rt) off (reg base)
   | Sw (rt, off, base) -> pf "sw %s, %d(%s)" (reg rt) off (reg base)
@@ -207,13 +197,11 @@ let pp pp_lab ppf i =
       (String.concat "; "
          (Array.to_list (Array.map (Format.asprintf "%a" pp_lab) ls)))
   | Jal s -> pf "jal %s" s
-  | Jalr rs -> pf "jalr %s" (reg rs)
   | Ret -> pf "jr $ra"
   | ReadI rd -> pf "readi %s" (reg rd)
   | ReadF fd -> pf "readf %s" (freg fd)
   | PrintI rs -> pf "printi %s" (reg rs)
   | PrintF fs -> pf "printf %s" (freg fs)
   | Halt -> pf "halt"
-  | Nop -> pf "nop"
 
 let to_string i = Format.asprintf "%a" (pp Format.pp_print_int) i

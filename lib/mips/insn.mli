@@ -5,11 +5,13 @@
     targets ([beq]/[bne], the compare-against-zero forms
     [bltz]/[blez]/[bgtz]/[bgez], and the coprocessor-1 forms
     [bc1t]/[bc1f]), word loads and stores, double-precision arithmetic
-    with a separate compare flag, direct and indirect jumps and calls,
-    and a jump-table instruction standing in for compiled [switch]
+    with a separate compare flag, direct jumps and calls, and a
+    jump-table instruction standing in for compiled [switch]
     statements (a branch "whose target is dynamically determined",
     which the predictors do not handle and the trace analysis counts
-    as a break in control).
+    as a break in control).  It holds only what the MiniC code
+    generator emits: none of the paper's binaries' indirect calls
+    ([jalr]) or address loads ([la]).
 
     The type is polymorphic in the branch-label representation: the
     code generator emits [string t] with symbolic labels, and
@@ -36,7 +38,6 @@ type operand = Reg of Reg.t | Imm of int
 type 'lab t =
   | Alu of alu * Reg.t * Reg.t * operand  (* rd <- rs OP operand *)
   | Li of Reg.t * int                     (* load immediate *)
-  | La of Reg.t * int                     (* load (resolved) address *)
   | Move of Reg.t * Reg.t
   | Lw of Reg.t * int * Reg.t             (* rt <- mem[off + base] *)
   | Sw of Reg.t * int * Reg.t             (* mem[off + base] <- rt *)
@@ -57,21 +58,16 @@ type 'lab t =
   | J of 'lab
   | Jtab of Reg.t * 'lab array            (* indirect jump via table *)
   | Jal of string                         (* direct call by name *)
-  | Jalr of Reg.t                         (* indirect call *)
   | Ret                                   (* jr $ra *)
   | ReadI of Reg.t                        (* next int of the dataset *)
   | ReadF of Freg.t                       (* next float of the dataset *)
   | PrintI of Reg.t                       (* fold into output checksum *)
   | PrintF of Freg.t
   | Halt
-  | Nop
 
 val is_cond_branch : _ t -> bool
 (** Two-way conditional branch with a fixed target — the only branches
     the paper's predictors consider. *)
-
-val is_uncond_jump : _ t -> bool
-(** [J _] only. *)
 
 val is_block_end : _ t -> bool
 (** Instruction that terminates a basic block: conditional branch,
@@ -79,7 +75,7 @@ val is_block_end : _ t -> bool
     matching QPT's intra-procedural CFGs. *)
 
 val is_call : _ t -> bool
-(** [Jal] or [Jalr]. *)
+(** [Jal]. *)
 
 val is_return : _ t -> bool
 val is_store : _ t -> bool

@@ -9,7 +9,6 @@ let to_int r = r
 let zero = 0
 let at = 1
 let v0 = 2
-let v1 = 3
 
 let a i =
   if i < 0 || i > 3 then invalid_arg "Reg.a: argument register out of range";
@@ -33,7 +32,6 @@ let num_temps = 10
 let num_saved = 8
 
 let equal = Int.equal
-let compare = Int.compare
 
 let names =
   [| "$zero"; "$at"; "$v0"; "$v1"; "$a0"; "$a1"; "$a2"; "$a3";
@@ -42,4 +40,3 @@ let names =
      "$t8"; "$t9"; "$k0"; "$k1"; "$gp"; "$sp"; "$fp"; "$ra" |]
 
 let name r = names.(r)
-let pp ppf r = Format.pp_print_string ppf (name r)

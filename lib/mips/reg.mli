@@ -11,14 +11,16 @@ type t = private int
 
 val of_int : int -> t
 (** [of_int n] is register [$n].  Raises [Invalid_argument] unless
-    [0 <= n < 32]. *)
+    [0 <= n < 32].  Test seam: tests enumerate the register file. *)
 
 val to_int : t -> int
 
 val zero : t (* $0  — hardwired zero *)
 val at : t (* $1  — assembler temporary *)
+(** Test seam: reserved, never allocated; [test_mips] checks that no
+    [t] or [s] register is it. *)
+
 val v0 : t (* $2  — function result *)
-val v1 : t (* $3 *)
 
 val a : int -> t
 (** [a i] is argument register [$a0+i] for [0 <= i < 4]. *)
@@ -33,6 +35,8 @@ val s : int -> t
 val gp : t (* $28 — global pointer *)
 val sp : t (* $29 — stack pointer *)
 val fp : t (* $30 — frame pointer *)
+(** Test seam, as {!at}. *)
+
 val ra : t (* $31 — return address *)
 
 val num_temps : int
@@ -42,8 +46,5 @@ val num_saved : int
 (** Number of [s] registers available to register allocation. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val name : t -> string
 (** Conventional MIPS name, e.g. ["$sp"], ["$t3"]. *)
-
-val pp : Format.formatter -> t -> unit

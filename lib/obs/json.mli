@@ -25,11 +25,12 @@ val parse : string -> t
     Every string escape is decoded: a backslash before a quote,
     backslash, slash, [b], [f], [n], [r] or [t], and [\u] with four hex
     digits, which becomes the code point's UTF-8 encoding (surrogates
-    are rejected).  Raises {!Bad}. *)
+    are rejected).  Raises {!Bad}.  Test seam: the gates and
+    [test_obs] read trace files back. *)
 
 val member : string -> t -> t option
 (** [member k v] is the value of field [k] when [v] is an object that
-    has it. *)
+    has it.  Test seam, as {!parse}. *)
 
 val escape : string -> string
 (** The body of a JSON string literal for these bytes: a quote or

@@ -32,13 +32,15 @@
 (** {1 Spans} *)
 
 val enabled : unit -> bool
-(** Whether spans are being recorded. *)
+(** Whether spans are being recorded.  Test seam: tests that enable
+    recording restore it. *)
 
 val enable : unit -> unit
 (** Start recording spans. *)
 
 val disable : unit -> unit
-(** Stop recording.  Already-recorded events are kept. *)
+(** Stop recording.  Already-recorded events are kept.  Test seam, as
+    {!enabled}. *)
 
 val span : name:string -> ?attrs:(string * string) list -> (unit -> 'a) -> 'a
 (** [span ~name ~attrs f] runs [f], recording one complete event with
@@ -57,10 +59,11 @@ type event = {
 
 val events : unit -> event list
 (** Every event recorded so far, across all domains, in begin-time
-    order. *)
+    order.  Test seam: tests and gates count the spans a run
+    recorded. *)
 
 val reset_events : unit -> unit
-(** Drop all recorded events. *)
+(** Drop all recorded events.  Test seam, as {!events}. *)
 
 type summary = {
   count : int;
@@ -76,10 +79,12 @@ val summaries : unit -> (string * summary) list
 
 val trace_json : unit -> string
 (** The recorded events as a Chrome [trace_event] JSON document, its
-    strings written with {!Json.escape}. *)
+    strings written with {!Json.escape}.  Test seam: [test_obs] parses
+    it back. *)
 
 val write_trace : string -> unit
-(** Write {!trace_json} to a file. *)
+(** Write {!trace_json} to a file.  Test seam: [obs-smoke] writes a
+    trace mid-run. *)
 
 val write_trace_at_exit : string -> unit
 (** [write_trace_at_exit path] enables recording and arranges for the
@@ -106,10 +111,12 @@ module Metrics : sig
   val value : counter -> int
 
   val counters : unit -> (string * int) list
-  (** All registered counters, sorted by name. *)
+  (** All registered counters, sorted by name.  Test seam: [test_obs]
+      reads them; [dump] prints them. *)
 
   val reset : unit -> unit
-  (** Zero every registered counter. *)
+  (** Zero every registered counter.  Test seam: tests read one run's
+      counts. *)
 
   val dump : Format.formatter -> unit
   (** Human-readable list of the counters (the first half of the

@@ -17,20 +17,23 @@ type t
 val create : jobs:int -> t
 (** [create ~jobs] spawns [max 0 (jobs - 1)] worker domains.  [jobs]
     is clamped to at least 1.  Workers idle on a condition variable
-    between jobs. *)
+    between jobs.  Test seam: the product uses {!get}; tests build
+    pools of chosen widths. *)
 
 val jobs : t -> int
-(** Parallel width of the pool (worker domains + the caller). *)
+(** Parallel width of the pool (worker domains + the caller).  Test
+    seam, as {!create}. *)
 
 val has_pending_job : t -> bool
 (** Whether the pool currently holds a job reference.  Between runs
     this must be [false]: a drained job is dropped at join time so its
     [body] closure (and everything it captures) does not stay live
-    until the next [run].  Exposed for the regression test. *)
+    until the next [run].  Test seam: [test_par] checks it. *)
 
 val shutdown : t -> unit
 (** Terminate and join the worker domains.  The pool must be idle.
-    Idempotent. *)
+    Idempotent.  Test seam, as {!create} ({!get}'s pool is shut down
+    at exit). *)
 
 val run : t -> int -> (int -> unit) -> unit
 (** [run t n body] executes [body i] exactly once for every
@@ -83,7 +86,8 @@ val reduce : t -> n:int -> chunk:int ->
 
 val default_jobs : unit -> int
 (** The width the default pool would have right now: the explicit
-    request if any, else [Domain.recommended_domain_count ()]. *)
+    request if any, else [Domain.recommended_domain_count ()].  Test
+    seam: [perf-smoke] and [test_par] read the width. *)
 
 val set_jobs : int -> unit
 (** Override the default pool width ([-j N]).  If the default pool

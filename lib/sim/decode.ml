@@ -20,7 +20,7 @@ type op =
   | Add_ri | Sub_ri | Mul_ri | Div_ri | Rem_ri
   | And_ri | Or_ri | Xor_ri | Sll_ri | Sra_ri
   | Slt_ri | Sle_ri | Seq_ri | Sne_ri
-  | Li            (* x=rd, y=imm (Li and La coincide at run time) *)
+  | Li            (* x=rd, y=imm *)
   | Move          (* x=rd, y=rs *)
   | Lw | Sw       (* x=rt, y=off, z=base *)
   | Fadd | Fsub | Fmul | Fdiv  (* x=fd, y=fs, z=ft *)
@@ -36,7 +36,6 @@ type op =
   | Jump          (* z=target *)
   | Jtab          (* x=rs, y=index into jtabs *)
   | Call          (* z=pre-resolved callee procedure index *)
-  | Callr         (* x=rs *)
   | Ret
   | ReadI         (* x=rd *)
   | ReadF         (* x=fd *)
@@ -66,7 +65,7 @@ type t = {
 
 let is_transfer = function
   | Beq | Bne | Bltz | Blez | Bgtz | Bgez | Bfp_t | Bfp_f
-  | Jump | Jtab | Call | Callr | Ret | Halt -> true
+  | Jump | Jtab | Call | Ret | Halt -> true
   | _ -> false
 
 (* Ops whose only effect is writing integer register x: with x = 0
@@ -155,7 +154,7 @@ let decode_proc prog (p : Mips.Program.proc) =
             | Seq -> Seq_ri | Sne -> Sne_ri
           in
           set i o d s imm)
-      | Li (r, n) | La (r, n) -> set i Li (ireg r) n 0
+      | Li (r, n) -> set i Li (ireg r) n 0
       | Move (rd, rs) -> set i Move (ireg rd) (ireg rs) 0
       | Lw (rt, off, base) -> set i Lw (ireg rt) off (ireg base)
       | Sw (rt, off, base) -> set i Sw (ireg rt) off (ireg base)
@@ -189,14 +188,12 @@ let decode_proc prog (p : Mips.Program.proc) =
       | J l -> set i Jump 0 0 (slot l)
       | Jtab (rs, ls) -> set i Jtab (ireg rs) (add_jtab (Array.map slot ls)) 0
       | Jal name -> set i Call 0 0 (Mips.Program.proc_index prog name)
-      | Jalr rs -> set i Callr (ireg rs) 0 0
       | Ret -> set i Ret 0 0 0
       | ReadI r -> set i ReadI (ireg r) 0 0
       | ReadF fr -> set i ReadF (freg fr) 0 0
       | PrintI r -> set i PrintI (ireg r) 0 0
       | PrintF fr -> set i PrintF (freg fr) 0 0
-      | Halt -> set i Halt 0 0 0
-      | Nop -> set i Nop 0 0 0)
+      | Halt -> set i Halt 0 0 0)
     p.body;
   let runs = Array.make (n + 1) 0 in
   for i = n - 1 downto 0 do

@@ -49,7 +49,7 @@ type op =
   | Fcmp_eq | Fcmp_lt | Fcmp_le
   | Beq | Bne | Bltz | Blez | Bgtz | Bgez
   | Bfp_t | Bfp_f
-  | Jump | Jtab | Call | Callr | Ret
+  | Jump | Jtab | Call | Ret
   | ReadI | ReadF | PrintI | PrintF
   | Halt | Nop
   | Fall_off
@@ -88,7 +88,7 @@ type dproc = {
   runs : int array;
       (** [runs.(i)] counts the instructions from slot [i] up to and
           including the next control transfer (a conditional branch,
-          [Jump], [Jtab], [Call], [Callr], [Ret] or [Halt]), or up to
+          [Jump], [Jtab], [Call], [Ret] or [Halt]), or up to
           the sentinel if none comes first: 1 at a transfer,
           [1 + runs.(i + 1)] elsewhere, 0 at the sentinel *)
   jtabs : int array array;  (** jump tables, indexed by [y] *)

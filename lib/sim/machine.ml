@@ -139,7 +139,6 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
   let ret_pc = Array.make max_call_depth 0 in
   let depth = ref 0 in
   let dprocs = d.Decode.procs in
-  let nprocs = Array.length dprocs in
   (* publish the loop's position to observers and fault messages *)
   let sync pc instrs =
     m.pc <- pc;
@@ -398,7 +397,6 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
       end
       else indirect c pc instrs (Array.unsafe_get tab i)
     | Decode.Call -> call pc instrs z
-    | Decode.Callr -> indirect_call pc instrs (Array.unsafe_get regs x)
     | Decode.Ret ->
       if !depth = 0 then finish instrs
       else begin
@@ -529,10 +527,6 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
     sync pc instrs;
     on_indirect m;
     enter c target instrs
-  and indirect_call pc instrs target =
-    sync pc instrs;
-    on_indirect m;
-    call pc instrs target
   and call pc instrs target =
     if !depth >= max_call_depth then begin
       sync pc instrs;
@@ -541,10 +535,6 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
     Array.unsafe_set ret_proc !depth m.proc;
     Array.unsafe_set ret_pc !depth (pc + 1);
     incr depth;
-    if target < 0 || target >= nprocs then begin
-      sync pc instrs;
-      fault m "call to bad procedure index %d" target
-    end;
     m.proc <- target;
     enter (Array.unsafe_get dprocs target) 0 instrs
   in

@@ -4,8 +4,8 @@
     This stands in for the paper's DECstation: it executes programs
     instruction by instruction and surfaces the events QPT's
     instrumentation observed — conditional-branch outcomes (for edge
-    profiles) and indirect transfers (for break-in-control
-    accounting).  Output is folded into a checksum so workloads stay
+    profiles) and indirect transfers, which here are jump-table
+    transfers only (for break-in-control accounting).  Output is folded into a checksum so workloads stay
     deterministic and testable without an I/O system. *)
 
 type iplane = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -65,7 +65,7 @@ val run :
     the entry procedure).  [on_branch] fires at every conditional
     branch, after the condition is evaluated and before the transfer —
     [t.proc]/[t.pc] still address the branch.  [on_indirect] fires at
-    jump-table transfers and indirect calls.
+    jump-table transfers, the only indirect transfers.
 
     Decodes with {!Decode.of_program} and runs {!run_decoded}; callers
     executing the same program many times should decode once

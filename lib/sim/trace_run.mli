@@ -2,6 +2,8 @@
 
     A {e break in control} is a mispredicted conditional branch, an
     indirect jump other than a procedure return, or an indirect call.
+    The compiled programs make no indirect call, so the indirect
+    breaks here are jump-table transfers.
     Each break ends a sequence of instructions; the sequences
     partition the instruction trace.  Rather than storing traces, the
     simulator streams them: for each static predictor it keeps the

@@ -17,15 +17,12 @@ type distribution = {
   miss_rate : float;           (** all conditional branches *)
   by_instructions : float array;
   (** [.(j)]: cumulative fraction of executed instructions in
-      sequences of length < [bound j] — Graphs 4, 6-11.  Flat floats,
+      sequences of length < [(j + 1) * Sim.Trace_run.bucket_width] —
+      Graphs 4, 6-11.  Flat floats,
       so deriving a distribution allocates no tuple per bucket. *)
   by_breaks : float array;
   (** same x-axis, cumulative fraction of breaks — Graph 5 *)
 }
-
-val bound : int -> int
-(** The length upper bound of bucket [j]: [j + 1] times
-    {!Sim.Trace_run.bucket_width}. *)
 
 val of_result : Sim.Trace_run.result -> distribution
 

@@ -30,14 +30,6 @@ let find name =
   | Some w -> w
   | None -> raise Not_found
 
-let names () = List.map (fun (w : Workload.t) -> w.name) all
-
-let integer_group () =
-  List.filter (fun (w : Workload.t) -> w.lang = Workload.C) all
-
-let float_group () =
-  List.filter (fun (w : Workload.t) -> w.lang = Workload.F) all
-
 let traced () = List.filter (fun (w : Workload.t) -> w.traced) all
 
 let without names =

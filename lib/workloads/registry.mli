@@ -7,11 +7,6 @@ val all : Workload.t list
 val find : string -> Workload.t
 (** Lookup by name.  Raises [Not_found]. *)
 
-val names : unit -> string list
-
-val integer_group : unit -> Workload.t list
-val float_group : unit -> Workload.t list
-
 val traced : unit -> Workload.t list
 (** The Section 6 trace-experiment subset (gcc, lcc, qpt, xlisp,
     doduc, fpppp, spice2g6). *)

@@ -1,9 +1,10 @@
 (* Tests for the pre-decoded simulator: decoding up front agrees with
    decoding on demand, scratch-memory reuse leaves no residue, a fixed
    batch of fuzz-generated programs keeps its pinned statistics and
-   edge profiles, and every decoded body has its sentinel, the
+   edge profiles, every decoded body has its sentinel, the
    straight-line run lengths the interpreter's fuel check relies on,
-   and only the fused pairs and [$zero] rewrites it is meant to. *)
+   and only the fused pairs and [$zero] rewrites it is meant to, and
+   every instruction form of the IR is one the compiler emits. *)
 
 open Check
 
@@ -34,22 +35,36 @@ let fuzz_cases = 120
 let fuzz_instrs = 428722
 let fuzz_digest = "d90652d0c56e85de18e38b8426bd2c47"
 
+(* The pinned programs, compiled once for the tests that read them. *)
+let fuzz_programs =
+  lazy
+    (List.init fuzz_cases (fun i ->
+         let cs = Fuzz.Gen.case_seed ~seed:1993 ~index:i in
+         let size = 8 + (i mod 13) in
+         Minic.Frontend.compile
+           (Fuzz.Gen.to_source (Fuzz.Gen.generate ~seed:cs ~size))))
+
+let workload_programs =
+  lazy
+    (List.map
+       (fun (wl : Workloads.Workload.t) ->
+         (wl.name, Workloads.Workload.compile wl))
+       Workloads.Registry.all)
+
 let test_fuzzed_programs_pinned () =
   let dataset = Sim.Dataset.make ~name:"fuzz" [||] in
   let b = Buffer.create (1 lsl 16) in
   let instrs = ref 0 in
-  for i = 0 to fuzz_cases - 1 do
-    let cs = Fuzz.Gen.case_seed ~seed:1993 ~index:i in
-    let size = 8 + (i mod 13) in
-    let src = Fuzz.Gen.to_source (Fuzz.Gen.generate ~seed:cs ~size) in
-    match Sim.Profile.run (Minic.Frontend.compile src) dataset with
-    | exception e -> Alcotest.failf "case %d: %s" i (Printexc.to_string e)
-    | p ->
-      instrs := !instrs + p.stats.instr_count;
-      Printf.bprintf b "case %d\n" i;
-      Edge_digest.render_stats b p.stats;
-      Edge_digest.render_edges b p
-  done;
+  List.iteri
+    (fun i prog ->
+      match Sim.Profile.run prog dataset with
+      | exception e -> Alcotest.failf "case %d: %s" i (Printexc.to_string e)
+      | p ->
+        instrs := !instrs + p.stats.instr_count;
+        Printf.bprintf b "case %d\n" i;
+        Edge_digest.render_stats b p.stats;
+        Edge_digest.render_edges b p)
+    (Lazy.force fuzz_programs);
   checki "total instructions" fuzz_instrs !instrs;
   Alcotest.(check string) "digest of (stats, edges)" fuzz_digest
     (Edge_digest.hex b)
@@ -81,7 +96,7 @@ let test_scratch_reuse_is_clean () =
    set that occurs is fused.  No transfer and no sentinel is fused. *)
 let is_transfer : int Mips.Insn.t -> bool = function
   | Beq _ | Bne _ | Bz _ | Bfp _ | J _ | Jtab _
-  | Jal _ | Jalr _ | Ret | Halt -> true
+  | Jal _ | Ret | Halt -> true
   | _ -> false
 
 (* A write to $zero decodes to [Nop] only when it has no other effect:
@@ -104,7 +119,7 @@ let plain : int Mips.Insn.t -> Sim.Decode.op =
     let pure = match aop with Div | Rem -> false | _ -> true in
     if pure && to_zero rd then D.Nop
     else (match operand with Reg _ -> rr | Imm _ -> ri)
-  | Li (r, _) | La (r, _) -> if to_zero r then D.Nop else D.Li
+  | Li (r, _) -> if to_zero r then D.Nop else D.Li
   | Move (r, _) -> if to_zero r then D.Nop else D.Move
   | Lw _ -> D.Lw
   | Sw _ -> D.Sw
@@ -133,14 +148,12 @@ let plain : int Mips.Insn.t -> Sim.Decode.op =
   | J _ -> D.Jump
   | Jtab _ -> D.Jtab
   | Jal _ -> D.Call
-  | Jalr _ -> D.Callr
   | Ret -> D.Ret
   | ReadI _ -> D.ReadI
   | ReadF _ -> D.ReadF
   | PrintI _ -> D.PrintI
   | PrintF _ -> D.PrintF
   | Halt -> D.Halt
-  | Nop -> D.Nop
 
 (* the fused set: (fused op, first half, second half) *)
 let fused_pairs =
@@ -209,7 +222,7 @@ let zero_writes =
       (fun aop ->
         [ I.Alu (aop, zero, t0, I.Reg t0); I.Alu (aop, zero, t0, I.Imm 3) ])
       alus
-    @ [ I.Li (zero, 1); I.La (zero, 2); I.Move (zero, t0); I.Move (t0, zero);
+    @ [ I.Li (zero, 1); I.Move (zero, t0); I.Move (t0, zero);
         I.Move (zero, t0); I.Lw (zero, 0, t0); I.Move (t0, t0);
         I.Move (zero, t0); I.Ftoi (zero, f0); I.ReadI zero;
         I.Alu (I.Add, zero, t0, I.Imm 1); I.Move (t0, t0); I.Ret ]
@@ -220,15 +233,53 @@ let zero_writes =
 let test_decoded_invariants () =
   check_decoded "writes to $zero" zero_writes;
   List.iter
-    (fun (wl : Workloads.Workload.t) ->
-      check_decoded wl.name (Workloads.Workload.compile wl))
-    Workloads.Registry.all;
-  for i = 0 to fuzz_cases - 1 do
-    let cs = Fuzz.Gen.case_seed ~seed:1993 ~index:i in
-    let size = 8 + (i mod 13) in
-    let src = Fuzz.Gen.to_source (Fuzz.Gen.generate ~seed:cs ~size) in
-    check_decoded (Printf.sprintf "fuzz case %d" i) (Minic.Frontend.compile src)
-  done
+    (fun (name, prog) -> check_decoded name prog)
+    (Lazy.force workload_programs);
+  List.iteri
+    (fun i prog -> check_decoded (Printf.sprintf "fuzz case %d" i) prog)
+    (Lazy.force fuzz_programs)
+
+(* Every [Mips.Insn] constructor, numbered by a match with no wildcard:
+   a new constructor does not compile until it is numbered here, and
+   then the check below wants a compiled program that contains it. *)
+let insn_forms =
+  [| "Alu"; "Li"; "Move"; "Lw"; "Sw"; "Falu"; "Fneg"; "Fabs"; "Fli";
+     "Fmove"; "Ld"; "Sd"; "Itof"; "Ftoi"; "Fcmp"; "Beq"; "Bne"; "Bz";
+     "Bfp"; "J"; "Jtab"; "Jal"; "Ret"; "ReadI"; "ReadF"; "PrintI";
+     "PrintF"; "Halt" |]
+
+let insn_form : int Mips.Insn.t -> int = function
+  | Alu _ -> 0 | Li _ -> 1 | Move _ -> 2 | Lw _ -> 3 | Sw _ -> 4
+  | Falu _ -> 5 | Fneg _ -> 6 | Fabs _ -> 7 | Fli _ -> 8 | Fmove _ -> 9
+  | Ld _ -> 10 | Sd _ -> 11 | Itof _ -> 12 | Ftoi _ -> 13 | Fcmp _ -> 14
+  | Beq _ -> 15 | Bne _ -> 16 | Bz _ -> 17 | Bfp _ -> 18 | J _ -> 19
+  | Jtab _ -> 20 | Jal _ -> 21 | Ret -> 22 | ReadI _ -> 23 | ReadF _ -> 24
+  | PrintI _ -> 25 | PrintF _ -> 26 | Halt -> 27
+
+(* The workloads and the pinned generator programs contain every form
+   but [ReadF] and [Halt], which this one source adds. *)
+let readf_halt =
+  "int main() { float x = readf(); print(x); halt; return 0; }"
+
+(* The IR holds nothing the compiler cannot make: every instruction
+   form occurs in a compiled workload, a pinned generator program or
+   [readf_halt]. *)
+let test_every_form_compiled () =
+  let seen = Array.make (Array.length insn_forms) false in
+  let scan (prog : Mips.Program.t) =
+    Array.iter
+      (fun (p : Mips.Program.proc) ->
+        Array.iter (fun i -> seen.(insn_form i) <- true) p.body)
+      prog.procs
+  in
+  List.iter (fun (_, prog) -> scan prog) (Lazy.force workload_programs);
+  List.iter scan (Lazy.force fuzz_programs);
+  scan (Minic.Frontend.compile readf_halt);
+  let missing =
+    List.filteri (fun k _ -> not seen.(k)) (Array.to_list insn_forms)
+  in
+  Alcotest.(check (list string)) "forms no compiled program contains" []
+    missing
 
 let tests =
   [
@@ -245,5 +296,7 @@ let tests =
       [
         Alcotest.test_case "sentinel and straight-line runs" `Quick
           test_decoded_invariants;
+        Alcotest.test_case "every instruction form is compiled" `Quick
+          test_every_form_compiled;
       ] );
   ]

@@ -234,7 +234,7 @@ let arbitrary_insn =
       map2 (fun a l -> I.Bz (I.Ltz, a, l)) reg lab;
       map (fun l -> I.J l) lab;
       return I.Ret;
-      return I.Nop;
+      return (I.Alu (I.Add, R.zero, R.zero, I.Imm 0));
       map2 (fun a b -> I.Fcmp (I.Flt, a, b)) freg freg;
       map2 (fun a b -> I.Falu (I.Fadd, a, a, b)) freg freg;
     ]
@@ -255,7 +255,9 @@ let prop_branch_iff_target =
   QCheck.Test.make ~name:"cond branches have targets" ~count:200 arbitrary_insn
     (fun i ->
       if I.is_cond_branch i then I.branch_target i <> None
-      else I.is_uncond_jump i || I.branch_target i = None)
+      else
+        (match i with I.J _ -> true | _ -> false)
+        || I.branch_target i = None)
 
 let tests =
   [

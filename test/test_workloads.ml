@@ -129,10 +129,18 @@ let golden =
 
 let test_roster () =
   checki "23 workloads" 23 (List.length Workloads.Registry.all);
-  let names = Workloads.Registry.names () in
+  let names =
+    List.map (fun (w : Workloads.Workload.t) -> w.name) Workloads.Registry.all
+  in
   checki "unique names" 23 (List.length (List.sort_uniq compare names));
-  checki "integer group" 14 (List.length (Workloads.Registry.integer_group ()));
-  checki "float group" 9 (List.length (Workloads.Registry.float_group ()));
+  let group lang =
+    List.length
+      (List.filter
+         (fun (w : Workloads.Workload.t) -> w.lang = lang)
+         Workloads.Registry.all)
+  in
+  checki "integer group" 14 (group Workloads.Workload.C);
+  checki "float group" 9 (group Workloads.Workload.F);
   checki "traced set" 7 (List.length (Workloads.Registry.traced ()));
   checkb "traced are the paper's"
     true
