@@ -51,16 +51,6 @@ let apply_jobs = function
   | Some n -> failwith (Printf.sprintf "-j %d: need at least one domain" n)
   | None -> ()
 
-let no_cache_arg =
-  let doc =
-    "Bypass the persistent result cache ($(b,_cache/)); simulate and \
-     enumerate from scratch.  Equivalent to setting \
-     $(b,BALLARUS_NO_CACHE)."
-  in
-  Arg.(value & flag & info [ "no-cache" ] ~doc)
-
-let apply_no_cache no_cache = if no_cache then Cache.Store.set_enabled false
-
 let handle_errors f =
   try f () with
   | Failure msg ->
@@ -69,19 +59,6 @@ let handle_errors f =
   | Sim.Machine.Fault msg | Sim.Machine.Out_of_fuel msg ->
     Printf.eprintf "runtime fault: %s\n" msg;
     exit 2
-
-let trace_arg =
-  let doc =
-    "Record spans (pipeline stages, pool jobs, supervised experiments) \
-     and write them to $(docv) as Chrome trace_event JSON at exit — \
-     loadable in chrome://tracing or Perfetto.  Equivalent to setting \
-     $(b,BALLARUS_TRACE).  Tracing never changes the tables."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let apply_trace = function
-  | Some file -> Obs.write_trace_at_exit file
-  | None -> ()
 
 (* ---- compile ---- *)
 
@@ -240,7 +217,37 @@ let layout_cmd =
        ~doc:"Re-linearise code along predicted traces and measure the effect")
     Term.(const run $ src_arg)
 
-(* ---- experiment ---- *)
+(* ---- experiment and stats ---- *)
+
+let quick_arg =
+  Arg.(value & flag & info [ "quick" ]
+         ~doc:"Cap the subset experiment at 20,000 trials.")
+
+(* Run experiment [id], or the whole suite for "all", printing the
+   tables to [ppf]; the exit code of the run.  Only the suite prewarms:
+   a single experiment computes just what it reads.  The summary goes
+   to stderr for the suite, and for a single experiment only when it
+   failed. *)
+let run_experiments ~quick ppf id =
+  let exps, warm =
+    if String.equal id "all" then (Experiments.Driver.all, true)
+    else
+      match Experiments.Driver.find id with
+      | Some e -> ([ e ], false)
+      | None ->
+        Printf.eprintf "error: unknown experiment %s; valid ids are:\n" id;
+        List.iter
+          (fun (e : Experiments.Driver.experiment) ->
+            Printf.eprintf "  %s\n" e.id)
+          Experiments.Driver.all;
+        Printf.eprintf "  all\n";
+        exit 1
+  in
+  let summary = Experiments.Driver.run_list ~quick ~warm exps ppf in
+  let code = Experiments.Driver.exit_code summary in
+  if warm || code <> 0 then
+    Experiments.Driver.pp_summary Format.err_formatter summary;
+  code
 
 let experiment_cmd =
   let id_arg =
@@ -248,79 +255,27 @@ let experiment_cmd =
            ~doc:"Experiment id (table1..table7, graph1..graph13, \
                  ablation-*, loopshapes) or 'all'.")
   in
-  let quick_arg =
-    Arg.(value & flag & info [ "quick" ]
-           ~doc:"Cap the subset experiment at 20,000 trials.")
-  in
-  let run id quick jobs no_cache trace =
+  let run id quick jobs =
     handle_errors (fun () ->
         apply_jobs jobs;
-        apply_no_cache no_cache;
-        apply_trace trace;
-        if String.equal id "all" then begin
-          let summary =
-            Experiments.Driver.run_all ~quick Format.std_formatter
-          in
-          Experiments.Driver.pp_summary Format.err_formatter summary;
-          exit (Experiments.Driver.exit_code summary)
-        end
-        else
-          match Experiments.Driver.find id with
-          | Some e ->
-            let summary =
-              Experiments.Driver.run_list ~quick ~warm:false [ e ]
-                Format.std_formatter
-            in
-            if Experiments.Driver.exit_code summary <> 0 then begin
-              Experiments.Driver.pp_summary Format.err_formatter summary;
-              exit (Experiments.Driver.exit_code summary)
-            end
-          | None ->
-            Printf.eprintf
-              "error: unknown experiment %s; valid ids are:\n" id;
-            List.iter
-              (fun (e : Experiments.Driver.experiment) ->
-                Printf.eprintf "  %s\n" e.id)
-              Experiments.Driver.all;
-            Printf.eprintf "  all\n";
-            exit 1)
+        exit (run_experiments ~quick Format.std_formatter id))
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Reproduce one of the paper's tables/figures")
-    Term.(const run $ id_arg $ quick_arg $ jobs_arg $ no_cache_arg
-          $ trace_arg)
-
-(* ---- stats ---- *)
+    Term.(const run $ id_arg $ quick_arg $ jobs_arg)
 
 let stats_cmd =
   let id_arg =
     Arg.(value & pos 0 string "all" & info [] ~docv:"ID"
            ~doc:"Experiment id to run under instrumentation, or 'all'.")
   in
-  let full_arg =
-    Arg.(value & flag & info [ "full" ]
-           ~doc:"Run the full (uncapped) experiments instead of the quick \
-                 variants.")
-  in
-  let run id full jobs no_cache trace =
+  let run id quick jobs =
     handle_errors (fun () ->
         apply_jobs jobs;
-        apply_no_cache no_cache;
-        apply_trace trace;
         (* the span table is computed from the recorded events *)
         Obs.enable ();
-        let quick = not full in
         let null = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
-        (if String.equal id "all" then
-           ignore (Experiments.Driver.run_all ~quick null)
-         else
-           match Experiments.Driver.find id with
-           | Some e ->
-             ignore
-               (Experiments.Driver.run_list ~quick ~warm:false [ e ] null)
-           | None ->
-             Printf.eprintf "error: unknown experiment %s\n" id;
-             exit 1);
+        let code = run_experiments ~quick null id in
         Obs.Metrics.dump Format.std_formatter;
         Format.printf "spans (seconds):@.";
         Format.printf "  %-36s %8s %10s %10s %10s@." "" "count" "p50" "p95"
@@ -329,7 +284,8 @@ let stats_cmd =
           (fun (name, (s : Obs.summary)) ->
             Format.printf "  %-36s %8d %10.6f %10.6f %10.6f@." name s.count
               s.p50 s.p95 s.max)
-          (Obs.summaries ()))
+          (Obs.summaries ());
+        exit code)
   in
   Cmd.v
     (Cmd.info "stats"
@@ -337,7 +293,7 @@ let stats_cmd =
              counters, then each span name's count and nearest-rank \
              p50/p95/max duration from the recorded spans; tables are \
              discarded")
-    Term.(const run $ id_arg $ full_arg $ jobs_arg $ no_cache_arg $ trace_arg)
+    Term.(const run $ id_arg $ quick_arg $ jobs_arg)
 
 (* ---- fuzz ---- *)
 
@@ -360,12 +316,6 @@ let fuzz_cmd =
          & info [ "size" ] ~docv:"N"
              ~doc:"Statement-budget ceiling for generated programs.")
   in
-  let det_arg =
-    Arg.(value & opt int Fuzz.Harness.default.det_every
-         & info [ "det-every" ] ~docv:"N"
-             ~doc:"Run the (slow) -j determinism oracle every $(docv) \
-                   cases; 0 disables it.")
-  in
   let dir_arg =
     Arg.(value & opt string Fuzz.Harness.default.failure_dir
          & info [ "failure-dir" ] ~docv:"DIR"
@@ -376,14 +326,14 @@ let fuzz_cmd =
            ~doc:"Print the generated source of case $(docv) and exit \
                  (debugging aid; no oracles run).")
   in
-  let run seed count max_size det_every failure_dir dump =
+  let run seed count max_size failure_dir dump =
     match dump with
     | Some i ->
       print_string
         (Fuzz.Gen.to_source (snd (Fuzz.Harness.case ~seed ~max_size i)))
     | None ->
       let cfg =
-        { Fuzz.Harness.seed; count; max_size; det_every; failure_dir }
+        { Fuzz.Harness.seed; count; max_size; failure_dir }
       in
       let t0 = Unix.gettimeofday () in
       let outcome = Fuzz.Harness.run ~log:print_endline cfg in
@@ -401,8 +351,7 @@ let fuzz_cmd =
        ~doc:"Differential fuzzer for the MiniC -> MIPS -> prediction \
              pipeline; exits with the number of failing cases")
     Term.(
-      const run $ seed_arg $ count_arg $ size_arg $ det_arg $ dir_arg
-      $ dump_arg)
+      const run $ seed_arg $ count_arg $ size_arg $ dir_arg $ dump_arg)
 
 (* ---- list ---- *)
 

@@ -12,8 +12,8 @@
     Entries live under one directory (default [_cache/] in the current
     working directory, overridable with [BALLARUS_CACHE_DIR]).  The
     store is enabled by default; set [BALLARUS_NO_CACHE] to any
-    non-empty value, pass [--no-cache] to the CLIs, or call
-    [set_enabled false] to bypass it.
+    non-empty value, or call [set_enabled false] in code, to bypass
+    it.
 
     Robustness: entries are written to a temporary file and renamed
     into place, so readers never observe a half-written entry; every
@@ -34,7 +34,9 @@ val enabled : unit -> bool
     restore it afterwards. *)
 
 val set_enabled : bool -> unit
-(** Turn the store on or off for this process ([--no-cache]). *)
+(** Turn the store on or off for this process.  Test and benchmark
+    seam: the gates and [suitebench/layers.ml] run uncached in
+    process. *)
 
 val dir : unit -> string
 (** The cache directory currently in force.  Test seam: a private

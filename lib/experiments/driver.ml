@@ -128,8 +128,6 @@ let run_list ?(quick = false) ?(warm = true) exps ppf =
   in
   { passed = List.length results - failed; failed; results }
 
-let run_all ?quick ppf = run_list ?quick all ppf
-
 let exit_code s = if s.failed > 0 then 3 else 0
 
 let pp_summary ppf s =

@@ -1,13 +1,15 @@
 (** Experiment registry: every table and figure by name — and the
     supervised suite runner that reports a failed experiment and
-    carries on with the rest. *)
+    carries on with the rest.  [bpredict experiment] and [bpredict
+    stats] both run through {!run_list}: the suite ({!all}, prewarmed)
+    for [all], one experiment otherwise. *)
 
 type experiment = {
   id : string;       (** e.g. "table2", "graph4" *)
   title : string;
   run : Format.formatter -> unit;
   quick_run : (Format.formatter -> unit) option;
-      (** cheaper variant used by [run_all ~quick:true], e.g. the
+      (** cheaper variant used by [run_list ~quick:true], e.g. the
           trial-capped subset experiment *)
 }
 
@@ -54,14 +56,11 @@ val run_list :
     output, and the suite continues.  Whatever a failed prewarm left
     cold is computed on demand inside the render, sequentially within
     each experiment (a {!Par.Pool.run} nested in a task runs inline).
-    Only experiment banners, tables and failure banners go to the
-    formatter — the summary does not, so callers can diff table
-    output byte-for-byte. *)
-
-val run_all : ?quick:bool -> Format.formatter -> summary
-(** {!run_list} over {!all}.  [quick] substitutes each experiment's
-    [quick_run] when present (the subset experiment capped at 20,000
-    trials). *)
+    [quick] (default [false]) renders each experiment's [quick_run]
+    where it has one and prewarms with the same cap.  Only experiment
+    banners, tables and failure banners go to the formatter — the
+    summary does not, so callers can diff table output
+    byte-for-byte. *)
 
 val exit_code : summary -> int
 (** [0] when no experiment failed, [3] otherwise — distinct from the

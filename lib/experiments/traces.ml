@@ -20,39 +20,34 @@ let predictors_for (r : Bench_run.t) =
     ("Perfect", prediction_bits r Predict.Combined.perfect_predict);
   ]
 
-(* Entries hold the simulator's raw integer histograms, and the
-   distributions are derived on read.  The key is the workload's source
-   digest and the dataset: the build fingerprint in every entry's name
-   covers the compiler and the predictors, so the prediction bits are
-   a function of the key and are built only when it misses. *)
+(* Entries hold the simulator's raw integer histograms; the
+   distributions are derived where a graph prints them.  The key is the
+   workload's source digest and the dataset: the build fingerprint in
+   every entry's name covers the compiler and the predictors, so the
+   prediction bits are a function of the key and are built only when it
+   misses. *)
 let traces = Cache.Memo.create ~persist:true "traces"
 
-(* The derived distributions, per workload name, for this process. *)
-let dists = Cache.Memo.create "traces.distributions"
-
-let distributions name =
-  Cache.Memo.find dists name (fun () ->
-      let r = Bench_run.load (Workloads.Registry.find name) in
-      let ds = Workloads.Workload.primary_dataset r.wl in
-      List.map Tracing.Ipbc.of_result
-        (Cache.Memo.find traces (r.digest, ds) (fun () ->
-             Obs.span ~name:"trace"
-               ~attrs:[ ("workload", name); ("dataset", ds.name) ]
-               (fun () ->
-                 Sim.Trace_run.run ~decoded:r.decoded r.prog ds
-                   (predictors_for r)))))
+let trace_results name =
+  let r = Bench_run.load (Workloads.Registry.find name) in
+  let ds = Workloads.Workload.primary_dataset r.wl in
+  Cache.Memo.find traces (r.digest, ds) (fun () ->
+      Obs.span ~name:"trace"
+        ~attrs:[ ("workload", name); ("dataset", ds.name) ]
+        (fun () ->
+          Sim.Trace_run.run ~decoded:r.decoded r.prog ds (predictors_for r)))
 
 let warm () =
   Obs.span ~name:"stage.traces" (fun () ->
       ignore
         (Par.Pool.parallel_map_list (Par.Pool.get ())
-           (fun (wl : Workloads.Workload.t) -> distributions wl.name)
+           (fun (wl : Workloads.Workload.t) -> trace_results wl.name)
            (Workloads.Registry.traced ())))
 
 let lengths = [ 10; 20; 50; 100; 200; 500; 1000; 2000; 5000; 10000 ]
 
 let graph_for ppf name =
-  let dists = distributions name in
+  let dists = List.map Tracing.Ipbc.of_result (trace_results name) in
   Format.fprintf ppf
     "Graph (%s): cumulative %% of executed instructions in sequences@." name;
   Format.fprintf ppf "shorter than the given length, per predictor@.@.";

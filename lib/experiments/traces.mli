@@ -15,8 +15,9 @@ val graph_for : Format.formatter -> string -> unit
     (Graph 5). *)
 
 val warm : unit -> unit
-(** Generate (and cache) the trace distributions of every traced
-    workload, one workload per task on the {!Par.Pool} default pool. *)
+(** Simulate (and cache) the trace runs of every traced workload, one
+    workload per task on the {!Par.Pool} default pool.  The
+    distributions are derived from them by {!graph_for}. *)
 
 val graph12 : Format.formatter -> unit
 (** The model y = 1 - (1-m)^s for m in 0.025 .. 0.30. *)

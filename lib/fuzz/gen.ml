@@ -346,6 +346,23 @@ let generate ~seed ~size =
 
 (* ---- printing ---- *)
 
+let rec has_call = function
+  | CallE _ -> true
+  | Ci _ | Gv _ | Lv _ | Deref _ -> false
+  | Arr e | Hp e | Un (_, e) -> has_call e
+  | Bin (_, a, b) -> has_call a || has_call b
+  | Tern (c, a, b) -> has_call c || has_call a || has_call b
+  | Fcmpi (_, a, b) -> f_has_call a || f_has_call b
+  | Pcmp (_, a, b) -> p_has_call a || p_has_call b
+
+and f_has_call = function
+  | Cf _ | Fg | Flv _ -> false
+  | Fbin (_, a, b) -> f_has_call a || f_has_call b
+  | Fdivc (a, _) -> f_has_call a
+  | Foi e -> has_call e
+
+and p_has_call = function Pnull | Pv _ -> false | Pga e -> has_call e
+
 let rec pi = function
   | Ci n -> if n < 0 then Printf.sprintf "(0 - %d)" (-n) else string_of_int n
   | Gv i -> Printf.sprintf "g%d" i
@@ -355,6 +372,11 @@ let rec pi = function
   | Deref i -> Printf.sprintf "(*p%d)" i
   | Un ("-", e) -> Printf.sprintf "(0 - (%s))" (pi e)
   | Un (op, e) -> Printf.sprintf "(%s(%s))" op (pi e)
+  | Bin (("/" | "%") as op, a, b) when has_call b ->
+    (* inv: fault-free division.  The divisor is evaluated once: tested
+       for zero and then evaluated again, its second call could read
+       what the first one changed and return zero. *)
+    Printf.sprintf "((%s) %s ((%s) | 1))" (pi a) op (pi b)
   | Bin (("/" | "%") as op, a, b) ->
     (* inv: fault-free division *)
     Printf.sprintf "((%s) %s (((%s) == 0) ? 1 : (%s)))" (pi a) op (pi b) (pi b)

@@ -9,9 +9,10 @@
     - {e terminating}: all loops have constant bounds with reserved
       counters, the helper call graph is acyclic, and [continue] can
       never skip a countdown;
-    - {e fault-free}: divisors are forced non-zero, shift amounts and
-      array indices are masked, pointers stay inside the global and
-      heap arrays, and floats are never cast back to int.
+    - {e fault-free}: divisors are forced non-zero (a divisor that
+      calls a helper is evaluated once, with its low bit set), shift
+      amounts and array indices are masked, pointers stay inside the
+      global and heap arrays, and floats are never cast back to int.
 
     The grammar deliberately exercises everything the seven
     Ball-Larus heuristics look at: nested conditionals, [for] /

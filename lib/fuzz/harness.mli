@@ -14,14 +14,11 @@ type config = {
   seed : int;         (** run seed; each case reseeds from it *)
   count : int;        (** number of programs *)
   max_size : int;     (** statement budget ceiling per program *)
-  det_every : int;    (** run the par-determinism oracle every [n]
-                          cases; [0] disables it *)
   failure_dir : string;
 }
 
 val default : config
-(** seed 42, 500 cases, size 24, determinism every 50 cases,
-    failures under [_fuzz_failures/]. *)
+(** seed 42, 500 cases, size 24, failures under [_fuzz_failures/]. *)
 
 type failure = {
   index : int;                       (** failing case number *)
@@ -45,5 +42,6 @@ val run_case : seed:int -> max_size:int -> int ->
     checks single cases. *)
 
 val run : ?log:(string -> unit) -> config -> outcome
-(** The full loop.  [log] receives one line per failure and a
+(** The full loop.  Cases 0, 100, 200, ... also run the (slow)
+    par-determinism oracle.  [log] receives one line per failure and a
     progress line every 100 cases. *)

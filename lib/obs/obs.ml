@@ -160,23 +160,14 @@ let write_trace path =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (trace_json ()))
 
-(* The destination of the exit-time write; [None] until armed, so the
-   hook is installed once and a later call moves the destination. *)
-let exit_trace : string option ref = ref None
-
-let write_trace_at_exit path =
-  if !exit_trace = None then
-    at_exit (fun () ->
-        match !exit_trace with
-        | Some p -> (
-          try write_trace p
-          with Sys_error msg ->
-            Printf.eprintf "error: cannot write trace %s: %s\n%!" p msg)
-        | None -> ());
-  exit_trace := Some path;
-  enable ()
-
+(* [BALLARUS_TRACE=path] records from program start and writes the
+   trace to [path] at exit. *)
 let () =
   match Sys.getenv_opt "BALLARUS_TRACE" with
-  | Some path when String.trim path <> "" -> write_trace_at_exit path
+  | Some path when String.trim path <> "" ->
+    at_exit (fun () ->
+        try write_trace path
+        with Sys_error msg ->
+          Printf.eprintf "error: cannot write trace %s: %s\n%!" path msg);
+    enable ()
   | _ -> ()

@@ -12,9 +12,10 @@
 
     Recorded spans export as Chrome [trace_event] JSON ([ph:"X"]
     complete events, microsecond timestamps, the domain id as [tid]),
-    loadable in [chrome://tracing] or Perfetto.  Arm export with
-    [--trace FILE] on the CLIs or [BALLARUS_TRACE=FILE] in the
-    environment; the file is written at process exit.
+    loadable in [chrome://tracing] or Perfetto.  [BALLARUS_TRACE=FILE]
+    in the environment turns recording on at program start and writes
+    the trace to [FILE] at process exit; a path that cannot be written
+    is reported on stderr with the system's reason.
 
     {b Metrics} — a process-wide registry of named counters
     ({!Metrics}).  Counters are always on (atomic increments),
@@ -22,8 +23,8 @@
 
     Span durations have one store: the recorded events.  {!summaries}
     derives per-name count and exact nearest-rank quantiles from
-    {!events}, so [bpredict stats] and the [--trace] file read the same
-    data and cannot disagree.
+    {!events}, so [bpredict stats] and the [BALLARUS_TRACE] file read
+    the same data and cannot disagree.
 
     Timestamps come from [Unix.gettimeofday] — monotonic-ish: good
     enough to order and measure spans, not hardened against clock
@@ -85,13 +86,6 @@ val trace_json : unit -> string
 val write_trace : string -> unit
 (** Write {!trace_json} to a file.  Test seam: [obs-smoke] writes a
     trace mid-run. *)
-
-val write_trace_at_exit : string -> unit
-(** [write_trace_at_exit path] enables recording and arranges for the
-    trace to be written to [path] at process exit ([--trace]); a later
-    call replaces [path].  A path that cannot be written is reported
-    on stderr with the system's reason.  [BALLARUS_TRACE=path] in the
-    environment does the same at program start. *)
 
 (** {1 JSON} *)
 

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Runs bpredict's per-program subcommands, and trace, on a built-in
-# workload and on MiniC files, each case three times: without the store
-# (BALLARUS_NO_CACHE), then cold and warm over one private store that
-# starts empty.  Fails unless the three runs print the same bytes and
+# workload and on MiniC files, then experiment on an experiment that
+# loads no workload and on an unknown id, each case three times:
+# without the store (BALLARUS_NO_CACHE), then cold and warm over one
+# private store that starts empty.  Fails unless the three runs print the same bytes and
 # exit the same way, and the warm run writes nothing new.  Prints each
 # case's output once, with its exit status, for the diff against
 # cli.expected.
@@ -49,6 +50,8 @@ done
 run_case profile bad.mc
 run_case trace xlisp
 run_case trace small.mc
+run_case experiment graph12
+run_case experiment nosuch
 
 rm -rf "$store" out.none out.cold out.warm
 exit $fail

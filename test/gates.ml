@@ -28,7 +28,7 @@ let render_quick () =
   Experiments.Bench_run.reset ();
   let buf = Buffer.create (1 lsl 16) in
   let ppf = Format.formatter_of_buffer buf in
-  let s = Experiments.Driver.run_all ~quick:true ppf in
+  let s = Experiments.Driver.run_list ~quick:true Experiments.Driver.all ppf in
   Format.pp_print_flush ppf ();
   (Buffer.contents buf, s)
 
@@ -213,7 +213,8 @@ let fault_smoke () =
    bound on a tight loop of disabled spans, so a pessimised fast path
    fails loudly without making the gate timing-flaky); and (5) every
    span name occurs in each trace file exactly as often as
-   Obs.summaries counts it, so [bpredict stats] and [--trace] agree. *)
+   Obs.summaries counts it, so [bpredict stats] and [BALLARUS_TRACE]
+   agree. *)
 
 let stage_span_names =
   [
@@ -373,12 +374,12 @@ let obs_smoke () =
 (* ---- contract-smoke: the behaviour contract, end to end ----
 
    Runs [bpredict experiment all] as a child process, the way a user
-   does, in six cases: [-j 1 --no-cache]; [-j 4] cold on an empty
-   private store; [-j 4] warm on that store; [--quick -j 2] warm; then,
-   on the store emptied again, [--quick -j 2] cold and a full [-j 2]
-   run on the store it filled.  Each
-   must exit 0, report [25 passed, 0 failed] on stderr, and print the
-   25 sections in registry order, each equal to its golden snapshot
+   does, in six cases: [-j 1] with [BALLARUS_NO_CACHE=1]; [-j 4] cold
+   on an empty private store; [-j 4] warm on that store; [--quick -j 2]
+   warm; then, on the store emptied again, [--quick -j 2] cold and a
+   full [-j 2] run on the store it filled.  Each must exit 0, report
+   [25 passed, 0 failed] on stderr, and print the 25 sections in
+   registry order, each equal to its golden snapshot
    ([graph2.full.expected] for graph2 in a full run).  The binary and
    the snapshots are found next to this executable, where the alias
    rule's dependencies put them. *)
@@ -387,16 +388,16 @@ let here = Filename.dirname Sys.executable_name
 let bpredict = Filename.concat here "../bin/bpredict.exe"
 let golden file = read_file (Filename.concat here ("golden/" ^ file))
 
-(* [bpredict args] with the store in [store] and every other BALLARUS_
-   setting removed; its exit code, stdout and stderr. *)
-let run_bpredict ~store args =
+(* [bpredict args] with the store in [store], the settings [env] and
+   every other BALLARUS_ setting removed; its exit code, stdout and
+   stderr. *)
+let run_bpredict ~store ~env args =
   let env =
-    Array.append
-      [| "BALLARUS_CACHE_DIR=" ^ store |]
-      (Array.of_list
-         (List.filter
-            (fun v -> not (String.starts_with ~prefix:"BALLARUS_" v))
-            (Array.to_list (Unix.environment ()))))
+    Array.of_list
+      ((("BALLARUS_CACHE_DIR=" ^ store) :: env)
+      @ List.filter
+          (fun v -> not (String.starts_with ~prefix:"BALLARUS_" v))
+          (Array.to_list (Unix.environment ())))
   in
   let out = Filename.concat store "stdout"
   and err = Filename.concat store "stderr" in
@@ -469,9 +470,9 @@ let contract_smoke () =
   in
   let failures = ref [] in
   let check cond msg = if not cond then failures := msg :: !failures in
-  let case label ~quick args =
+  let case ?(env = []) label ~quick args =
     let t0 = Unix.gettimeofday () in
-    let code, out, err = run_bpredict ~store args in
+    let code, out, err = run_bpredict ~store ~env args in
     let got = sections out and want = expected ~quick in
     let summary = Printf.sprintf "%d passed, 0 failed" (List.length exps) in
     Printf.printf "%-26s exit %d, %d sections, %.2f s\n%!" label code
@@ -498,7 +499,8 @@ let contract_smoke () =
       try Sys.rmdir store with Sys_error _ -> ())
     (fun () ->
       Unix.mkdir store 0o755;
-      case "-j 1 --no-cache" ~quick:false [ "-j"; "1"; "--no-cache" ];
+      case "-j 1 uncached" ~env:[ "BALLARUS_NO_CACHE=1" ] ~quick:false
+        [ "-j"; "1" ];
       case "-j 4 cold" ~quick:false [ "-j"; "4" ];
       case "-j 4 warm" ~quick:false [ "-j"; "4" ];
       case "--quick -j 2 warm" ~quick:true [ "--quick"; "-j"; "2" ];

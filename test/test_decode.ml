@@ -32,8 +32,8 @@ let test_decode_on_demand_agrees () =
    and edge profile are pinned.  The generator is fault-free, so any
    fault fails the test. *)
 let fuzz_cases = 120
-let fuzz_instrs = 428722
-let fuzz_digest = "d90652d0c56e85de18e38b8426bd2c47"
+let fuzz_instrs = 425723
+let fuzz_digest = "39c210db72f60907c887e8f895f0826c"
 
 (* The pinned programs, compiled once for the tests that read them. *)
 let fuzz_programs =

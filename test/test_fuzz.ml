@@ -33,6 +33,18 @@ let test_oracles_clean_batch () =
         i (Format.asprintf "%a" Fuzz.Oracle.pp_divergence d)
   done
 
+let test_divisor_with_a_call () =
+  (* seed 2633's divisor calls a helper that changes what the divisor
+     reads: tested for zero, then evaluated again, it divided by zero *)
+  match
+    Fuzz.Oracle.check_source
+      (Fuzz.Gen.to_source (Fuzz.Gen.generate ~seed:2633 ~size:12))
+  with
+  | [] -> ()
+  | d :: _ ->
+    Alcotest.failf "seed 2633 diverged: %s"
+      (Format.asprintf "%a" Fuzz.Oracle.pp_divergence d)
+
 let test_input_oracle () =
   (* generated programs read no input: a read() must be reported, even
      though both executors agree on what it returns *)
@@ -207,6 +219,8 @@ let tests =
     ( "oracle",
       [
         Alcotest.test_case "clean batch" `Quick test_oracles_clean_batch;
+        Alcotest.test_case "divisor with a call" `Quick
+          test_divisor_with_a_call;
         Alcotest.test_case "input" `Quick test_input_oracle;
         Alcotest.test_case "dump prints the checked source" `Quick
           test_dump_prints_checked_source;
