@@ -16,18 +16,20 @@
 open Cmdliner
 
 (* A program source: a built-in workload, or a MiniC file wrapped as a
-   workload with one empty dataset. *)
+   workload with one empty dataset.  A path that cannot be read as a
+   file (missing, a directory, unreadable) is reported without the
+   system's error text. *)
 let workload_of src =
   match Workloads.Registry.find src with
   | wl -> wl
-  | exception Not_found ->
-    if Sys.file_exists src then
+  | exception Not_found -> (
+    match In_channel.with_open_bin src In_channel.input_all with
+    | text ->
       Workloads.Workload.make ~name:src ~description:"MiniC file" ~lang:C
-        ~datasets:[ Sim.Dataset.make ~name:"empty" [||] ]
-        (In_channel.with_open_bin src In_channel.input_all)
-    else
+        ~datasets:[ Sim.Dataset.make ~name:"empty" [||] ] text
+    | exception Sys_error _ ->
       failwith
-        (Printf.sprintf "%s: not a workload name and not a file" src)
+        (Printf.sprintf "%s: not a workload name and not a file" src))
 
 let load src = Experiments.Bench_run.load (workload_of src)
 
@@ -55,6 +57,9 @@ let handle_errors f =
   try f () with
   | Failure msg ->
     Printf.eprintf "error: %s\n" msg;
+    exit 1
+  | Mips.Program.Unknown_procedure p ->
+    Printf.eprintf "error: no procedure %s\n" p;
     exit 1
   | Sim.Machine.Fault msg | Sim.Machine.Out_of_fuel msg ->
     Printf.eprintf "runtime fault: %s\n" msg;

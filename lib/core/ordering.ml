@@ -143,29 +143,18 @@ let misses_of c (order : int array) =
   done;
   !miss
 
-(* The 5040 orders are evaluated in (benchmark x order-chunk) tasks so
-   the matrix fills across domains.  Every cell is written exactly once
-   by exactly one task, so the matrix is identical at any [-j]. *)
-let order_chunk = 315
-
 let miss_matrix dbs =
-  let pool = Par.Pool.get () in
-  let nb = Array.length dbs in
-  let compiled = Par.Pool.parallel_map pool compile dbs in
   let orders = order_ints () in
-  let m = Array.init nb (fun _ -> Array.make nperm 0.) in
-  let per_row = (nperm + order_chunk - 1) / order_chunk in
-  Par.Pool.run pool (nb * per_row) (fun task ->
-      let b = task / per_row and c = task mod per_row in
-      let lo = c * order_chunk and hi = min nperm ((c + 1) * order_chunk) in
-      let cb = compiled.(b) and row = m.(b) in
-      let exec = float_of_int cb.exec_total in
-      for o = lo to hi - 1 do
-        row.(o) <-
-          (if cb.exec_total = 0 then Float.nan
-           else float_of_int (misses_of cb orders.(o)) /. exec)
-      done);
-  m
+  Array.map
+    (fun db ->
+      let c = compile db in
+      let exec = float_of_int c.exec_total in
+      Array.map
+        (fun order ->
+          if c.exec_total = 0 then Float.nan
+          else float_of_int (misses_of c order) /. exec)
+        orders)
+    dbs
 
 (* Summed over b = 0 .. nb-1 in that order, so every caller gets the
    same floats bit for bit. *)

@@ -37,9 +37,9 @@ val miss_matrix : Database.t array -> float array array
     non-loop executions ([nan] when that total is 0).  The sums are
     integers, so a cell equals a branch-by-branch evaluation exactly.
 
-    Cells are evaluated in (benchmark x order-chunk) tasks on the
-    {!Par.Pool} default pool; each cell is written by exactly one task,
-    so the matrix is identical at any [-j]. *)
+    The matrix is built on the calling domain: the 22 suite databases
+    take a few milliseconds, less than fanning them out over the pool
+    costs. *)
 
 val averages : float array array -> float array
 (** [averages m]: per order [o], the mean of [m.(b).(o)] over the

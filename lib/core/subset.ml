@@ -507,7 +507,6 @@ let run ?k ?(max_trials = max_int) (m : float array array) =
         rc)
       col
   in
-  let pool = Par.Pool.get () in
   (* The chunk size is part of the reproducibility contract (each chunk
      re-sums its first combination, so resizing it moves float
      accumulation boundaries); the pool's scheduling is not.  Each
@@ -515,7 +514,7 @@ let run ?k ?(max_trials = max_int) (m : float array array) =
      order, so every column it walks has the float history and every
      argmin the tie-break of a walk over all columns. *)
   let win_counts =
-    Par.Pool.reduce pool ~n:total ~chunk:chunk_trials
+    Par.Pool.reduce ~n:total ~chunk:chunk_trials
       ~map:(fun lo hi ->
         let cols =
           match delta with

@@ -10,7 +10,7 @@
 
     The enumeration is split into fixed-size contiguous rank ranges
     ({!unrank} finds each range's starting combination) that run in
-    parallel on the {!Par.Pool} default pool.  The decomposition is a
+    parallel on the {!Par.Pool}.  The decomposition is a
     function of the trial count alone, so results are bit-identical
     for any [-j].
 

@@ -66,8 +66,7 @@ let all_loads = Cache.Memo.create "bench_run.load_all"
 let load_all () =
   Cache.Memo.find all_loads () (fun () ->
       Obs.span ~name:"stage.load_all" (fun () ->
-          Par.Pool.parallel_map_list (Par.Pool.get ()) load
-            Workloads.Registry.all))
+          Par.Pool.parallel_map_list load Workloads.Registry.all))
 
 let dbs = Cache.Memo.create "bench_run.db"
 

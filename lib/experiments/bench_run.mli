@@ -40,8 +40,8 @@ val load : Workloads.Workload.t -> t
 
 val load_all : unit -> t list
 (** All benchmarks of {!Workloads.Registry.all}.  The independent
-    per-workload pipelines fan out across the {!Par.Pool} default
-    pool; the returned list is in registry order regardless of [-j].
+    per-workload pipelines fan out across the {!Par.Pool}; the
+    returned list is in registry order regardless of [-j].
     Memoised: the [stage.load_all] span and its pool job run once per
     {!reset}. *)
 

@@ -10,7 +10,7 @@ let pairs () =
 let warm () =
   Obs.span ~name:"stage.datasets" (fun () ->
       ignore
-        (Par.Pool.parallel_map_list (Par.Pool.get ())
+        (Par.Pool.parallel_map_list
            (fun (wl, ds) -> Bench_run.db_for (Bench_run.load wl) ds)
            (pairs ())))
 

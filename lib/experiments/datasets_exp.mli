@@ -7,5 +7,4 @@ val graph13 : Format.formatter -> unit
 
 val warm : unit -> unit
 (** Build (and cache) the branch database of every (workload, dataset)
-    pair {!graph13} prints, one pair per task on the {!Par.Pool}
-    default pool. *)
+    pair {!graph13} prints, one pair per task on the {!Par.Pool}. *)

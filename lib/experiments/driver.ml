@@ -68,12 +68,10 @@ let prewarm ?(quick = false) () =
 
 (* ---- supervised suite execution ---- *)
 
-type task_result = Passed | Failed of Robust.Fault.t
-
 type summary = {
   passed : int;
   failed : int;
-  results : (string * task_result) list;
+  results : (string * Robust.Supervise.status) list;
 }
 
 (* One experiment under the fault boundary.  The body renders into a
@@ -99,32 +97,25 @@ let run_list ?(quick = false) ?(warm = true) exps ppf =
     | { status = Failed fault; _ } ->
       Robust.Fault.pp_banner Format.err_formatter fault
     | _ -> ());
-  (* The experiments render across the default pool, each into its own
+  (* The experiments render across the pool, each into its own
      buffer, and print in list order: the output is the sequential
      one at any width. *)
   let results =
     Obs.span ~name:"stage.render" @@ fun () ->
-    let outcomes =
-      Par.Pool.parallel_map_list (Par.Pool.get ()) (run_one ~quick) exps
-    in
+    let outcomes = Par.Pool.parallel_map_list (run_one ~quick) exps in
     List.map2
       (fun e (o : string Robust.Supervise.outcome) ->
         Format.fprintf ppf "==== %s ====@.@." e.title;
-        let r =
-          match o.status with
-          | Completed ->
-            Format.pp_print_string ppf (Option.get o.value);
-            Passed
-          | Failed fault ->
-            Robust.Fault.pp_banner ppf fault;
-            Failed fault
-        in
+        (match o.status with
+        | Completed -> Format.pp_print_string ppf (Option.get o.value)
+        | Failed fault -> Robust.Fault.pp_banner ppf fault);
         Format.fprintf ppf "@.";
-        (e.id, r))
+        (e.id, o.status))
       exps outcomes
   in
   let failed =
-    List.length (List.filter (function _, Failed _ -> true | _ -> false) results)
+    List.length
+      (List.filter (fun (_, s) -> s <> Robust.Supervise.Completed) results)
   in
   { passed = List.length results - failed; failed; results }
 
@@ -136,7 +127,7 @@ let pp_summary ppf s =
   List.iter
     (fun (id, r) ->
       match r with
-      | Passed -> ()
+      | Robust.Supervise.Completed -> ()
       | Failed (f : Robust.Fault.t) ->
         Format.fprintf ppf "  failed %s [%s]: %s@." id
           (Robust.Fault.kind_name f.kind) f.message)

@@ -23,7 +23,7 @@ val prewarm : ?quick:bool -> unit -> unit
 (** Fill every memo table the experiments read — benchmarks, traces,
     per-dataset databases, the per-order averages (under a
     [stage.miss_matrix] span) and the subset walk — in parallel on the
-    {!Par.Pool} default pool.  On a warm store nothing is derived: the
+    {!Par.Pool}.  On a warm store nothing is derived: the
     miss matrix is built only when the averages or the walk miss the
     store.  [quick] (default
     [false]) walks the subset experiment's [--quick] cap
@@ -31,14 +31,12 @@ val prewarm : ?quick:bool -> unit -> unit
 
 (** {1 Supervised suite execution} *)
 
-type task_result =
-  | Passed  (** the experiment printed its table *)
-  | Failed of Robust.Fault.t  (** failed, classified *)
-
 type summary = {
   passed : int;
   failed : int;
-  results : (string * task_result) list;  (** (experiment id, result) *)
+  results : (string * Robust.Supervise.status) list;
+      (** (experiment id, status): [Completed] when the experiment
+          printed its table *)
 }
 
 val run_list :
@@ -49,7 +47,7 @@ val run_list :
     that should only compute what it reads), each inside a
     {!Robust.Supervise} fault boundary and all of them inside one
     [stage.render] span.  The experiments render across the
-    {!Par.Pool} default pool, each into a private buffer, and are
+    {!Par.Pool}, each into a private buffer, and are
     printed in list order once all have finished, so the output is
     byte-identical at any width.  A failed experiment prints a
     structured failure banner in place of its table, with no partial

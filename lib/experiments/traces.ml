@@ -40,7 +40,7 @@ let trace_results name =
 let warm () =
   Obs.span ~name:"stage.traces" (fun () ->
       ignore
-        (Par.Pool.parallel_map_list (Par.Pool.get ())
+        (Par.Pool.parallel_map_list
            (fun (wl : Workloads.Workload.t) -> trace_results wl.name)
            (Workloads.Registry.traced ())))
 

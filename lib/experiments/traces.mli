@@ -16,7 +16,7 @@ val graph_for : Format.formatter -> string -> unit
 
 val warm : unit -> unit
 (** Simulate (and cache) the trace runs of every traced workload, one
-    workload per task on the {!Par.Pool} default pool.  The
+    workload per task on the {!Par.Pool}.  The
     distributions are derived from them by {!graph_for}. *)
 
 val graph12 : Format.formatter -> unit

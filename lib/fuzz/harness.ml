@@ -42,24 +42,17 @@ let report_of divs =
   String.concat "\n"
     (List.map (fun d -> Format.asprintf "%a" Oracle.pp_divergence d) divs)
 
-(* The par-determinism oracle is slow: it checks case 0 and every
-   hundredth case after it. *)
-let det_every = 100
-
 let run ?(log = fun _ -> ()) cfg =
   let failures = ref [] in
   for i = 0 to cfg.count - 1 do
     if i > 0 && i mod 100 = 0 then
       log (Printf.sprintf "... %d/%d cases, %d failure(s)" i cfg.count
              (List.length !failures));
-    let det_check = i mod det_every = 0 in
     let cs, prog = case ~seed:cfg.seed ~max_size:cfg.max_size i in
     let src = Gen.to_source prog in
-    match Oracle.check_source ~det_check src with
+    match Oracle.check_source src with
     | [] -> ()
     | divs ->
-      (* shrink against the cheap oracles; the determinism oracle is
-         too slow to run once per candidate *)
       let failing p = Oracle.check_source (Gen.to_source p) <> [] in
       let small = if failing prog then Shrink.minimize ~failing prog else prog in
       let ssrc = Gen.to_source small in

@@ -37,11 +37,10 @@ val case : seed:int -> max_size:int -> int -> int * Gen.program
 
 val run_case : seed:int -> max_size:int -> int ->
   string * Oracle.divergence list
-(** Generate and check case [i] with every oracle but par-determinism;
-    returns the source and any divergences.  Test seam: [test_fuzz]
+(** Generate and check case [i] with every oracle; returns the source
+    and any divergences.  Test seam: [test_fuzz]
     checks single cases. *)
 
 val run : ?log:(string -> unit) -> config -> outcome
-(** The full loop.  Cases 0, 100, 200, ... also run the (slow)
-    par-determinism oracle.  [log] receives one line per failure and a
+(** The full loop.  [log] receives one line per failure and a
     progress line every 100 cases. *)

@@ -173,18 +173,7 @@ let check_miss_matrix (db : Predict.Database.t) =
   in
   first_diff 0
 
-(* the 5040-order miss matrix must not depend on the pool width *)
-let check_determinism db =
-  let matrix jobs =
-    Par.Pool.with_jobs jobs (fun () -> Predict.Ordering.miss_matrix [| db |])
-  in
-  let m1 = matrix 1 in
-  let m4 = matrix 4 in
-  if Marshal.to_string m1 [] <> Marshal.to_string m4 [] then
-    [ div "par-determinism" "miss_matrix differs between -j 1 and -j 4" ]
-  else []
-
-let check_source ?(det_check = false) src =
+let check_source src =
   match Minic.Frontend.compile src with
   | exception Minic.Frontend.Error msg ->
     [ div "compile" "frontend rejected program: %s" msg ]
@@ -216,5 +205,4 @@ let check_source ?(det_check = false) src =
         let analyses = Cfg.Analysis.of_program prog in
         let d4, db = check_predict prog analyses profile in
         let d5 = check_miss_matrix db in
-        let d6 = if det_check then check_determinism db else [] in
-        d0 @ d1 @ d2 @ d3 @ d4 @ d5 @ d6))
+        d0 @ d1 @ d2 @ d3 @ d4 @ d5))

@@ -21,9 +21,7 @@
       predictor honouring the loop/non-loop partition;
     - {b miss-matrix}: every cell of the 5040-order miss matrix, built
       from first-fire tables, must be bitwise equal to the combined
-      predictor's miss rate computed branch by branch under that order;
-    - {b par-determinism} (optional, slower): the 5040-order miss
-      matrix computed at [-j 1] and [-j 4] must be byte-identical.
+      predictor's miss rate computed branch by branch under that order.
 
     A reported {!divergence} means a real bug somewhere in the
     pipeline (or in the generator's invariants). *)
@@ -35,8 +33,7 @@ type divergence = {
 
 val pp_divergence : Format.formatter -> divergence -> unit
 
-val check_source : ?det_check:bool -> string -> divergence list
+val check_source : string -> divergence list
 (** Run every oracle on one MiniC source.  Compilation or runtime
     faults are themselves reported as divergences (generated programs
-    are fault-free by construction).  [det_check] (default [false])
-    additionally runs the par-determinism oracle. *)
+    are fault-free by construction). *)

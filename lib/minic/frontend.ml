@@ -113,7 +113,7 @@ let compile ?(optimize = true) src =
   in
   let procs =
     if optimize then
-      List.map (fun (name, items) -> (name, fst (Peephole.optimize items))) procs
+      List.map (fun (name, items) -> (name, Peephole.optimize items)) procs
     else procs
   in
   try

@@ -1,13 +1,6 @@
 module I = Mips.Insn
 module R = Mips.Reg
 
-type stats = {
-  fused_immediates : int;
-  dropped_moves : int;
-  dropped_identities : int;
-  simplified_branches : int;
-}
-
 let is_control (ins : string I.t) =
   I.is_block_end ins || I.is_call ins
 
@@ -24,11 +17,14 @@ let rec dead_after r items =
     else if is_control ins then false
     else dead_after r rest
 
+(* [changed] records that a pass rewrote something, so the fixpoint
+   runs another. *)
 let optimize items =
-  let fused = ref 0 in
-  let moves = ref 0 in
-  let idents = ref 0 in
-  let branches = ref 0 in
+  let changed = ref false in
+  let rewrite x =
+    changed := true;
+    x
+  in
   let rec go = function
     | [] -> []
     (* li $tK, n; op d, s, $tK  ->  opi d, s, n   (tK dead after) *)
@@ -36,46 +32,28 @@ let optimize items =
       :: Mips.Asm.Ins (I.Alu (op, d, s, I.Reg rk2))
       :: rest
       when R.equal rk rk2 && (not (R.equal rk d)) && not (R.equal rk s) ->
-      if dead_after rk rest then begin
-        incr fused;
-        Mips.Asm.Ins (I.Alu (op, d, s, I.Imm imm)) :: go rest
-      end
-      else begin
+      if dead_after rk rest then
+        rewrite (Mips.Asm.Ins (I.Alu (op, d, s, I.Imm imm))) :: go rest
+      else
         (* keep the pair; continue past the first item *)
         Mips.Asm.Ins (I.Li (rk, imm))
         :: go (Mips.Asm.Ins (I.Alu (op, d, s, I.Reg rk2)) :: rest)
-      end
-    | Mips.Asm.Ins (I.Move (d, s)) :: rest when R.equal d s ->
-      incr moves;
-      go rest
+    | Mips.Asm.Ins (I.Move (d, s)) :: rest when R.equal d s -> rewrite (go rest)
     | Mips.Asm.Ins (I.Alu ((I.Add | I.Sub | I.Or | I.Xor | I.Sll | I.Sra), d, s, I.Imm 0))
       :: rest
       when R.equal d s ->
-      incr idents;
-      go rest
+      rewrite (go rest)
     | Mips.Asm.Ins (I.Alu ((I.Mul | I.Div), d, s, I.Imm 1)) :: rest
       when R.equal d s ->
-      incr idents;
-      go rest
+      rewrite (go rest)
     | Mips.Asm.Ins (I.Beq (a, b, l)) :: rest when R.equal a b ->
-      incr branches;
-      Mips.Asm.Ins (I.J l) :: go rest
-    | Mips.Asm.Ins (I.Bne (a, b, _)) :: rest when R.equal a b ->
-      incr branches;
-      go rest
+      rewrite (Mips.Asm.Ins (I.J l)) :: go rest
+    | Mips.Asm.Ins (I.Bne (a, b, _)) :: rest when R.equal a b -> rewrite (go rest)
     | it :: rest -> it :: go rest
   in
   let rec fixpoint items =
-    let before = !fused + !moves + !idents + !branches in
+    changed := false;
     let items' = go items in
-    if !fused + !moves + !idents + !branches = before then items'
-    else fixpoint items'
+    if !changed then fixpoint items' else items'
   in
-  let out = fixpoint items in
-  ( out,
-    {
-      fused_immediates = !fused;
-      dropped_moves = !moves;
-      dropped_identities = !idents;
-      simplified_branches = !branches;
-    } )
+  fixpoint items

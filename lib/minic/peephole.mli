@@ -16,12 +16,5 @@
     materialisation pattern), so deadness is only assumed when the
     register is redefined before any label or control transfer. *)
 
-type stats = {
-  fused_immediates : int;
-  dropped_moves : int;
-  dropped_identities : int;
-  simplified_branches : int;
-}
-
-val optimize : Mips.Asm.item list -> Mips.Asm.item list * stats
-(** One fixpoint run of all rewrites. *)
+val optimize : Mips.Asm.item list -> Mips.Asm.item list
+(** All rewrites, repeated until a pass changes nothing. *)

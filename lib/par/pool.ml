@@ -30,13 +30,7 @@ type t = {
   mutable workers : unit Domain.t list;
 }
 
-let jobs t = t.size
-
-let has_pending_job t =
-  Mutex.protect t.mutex (fun () ->
-      match t.job with Some _ -> true | None -> false)
-
-(* Whether this domain is running a task of some pool's job.  A [run]
+(* Whether this domain is running a task of the pool's job.  A [run]
    called from inside a task runs its body inline: a job posted there
    would take the pool's job slot from the task's own job and clear it
    on its join while that job still runs. *)
@@ -86,8 +80,7 @@ let rec worker_loop t last_gen =
     worker_loop t gen
   end
 
-let create ~jobs =
-  let size = max 1 jobs in
+let create size =
   let t =
     {
       size;
@@ -108,9 +101,72 @@ let shutdown t =
   t.stopped <- true;
   Condition.broadcast t.work;
   Mutex.unlock t.mutex;
-  let ws = t.workers in
-  t.workers <- [];
-  List.iter Domain.join ws
+  List.iter Domain.join t.workers
+
+(* ---- the process-wide pool ---- *)
+
+let jobs_override : int option ref = ref None
+let pool : t option ref = ref None
+let pool_mutex = Mutex.create ()
+
+(* Without an explicit request the width is clamped to the hardware's
+   recommended domain count: oversubscribing domains on a small host
+   makes every parallel stage slower, not faster. *)
+let default_jobs () =
+  match !jobs_override with
+  | Some n -> n
+  | None -> (
+    match
+      Option.bind (Sys.getenv_opt "BALLARUS_JOBS") (fun s ->
+          int_of_string_opt (String.trim s))
+    with
+    | Some n when n >= 1 -> n
+    | _ -> Domain.recommended_domain_count ())
+
+(* Install [request] as the override ([None]: none) and retire a pool
+   of another width; the next [get] re-creates it. *)
+let set_override request =
+  Option.iter shutdown
+    (Mutex.protect pool_mutex (fun () ->
+         jobs_override := request;
+         match !pool with
+         | Some p when p.size <> default_jobs () ->
+           pool := None;
+           Some p
+         | _ -> None))
+
+let set_jobs n = set_override (Some (max 1 n))
+
+let with_jobs n f =
+  let prev = Mutex.protect pool_mutex (fun () -> !jobs_override) in
+  set_jobs n;
+  Fun.protect ~finally:(fun () -> set_override prev) f
+
+(* The pool, created on first use at the current width. *)
+let get () =
+  Mutex.protect pool_mutex (fun () ->
+      match !pool with
+      | Some p -> p
+      | None ->
+        let p = create (default_jobs ()) in
+        pool := Some p;
+        p)
+
+(* The process never exits with live domains. *)
+let () =
+  at_exit (fun () ->
+      Option.iter shutdown
+        (Mutex.protect pool_mutex (fun () ->
+             let p = !pool in
+             pool := None;
+             p)))
+
+let has_pending_job () =
+  match Mutex.protect pool_mutex (fun () -> !pool) with
+  | None -> false
+  | Some t ->
+    Mutex.protect t.mutex (fun () ->
+        match t.job with Some _ -> true | None -> false)
 
 (* Every fork-join job is counted in the metrics registry (both the
    sequential fast path and the pool path), so the bench JSON can
@@ -118,8 +174,9 @@ let shutdown t =
 let jobs_counter = Obs.Metrics.counter "pool.jobs"
 let tasks_counter = Obs.Metrics.counter "pool.tasks"
 
-let run t n body =
+let run n body =
   if n > 0 then begin
+    let t = get () in
     Obs.Metrics.incr jobs_counter;
     Obs.Metrics.incr ~by:n tasks_counter;
     if t.size = 1 || n = 1 || !(Domain.DLS.get in_task) then
@@ -166,16 +223,13 @@ let run t n body =
     end
   end
 
-let parallel_map t f a =
-  let n = Array.length a in
-  let out = Array.make n None in
-  run t n (fun i -> out.(i) <- Some (f a.(i)));
-  Array.map Option.get out
+let parallel_map_list f l =
+  let a = Array.of_list l in
+  let out = Array.make (Array.length a) None in
+  run (Array.length a) (fun i -> out.(i) <- Some (f a.(i)));
+  List.map Option.get (Array.to_list out)
 
-let parallel_map_list t f l =
-  Array.to_list (parallel_map t f (Array.of_list l))
-
-let reduce t ~n ~chunk ~map ~merge ~init () =
+let reduce ~n ~chunk ~map ~merge ~init () =
   if n <= 0 then init
   else begin
     let chunk = max 1 chunk in
@@ -185,9 +239,9 @@ let reduce t ~n ~chunk ~map ~merge ~init () =
        sees ~4 tasks.  Each chunk is still mapped over its own [lo, hi)
        and merged in ascending chunk order, so batching changes
        scheduling granularity only — never the result. *)
-    let batch = max 1 (nchunks / (t.size * 4)) in
+    let batch = max 1 (nchunks / (default_jobs () * 4)) in
     let ntasks = (nchunks + batch - 1) / batch in
-    run t ntasks (fun task ->
+    run ntasks (fun task ->
         let cfirst = task * batch in
         let clast = min nchunks ((task + 1) * batch) - 1 in
         for c = cfirst to clast do
@@ -196,74 +250,3 @@ let reduce t ~n ~chunk ~map ~merge ~init () =
         done);
     Array.fold_left (fun acc p -> merge acc (Option.get p)) init parts
   end
-
-(* ---- the process-wide default pool ---- *)
-
-let env_jobs () =
-  match Sys.getenv_opt "BALLARUS_JOBS" with
-  | None -> None
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Some n
-    | _ -> None)
-
-let jobs_override : int option ref = ref None
-let default_pool : t option ref = ref None
-let default_mutex = Mutex.create ()
-let exit_hook_installed = ref false
-
-let requested_jobs () =
-  match !jobs_override with Some _ as r -> r | None -> env_jobs ()
-
-(* Without an explicit override the width is clamped to the hardware's
-   recommended domain count: oversubscribing domains on a small host
-   makes every parallel stage slower, not faster. *)
-let default_jobs () =
-  match requested_jobs () with
-  | Some n -> n
-  | None -> Domain.recommended_domain_count ()
-
-(* Install [request] as the override ([None]: none) and retire a
-   default pool of another width; the next [get] re-creates it. *)
-let set_override request =
-  Mutex.lock default_mutex;
-  jobs_override := request;
-  let n = default_jobs () in
-  let stale =
-    match !default_pool with
-    | Some p when jobs p <> n ->
-      default_pool := None;
-      Some p
-    | _ -> None
-  in
-  Mutex.unlock default_mutex;
-  match stale with Some p -> shutdown p | None -> ()
-
-let set_jobs n = set_override (Some (max 1 n))
-
-let with_jobs n f =
-  let prev = Mutex.protect default_mutex (fun () -> !jobs_override) in
-  set_jobs n;
-  Fun.protect ~finally:(fun () -> set_override prev) f
-
-let get () =
-  Mutex.lock default_mutex;
-  let p =
-    match !default_pool with
-    | Some p -> p
-    | None ->
-      let p = create ~jobs:(default_jobs ()) in
-      default_pool := Some p;
-      if not !exit_hook_installed then begin
-        exit_hook_installed := true;
-        at_exit (fun () ->
-            Mutex.lock default_mutex;
-            let p = !default_pool in
-            default_pool := None;
-            Mutex.unlock default_mutex;
-            match p with Some p -> shutdown p | None -> ())
-      end;
-      p
-  in
-  Mutex.unlock default_mutex;
-  p

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Runs bpredict's per-program subcommands, and trace, on a built-in
-# workload and on MiniC files, then experiment on an experiment that
+# workload and on MiniC files, cfg on a procedure that does not exist,
+# predict on a directory, then experiment on an experiment that
 # loads no workload and on an unknown id, each case three times:
 # without the store (BALLARUS_NO_CACHE), then cold and warm over one
 # private store that starts empty.  Fails unless the three runs print the same bytes and
@@ -48,6 +49,8 @@ for src in xlisp small.mc; do
   run_case layout "$src"
 done
 run_case profile bad.mc
+run_case cfg small.mc --proc nosuch
+run_case predict .
 run_case trace xlisp
 run_case trace small.mc
 run_case experiment graph12

@@ -10,9 +10,9 @@
                          it, prints the goldens at any -j, cold and warm,
                          full and --quick over each other's store
 
-   The pool width is the default pool's: BALLARUS_JOBS, or the
-   machine's recommended domain count.  Each gate prints its findings
-   and returns 0 on success, 1 on failure.  Paper tables come from
+   The pool width is BALLARUS_JOBS, or the machine's recommended
+   domain count.  Each gate prints its findings and returns 0 on
+   success, 1 on failure.  Paper tables come from
    [bpredict experiment]; timing the suite is [suitebench/run.py]'s
    job. *)
 
@@ -68,7 +68,7 @@ let perf_smoke () =
         (fun () -> Experiments.Bench_run.reset ()),
         fun () ->
           ignore
-            (Par.Pool.parallel_map_list (Par.Pool.get ())
+            (Par.Pool.parallel_map_list
                (fun n ->
                  Experiments.Bench_run.load (Workloads.Registry.find n))
                smoke_wls) );

@@ -101,30 +101,6 @@ let test_flow_clean_profile () =
   checkb "consistent profile has no messages" true
     (Cfg.Flow.check_program prog ~taken:profile.taken ~fall:profile.fall = [])
 
-let test_determinism_oracle_uses_pool () =
-  (* the par-determinism oracle compares [miss_matrix [| db |]] at -j 1
-     and -j 4; the -j 4 side must really fork onto the pool, or both
-     sides run the same sequential loop and the oracle checks nothing *)
-  let prog = Minic.Frontend.compile flow_src in
-  let profile = Sim.Profile.run prog (Sim.Dataset.make ~name:"t" [||]) in
-  let db =
-    Predict.Database.make prog (Cfg.Analysis.of_program prog)
-      ~taken:profile.taken ~fall:profile.fall
-  in
-  Par.Pool.with_jobs 4 @@ fun () ->
-  Obs.reset_events ();
-  Obs.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.disable ();
-      Obs.reset_events ())
-    (fun () ->
-      ignore (Predict.Ordering.miss_matrix [| db |]);
-      checkb "-j 4 records a pool.job span" true
-        (List.exists
-           (fun (e : Obs.event) -> e.name = "pool.job")
-           (Obs.events ())))
-
 let test_flow_detects_corruption () =
   let prog = Minic.Frontend.compile flow_src in
   let profile = Sim.Profile.run prog (Sim.Dataset.make ~name:"t" [||]) in
@@ -227,8 +203,6 @@ let tests =
         Alcotest.test_case "flow clean" `Quick test_flow_clean_profile;
         Alcotest.test_case "flow corruption" `Quick
           test_flow_detects_corruption;
-        Alcotest.test_case "par-determinism uses the pool" `Quick
-          test_determinism_oracle_uses_pool;
       ] );
     ( "shrink",
       [

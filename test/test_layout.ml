@@ -195,8 +195,7 @@ let test_taken_after_matches_simulation () =
       checki (name ^ " branch executions") (Sim.Profile.branch_execs r.profile)
         execs;
       checki (name ^ " checksum preserved") r.profile.stats.checksum checksum)
-    (Par.Pool.parallel_map_list (Par.Pool.get ()) measure
-       (Experiments.Bench_run.load_all ()))
+    (Par.Pool.parallel_map_list measure (Experiments.Bench_run.load_all ()))
 
 let test_layout_idempotent_code_size () =
   (* laying out twice must not blow up the code *)

@@ -3,24 +3,22 @@
 
 open Check
 
-let with_pool jobs f =
-  let p = Par.Pool.create ~jobs in
-  Fun.protect ~finally:(fun () -> Par.Pool.shutdown p) (fun () -> f p)
+let with_jobs = Par.Pool.with_jobs
 
 let widths = [ 1; 2; 3; 4 ]
 
 let test_jobs_clamped () =
-  with_pool 0 (fun p -> checki "clamped to 1" 1 (Par.Pool.jobs p));
-  with_pool 3 (fun p -> checki "width kept" 3 (Par.Pool.jobs p))
+  with_jobs 0 (fun () -> checki "clamped to 1" 1 (Par.Pool.default_jobs ()));
+  with_jobs 3 (fun () -> checki "width kept" 3 (Par.Pool.default_jobs ()))
 
 let test_run_covers_every_index () =
   List.iter
     (fun jobs ->
-      with_pool jobs (fun p ->
+      with_jobs jobs (fun () ->
           List.iter
             (fun n ->
               let hits = Array.make (max n 1) 0 in
-              Par.Pool.run p n (fun i ->
+              Par.Pool.run n (fun i ->
                   (* each slot is written by exactly one task *)
                   hits.(i) <- hits.(i) + 1);
               Array.iter (fun h -> checki "hit exactly once" (min n 1) h)
@@ -29,27 +27,24 @@ let test_run_covers_every_index () =
     widths
 
 let test_parallel_map_matches_sequential () =
-  let input = Array.init 257 (fun i -> (i * 37) mod 101) in
+  let input = List.init 257 (fun i -> (i * 37) mod 101) in
   let f x = (x * x) + 1 in
-  let expected = Array.map f input in
+  let expected = List.map f input in
   List.iter
     (fun jobs ->
-      with_pool jobs (fun p ->
-          checkb "map equals sequential" true
-            (Par.Pool.parallel_map p f input = expected);
+      with_jobs jobs (fun () ->
           checkb "map_list equals sequential" true
-            (Par.Pool.parallel_map_list p f (Array.to_list input)
-            = Array.to_list expected)))
+            (Par.Pool.parallel_map_list f input = expected)))
     widths
 
 let test_run_chunked () =
-  (* a chunked loop over [run], the shape [Ordering.miss_matrix] uses *)
+  (* a chunked loop over [run] *)
   List.iter
     (fun jobs ->
-      with_pool jobs (fun p ->
+      with_jobs jobs (fun () ->
           let n = 1000 and chunk = 17 in
           let sum = Atomic.make 0 in
-          Par.Pool.run p ((n + chunk - 1) / chunk) (fun c ->
+          Par.Pool.run ((n + chunk - 1) / chunk) (fun c ->
               for i = c * chunk to min n ((c + 1) * chunk) - 1 do
                 ignore (Atomic.fetch_and_add sum i)
               done);
@@ -61,19 +56,18 @@ let test_reduce_merges_in_chunk_order () =
      (concatenation) must still see chunks in ascending order at every
      pool width. *)
   let expected =
-    Par.Pool.reduce
-      (Par.Pool.create ~jobs:1)
-      ~n:103 ~chunk:10
-      ~map:(fun lo hi -> [ (lo, hi) ])
-      ~merge:(fun a b -> a @ b)
-      ~init:[] ()
+    with_jobs 1 (fun () ->
+        Par.Pool.reduce ~n:103 ~chunk:10
+          ~map:(fun lo hi -> [ (lo, hi) ])
+          ~merge:(fun a b -> a @ b)
+          ~init:[] ())
   in
   checki "11 chunks" 11 (List.length expected);
   List.iter
     (fun jobs ->
-      with_pool jobs (fun p ->
+      with_jobs jobs (fun () ->
           let got =
-            Par.Pool.reduce p ~n:103 ~chunk:10
+            Par.Pool.reduce ~n:103 ~chunk:10
               ~map:(fun lo hi -> [ (lo, hi) ])
               ~merge:(fun a b -> a @ b)
               ~init:[] ()
@@ -83,7 +77,7 @@ let test_reduce_merges_in_chunk_order () =
              width 4, yet the merge sees the same chunks in the same
              ascending order *)
           let got =
-            Par.Pool.reduce p ~n:1000 ~chunk:7
+            Par.Pool.reduce ~n:1000 ~chunk:7
               ~map:(fun lo hi -> [ (lo, hi) ])
               ~merge:(fun a b -> a @ b)
               ~init:[] ()
@@ -107,17 +101,17 @@ let test_exception_propagates () =
      width, the sequential path included *)
   List.iter
     (fun jobs ->
-      with_pool jobs (fun p ->
-          match Par.Pool.run p 64 (fun i -> if i = 13 then raise Boom) with
+      with_jobs jobs (fun () ->
+          match Par.Pool.run 64 (fun i -> if i = 13 then raise Boom) with
           | () -> Alcotest.fail "expected the task exception to surface"
           | exception Boom -> ()))
     [ 1; 2; 4; 8 ];
   (* the pool survives a failed job: the worker domains are unaffected
      and serve the next job normally *)
-  with_pool 4 (fun p ->
-      (try Par.Pool.run p 8 (fun _ -> raise Boom) with Boom -> ());
+  with_jobs 4 (fun () ->
+      (try Par.Pool.run 8 (fun _ -> raise Boom) with Boom -> ());
       let sum = Atomic.make 0 in
-      Par.Pool.run p 8 (fun i -> ignore (Atomic.fetch_and_add sum i));
+      Par.Pool.run 8 (fun i -> ignore (Atomic.fetch_and_add sum i));
       checki "pool still works" 28 (Atomic.get sum))
 
 let test_exception_backtrace () =
@@ -126,8 +120,8 @@ let test_exception_backtrace () =
   Printexc.record_backtrace true;
   List.iter
     (fun jobs ->
-      with_pool jobs (fun p ->
-          match Par.Pool.run p 16 (fun i -> if i = 5 then raise_boom ()) with
+      with_jobs jobs (fun () ->
+          match Par.Pool.run 16 (fun i -> if i = 5 then raise_boom ()) with
           | () -> Alcotest.fail "expected Boom"
           | exception Boom ->
             let bt =
@@ -139,10 +133,10 @@ let test_exception_backtrace () =
 
 let test_sequential_stops_at_failure () =
   (* a 1-domain job stops at the first failure *)
-  with_pool 1 (fun p ->
+  with_jobs 1 (fun () ->
       let ran = ref 0 in
       (match
-         Par.Pool.run p 100 (fun i ->
+         Par.Pool.run 100 (fun i ->
              incr ran;
              if i = 3 then raise Boom)
        with
@@ -152,29 +146,29 @@ let test_sequential_stops_at_failure () =
 
 let test_nested_data_parallel_sections () =
   (* back-to-back jobs on one pool reuse the same workers *)
-  with_pool 4 (fun p ->
+  with_jobs 4 (fun () ->
       for round = 1 to 50 do
-        let out = Par.Pool.parallel_map p (fun x -> x + round) [| 1; 2; 3 |] in
-        checkb "round result" true (out = [| 1 + round; 2 + round; 3 + round |])
+        let out = Par.Pool.parallel_map_list (fun x -> x + round) [ 1; 2; 3 ] in
+        checkb "round result" true (out = [ 1 + round; 2 + round; 3 + round ])
       done)
 
 let test_fewer_tasks_than_jobs () =
   (* a wide pool fed less work than it has domains: every index still
      runs exactly once, and reduce still merges in ascending chunk
      order *)
-  with_pool 8 (fun p ->
+  with_jobs 8 (fun () ->
       let hits = Array.make 3 0 in
-      Par.Pool.run p 3 (fun i -> hits.(i) <- hits.(i) + 1);
+      Par.Pool.run 3 (fun i -> hits.(i) <- hits.(i) + 1);
       Array.iter (checki "exactly once" 1) hits;
       let chunks =
-        Par.Pool.reduce p ~n:3 ~chunk:64
+        Par.Pool.reduce ~n:3 ~chunk:64
           ~map:(fun lo hi -> [ (lo, hi) ])
           ~merge:( @ ) ~init:[] ()
       in
       checkb "single chunk" true (chunks = [ (0, 3) ]);
       (* more chunks than needed to occupy the pool is also fine *)
       let chunks =
-        Par.Pool.reduce p ~n:10 ~chunk:3
+        Par.Pool.reduce ~n:10 ~chunk:3
           ~map:(fun lo hi -> [ (lo, hi) ])
           ~merge:( @ ) ~init:[] ()
       in
@@ -187,17 +181,17 @@ let test_fewer_tasks_than_jobs () =
    The job slot must be dropped as soon as the join completes — on both
    the success and the failure path. *)
 let test_job_dropped_after_join () =
-  with_pool 4 (fun p ->
-      Par.Pool.run p 8 (fun _ -> ());
+  with_jobs 4 (fun () ->
+      Par.Pool.run 8 (fun _ -> ());
       checkb "job slot cleared after success" false
-        (Par.Pool.has_pending_job p);
-      (try Par.Pool.run p 8 (fun _ -> raise Boom) with Boom -> ());
+        (Par.Pool.has_pending_job ());
+      (try Par.Pool.run 8 (fun _ -> raise Boom) with Boom -> ());
       checkb "job slot cleared after failure" false
-        (Par.Pool.has_pending_job p);
+        (Par.Pool.has_pending_job ());
       (* and repeatedly, across many jobs *)
       for _ = 1 to 20 do
-        Par.Pool.run p 4 (fun _ -> ());
-        checkb "still cleared" false (Par.Pool.has_pending_job p)
+        Par.Pool.run 4 (fun _ -> ());
+        checkb "still cleared" false (Par.Pool.has_pending_job ())
       done)
 
 (* A [run] nested in a task of the same pool runs inline on the task's
@@ -207,40 +201,52 @@ let test_job_dropped_after_join () =
    posted to the pool would take the job slot and clear it on its own
    join. *)
 let test_nested_run_inline () =
-  with_pool 3 (fun p ->
+  with_jobs 3 (fun () ->
       let outer = Array.make 8 0 in
       let inner = Array.init 8 (fun _ -> Array.make 5 0) in
       let caught = Array.make 8 false in
       let kept = Array.make 8 false in
-      Par.Pool.run p 8 (fun i ->
-          Par.Pool.run p 5 (fun j -> inner.(i).(j) <- inner.(i).(j) + 1);
-          (match Par.Pool.run p 4 (fun j -> if j = 2 then raise Boom) with
+      Par.Pool.run 8 (fun i ->
+          Par.Pool.run 5 (fun j -> inner.(i).(j) <- inner.(i).(j) + 1);
+          (match Par.Pool.run 4 (fun j -> if j = 2 then raise Boom) with
           | () -> ()
           | exception Boom -> caught.(i) <- true);
-          kept.(i) <- Par.Pool.has_pending_job p;
+          kept.(i) <- Par.Pool.has_pending_job ();
           outer.(i) <- outer.(i) + 1);
       Array.iter (checki "outer index once" 1) outer;
       Array.iter (Array.iter (checki "inner index once" 1)) inner;
       Array.iter (checkb "inner exception reached its task" true) caught;
       Array.iter (checkb "outer job kept its slot" true) kept;
       (match
-         Par.Pool.run p 4 (fun i ->
-             Par.Pool.run p 3 (fun j -> if i = 1 && j = 1 then raise Boom))
+         Par.Pool.run 4 (fun i ->
+             Par.Pool.run 3 (fun j -> if i = 1 && j = 1 then raise Boom))
        with
       | () -> Alcotest.fail "expected the nested exception to surface"
       | exception Boom -> ());
-      checkb "job slot cleared" false (Par.Pool.has_pending_job p);
+      checkb "job slot cleared" false (Par.Pool.has_pending_job ());
       let sum = Atomic.make 0 in
-      Par.Pool.run p 8 (fun i -> ignore (Atomic.fetch_and_add sum i));
+      Par.Pool.run 8 (fun i -> ignore (Atomic.fetch_and_add sum i));
       checki "pool still works" 28 (Atomic.get sum))
 
+(* The pool follows the requested width: past a failure at index 3 a
+   100-task job runs every task on a pool of several domains, and stops
+   at the failure on one. *)
 let test_default_pool_set_jobs () =
-  Par.Pool.with_jobs 3 (fun () ->
+  let ran_past_failure () =
+    let ran = Atomic.make 0 in
+    (try
+       Par.Pool.run 100 (fun i ->
+           Atomic.incr ran;
+           if i = 3 then raise Boom)
+     with Boom -> ());
+    Atomic.get ran
+  in
+  with_jobs 3 (fun () ->
       checki "requested width" 3 (Par.Pool.default_jobs ());
-      checki "pool width follows" 3 (Par.Pool.jobs (Par.Pool.get ()));
-      Par.Pool.with_jobs 1 (fun () ->
-          checki "re-created narrower" 1 (Par.Pool.jobs (Par.Pool.get ())));
-      checki "outer width restored" 3 (Par.Pool.jobs (Par.Pool.get ())))
+      checki "pool width follows" 100 (ran_past_failure ());
+      with_jobs 1 (fun () ->
+          checki "re-created narrower" 4 (ran_past_failure ()));
+      checki "outer width restored" 100 (ran_past_failure ()))
 
 (* Once [with_jobs] returns, or raises, the width follows BALLARUS_JOBS
    or the recommended domain count again: no override is left behind. *)
@@ -258,14 +264,13 @@ let test_with_jobs_restores_no_override () =
     ~finally:(fun () -> Unix.putenv "BALLARUS_JOBS" (Option.value env ~default:""))
     (fun () ->
       checki "no override before" (unset ()) (Par.Pool.default_jobs ());
-      Par.Pool.with_jobs 3 (fun () -> ());
+      with_jobs 3 (fun () -> ());
       checki "no override after" (unset ()) (Par.Pool.default_jobs ());
-      checki "pool follows" (unset ()) (Par.Pool.jobs (Par.Pool.get ()));
       Unix.putenv "BALLARUS_JOBS" "5";
-      (try Par.Pool.with_jobs 2 (fun () -> raise Boom) with Boom -> ());
+      (try with_jobs 2 (fun () -> raise Boom) with Boom -> ());
       checki "BALLARUS_JOBS after a raise" 5 (Par.Pool.default_jobs ());
       Unix.putenv "BALLARUS_JOBS" "";
-      Par.Pool.with_jobs 2 (fun () -> ());
+      with_jobs 2 (fun () -> ());
       checki "recommended count after" (Domain.recommended_domain_count ())
         (Par.Pool.default_jobs ()))
 

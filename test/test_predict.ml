@@ -728,22 +728,6 @@ let prop_subset_run_j1_equals_j4 =
       let r4 = with_jobs 4 (fun () -> Predict.Subset.run ~k m) in
       r1 = r4)
 
-let test_miss_matrix_j1_equals_j4 () =
-  let _, db1 =
-    build
-      "int main() { int i; int s = 0; for (i = 0; i < 40; i++) { if (i % 5 \
-       == 0) { s += i; } } print(s); return 0; }"
-  in
-  let _, db2 =
-    build
-      "int main() { int i; int p = 1; for (i = 1; i < 20; i++) { if (i % 3 \
-       != 0) { p += i * 2; } } print(p); return 0; }"
-  in
-  let dbs = [| db1; db2 |] in
-  let m1 = with_jobs 1 (fun () -> Predict.Ordering.miss_matrix dbs) in
-  let m4 = with_jobs 4 (fun () -> Predict.Ordering.miss_matrix dbs) in
-  checkb "parallel miss matrix identical at -j 1 and -j 4" true (m1 = m4)
-
 (* ---- first-fire tables vs a direct evaluation ---- *)
 
 (* The miss matrix evaluated branch by branch: for each order, each
@@ -1447,8 +1431,6 @@ let tests =
           test_subset_chunk_prune_fires;
         Alcotest.test_case "subset rejects bad matrix" `Quick
           test_subset_rejects_bad_matrix;
-        Alcotest.test_case "miss matrix -j1 = -j4" `Quick
-          test_miss_matrix_j1_equals_j4;
         Alcotest.test_case "miss matrix = direct evaluation" `Quick
           test_miss_matrix_matches_direct;
       ] );

@@ -46,11 +46,10 @@ let test_worker_backtrace_preserved () =
     if n = 0 then failwith "deep-failure"
     else 1 + deep_failing_helper (n - 1)
   in
-  let pool = Par.Pool.create ~jobs:4 in
   let o =
-    Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) (fun () ->
+    Par.Pool.with_jobs 4 (fun () ->
         Robust.Supervise.run ~label:"deep" (fun () ->
-            Par.Pool.run pool 4 (fun i ->
+            Par.Pool.run 4 (fun i ->
                 (* recording is per domain *)
                 Printexc.record_backtrace true;
                 if i = 2 then
@@ -100,7 +99,7 @@ let test_fuel_degradation () =
   checki "one failed" 1 s.failed;
   checki "one passed" 1 s.passed;
   (match List.assoc "runaway" s.results with
-  | Experiments.Driver.Failed f ->
+  | Robust.Supervise.Failed f ->
     checkb "classified fuel-exhausted" true
       (f.kind = Robust.Fault.Fuel_exhausted)
   | _ -> Alcotest.fail "expected the runaway experiment to fail");
@@ -129,7 +128,7 @@ let test_pool_task_failure_banner () =
       title = "Fails in a pool task";
       run =
         (fun _ ->
-          Par.Pool.run (Par.Pool.get ()) 8 (fun i -> if i = 5 then raise exn));
+          Par.Pool.run 8 (fun i -> if i = 5 then raise exn));
       quick_run = None;
     }
   in
@@ -143,7 +142,7 @@ let test_pool_task_failure_banner () =
     (contains out
        (Printf.sprintf "!! pooled FAILED [hard]: %s\n" (Printexc.to_string exn)));
   (match List.assoc "pooled" s.results with
-  | Experiments.Driver.Failed f ->
+  | Robust.Supervise.Failed f ->
     checkb "message is the task's own text" true
       (String.equal f.message (Printexc.to_string exn))
   | _ -> Alcotest.fail "expected the pooled experiment to fail")

@@ -173,15 +173,14 @@ let test_find () =
    Shared by the golden runs and the per-dataset database check. *)
 let profiles =
   lazy
-    (let pool = Par.Pool.get () in
-     let progs =
-       Par.Pool.parallel_map_list pool
+    (let progs =
+       Par.Pool.parallel_map_list
          (fun (wl : Workloads.Workload.t) ->
            let prog = Workloads.Workload.compile wl in
            (wl, prog, Sim.Decode.of_program prog))
          Workloads.Registry.all
      in
-     Par.Pool.parallel_map_list pool
+     Par.Pool.parallel_map_list
        (fun ((wl : Workloads.Workload.t), prog, decoded, (ds : Sim.Dataset.t)) ->
          ((wl.name, ds.name), Sim.Profile.run ~decoded prog ds))
        (List.concat_map
@@ -272,7 +271,7 @@ let test_db_for_equals_make () =
   in
   (* on a cold store each [db_for] simulates, so fan out like [profiles] *)
   let dbs =
-    Par.Pool.parallel_map_list (Par.Pool.get ())
+    Par.Pool.parallel_map_list
       (fun (wl, ds) ->
         let r = Experiments.Bench_run.load wl in
         (r, Experiments.Bench_run.db_for r ds))
