@@ -38,13 +38,12 @@ let src_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SOURCE" ~doc)
 
 (* Domain count for the parallel sections of the experiment suite.
-   Falls back to BALLARUS_JOBS, then to the machine's
-   recommended domain count; -j 1 forces the sequential path. *)
+   Falls back to the machine's recommended domain count; -j 1 forces
+   the sequential path. *)
 let jobs_arg =
   let doc =
-    "Number of domains for parallel sections (default: \
-     $(b,BALLARUS_JOBS) or the machine's recommended domain count; 1 \
-     runs sequentially)."
+    "Number of domains for parallel sections (default: the machine's \
+     recommended domain count; 1 runs sequentially)."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 

@@ -496,7 +496,6 @@ let run ?k ?(max_trials = max_int) (m : float array array) =
   let k = match k with Some k -> k | None -> (nb + 1) / 2 in
   let keep = survivors m ~k in
   let delta = margin m ~k in
-  let no_all = Array.length m.(0) in
   let total = min (choose nb k) max_trials in
   let col = Array.map (fun o -> Array.init nb (fun b -> m.(b).(o))) keep in
   let rows =
@@ -512,30 +511,39 @@ let run ?k ?(max_trials = max_int) (m : float array array) =
      accumulation boundaries); the pool's scheduling is not.  Each
      chunk walks only the columns that can win inside it, in ascending
      order, so every column it walks has the float history and every
-     argmin the tie-break of a walk over all columns. *)
-  let win_counts =
-    Par.Pool.reduce ~n:total ~chunk:chunk_trials
-      ~map:(fun lo hi ->
-        let cols =
-          match delta with
-          | None -> Array.init (Array.length col) Fun.id
-          | Some delta -> chunk_columns col rows ~nb ~k ~delta lo hi
-        in
-        let nc = Array.length cols in
-        Obs.Metrics.incr ~by:(nc * (hi - lo)) column_steps;
-        let walked =
-          Array.init nb (fun b -> Array.map (fun c -> col.(c).(b)) cols)
-        in
-        let part = Array.make no_all 0 in
-        Array.iteri
-          (fun i w -> part.(keep.(cols.(i))) <- w)
-          (walk_range walked ~nb ~no:nc ~k lo (hi - lo));
-        part)
-      ~merge:(fun acc part ->
-        Array.iteri (fun o c -> acc.(o) <- acc.(o) + c) part;
-        acc)
-      ~init:(Array.make no_all 0) ()
+     argmin the tie-break of a walk over all columns.  One pool task
+     walks a group of consecutive chunks, about four groups per domain,
+     so few handoffs are paid for.  The per-chunk win counts are
+     integers, so adding them up is exact. *)
+  let chunk idx =
+    let lo = idx * chunk_trials in
+    let hi = min total (lo + chunk_trials) in
+    let cols =
+      match delta with
+      | None -> Array.init (Array.length col) Fun.id
+      | Some delta -> chunk_columns col rows ~nb ~k ~delta lo hi
+    in
+    let nc = Array.length cols in
+    Obs.Metrics.incr ~by:(nc * (hi - lo)) column_steps;
+    let walked =
+      Array.init nb (fun b -> Array.map (fun c -> col.(c).(b)) cols)
+    in
+    (cols, walk_range walked ~nb ~no:nc ~k lo (hi - lo))
   in
+  let nchunks = (total + chunk_trials - 1) / chunk_trials in
+  let group = max 1 (nchunks / (Par.Pool.default_jobs () * 4)) in
+  let win_counts = Array.make (Array.length m.(0)) 0 in
+  List.iter
+    (List.iter (fun (cols, counts) ->
+         Array.iteri
+           (fun i w ->
+             let o = keep.(cols.(i)) in
+             win_counts.(o) <- win_counts.(o) + w)
+           counts))
+    (Par.Pool.parallel_map_list
+       (fun g ->
+         List.init (min group (nchunks - g)) (fun i -> chunk (g + i)))
+       (List.init ((nchunks + group - 1) / group) (fun t -> t * group)));
   let wins =
     Array.to_list win_counts
     |> List.mapi (fun o c -> (o, c))

@@ -9,10 +9,12 @@
     maintained incrementally, so the full experiment runs in seconds.
 
     The enumeration is split into fixed-size contiguous rank ranges
-    ({!unrank} finds each range's starting combination) that run in
-    parallel on the {!Par.Pool}.  The decomposition is a
-    function of the trial count alone, so results are bit-identical
-    for any [-j].
+    ({!unrank} finds each range's starting combination).  One
+    {!Par.Pool.parallel_map_list} walks them, each element a group of
+    consecutive ranges (about four groups per domain); the ranges'
+    integer win counts are then added in ascending range order.  The
+    ranges are a function of the trial count alone, so results are
+    bit-identical for any [-j]; only the grouping follows the width.
 
     {b Pruning.}  Only orders that can win are walked, in two passes
     that share one margin δ.  {!survivors} drops, once, the orders

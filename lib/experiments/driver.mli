@@ -53,7 +53,8 @@ val run_list :
     structured failure banner in place of its table, with no partial
     output, and the suite continues.  Whatever a failed prewarm left
     cold is computed on demand inside the render, sequentially within
-    each experiment (a {!Par.Pool.run} nested in a task runs inline).
+    each experiment (a {!Par.Pool.parallel_map_list} nested in a task
+    runs inline).
     [quick] (default [false]) renders each experiment's [quick_run]
     where it has one and prewarms with the same cap.  Only experiment
     banners, tables and failure banners go to the formatter — the

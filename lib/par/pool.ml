@@ -113,15 +113,7 @@ let pool_mutex = Mutex.create ()
    recommended domain count: oversubscribing domains on a small host
    makes every parallel stage slower, not faster. *)
 let default_jobs () =
-  match !jobs_override with
-  | Some n -> n
-  | None -> (
-    match
-      Option.bind (Sys.getenv_opt "BALLARUS_JOBS") (fun s ->
-          int_of_string_opt (String.trim s))
-    with
-    | Some n when n >= 1 -> n
-    | _ -> Domain.recommended_domain_count ())
+  Option.value !jobs_override ~default:(Domain.recommended_domain_count ())
 
 (* Install [request] as the override ([None]: none) and retire a pool
    of another width; the next [get] re-creates it. *)
@@ -228,25 +220,3 @@ let parallel_map_list f l =
   let out = Array.make (Array.length a) None in
   run (Array.length a) (fun i -> out.(i) <- Some (f a.(i)));
   List.map Option.get (Array.to_list out)
-
-let reduce ~n ~chunk ~map ~merge ~init () =
-  if n <= 0 then init
-  else begin
-    let chunk = max 1 chunk in
-    let nchunks = (n + chunk - 1) / chunk in
-    let parts = Array.make nchunks None in
-    (* [batch] adjacent chunks share one scheduled task, so each domain
-       sees ~4 tasks.  Each chunk is still mapped over its own [lo, hi)
-       and merged in ascending chunk order, so batching changes
-       scheduling granularity only — never the result. *)
-    let batch = max 1 (nchunks / (default_jobs () * 4)) in
-    let ntasks = (nchunks + batch - 1) / batch in
-    run ntasks (fun task ->
-        let cfirst = task * batch in
-        let clast = min nchunks ((task + 1) * batch) - 1 in
-        for c = cfirst to clast do
-          let lo = c * chunk and hi = min n ((c + 1) * chunk) in
-          parts.(c) <- Some (map lo hi)
-        done);
-    Array.fold_left (fun acc p -> merge acc (Option.get p)) init parts
-  end

@@ -10,7 +10,6 @@ let task_failures = Obs.Metrics.counter "robust.task_failures"
    A failure inside a pool task arrives as the task's own exception,
    with the backtrace of the domain that raised it. *)
 let run ~label f =
-  Obs.span ~name:"supervise" ~attrs:[ ("label", label) ] @@ fun () ->
   match f () with
   | v -> { label; value = Some v; status = Completed }
   | exception e ->

@@ -2,7 +2,8 @@
 # Runs bpredict's per-program subcommands, and trace, on a built-in
 # workload and on MiniC files, cfg on a procedure that does not exist,
 # predict on a directory, then experiment on an experiment that
-# loads no workload and on an unknown id, each case three times:
+# loads no workload and on an unknown id, list, and experiment with
+# -j 0, each case three times:
 # without the store (BALLARUS_NO_CACHE), then cold and warm over one
 # private store that starts empty.  Fails unless the three runs print the same bytes and
 # exit the same way, and the warm run writes nothing new.  Prints each
@@ -55,6 +56,8 @@ run_case trace xlisp
 run_case trace small.mc
 run_case experiment graph12
 run_case experiment nosuch
+run_case list
+run_case experiment graph12 -j 0
 
 rm -rf "$store" out.none out.cold out.warm
 exit $fail

@@ -10,8 +10,8 @@
                          it, prints the goldens at any -j, cold and warm,
                          full and --quick over each other's store
 
-   The pool width is BALLARUS_JOBS, or the machine's recommended
-   domain count.  Each gate prints its findings and returns 0 on
+   The pool width is the machine's recommended domain count.  Each
+   gate prints its findings and returns 0 on
    success, 1 on failure.  Paper tables come from
    [bpredict experiment]; timing the suite is [suitebench/run.py]'s
    job. *)

@@ -7,6 +7,9 @@ let with_jobs = Par.Pool.with_jobs
 
 let widths = [ 1; 2; 3; 4 ]
 
+(* [body i] once for every [0 <= i < n], across the pool. *)
+let each n body = ignore (Par.Pool.parallel_map_list body (List.init n Fun.id))
+
 let test_jobs_clamped () =
   with_jobs 0 (fun () -> checki "clamped to 1" 1 (Par.Pool.default_jobs ()));
   with_jobs 3 (fun () -> checki "width kept" 3 (Par.Pool.default_jobs ()))
@@ -18,9 +21,15 @@ let test_run_covers_every_index () =
           List.iter
             (fun n ->
               let hits = Array.make (max n 1) 0 in
-              Par.Pool.run n (fun i ->
-                  (* each slot is written by exactly one task *)
-                  hits.(i) <- hits.(i) + 1);
+              let out =
+                Par.Pool.parallel_map_list
+                  (fun i ->
+                    (* each slot is written by exactly one element *)
+                    hits.(i) <- hits.(i) + 1;
+                    i)
+                  (List.init n Fun.id)
+              in
+              checkb "results in list order" true (out = List.init n Fun.id);
               Array.iter (fun h -> checki "hit exactly once" (min n 1) h)
                 (if n = 0 then [| 0 |] else hits))
             [ 0; 1; 7; 64; 1000 ]))
@@ -38,52 +47,24 @@ let test_parallel_map_matches_sequential () =
     widths
 
 let test_run_chunked () =
-  (* a chunked loop over [run] *)
+  (* a chunked sum: one element per chunk, partial sums added in
+     chunk order *)
   List.iter
     (fun jobs ->
       with_jobs jobs (fun () ->
           let n = 1000 and chunk = 17 in
-          let sum = Atomic.make 0 in
-          Par.Pool.run ((n + chunk - 1) / chunk) (fun c ->
-              for i = c * chunk to min n ((c + 1) * chunk) - 1 do
-                ignore (Atomic.fetch_and_add sum i)
-              done);
-          checki "sum of 0..n-1" (n * (n - 1) / 2) (Atomic.get sum)))
-    widths
-
-let test_reduce_merges_in_chunk_order () =
-  (* [map] returns its chunk bounds; a non-commutative merge
-     (concatenation) must still see chunks in ascending order at every
-     pool width. *)
-  let expected =
-    with_jobs 1 (fun () ->
-        Par.Pool.reduce ~n:103 ~chunk:10
-          ~map:(fun lo hi -> [ (lo, hi) ])
-          ~merge:(fun a b -> a @ b)
-          ~init:[] ())
-  in
-  checki "11 chunks" 11 (List.length expected);
-  List.iter
-    (fun jobs ->
-      with_jobs jobs (fun () ->
-          let got =
-            Par.Pool.reduce ~n:103 ~chunk:10
-              ~map:(fun lo hi -> [ (lo, hi) ])
-              ~merge:(fun a b -> a @ b)
-              ~init:[] ()
+          let parts =
+            Par.Pool.parallel_map_list
+              (fun c ->
+                let s = ref 0 in
+                for i = c * chunk to min n ((c + 1) * chunk) - 1 do
+                  s := !s + i
+                done;
+                !s)
+              (List.init ((n + chunk - 1) / chunk) Fun.id)
           in
-          checkb "chunk order independent of width" true (got = expected);
-          (* 143 chunks: the pool groups 35 per task at width 1 and 8 at
-             width 4, yet the merge sees the same chunks in the same
-             ascending order *)
-          let got =
-            Par.Pool.reduce ~n:1000 ~chunk:7
-              ~map:(fun lo hi -> [ (lo, hi) ])
-              ~merge:(fun a b -> a @ b)
-              ~init:[] ()
-          in
-          checkb "grouped reduce independent of width" true
-            (got = List.init 143 (fun c -> (c * 7, min 1000 ((c + 1) * 7))))))
+          checki "59 chunks" 59 (List.length parts);
+          checki "sum of 0..n-1" (n * (n - 1) / 2) (List.fold_left ( + ) 0 parts)))
     widths
 
 exception Boom
@@ -102,16 +83,16 @@ let test_exception_propagates () =
   List.iter
     (fun jobs ->
       with_jobs jobs (fun () ->
-          match Par.Pool.run 64 (fun i -> if i = 13 then raise Boom) with
+          match each 64 (fun i -> if i = 13 then raise Boom) with
           | () -> Alcotest.fail "expected the task exception to surface"
           | exception Boom -> ()))
     [ 1; 2; 4; 8 ];
   (* the pool survives a failed job: the worker domains are unaffected
      and serve the next job normally *)
   with_jobs 4 (fun () ->
-      (try Par.Pool.run 8 (fun _ -> raise Boom) with Boom -> ());
+      (try each 8 (fun _ -> raise Boom) with Boom -> ());
       let sum = Atomic.make 0 in
-      Par.Pool.run 8 (fun i -> ignore (Atomic.fetch_and_add sum i));
+      each 8 (fun i -> ignore (Atomic.fetch_and_add sum i));
       checki "pool still works" 28 (Atomic.get sum))
 
 let test_exception_backtrace () =
@@ -121,7 +102,7 @@ let test_exception_backtrace () =
   List.iter
     (fun jobs ->
       with_jobs jobs (fun () ->
-          match Par.Pool.run 16 (fun i -> if i = 5 then raise_boom ()) with
+          match each 16 (fun i -> if i = 5 then raise_boom ()) with
           | () -> Alcotest.fail "expected Boom"
           | exception Boom ->
             let bt =
@@ -136,7 +117,7 @@ let test_sequential_stops_at_failure () =
   with_jobs 1 (fun () ->
       let ran = ref 0 in
       (match
-         Par.Pool.run 100 (fun i ->
+         each 100 (fun i ->
              incr ran;
              if i = 3 then raise Boom)
        with
@@ -153,49 +134,41 @@ let test_nested_data_parallel_sections () =
       done)
 
 let test_fewer_tasks_than_jobs () =
-  (* a wide pool fed less work than it has domains: every index still
-     runs exactly once, and reduce still merges in ascending chunk
-     order *)
+  (* a wide pool fed fewer elements than it has domains: every element
+     still runs exactly once, and the results come back in order *)
   with_jobs 8 (fun () ->
       let hits = Array.make 3 0 in
-      Par.Pool.run 3 (fun i -> hits.(i) <- hits.(i) + 1);
+      let out =
+        Par.Pool.parallel_map_list
+          (fun i ->
+            hits.(i) <- hits.(i) + 1;
+            i * 10)
+          [ 0; 1; 2 ]
+      in
       Array.iter (checki "exactly once" 1) hits;
-      let chunks =
-        Par.Pool.reduce ~n:3 ~chunk:64
-          ~map:(fun lo hi -> [ (lo, hi) ])
-          ~merge:( @ ) ~init:[] ()
-      in
-      checkb "single chunk" true (chunks = [ (0, 3) ]);
-      (* more chunks than needed to occupy the pool is also fine *)
-      let chunks =
-        Par.Pool.reduce ~n:10 ~chunk:3
-          ~map:(fun lo hi -> [ (lo, hi) ])
-          ~merge:( @ ) ~init:[] ()
-      in
-      checkb "ragged tail, ascending" true
-        (chunks = [ (0, 3); (3, 6); (6, 9); (9, 10) ]))
+      checkb "results in list order" true (out = [ 0; 10; 20 ]))
 
 (* Regression for the lingering-job bug: after the join, the pool used
    to keep its last [job] record (and therefore the job's body closure,
-   and everything that closure captured) alive until the next [run].
+   and everything that closure captured) alive until the next call.
    The job slot must be dropped as soon as the join completes — on both
    the success and the failure path. *)
 let test_job_dropped_after_join () =
   with_jobs 4 (fun () ->
-      Par.Pool.run 8 (fun _ -> ());
+      each 8 (fun _ -> ());
       checkb "job slot cleared after success" false
         (Par.Pool.has_pending_job ());
-      (try Par.Pool.run 8 (fun _ -> raise Boom) with Boom -> ());
+      (try each 8 (fun _ -> raise Boom) with Boom -> ());
       checkb "job slot cleared after failure" false
         (Par.Pool.has_pending_job ());
       (* and repeatedly, across many jobs *)
       for _ = 1 to 20 do
-        Par.Pool.run 4 (fun _ -> ());
+        each 4 (fun _ -> ());
         checkb "still cleared" false (Par.Pool.has_pending_job ())
       done)
 
-(* A [run] nested in a task of the same pool runs inline on the task's
-   domain: every inner index runs exactly once, an inner exception
+(* A [parallel_map_list] nested in a task of the same pool runs inline
+   on the task's domain: every inner index runs exactly once, an inner exception
    reaches the task (or, uncaught, the outer caller) as itself, and the
    outer job stays the pool's job until it completes — a nested job
    posted to the pool would take the job slot and clear it on its own
@@ -206,9 +179,9 @@ let test_nested_run_inline () =
       let inner = Array.init 8 (fun _ -> Array.make 5 0) in
       let caught = Array.make 8 false in
       let kept = Array.make 8 false in
-      Par.Pool.run 8 (fun i ->
-          Par.Pool.run 5 (fun j -> inner.(i).(j) <- inner.(i).(j) + 1);
-          (match Par.Pool.run 4 (fun j -> if j = 2 then raise Boom) with
+      each 8 (fun i ->
+          each 5 (fun j -> inner.(i).(j) <- inner.(i).(j) + 1);
+          (match each 4 (fun j -> if j = 2 then raise Boom) with
           | () -> ()
           | exception Boom -> caught.(i) <- true);
           kept.(i) <- Par.Pool.has_pending_job ();
@@ -218,14 +191,14 @@ let test_nested_run_inline () =
       Array.iter (checkb "inner exception reached its task" true) caught;
       Array.iter (checkb "outer job kept its slot" true) kept;
       (match
-         Par.Pool.run 4 (fun i ->
-             Par.Pool.run 3 (fun j -> if i = 1 && j = 1 then raise Boom))
+         each 4 (fun i ->
+             each 3 (fun j -> if i = 1 && j = 1 then raise Boom))
        with
       | () -> Alcotest.fail "expected the nested exception to surface"
       | exception Boom -> ());
       checkb "job slot cleared" false (Par.Pool.has_pending_job ());
       let sum = Atomic.make 0 in
-      Par.Pool.run 8 (fun i -> ignore (Atomic.fetch_and_add sum i));
+      each 8 (fun i -> ignore (Atomic.fetch_and_add sum i));
       checki "pool still works" 28 (Atomic.get sum))
 
 (* The pool follows the requested width: past a failure at index 3 a
@@ -235,7 +208,7 @@ let test_default_pool_set_jobs () =
   let ran_past_failure () =
     let ran = Atomic.make 0 in
     (try
-       Par.Pool.run 100 (fun i ->
+       each 100 (fun i ->
            Atomic.incr ran;
            if i = 3 then raise Boom)
      with Boom -> ());
@@ -248,31 +221,15 @@ let test_default_pool_set_jobs () =
           checki "re-created narrower" 4 (ran_past_failure ()));
       checki "outer width restored" 100 (ran_past_failure ()))
 
-(* Once [with_jobs] returns, or raises, the width follows BALLARUS_JOBS
-   or the recommended domain count again: no override is left behind. *)
+(* Once [with_jobs] returns, or raises, the width follows the
+   recommended domain count again: no override is left behind. *)
 let test_with_jobs_restores_no_override () =
-  let unset () =
-    match Sys.getenv_opt "BALLARUS_JOBS" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ -> Domain.recommended_domain_count ())
-    | None -> Domain.recommended_domain_count ()
-  in
-  let env = Sys.getenv_opt "BALLARUS_JOBS" in
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "BALLARUS_JOBS" (Option.value env ~default:""))
-    (fun () ->
-      checki "no override before" (unset ()) (Par.Pool.default_jobs ());
-      with_jobs 3 (fun () -> ());
-      checki "no override after" (unset ()) (Par.Pool.default_jobs ());
-      Unix.putenv "BALLARUS_JOBS" "5";
-      (try with_jobs 2 (fun () -> raise Boom) with Boom -> ());
-      checki "BALLARUS_JOBS after a raise" 5 (Par.Pool.default_jobs ());
-      Unix.putenv "BALLARUS_JOBS" "";
-      with_jobs 2 (fun () -> ());
-      checki "recommended count after" (Domain.recommended_domain_count ())
-        (Par.Pool.default_jobs ()))
+  let recommended = Domain.recommended_domain_count () in
+  checki "no override before" recommended (Par.Pool.default_jobs ());
+  with_jobs 3 (fun () -> ());
+  checki "no override after" recommended (Par.Pool.default_jobs ());
+  (try with_jobs 2 (fun () -> raise Boom) with Boom -> ());
+  checki "no override after a raise" recommended (Par.Pool.default_jobs ())
 
 let tests =
   [
@@ -284,8 +241,6 @@ let tests =
         Alcotest.test_case "map matches sequential" `Quick
           test_parallel_map_matches_sequential;
         Alcotest.test_case "chunked for" `Quick test_run_chunked;
-        Alcotest.test_case "reduce chunk order" `Quick
-          test_reduce_merges_in_chunk_order;
         Alcotest.test_case "exceptions" `Quick test_exception_propagates;
         Alcotest.test_case "exception backtrace" `Quick
           test_exception_backtrace;

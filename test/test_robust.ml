@@ -49,11 +49,13 @@ let test_worker_backtrace_preserved () =
   let o =
     Par.Pool.with_jobs 4 (fun () ->
         Robust.Supervise.run ~label:"deep" (fun () ->
-            Par.Pool.run 4 (fun i ->
+            Par.Pool.parallel_map_list
+              (fun i ->
                 (* recording is per domain *)
                 Printexc.record_backtrace true;
                 if i = 2 then
-                  ignore (Sys.opaque_identity (deep_failing_helper 5)))))
+                  ignore (Sys.opaque_identity (deep_failing_helper 5)))
+              [ 0; 1; 2; 3 ]))
   in
   match o.status with
   | Robust.Supervise.Failed f ->
@@ -128,7 +130,10 @@ let test_pool_task_failure_banner () =
       title = "Fails in a pool task";
       run =
         (fun _ ->
-          Par.Pool.run 8 (fun i -> if i = 5 then raise exn));
+          ignore
+            (Par.Pool.parallel_map_list
+               (fun i -> if i = 5 then raise exn)
+               (List.init 8 Fun.id)));
       quick_run = None;
     }
   in
