@@ -13,8 +13,9 @@
     class, loop prediction, Default coin and the verdicts of the
     paper's and the Section 4.4 heuristics), but no CFG analyses;
     [profile], keyed by source digest and dataset, holds the edge
-    profiles.  A warm process neither compiles, analyses nor
-    simulates. *)
+    profiles; [traces], keyed the same way, holds the trace-mode
+    results of the traced workloads' primary datasets.  A warm
+    process neither compiles, analyses nor simulates. *)
 
 type t = {
   wl : Workloads.Workload.t;
@@ -34,7 +35,13 @@ val load : Workloads.Workload.t -> t
     workload name; safe to call from multiple domains).  [db] is the
     stored zero-count database with the primary profile's counts
     ({!Predict.Database.with_counts}).  A compile that runs, rather
-    than being read from the store, records a [compile] span.  The
+    than being read from the store, records a [compile] span.  For a
+    traced workload ({!Workloads.Workload.t}'s [traced]) it also fills
+    the trace entry: the primary run is simulated once, by
+    {!Sim.Trace_run.record}, inside a [profile] span, and that record
+    gives both the profile and, replayed inside a [trace] span, the
+    trace results; a trace entry that misses while the profile hits
+    records the run inside its [trace] span.  The
     workload need not be a registry one: [bpredict] loads a MiniC file
     the same way, wrapped by {!Workloads.Workload.make}. *)
 
@@ -44,6 +51,17 @@ val load_all : unit -> t list
     returned list is in registry order regardless of [-j].
     Memoised: the [stage.load_all] span and its pool job run once per
     {!reset}. *)
+
+val predictors :
+  Predict.Database.t -> (string * Sim.Trace_run.prediction_bits) list
+(** The three predictors of the paper's trace study: Loop+Rand,
+    Heuristic (loop predictor + the prioritised heuristics + random
+    default) and Perfect (from the database's own counts). *)
+
+val traces_for : t -> Sim.Trace_run.result list
+(** The {!predictors}' trace results on the workload's primary
+    dataset, in that order, memoised and persisted; {!load} fills them
+    for a traced workload. *)
 
 val reset : unit -> unit
 (** {!Cache.Memo.reset}: empty every memo table in memory (the disk

@@ -1,42 +1,10 @@
-(* Materialise a static predictor into the per-pc bit arrays the
-   trace runner consumes. *)
-let prediction_bits (r : Bench_run.t) predictor =
-  let bits =
-    Array.map
-      (fun (p : Mips.Program.proc) -> Array.make (Array.length p.body) false)
-      r.prog.procs
-  in
-  Array.iter
-    (fun (br : Predict.Database.branch) ->
-      bits.(br.proc).(br.pc) <- predictor br)
-    r.db.branches;
-  bits
-
-let predictors_for (r : Bench_run.t) =
-  let order = Predict.Combined.paper_order in
-  [
-    ("Loop+Rand", prediction_bits r Predict.Combined.loop_rand_predict);
-    ("Heuristic", prediction_bits r (Predict.Combined.predict order));
-    ("Perfect", prediction_bits r Predict.Combined.perfect_predict);
-  ]
-
-(* Entries hold the simulator's raw integer histograms; the
-   distributions are derived where a graph prints them.  The key is the
-   workload's source digest and the dataset: the build fingerprint in
-   every entry's name covers the compiler and the predictors, so the
-   prediction bits are a function of the key and are built only when it
-   misses. *)
-let traces = Cache.Memo.create ~persist:true "traces"
+let predictors_for (r : Bench_run.t) = Bench_run.predictors r.db
 
 let trace_results name =
-  let r = Bench_run.load (Workloads.Registry.find name) in
-  let ds = Workloads.Workload.primary_dataset r.wl in
-  Cache.Memo.find traces (r.digest, ds) (fun () ->
-      Obs.span ~name:"trace"
-        ~attrs:[ ("workload", name); ("dataset", ds.name) ]
-        (fun () ->
-          Sim.Trace_run.run ~decoded:r.decoded r.prog ds (predictors_for r)))
+  Bench_run.traces_for (Bench_run.load (Workloads.Registry.find name))
 
+(* [Bench_run.load] fills the trace entries, so after the loads this
+   stage only reads. *)
 let warm () =
   Obs.span ~name:"stage.traces" (fun () ->
       ignore

@@ -3,9 +3,7 @@
 
 val predictors_for :
   Bench_run.t -> (string * Sim.Trace_run.prediction_bits) list
-(** The three predictors of the paper's trace study: Perfect (from the
-    primary dataset's own profile), Heuristic (loop predictor + the
-    prioritised heuristics + random default), and Loop+Rand. *)
+(** {!Bench_run.predictors} of the workload's database. *)
 
 val graph_for : Format.formatter -> string -> unit
 (** Cumulative sequence-length distributions for one traced workload:
@@ -15,9 +13,10 @@ val graph_for : Format.formatter -> string -> unit
     (Graph 5). *)
 
 val warm : unit -> unit
-(** Simulate (and cache) the trace runs of every traced workload, one
-    workload per task on the {!Par.Pool}.  The
-    distributions are derived from them by {!graph_for}. *)
+(** Read the trace results of every traced workload
+    ({!Bench_run.traces_for}), one workload per task on the
+    {!Par.Pool}; after {!Bench_run.load_all} they are all in memory.
+    The distributions are derived from them by {!graph_for}. *)
 
 val graph12 : Format.formatter -> unit
 (** The model y = 1 - (1-m)^s for m in 0.025 .. 0.30. *)

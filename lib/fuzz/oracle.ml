@@ -173,6 +173,100 @@ let check_miss_matrix (db : Predict.Database.t) =
   in
   first_diff 0
 
+(* The slow twin of [Sim.Trace_run]: the break accounting done
+   directly in the simulator's branch and jump-table observers while
+   the program executes, as the trace runner did before it recorded
+   and replayed. *)
+let trace_reference prog input predictors =
+  let module T = Sim.Trace_run in
+  let accs =
+    List.map
+      (fun (lbl, bits) ->
+        (lbl, bits, Array.make T.nbuckets 0, Array.make T.nbuckets 0,
+         ref 0, ref 0, ref 0))
+      predictors
+  in
+  (* a sequence runs from (not including) the previous break up to and
+     including this one *)
+  let break (_, _, counts, sums, last, nbreaks, _) pos =
+    let len = pos - !last in
+    last := pos;
+    incr nbreaks;
+    let b = min (len / T.bucket_width) (T.nbuckets - 1) in
+    counts.(b) <- counts.(b) + 1;
+    sums.(b) <- sums.(b) + len
+  in
+  let cond_execs = ref 0 in
+  let on_branch (m : Sim.Machine.t) ~taken =
+    incr cond_execs;
+    List.iter
+      (fun ((_, bits, _, _, _, _, misses) as a) ->
+        if bits.(m.proc).(m.pc) <> taken then begin
+          incr misses;
+          break a m.instrs
+        end)
+      accs
+  in
+  let on_indirect (m : Sim.Machine.t) =
+    List.iter (fun a -> break a m.instrs) accs
+  in
+  let stats = Sim.Machine.run ~on_branch ~on_indirect prog input in
+  List.map
+    (fun ((label, _, counts, sums, last, nbreaks, misses) as a) ->
+      if stats.instr_count > !last then break a stats.instr_count;
+      {
+        T.label;
+        seq_counts = counts;
+        seq_sums = sums;
+        breaks = !nbreaks;
+        cond_misses = !misses;
+        cond_execs = !cond_execs;
+        instr_count = stats.instr_count;
+      })
+    accs
+
+(* Two predictor sets: never and always taken, under which every
+   conditional branch is a break for exactly one; and three coins,
+   which split each branch's executions between hits and misses. *)
+let predictor_sets prog =
+  let bits f =
+    Array.map
+      (fun (p : Mips.Program.proc) ->
+        Array.init (Array.length p.body) (fun pc -> f p.index pc))
+      prog.Mips.Program.procs
+  in
+  let coin seed =
+    ( Printf.sprintf "coin%d" seed,
+      bits (fun proc pc -> Predict.Database.rand_bit ~seed ~proc ~pc) )
+  in
+  [
+    [ ("taken", bits (fun _ _ -> true)); ("fall", bits (fun _ _ -> false)) ];
+    [ coin 1; coin 2; coin 3 ];
+  ]
+
+let check_trace_replay prog input =
+  let compare (r : Sim.Trace_run.result) (d : Sim.Trace_run.result) =
+    if r = d then []
+    else
+      [
+        div "trace-replay"
+          "%s: replay {breaks=%d misses=%d execs=%d instrs=%d} vs direct \
+           {breaks=%d misses=%d execs=%d instrs=%d}%s"
+          d.label r.breaks r.cond_misses r.cond_execs r.instr_count d.breaks
+          d.cond_misses d.cond_execs d.instr_count
+          (if r.seq_counts <> d.seq_counts || r.seq_sums <> d.seq_sums then
+             ", buckets differ"
+           else "");
+      ]
+  in
+  List.concat_map
+    (fun predictors ->
+      let direct = trace_reference prog input predictors in
+      match Sim.Trace_run.run prog input predictors with
+      | exception Invalid_argument msg -> [ div "trace-replay" "%s" msg ]
+      | replayed -> List.concat (List.map2 compare replayed direct))
+    (predictor_sets prog)
+
 let check_source src =
   match Minic.Frontend.compile src with
   | exception Minic.Frontend.Error msg ->
@@ -205,4 +299,5 @@ let check_source src =
         let analyses = Cfg.Analysis.of_program prog in
         let d4, db = check_predict prog analyses profile in
         let d5 = check_miss_matrix db in
-        d0 @ d1 @ d2 @ d3 @ d4 @ d5))
+        let d6 = check_trace_replay prog dataset in
+        d0 @ d1 @ d2 @ d3 @ d4 @ d5 @ d6))

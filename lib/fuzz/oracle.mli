@@ -21,7 +21,11 @@
       predictor honouring the loop/non-loop partition;
     - {b miss-matrix}: every cell of the 5040-order miss matrix, built
       from first-fire tables, must be bitwise equal to the combined
-      predictor's miss rate computed branch by branch under that order.
+      predictor's miss rate computed branch by branch under that order;
+    - {b trace-replay}: {!Sim.Trace_run.run}, which records a run and
+      replays it, must return the same result list as break
+      accounting done directly in the simulator's observers while the
+      program executes ({!check_trace_replay}).
 
     A reported {!divergence} means a real bug somewhere in the
     pipeline (or in the generator's invariants). *)
@@ -32,6 +36,12 @@ type divergence = {
 }
 
 val pp_divergence : Format.formatter -> divergence -> unit
+
+val check_trace_replay : Mips.Program.t -> Sim.Dataset.t -> divergence list
+(** The trace-replay oracle on one program and dataset, under two
+    predictor sets: never and always taken, and three
+    {!Predict.Database.rand_bit} coins.  The program must run without
+    fault or exhausting its fuel. *)
 
 val check_source : string -> divergence list
 (** Run every oracle on one MiniC source.  Compilation or runtime

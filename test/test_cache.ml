@@ -360,8 +360,9 @@ let test_reset_reloads_from_disk () =
         && r2.profile.fall = r1.profile.fall
         && r2.profile.stats = r1.profile.stats))
 
-(* A warm [load_all] reads every compiled program and profile from
-   the store: no [compile] or [profile] span, no disk miss, and each
+(* A warm [load_all] reads every compiled program and profile, and
+   each traced workload's trace entry, from the store: no [compile]
+   or [profile] span, no disk miss, and each
    program is the one a fresh compile gives, down to its marshalled
    bytes (which the profile keys are digests of). *)
 let test_warm_load_compiles_nothing () =
@@ -385,7 +386,9 @@ let test_warm_load_compiles_nothing () =
       checki "warm: no compile span" 0 (count_spans "compile");
       checki "warm: no profile span" 0 (count_spans "profile");
       checki "warm: no disk miss" 0 (metric "cache.miss");
-      checki "warm: program and profile hits" (2 * nwl) (metric "cache.hit");
+      checki "warm: program and profile hits"
+        ((2 * nwl) + List.length (Workloads.Registry.traced ()))
+        (metric "cache.hit");
       List.iter
         (fun (r : Experiments.Bench_run.t) ->
           let fresh = Workloads.Workload.compile r.wl in
@@ -426,7 +429,9 @@ let test_order_averages_stored () =
       let warm = Experiments.Orderings.order_averages () in
       checki "warm: no disk miss" 0 (metric "cache.miss");
       checki "warm: the loads and the averages are disk hits"
-        ((2 * List.length Workloads.Registry.all) + 1)
+        ((2 * List.length Workloads.Registry.all)
+        + List.length (Workloads.Registry.traced ())
+        + 1)
         (metric "cache.hit");
       checkb "warm: a new value" true (warm != cold);
       checkb "warm: bitwise the matrix's averages" true

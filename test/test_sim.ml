@@ -231,6 +231,73 @@ int main() {
   | _ -> Alcotest.fail "bad arity"
 
 
+(* Recording and replaying a run gives the result lists of break
+   accounting done while the program executes (the fuzzer's
+   trace-replay oracle), on a fixed corpus: the two traced workloads
+   with jump tables, pinned to their transfer counts so the corpus
+   keeps exercising them, and a hand-built program with forms the
+   generator may never emit. *)
+let check_replay what prog input =
+  List.iter
+    (fun d -> Alcotest.failf "%s: %a" what Fuzz.Oracle.pp_divergence d)
+    (Fuzz.Oracle.check_trace_replay prog input)
+
+let test_replay_workloads () =
+  List.iter
+    (fun (name, jumps, branches) ->
+      let wl = Workloads.Registry.find name in
+      let prog = Workloads.Workload.compile wl in
+      let input = Workloads.Workload.primary_dataset wl in
+      let r = Sim.Trace_run.record prog input in
+      checki (name ^ ": jump-table transfers") jumps
+        (Sim.Trace_run.jump_table_transfers r);
+      checki (name ^ ": conditional branches") branches
+        (Sim.Profile.branch_execs (Sim.Trace_run.profile r));
+      check_replay name prog input)
+    [ ("xlisp", 10_956, 132_862); ("spice2g6", 19_260, 2_855_517) ]
+
+(* [main] calls [f] five times through a jump table and a fused
+   [slt]/[bne] loop test; [f] halts when the loop index equals the
+   value read, so a dataset holding 3 halts at call depth 1 and one
+   holding -1 ends with [main]'s return at depth 0. *)
+let test_replay_hand_built () =
+  let open Mips.Asm in
+  let module I = Mips.Insn in
+  let r = Mips.Reg.t in
+  let zero = Mips.Reg.zero in
+  let main =
+    ( "main",
+      [ Ins (I.ReadI (r 2)); Ins (I.Li (r 0, 0)); Ins (I.Li (r 3, 5));
+        Lab "loop"; Ins (I.Jal "f");
+        Ins (I.Alu (I.Add, r 0, r 0, I.Imm 1));
+        Ins (I.Alu (I.Rem, r 4, r 0, I.Imm 3));
+        Ins (I.Jtab (r 4, [| "a"; "b"; "next" |]));
+        Lab "a"; Ins (I.J "next");
+        Lab "b"; Ins (I.Alu (I.Add, r 5, r 5, I.Imm 1));
+        Lab "next"; Ins (I.Alu (I.Slt, r 1, r 0, I.Reg (r 3)));
+        Ins (I.Bne (r 1, zero, "loop"));
+        Ins I.Ret ] )
+  in
+  let f =
+    ( "f",
+      [ Ins (I.Alu (I.Sub, r 6, r 0, I.Reg (r 2)));
+        Ins (I.Beq (r 6, zero, "h")); Ins I.Ret;
+        Lab "h"; Ins I.Halt ] )
+  in
+  let prog = Mips.Program.make ~entry:"main" [ main; f ] in
+  let d = Sim.Decode.of_program prog in
+  checkb "a fused slt/bne" true
+    (Array.exists (( = ) Sim.Decode.Slt_rr_bne) d.procs.(0).ops);
+  List.iter
+    (fun (mode, instrs) ->
+      let input = ds ~ints:[| mode |] () in
+      let rec_ = Sim.Trace_run.record ~decoded:d prog input in
+      checki
+        (Printf.sprintf "mode %d: instructions" mode)
+        instrs (Sim.Trace_run.profile rec_).stats.instr_count;
+      check_replay (Printf.sprintf "mode %d" mode) prog input)
+    [ (3, 36); (-1, 52) ]
+
 (* ---- raw machine edge cases (hand-assembled programs) ---- *)
 
 (* The filler of the hand-built programs: a pure write to [$zero],
@@ -740,6 +807,10 @@ let tests =
         Alcotest.test_case "perfect beats naive" `Quick
           test_trace_perfect_beats_naive;
         Alcotest.test_case "switch breaks" `Quick test_switch_is_break;
+        Alcotest.test_case "replay = direct, traced workloads" `Quick
+          test_replay_workloads;
+        Alcotest.test_case "replay = direct, hand-built" `Quick
+          test_replay_hand_built;
       ] );
     ( "machine edge cases",
       [
